@@ -192,9 +192,9 @@ def _swap_convention(
 
 def _estimated_reports(args, manifest: DatasetManifest, threads: int):
     """Per-image estimates from whichever input the command was given."""
-    if getattr(args, "detections", None):
+    if args.detections:
         records = load_detections(args.detections)
-        dets = _dets_by_image(manifest, records, getattr(args, "nms_iou", None), threads)
+        dets = _dets_by_image(manifest, records, args.nms_iou, threads)
         return _detection_reports(manifest, dets, args.conf_thr)
     return _density_reports(manifest, args.density_dir, threads)
 
@@ -585,6 +585,7 @@ def build_parser() -> _Parser:
     src.add_argument("--detections", help="detections JSONL (detection path)")
     src.add_argument("--density-dir", help="NFMD directory (density path)")
     p.add_argument("--conf-thr", type=float, default=0.5, help="detection confidence threshold")
+    p.add_argument("--nms-iou", type=float, default=None, help="apply NMS at this IoU first")
     p.add_argument("--convention", choices=("masked", "unmasked"), default="masked",
                    help="which count forms the ratio numerator")
 

@@ -145,13 +145,15 @@ def load_annotations(path, split: str | None = None) -> DatasetManifest:
         seen.add(image_id)
         width = _require(obj, "width", where)
         height = _require(obj, "height", where)
-        if not all(isinstance(v, int) and v > 0 for v in (width, height)):
+        if not all(
+            isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (width, height)
+        ):
             raise DataFormatError(f"{where}: width/height must be positive integers")
         condition = _require(obj, "condition", where)
-        if condition not in _CONDITIONS:
+        if not isinstance(condition, str) or condition not in _CONDITIONS:
             raise DataFormatError(f"{where}: condition must be 'DT' or 'NT'")
         period = _require(obj, "period", where)
-        if period not in _PERIODS:
+        if not isinstance(period, str) or period not in _PERIODS:
             raise DataFormatError(f"{where}: period must be 'before' or 'during'")
         video_id = _require(obj, "video_id", where)
         if not isinstance(video_id, str) or not video_id:
@@ -166,7 +168,7 @@ def load_annotations(path, split: str | None = None) -> DatasetManifest:
                 raise DataFormatError(f"{fwhere}: expected an object")
             box = _parse_box(_require(face, "box", fwhere), fwhere, width, height)
             label = _require(face, "label", fwhere)
-            if label not in _LABELS:
+            if not isinstance(label, str) or label not in _LABELS:
                 raise DataFormatError(
                     f"{fwhere}: label must be masked/unmasked/unknown, got {label!r}"
                 )
@@ -221,7 +223,7 @@ def load_detections(path) -> list[DetectionRecord]:
         if not isinstance(video_id, str) or not video_id:
             raise DataFormatError(f"{where}: video_id must be a non-empty string")
         condition = _require(obj, "condition", where)
-        if condition not in _CONDITIONS:
+        if not isinstance(condition, str) or condition not in _CONDITIONS:
             raise DataFormatError(f"{where}: condition must be 'DT' or 'NT'")
         dets_raw = _require(obj, "detections", where)
         if not isinstance(dets_raw, list):

@@ -54,12 +54,19 @@ def average_precision(
     face's detection is dropped rather than stealing a weaker in-scope
     match). AP is the area under the precision envelope over recall
     (all-point interpolation). Returns None when no ground truth is in scope.
+
+    The IoUs come from one iou_matrix per image against its in-scope ground
+    truth and one row-max per image against its ignore regions, computed
+    before ranking. iou_matrix evaluates the same float expression as the
+    scalar iou, so every match decision is bit-identical to scoring one
+    detection against one ground truth at a time.
     """
     if label is FaceLabel.UNKNOWN:
         raise ValueError("AP is defined for the masked/unmasked classes only")
     if bucket is SizeBucket.EXCLUDED:
         raise ValueError("the excluded bucket is never evaluated")
 
+    # per image, only when non-empty
     scope_boxes: dict[str, np.ndarray] = {}
     ignore_boxes: dict[str, np.ndarray] = {}
     n_pos = 0
@@ -72,41 +79,45 @@ def average_precision(
                 b = size_bucket(a.box)
                 in_scope = b is not SizeBucket.EXCLUDED if bucket is None else b is bucket
                 (scope if in_scope else ignore).append(a.box)
-        scope_boxes[image_id] = boxes_to_array(scope)
-        ignore_boxes[image_id] = boxes_to_array(ignore)
+        if scope:
+            scope_boxes[image_id] = boxes_to_array(scope)
+        if ignore:
+            ignore_boxes[image_id] = boxes_to_array(ignore)
         n_pos += len(scope)
     if n_pos == 0:
         return None
 
+    items = []  # (image_id, row, confidence) in input order
+    scope_ious: dict[str, np.ndarray] = {}
+    best_ignores: dict[str, np.ndarray] = {}
+    for image_id, dets in detections.items():
+        own = [d for d in dets if d.label is label]
+        if not own:
+            continue
+        items.extend((image_id, row, d.confidence) for row, d in enumerate(own))
+        boxes = boxes_to_array(d.box for d in own)
+        if image_id in scope_boxes:
+            scope_ious[image_id] = iou_matrix(boxes, scope_boxes[image_id])
+        if image_id in ignore_boxes:
+            best_ignores[image_id] = iou_matrix(boxes, ignore_boxes[image_id]).max(axis=1)
+
     # stable sort: equal confidences keep input order
-    ranked = sorted(
-        (
-            (image_id, i, d)
-            for image_id, dets in detections.items()
-            for i, d in enumerate(dets)
-            if d.label is label
-        ),
-        key=lambda item: -item[2].confidence,
-    )
+    ranked = sorted(items, key=lambda item: -item[2])
 
     matched: dict[str, np.ndarray] = {
         image_id: np.zeros(len(b), dtype=bool) for image_id, b in scope_boxes.items()
     }
     tp = np.zeros(len(ranked))
     fp = np.zeros(len(ranked))
-    for rank, (image_id, _, det) in enumerate(ranked):
-        box = boxes_to_array([det.box])
+    for rank, (image_id, row, _) in enumerate(ranked):
         best_scope, best_j = -1.0, -1
-        gts = scope_boxes.get(image_id)
-        if gts is not None and len(gts):
-            ious = iou_matrix(box, gts)[0]
-            ious[matched[image_id]] = -1.0
+        ious = scope_ious.get(image_id)
+        if ious is not None:
+            ious = np.where(matched[image_id], -1.0, ious[row])
             best_j = int(ious.argmax())
             best_scope = float(ious[best_j])
-        best_ignore = -1.0
-        ign = ignore_boxes.get(image_id)
-        if ign is not None and len(ign):
-            best_ignore = float(iou_matrix(box, ign).max())
+        ign = best_ignores.get(image_id)
+        best_ignore = -1.0 if ign is None else float(ign[row])
         if best_scope >= cfg.iou_thr and best_scope >= best_ignore:
             matched[image_id][best_j] = True
             tp[rank] = 1.0
@@ -148,7 +159,11 @@ def mae(c: Sequence[float], c_gt: Sequence[float]) -> float:
 
 
 def pearson(c: Sequence[float], c_gt: Sequence[float]) -> float | None:
-    """Pearson correlation coefficient; None when either series has zero variance."""
+    """Pearson correlation coefficient; None when either series has zero variance.
+
+    Clipped to [-1, 1]: on nearly collinear series the rounding of the sums
+    can otherwise land a few ulps outside it.
+    """
     c = np.asarray(c, dtype=np.float64)
     c_gt = np.asarray(c_gt, dtype=np.float64)
     if c.shape != c_gt.shape or c.ndim != 1 or c.shape[0] < 2:
@@ -161,7 +176,7 @@ def pearson(c: Sequence[float], c_gt: Sequence[float]) -> float | None:
     denom = np.sqrt(np.sum(dc * dc)) * np.sqrt(np.sum(dg * dg))
     if denom == 0.0:
         return None
-    return float(np.sum(dc * dg) / denom)
+    return float(np.clip(np.sum(dc * dg) / denom, -1.0, 1.0))
 
 
 def ratio_pairs(

@@ -7,7 +7,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, TypeVar
 
-from .geometry import Annotation, Detection, FaceLabel, iou
+import numpy as np
+
+from .geometry import Annotation, Detection, FaceLabel, boxes_to_array, iou_matrix
+from .geometry import iou  # noqa: F401  (unused; perfbench's tracer wraps ratio.iou)
 
 
 class Condition(Enum):
@@ -64,25 +67,46 @@ class RatioReport:
         return self.unmasked_count / self.total if self.total > 0.0 else None
 
 
+# candidates settled per step of nms; caps its IoU temporaries at this many rows
+_NMS_BLOCK = 64
+
+
 def nms(dets: Sequence[Detection], iou_thr: float = 0.4) -> list[Detection]:
     """Greedy class-wise non-maximum suppression.
 
     Detections are visited in descending confidence (ties keep input order);
     one is kept iff its IoU with every kept detection of the same class is
-    below iou_thr.
+    below iou_thr. Kept detections are returned in input order.
+
+    The boxes go into one (N, 4) array per call. Each class's candidates are
+    settled in confidence order, _NMS_BLOCK at a time: one iou_matrix settles
+    a block greedily among itself, a second drops every later candidate that
+    a kept box of the block overlaps at iou_thr or more. iou_matrix evaluates
+    the same float expression as the scalar iou, so every keep/drop decision
+    is bit-identical to comparing one pair at a time.
     """
     if not (0.0 < iou_thr <= 1.0):
         raise ValueError(f"iou_thr must be in (0, 1], got {iou_thr}")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    kept: list[int] = []
-    for i in order:
-        if all(
-            dets[i].label is not dets[j].label or iou(dets[i].box, dets[j].box) < iou_thr
-            for j in kept
-        ):
-            kept.append(i)
-    kept.sort()
-    return [dets[i] for i in kept]
+    if not dets:
+        return []
+    boxes = boxes_to_array(d.box for d in dets)
+    conf = np.array([d.confidence for d in dets])
+    masked = np.array([d.label is FaceLabel.MASKED for d in dets])
+    keep = np.zeros(len(dets), dtype=bool)
+    for in_class in (masked, ~masked):
+        idx = np.flatnonzero(in_class)
+        idx = idx[np.argsort(-conf[idx], kind="stable")]
+        while idx.size:
+            block, rest = idx[:_NMS_BLOCK], idx[_NMS_BLOCK:]
+            over = iou_matrix(boxes[block], boxes[block]) >= iou_thr
+            alive = np.ones(len(block), dtype=bool)
+            for i in range(len(block)):
+                if alive[i]:
+                    alive[i + 1 :] &= ~over[i, i + 1 :]
+            kept = block[alive]
+            keep[kept] = True
+            idx = rest[~(iou_matrix(boxes[kept], boxes[rest]) >= iou_thr).any(axis=0)]
+    return [dets[i] for i in np.flatnonzero(keep)]
 
 
 def detection_ratio(dets: Sequence[Detection], conf_thr: float = 0.5) -> RatioReport:

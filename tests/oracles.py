@@ -40,14 +40,16 @@ def bucket_of(box) -> SizeBucket:
     return SizeBucket.M
 
 
-def brute_force_ap(
+def brute_force_matches(
     detections: dict[str, list[Detection]],
     annotations: dict[str, list[Annotation]],
     label: FaceLabel,
     bucket: SizeBucket | None,
     iou_thr: float,
-) -> float | None:
-    """Reference AP: explicit match decisions, explicit envelope integration."""
+) -> tuple[list[bool | None], int] | None:
+    """Explicit match decisions in rank order (True TP, False FP, None for a
+    detection discarded on an ignore region) and the in-scope ground-truth
+    count. None when no ground truth is in scope."""
     scope: dict[str, list] = {}
     ignore: dict[str, list] = {}
     n_pos = 0
@@ -76,7 +78,7 @@ def brute_force_ap(
     flat.sort(key=lambda item: -item[2].confidence)  # stable: ties keep input order
 
     used: dict[str, set[int]] = {image_id: set() for image_id in scope}
-    events = []  # True for TP, False for FP; discarded detections never appear
+    events = []
     for image_id, _, det in flat:
         best_scope, best_j = -1.0, -1
         for j, gt in enumerate(scope.get(image_id, [])):
@@ -92,10 +94,25 @@ def brute_force_ap(
             used[image_id].add(best_j)
             events.append(True)
         elif best_ignore >= iou_thr:
-            continue
+            events.append(None)
         else:
             events.append(False)
+    return events, n_pos
 
+
+def brute_force_ap(
+    detections: dict[str, list[Detection]],
+    annotations: dict[str, list[Annotation]],
+    label: FaceLabel,
+    bucket: SizeBucket | None,
+    iou_thr: float,
+) -> float | None:
+    """Reference AP: explicit match decisions, explicit envelope integration."""
+    matches = brute_force_matches(detections, annotations, label, bucket, iou_thr)
+    if matches is None:
+        return None
+    events = [e for e in matches[0] if e is not None]
+    n_pos = matches[1]
     precisions = []
     tp = 0
     for k, is_tp in enumerate(events, start=1):
@@ -106,6 +123,28 @@ def brute_force_ap(
         if is_tp:
             ap += max(precisions[k:]) / n_pos
     return ap
+
+
+def envelope_ap(events: list[bool | None], n_pos: int) -> float:
+    """All-point AP of a decision sequence, summed in average_precision's float order.
+
+    The explicit integration in brute_force_ap rounds differently (by up to a
+    few ulps), so a test that needs equality of every bit pairs the brute-force
+    decisions with this sum. Discarded ranks after the first counted one stay
+    in the sum as zero-width steps, as they do in average_precision.
+    """
+    tp = np.array([e is True for e in events], dtype=np.float64)
+    fp = np.array([e is False for e in events], dtype=np.float64)
+    ctp, cfp = np.cumsum(tp), np.cumsum(fp)
+    counted = (ctp + cfp) > 0
+    ctp, cfp = ctp[counted], cfp[counted]
+    if ctp.shape[0] == 0:
+        return 0.0
+    recall = ctp / n_pos
+    precision = ctp / (ctp + cfp)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    deltas = np.diff(np.concatenate(([0.0], recall)))
+    return float(np.sum(deltas * envelope))
 
 
 def fd_fusion_gradient(
@@ -145,3 +184,18 @@ def neighbor_sigmas(
         nearest = dists[: min(k, n - 1)]
         out.append(beta * sum(nearest) / len(nearest))
     return out
+
+
+def nms_scalar(dets: list[Detection], iou_thr: float) -> list[Detection]:
+    """Greedy class-wise NMS one pair at a time: the scalar reference for nms."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+    kept: list[int] = []
+    for i in order:
+        if all(
+            dets[i].label is not dets[j].label
+            or iou_scalar(dets[i].box, dets[j].box) < iou_thr
+            for j in kept
+        ):
+            kept.append(i)
+    kept.sort()
+    return [dets[i] for i in kept]

@@ -1,8 +1,14 @@
 import json
+import math
 
 import pytest
 
+import maskbench.cli as cli
 from maskbench.cli import main
+from maskbench.dataset import DetectionRecord, load_detections, write_detections
+from maskbench.geometry import BBox, Detection, FaceLabel
+
+from oracles import brute_force_matches, envelope_ap, nms_scalar
 
 
 def run(args, capsys=None):
@@ -69,6 +75,24 @@ class TestExitCodes:
         main(["gen-density", "--help"])
         out = capsys.readouterr().out
         assert "0.3" in out and "8" in out
+
+    @pytest.mark.parametrize(
+        "header, face",
+        [
+            ({"condition": ["DT"]}, {"box": [5, 5, 25, 25], "label": "masked"}),
+            ({}, {"box": [5, 5, 25, 25], "label": {"masked": True}}),
+            ({"width": True}, {"box": [0, 0, 1, 1], "label": "masked"}),
+        ],
+        ids=["list-condition", "dict-label", "bool-width"],
+    )
+    def test_mistyped_annotation_field_is_data_error(self, tmp_path, capsys, header, face):
+        rec = {"image_id": "a", "video_id": "v", "condition": "DT", "period": "during",
+               "width": 64, "height": 64, "faces": [face]}
+        rec.update(header)
+        path = tmp_path / "a.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        assert main(["stats", "--train", str(path), "--test", str(path)]) == 2
+        assert "a.jsonl:1" in capsys.readouterr().err
 
 
 class TestSynthCli:
@@ -213,6 +237,83 @@ class TestEvalCli:
         for line in (tmp_path / "v.csv").read_text().strip().split("\n")[1:]:
             _, _, gt_r, est_r = line.split(",")
             assert gt_r == est_r
+
+    def test_report_video_nms_iou_counts_only_kept_detections(self, scene_dir, tmp_path):
+        # duplicate every masked detection one pixel off at lower confidence:
+        # without NMS the masked counts, and so the video means, are inflated
+        records = []
+        for rec in load_detections(scene_dir / "detections.jsonl"):
+            dups = [Detection(BBox(d.box.left + 1, d.box.top, d.box.right + 1, d.box.bottom),
+                              d.label, d.confidence * 0.9)
+                    for d in rec.detections if d.label is FaceLabel.MASKED]
+            records.append(DetectionRecord(rec.image_id, rec.meta, rec.detections + tuple(dups)))
+        raw = tmp_path / "raw.jsonl"
+        write_detections(records, raw)
+
+        means = {}
+        for rec in records:
+            kept = [d for d in nms_scalar(list(rec.detections), 0.4) if d.confidence >= 0.5]
+            masked = sum(1 for d in kept if d.label is FaceLabel.MASKED)
+            if kept:
+                means.setdefault(rec.meta.video_id, []).append(masked / len(kept))
+        want = {v: math.fsum(r) / len(r) for v, r in means.items()}
+
+        def est_ratios(*extra):
+            out = tmp_path / "v.json"
+            assert main(["report-video", "--annotations", str(scene_dir / "annotations.jsonl"),
+                         "--detections", str(raw), "--format", "json", "--out", str(out),
+                         *extra]) == 0
+            return {row[0]: row[3] for row in json.loads(out.read_text())["report"]["rows"]}
+
+        got = est_ratios("--nms-iou", "0.4")
+        assert got.keys() == want.keys()
+        for video_id, mean in want.items():
+            assert got[video_id] == pytest.approx(mean, abs=1e-12)
+        assert est_ratios() != got
+
+    def test_pearson_stays_within_one_on_a_collinear_scene(self, tmp_path):
+        # the density predictions of this scene track the counts so closely
+        # that the unclipped total correlation rounded to 1.0000000000000002
+        assert main(["synth", "--seed", "3", "--out", str(tmp_path / "z"),
+                     "--images", "50"]) == 0
+        out = tmp_path / "c.json"
+        assert main(["eval-count", "--annotations", str(tmp_path / "z" / "annotations.jsonl"),
+                     "--density-dir", str(tmp_path / "z" / "density"),
+                     "--format", "json", "--out", str(out)]) == 0
+        rows = {r[0]: r for r in json.loads(out.read_text())["report"]["rows"]}
+        assert rows["total"][3] == 1.0
+        assert all(-1.0 <= r[3] <= 1.0 for r in rows.values())
+
+
+def _exact_ap(dets, gts, label, bucket, cfg):
+    matches = brute_force_matches(dets, gts, label, bucket, cfg.iou_thr)
+    return None if matches is None else envelope_ap(*matches)
+
+
+def test_detection_reports_byte_identical_to_scalar_oracles(tmp_path, monkeypatch):
+    scene = tmp_path / "scene"
+    assert main(synth_args(scene, seed=5, images=12, extra=(
+        "--jitter-sigma", "3", "--fp-rate", "4", "--unknown-prob", "0.2",
+        "--face-size-min", "6", "--no-density"))) == 0
+    commands = {
+        "det.csv": ["eval-det", "--nms-iou", "0.3"],
+        "ratio.csv": ["eval-ratio", "--nms-iou", "0.3", "--by-condition", "--min-faces", "1"],
+    }
+
+    def reports(tag):
+        out = {}
+        for name, argv in commands.items():
+            path = tmp_path / f"{tag}-{name}"
+            assert main([*argv, "--annotations", str(scene / "annotations.jsonl"),
+                         "--detections", str(scene / "detections.jsonl"),
+                         "--out", str(path)]) == 0
+            out[name] = path.read_bytes()
+        return out
+
+    fast = reports("fast")
+    monkeypatch.setattr(cli, "nms", nms_scalar)
+    monkeypatch.setattr(cli, "average_precision", _exact_ap)
+    assert reports("oracle") == fast
 
 
 class TestStatsCli:

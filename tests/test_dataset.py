@@ -166,6 +166,13 @@ class TestLoadDetections:
         with pytest.raises(DataFormatError):
             load_detections(path)
 
+    def test_list_condition_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [{"image_id": "a", "video_id": "v1", "condition": ["NT"],
+                            "detections": []}])
+        with pytest.raises(DataFormatError, match="condition"):
+            load_detections(path)
+
     def test_bad_confidence_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(

@@ -13,7 +13,9 @@ from maskbench.metrics import (
 )
 from maskbench.ratio import RatioReport
 
-from oracles import brute_force_ap
+from maskbench.dataset import SynthParams, synth_scene
+
+from oracles import brute_force_ap, brute_force_matches, envelope_ap
 
 
 def anno(l, t, r, b, label=FaceLabel.MASKED):
@@ -112,6 +114,29 @@ class TestAveragePrecision:
                 assert got == pytest.approx(want, abs=1e-9)
                 checked += 1
         assert checked > 50  # the generator must produce mostly non-degenerate cases
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_brute_force_decisions_exactly_on_synth_scenes(self, seed):
+        # unknown faces, sizes across the excluded/S/M/L buckets, jitter,
+        # drops, flips and false positives; every cell equal to the last bit
+        scene = synth_scene(
+            SynthParams(seed=seed, n_images=10, faces_min=5, faces_max=50,
+                        unknown_probability=0.15, face_size_min=6.0, face_size_max=60.0,
+                        jitter_sigma=2.5, drop_rate=0.1, flip_rate=0.1,
+                        false_positive_rate=4.0),
+            include_density=False,
+        )
+        dets = {rec.image_id: list(rec.detections) for rec in scene.detections}
+        gts = {rec.image_id: list(rec.annotations) for rec in scene.manifest.images}
+        assert any(a.label is FaceLabel.UNKNOWN for annos in gts.values() for a in annos)
+        for label in (FaceLabel.MASKED, FaceLabel.UNMASKED):
+            for bucket in (None, SizeBucket.S, SizeBucket.M, SizeBucket.L):
+                matches = brute_force_matches(dets, gts, label, bucket, CFG.iou_thr)
+                assert matches is not None
+                assert {True, False, None} <= set(matches[0])  # TPs, FPs and ignores occur
+                got = average_precision(dets, gts, label, bucket, CFG)
+                assert got == envelope_ap(*matches)
 
 
 def _random_instance(rng, n_images=None, max_dets=20):

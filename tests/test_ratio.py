@@ -17,6 +17,8 @@ from maskbench.ratio import (
     nms,
 )
 
+from oracles import iou_scalar, nms_scalar
+
 
 def det(l, t, r, b, label=FaceLabel.MASKED, conf=0.9):
     return Detection(BBox(l, t, r, b), label, conf)
@@ -113,6 +115,78 @@ class TestNms:
             nms([], iou_thr=0.0)
         with pytest.raises(ValueError):
             nms([], iou_thr=1.5)
+
+
+def _clustered(rng, n_faces, per_face=5, labels=(FaceLabel.MASKED, FaceLabel.UNMASKED),
+               tie_prob=0.0):
+    """Raw detector output: a cluster of candidates on each of n_faces faces.
+
+    Coordinates are integers so that exact IoU values (and so IoU == thr)
+    occur; tie_prob draws that share of confidences from three fixed values.
+    """
+    dets = []
+    for _ in range(n_faces):
+        l, t = (int(v) for v in rng.integers(0, 400, 2))
+        w, h = (int(v) for v in rng.integers(6, 40, 2))
+        for _ in range(int(rng.integers(1, per_face + 1))):
+            dl, dt, dr, db = (int(v) for v in rng.integers(-3, 4, 4))
+            r, b = max(l + w + dr, l + dl + 1), max(t + h + db, t + dt + 1)
+            conf = (float(rng.choice([0.3, 0.6, 0.9])) if rng.random() < tie_prob
+                    else float(rng.uniform(0, 1)))
+            label = labels[int(rng.integers(0, len(labels)))]
+            dets.append(det(l + dl, t + dt, r, b, label, conf))
+    rng.shuffle(dets)
+    return dets
+
+
+def _assert_same_detections(got, want):
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+
+
+class TestNmsMatchesScalarOracle:
+    """nms keeps exactly the scalar loop's detections, as the same objects in the same order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clustered_detections(self, seed):
+        rng = np.random.default_rng(seed)
+        # up to ~500 candidates: several blocks per class
+        dets = _clustered(rng, n_faces=int(rng.integers(1, 160)))
+        for thr in (0.3, 0.4, 0.5, 0.7, 1.0):
+            _assert_same_detections(nms(dets, thr), nms_scalar(dets, thr))
+
+    def test_tied_confidences(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            dets = _clustered(rng, n_faces=40, tie_prob=1.0)
+            assert len({d.confidence for d in dets}) <= 3
+            _assert_same_detections(nms(dets, 0.4), nms_scalar(dets, 0.4))
+
+    def test_iou_exactly_at_threshold_suppresses(self):
+        hi = det(0, 0, 10, 10, conf=0.9)
+        lo = det(0, 0, 10, 5, conf=0.8)  # IoU = 50 / 100 = 0.5 exactly
+        assert nms([lo, hi], iou_thr=0.5) == nms_scalar([lo, hi], 0.5) == [hi]
+        # the same pair split by 100 disjoint boxes of middle confidence
+        fillers = [det(20 * i, 50, 20 * i + 10, 60, conf=0.85) for i in range(100)]
+        assert nms([lo, *fillers, hi], iou_thr=0.5) == [*fillers, hi]
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            dets = _clustered(rng, n_faces=30, tie_prob=0.3)
+            # thresholds that equal the IoU of some same-class pair
+            pairs = [(a, b) for a in dets[:20] for b in dets[:20]
+                     if a is not b and a.label is b.label]
+            thrs = {iou_scalar(a.box, b.box) for a, b in pairs} - {0.0}
+            for thr in sorted(thrs)[:8]:
+                _assert_same_detections(nms(dets, thr), nms_scalar(dets, thr))
+
+    def test_single_class_images(self):
+        rng = np.random.default_rng(13)
+        for label in (FaceLabel.MASKED, FaceLabel.UNMASKED):
+            dets = _clustered(rng, n_faces=60, labels=(label,), tie_prob=0.2)
+            _assert_same_detections(nms(dets, 0.4), nms_scalar(dets, 0.4))
+
+    def test_empty_image(self):
+        assert nms([], 0.4) == nms_scalar([], 0.4) == []
 
 
 class TestDetectionRatio:
