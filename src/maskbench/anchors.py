@@ -73,7 +73,7 @@ def generate_anchors(
     all_boxes = []
     all_levels = []
     for level in levels:
-        level_scales = [float(s) for s in scales[level]]
+        level_scales = [float(s) for s in scales.get(level, ())]
         if not level_scales or any(s <= 0 for s in level_scales):
             raise ValueError(f"scales for level {level} must be positive and non-empty")
         stride = float(2**level)

@@ -2,20 +2,18 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or check error. All report
 commands accept --format {csv,json} and write to --out (stdout otherwise).
-Outputs are a pure function of inputs, flags, and the seed; --threads (or the
-MRB_THREADS environment variable) only changes the worker count, never the
-bytes produced.
+Outputs are a pure function of inputs, flags, and the seed. Every command runs
+in one thread; --threads is still accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,13 +22,14 @@ from . import fusion
 from .dataset import (
     DatasetManifest,
     DetectionRecord,
+    ImageRecord,
     SynthParams,
     Table,
     dataset_stats,
     load_annotations,
     load_detections,
+    render_report,
     synth_scene,
-    table_to_csv,
     write_report,
     write_synth_scene,
 )
@@ -77,44 +76,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("MRB_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"MRB_THREADS must be an integer, got {env!r}")
-    return 1
-
-
-def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Ordered map, optionally over a thread pool; results match input order."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _emit(tables: Table | Mapping[str, Table], out: str | None, fmt: str) -> None:
-    if isinstance(tables, Table):
-        tables = {"report": tables}
     if out is not None:
         write_report(tables, out, fmt)
-        return
-    if fmt == "json":
-        payload = {
-            name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
-            for name, t in tables.items()
-        }
-        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
-        for name, t in tables.items():
-            if len(tables) > 1:
-                sys.stdout.write(f"# {name}\n")
-            sys.stdout.write(table_to_csv(t))
+        sys.stdout.write(render_report(tables, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +91,6 @@ def _dets_by_image(
     manifest: DatasetManifest,
     records: Sequence[DetectionRecord],
     nms_iou: float | None,
-    threads: int,
 ) -> dict[str, tuple[Detection, ...]]:
     known = {rec.image_id for rec in manifest.images}
     for rec in records:
@@ -134,10 +99,7 @@ def _dets_by_image(
                 f"detections reference unknown image_id {rec.image_id!r}"
             )
     if nms_iou is not None:
-        suppressed = _parallel_map(
-            lambda rec: tuple(nms(list(rec.detections), nms_iou)), records, threads
-        )
-        by_image = {rec.image_id: d for rec, d in zip(records, suppressed)}
+        by_image = {rec.image_id: tuple(nms(list(rec.detections), nms_iou)) for rec in records}
     else:
         by_image = {rec.image_id: rec.detections for rec in records}
     # images without a detection record count as zero detections
@@ -155,25 +117,29 @@ def _detection_reports(
     }
 
 
-def _density_reports(
-    manifest: DatasetManifest, density_dir: str, threads: int
-) -> dict[str, RatioReport]:
+def _density_reports(manifest: DatasetManifest, density_dir: str) -> dict[str, RatioReport]:
     root = Path(density_dir)
-
-    def one(rec) -> RatioReport:
-        total = integrate_count(_read_subset(root, rec.image_id, "total"))
-        unmasked = integrate_count(_read_subset(root, rec.image_id, "unmasked"))
-        return density_ratio(total, unmasked)
-
-    reports = _parallel_map(one, manifest.images, threads)
-    return {rec.image_id: rep for rec, rep in zip(manifest.images, reports)}
+    reports = {}
+    for rec in manifest.images:
+        total = integrate_count(_read_subset(root, rec, "total"))
+        unmasked = integrate_count(_read_subset(root, rec, "unmasked"))
+        reports[rec.image_id] = density_ratio(total, unmasked)
+    return reports
 
 
-def _read_subset(root: Path, image_id: str, subset: str) -> DensityMap:
-    path = root / f"{image_id}.{subset}.nfmd"
+def _read_subset(root: Path, rec: ImageRecord, subset: str) -> DensityMap:
+    path = root / f"{rec.image_id}.{subset}.nfmd"
     if not path.exists():
         raise DataFormatError(f"missing density prediction {path}")
-    return read_density(path)
+    dmap = read_density(path)
+    ds = dmap.downscale
+    want = (math.ceil(rec.height / ds), math.ceil(rec.width / ds))
+    if dmap.values.shape != want:
+        raise DataFormatError(
+            f"{path}: {dmap.height}x{dmap.width} map does not fit the "
+            f"{rec.height}x{rec.width} image at downscale {ds} (want {want[0]}x{want[1]})"
+        )
+    return dmap
 
 
 def _gt_reports(manifest: DatasetManifest) -> dict[str, RatioReport]:
@@ -190,13 +156,13 @@ def _swap_convention(
     }
 
 
-def _estimated_reports(args, manifest: DatasetManifest, threads: int):
+def _estimated_reports(args, manifest: DatasetManifest):
     """Per-image estimates from whichever input the command was given."""
     if args.detections:
         records = load_detections(args.detections)
-        dets = _dets_by_image(manifest, records, args.nms_iou, threads)
+        dets = _dets_by_image(manifest, records, args.nms_iou)
         return _detection_reports(manifest, dets, args.conf_thr)
-    return _density_reports(manifest, args.density_dir, threads)
+    return _density_reports(manifest, args.density_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +217,11 @@ def _cmd_gen_density(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def render_one(rec) -> list[tuple[str, DensityMap]]:
-        results = []
+    # every map is rendered before any is written: with the file writes
+    # interleaved between renders, gen-density measured 25-50% slower on a
+    # 2-vCPU VM for the same bytes
+    maps = []
+    for rec in manifest.images:
         for subset in subsets:
             if subset == "total":
                 annos = [a for a in rec.annotations if a.label is not FaceLabel.UNKNOWN]
@@ -260,20 +229,16 @@ def _cmd_gen_density(args) -> int:
                 annos = [a for a in rec.annotations if a.label.value == subset]
             pts = PointSet(tuple(a.box.center for a in annos), rec.width, rec.height)
             dmap = downsample_sum_preserving(render_density(pts, spec), args.downscale)
-            results.append((f"{rec.image_id}.{subset}.nfmd", dmap))
-        return results
-
-    for results in _parallel_map(render_one, manifest.images, _threads(args)):
-        for name, dmap in results:
-            write_density(dmap, out / name)
+            maps.append((out / f"{rec.image_id}.{subset}.nfmd", dmap))
+    for path, dmap in maps:
+        write_density(dmap, path)
     return 0
 
 
 def _cmd_eval_det(args) -> int:
     manifest = load_annotations(args.annotations)
     records = load_detections(args.detections)
-    threads = _threads(args)
-    dets = _dets_by_image(manifest, records, args.nms_iou, threads)
+    dets = _dets_by_image(manifest, records, args.nms_iou)
     gts = manifest.annotations_by_id()
     cfg = EvalConfig(iou_thr=args.iou_thr)
 
@@ -282,9 +247,7 @@ def _cmd_eval_det(args) -> int:
         for label in (FaceLabel.MASKED, FaceLabel.UNMASKED)
         for bucket in cfg.buckets
     ]
-    aps = _parallel_map(
-        lambda cell: average_precision(dets, gts, cell[0], cell[1], cfg), cells, threads
-    )
+    aps = [average_precision(dets, gts, label, bucket, cfg) for label, bucket in cells]
     rows = [
         (label.value, bucket.value, ap) for (label, bucket), ap in zip(cells, aps)
     ]
@@ -311,7 +274,7 @@ def _count_rows(
 
 def _cmd_eval_count(args) -> int:
     manifest = load_annotations(args.annotations)
-    est = _density_reports(manifest, args.density_dir, _threads(args))
+    est = _density_reports(manifest, args.density_dir)
     gt = _gt_reports(manifest)
     order = [rec.image_id for rec in manifest.images]
     _emit(
@@ -324,8 +287,7 @@ def _cmd_eval_count(args) -> int:
 
 def _cmd_eval_ratio(args) -> int:
     manifest = load_annotations(args.annotations)
-    threads = _threads(args)
-    est = _estimated_reports(args, manifest, threads)
+    est = _estimated_reports(args, manifest)
     gt = _gt_reports(manifest)
     order = [rec.image_id for rec in manifest.images]
     cfg = EvalConfig(min_faces_per_image=args.min_faces)
@@ -362,7 +324,7 @@ def _cmd_eval_ratio(args) -> int:
 
 def _cmd_report_video(args) -> int:
     manifest = load_annotations(args.annotations)
-    est = _estimated_reports(args, manifest, _threads(args))
+    est = _estimated_reports(args, manifest)
     gt = _gt_reports(manifest)
     est = _swap_convention(est, args.convention)
     gt = _swap_convention(gt, args.convention)
@@ -406,51 +368,62 @@ def _cmd_loss_eval(args) -> int:
             raise DataFormatError(f"{args.fixture}: invalid JSON: {exc}") from exc
 
     def get(obj, key, default=None):
+        if not isinstance(obj, dict):
+            raise DataFormatError(
+                f"{args.fixture}: expected an object holding {key!r}, got {obj!r}"
+            )
         if default is None and key not in obj:
             raise DataFormatError(f"{args.fixture}: missing field {key!r}")
         return obj.get(key, default)
 
     image = get(fixture, "image")
     spec = get(fixture, "anchors")
-    levels = [int(v) for v in get(spec, "levels")]
-    scales = spec.get("scales")
-    if isinstance(scales, dict):
-        scales = {int(k): tuple(float(x) for x in v) for k, v in scales.items()}
-    ratios = tuple(float(r) for r in spec.get("ratios", anchors_mod.DEFAULT_RATIOS))
-    anchor_set = anchors_mod.generate_anchors(
-        int(get(image, "width")), int(get(image, "height")), levels, scales, ratios
-    )
+    matching = get(fixture, "matching", {})
+    preds = get(fixture, "predictions")
+    loss_cfg = get(fixture, "loss", {})
+    try:
+        levels = [int(v) for v in get(spec, "levels")]
+        scales = spec.get("scales")
+        if isinstance(scales, dict):
+            scales = {int(k): tuple(float(x) for x in v) for k, v in scales.items()}
+        ratios = tuple(float(r) for r in spec.get("ratios", anchors_mod.DEFAULT_RATIOS))
+        anchor_set = anchors_mod.generate_anchors(
+            int(get(image, "width")), int(get(image, "height")), levels, scales, ratios
+        )
+        pos_iou = float(get(matching, "pos_iou", 0.5))
+        neg_iou = float(get(matching, "neg_iou", 0.3))
+        p_obj = np.asarray(get(preds, "objectness"), dtype=np.float64)
+        p_cls = np.asarray(get(preds, "class"), dtype=np.float64)
+        t = np.asarray(get(preds, "box"), dtype=np.float64)
+        config = anchors_mod.LossConfig(
+            alpha=float(get(loss_cfg, "alpha", 0.25)),
+            gamma=float(get(loss_cfg, "gamma", 2.0)),
+            normalize_by_positives=bool(get(loss_cfg, "normalize", False)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{args.fixture}: {exc}") from exc
 
     labels = {lab.value: lab for lab in FaceLabel}
+    gt_raw = get(fixture, "ground_truth")
+    if not isinstance(gt_raw, list):
+        raise DataFormatError(f"{args.fixture}: ground_truth must be a list")
     gts = []
-    for i, g in enumerate(get(fixture, "ground_truth")):
+    for i, g in enumerate(gt_raw):
+        if not isinstance(g, dict):
+            raise DataFormatError(f"{args.fixture}: ground_truth[{i}]: expected an object")
         box = g.get("box")
         if not (isinstance(box, list) and len(box) == 4):
             raise DataFormatError(f"{args.fixture}: ground_truth[{i}]: bad box {box!r}")
+        label = g.get("label")
+        if not isinstance(label, str) or label not in labels:
+            raise DataFormatError(f"{args.fixture}: ground_truth[{i}]: bad label {label!r}")
         try:
-            gts.append(Annotation(BBox(*(float(v) for v in box)), labels[g["label"]]))
-        except (KeyError, ValueError) as exc:
+            gts.append(Annotation(BBox(*(float(v) for v in box)), labels[label]))
+        except (TypeError, ValueError) as exc:
             raise DataFormatError(f"{args.fixture}: ground_truth[{i}]: {exc}") from exc
 
-    matching = fixture.get("matching", {})
-    match = anchors_mod.match_anchors(
-        anchor_set,
-        gts,
-        pos_iou=float(matching.get("pos_iou", 0.5)),
-        neg_iou=float(matching.get("neg_iou", 0.3)),
-    )
-
-    preds = get(fixture, "predictions")
-    p_obj = np.asarray(get(preds, "objectness"), dtype=np.float64)
-    p_cls = np.asarray(get(preds, "class"), dtype=np.float64)
-    t = np.asarray(get(preds, "box"), dtype=np.float64)
-    loss_cfg = fixture.get("loss", {})
-    config = anchors_mod.LossConfig(
-        alpha=float(loss_cfg.get("alpha", 0.25)),
-        gamma=float(loss_cfg.get("gamma", 2.0)),
-        normalize_by_positives=bool(loss_cfg.get("normalize", False)),
-    )
     try:
+        match = anchors_mod.match_anchors(anchor_set, gts, pos_iou=pos_iou, neg_iou=neg_iou)
         breakdown = anchors_mod.multitask_loss(p_obj, p_cls, t, match, config)
     except ValueError as exc:
         raise DataFormatError(f"{args.fixture}: {exc}") from exc
@@ -501,8 +474,7 @@ def build_parser() -> _Parser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: MRB_THREADS env var, else 1); "
-        "outputs are identical for any value",
+        help="accepted for compatibility; has no effect (every command runs in one thread)",
     )
     report = _Parser(add_help=False)
     report.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -126,6 +126,23 @@ def _parse_lines(path) -> Iterable[tuple[int, dict]]:
             yield lineno, obj
 
 
+def _parse_header(obj: dict, where: str, seen: set[str]) -> tuple[str, str, Condition]:
+    """Check the image_id, video_id and condition that both JSONL formats carry."""
+    image_id = _require(obj, "image_id", where)
+    if not isinstance(image_id, str) or not image_id:
+        raise DataFormatError(f"{where}: image_id must be a non-empty string")
+    if image_id in seen:
+        raise DataFormatError(f"{where}: duplicate image_id {image_id!r}")
+    seen.add(image_id)
+    video_id = _require(obj, "video_id", where)
+    if not isinstance(video_id, str) or not video_id:
+        raise DataFormatError(f"{where}: video_id must be a non-empty string")
+    condition = _require(obj, "condition", where)
+    if not isinstance(condition, str) or condition not in _CONDITIONS:
+        raise DataFormatError(f"{where}: condition must be 'DT' or 'NT'")
+    return image_id, video_id, _CONDITIONS[condition]
+
+
 def load_annotations(path, split: str | None = None) -> DatasetManifest:
     """Load an annotations JSONL file into a manifest.
 
@@ -137,27 +154,16 @@ def load_annotations(path, split: str | None = None) -> DatasetManifest:
     seen: set[str] = set()
     for lineno, obj in _parse_lines(path):
         where = f"{path}:{lineno}"
-        image_id = _require(obj, "image_id", where)
-        if not isinstance(image_id, str) or not image_id:
-            raise DataFormatError(f"{where}: image_id must be a non-empty string")
-        if image_id in seen:
-            raise DataFormatError(f"{where}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
+        image_id, video_id, condition = _parse_header(obj, where, seen)
         width = _require(obj, "width", where)
         height = _require(obj, "height", where)
         if not all(
             isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (width, height)
         ):
             raise DataFormatError(f"{where}: width/height must be positive integers")
-        condition = _require(obj, "condition", where)
-        if not isinstance(condition, str) or condition not in _CONDITIONS:
-            raise DataFormatError(f"{where}: condition must be 'DT' or 'NT'")
         period = _require(obj, "period", where)
         if not isinstance(period, str) or period not in _PERIODS:
             raise DataFormatError(f"{where}: period must be 'before' or 'during'")
-        video_id = _require(obj, "video_id", where)
-        if not isinstance(video_id, str) or not video_id:
-            raise DataFormatError(f"{where}: video_id must be a non-empty string")
         faces = _require(obj, "faces", where)
         if not isinstance(faces, list):
             raise DataFormatError(f"{where}: faces must be a list")
@@ -180,7 +186,7 @@ def load_annotations(path, split: str | None = None) -> DatasetManifest:
                     stacklevel=2,
                 )
             annotations.append(Annotation(box, _LABELS[label]))
-        meta = ImageMeta(video_id, _CONDITIONS[condition], _PERIODS[period])
+        meta = ImageMeta(video_id, condition, _PERIODS[period])
         records.append(ImageRecord(image_id, meta, width, height, tuple(annotations)))
     return DatasetManifest(tuple(records), split)
 
@@ -213,18 +219,7 @@ def load_detections(path) -> list[DetectionRecord]:
     seen: set[str] = set()
     for lineno, obj in _parse_lines(path):
         where = f"{path}:{lineno}"
-        image_id = _require(obj, "image_id", where)
-        if not isinstance(image_id, str) or not image_id:
-            raise DataFormatError(f"{where}: image_id must be a non-empty string")
-        if image_id in seen:
-            raise DataFormatError(f"{where}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
-        video_id = _require(obj, "video_id", where)
-        if not isinstance(video_id, str) or not video_id:
-            raise DataFormatError(f"{where}: video_id must be a non-empty string")
-        condition = _require(obj, "condition", where)
-        if not isinstance(condition, str) or condition not in _CONDITIONS:
-            raise DataFormatError(f"{where}: condition must be 'DT' or 'NT'")
+        image_id, video_id, condition = _parse_header(obj, where, seen)
         dets_raw = _require(obj, "detections", where)
         if not isinstance(dets_raw, list):
             raise DataFormatError(f"{where}: detections must be a list")
@@ -246,7 +241,7 @@ def load_detections(path) -> list[DetectionRecord]:
                 dets.append(Detection(box, _LABELS[label], float(conf)))
             except ValueError as exc:
                 raise DataFormatError(f"{dwhere}: {exc}") from exc
-        meta = ImageMeta(video_id, _CONDITIONS[condition])
+        meta = ImageMeta(video_id, condition)
         records.append(DetectionRecord(image_id, meta, tuple(dets)))
     return records
 
@@ -687,13 +682,12 @@ def table_to_csv(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(tables: Table | Mapping[str, Table], path, fmt: str = "csv") -> None:
-    """Write report tables with bit-stable formatting.
+def render_report(tables: Table | Mapping[str, Table], fmt: str = "csv") -> str:
+    """Render report tables as one text stream.
 
-    Floats are rendered with their shortest round-trip repr and undefined
-    values as empty CSV cells / JSON nulls, so identical tables always produce
-    identical bytes. JSON output is one file; CSV output is one file for a
-    single table and a directory of <name>.csv files for several.
+    JSON is one payload of {name: {"columns", "rows"}}; a single bare Table is
+    named "report". CSV is the table itself when there is one, and each table
+    after a "# name" line when there are several.
     """
     if isinstance(tables, Table):
         tables = {"report": tables}
@@ -702,17 +696,28 @@ def write_report(tables: Table | Mapping[str, Table], path, fmt: str = "csv") ->
             name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
             for name, t in tables.items()
         }
-        Path(path).write_text(
-            json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-        )
-    elif fmt == "csv":
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if fmt == "csv":
         if len(tables) == 1:
             (table,) = tables.values()
-            Path(path).write_text(table_to_csv(table), encoding="utf-8")
-        else:
-            out = Path(path)
-            out.mkdir(parents=True, exist_ok=True)
-            for name, table in tables.items():
-                (out / f"{name}.csv").write_text(table_to_csv(table), encoding="utf-8")
+            return table_to_csv(table)
+        return "".join(f"# {name}\n{table_to_csv(t)}" for name, t in tables.items())
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
+def write_report(tables: Table | Mapping[str, Table], path, fmt: str = "csv") -> None:
+    """Write report tables with bit-stable formatting.
+
+    Floats are rendered with their shortest round-trip repr and undefined
+    values as empty CSV cells / JSON nulls, so identical tables always produce
+    identical bytes. JSON output is one file; CSV output is one file for a
+    single table and a directory of <name>.csv files for several. A file holds
+    exactly what render_report gives.
+    """
+    if fmt == "csv" and isinstance(tables, Mapping) and len(tables) > 1:
+        out = Path(path)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, table in tables.items():
+            (out / f"{name}.csv").write_text(table_to_csv(table), encoding="utf-8")
     else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        Path(path).write_text(render_report(tables, fmt), encoding="utf-8")

@@ -1,11 +1,14 @@
 import json
 import math
+import shutil
 
+import numpy as np
 import pytest
 
 import maskbench.cli as cli
 from maskbench.cli import main
 from maskbench.dataset import DetectionRecord, load_detections, write_detections
+from maskbench.density import DensityMap, write_density
 from maskbench.geometry import BBox, Detection, FaceLabel
 
 from oracles import brute_force_matches, envelope_ap, nms_scalar
@@ -185,6 +188,19 @@ class TestEvalCli:
         ) == 2
         assert "missing density" in capsys.readouterr().err
 
+    def test_map_that_does_not_fit_its_image_is_data_error(self, scene_dir, tmp_path, capsys):
+        # the 64x64 images take 8x8 maps at downscale 8, or 4x4 at downscale 16
+        maps = tmp_path / "maps"
+        shutil.copytree(scene_dir / "density", maps)
+        write_density(DensityMap(np.ones((4, 4)), 16), maps / "img00001.total.nfmd")
+        annotations = str(scene_dir / "annotations.jsonl")
+        assert main(["eval-count", "--annotations", annotations, "--density-dir", str(maps),
+                     "--out", str(tmp_path / "c.csv")]) == 0
+        write_density(DensityMap(np.ones((3, 3)), 8), maps / "img00000.total.nfmd")
+        for command in ("eval-count", "eval-ratio", "report-video"):
+            assert main([command, "--annotations", annotations, "--density-dir", str(maps)]) == 2
+            assert "img00000.total.nfmd" in capsys.readouterr().err
+
     def test_by_condition_rows(self, scene_dir, tmp_path):
         code = main(
             ["eval-ratio", "--annotations", str(scene_dir / "annotations.jsonl"),
@@ -343,7 +359,8 @@ class TestGradcheckCli:
 
 
 class TestLossEvalCli:
-    def fixture(self, tmp_path, n=12):
+    @staticmethod
+    def fixture(tmp_path, n=12):
         payload = {
             "image": {"width": 32, "height": 32},
             "anchors": {"levels": [3], "scales": {"3": [16]}, "ratios": [0.5, 1.0, 2.0]},
@@ -375,6 +392,28 @@ class TestLossEvalCli:
         path.write_text(json.dumps(payload))
         assert main(["loss-eval", "--fixture", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p["anchors"].update(scales={"3": 5}),
+            lambda p: p["anchors"].update(scales={"4": [16]}),
+            lambda p: p.update(ground_truth=[5]),
+            lambda p: p["ground_truth"][0].update(box=[None, 8, 24, 24]),
+            lambda p: p["ground_truth"][0].update(label=["masked"]),
+            lambda p: p.update(image=5),
+            lambda p: p.update(matching=[1]),
+        ],
+        ids=["scalar-scales", "level-without-scales", "non-object-gt", "null-coordinate",
+             "list-label", "non-object-image", "list-matching"],
+    )
+    def test_mistyped_fixture_field_is_data_error(self, tmp_path, capsys, edit):
+        path = self.fixture(tmp_path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        assert main(["loss-eval", "--fixture", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
 
 class TestThreads:
     def test_outputs_identical_across_thread_counts(self, scene_dir, tmp_path):
@@ -404,10 +443,47 @@ class TestThreads:
              "--density-dir", str(scene_dir / "density"), "--out", str(tmp_path / "c.csv")]
         ) == 0
 
-    def test_bad_env_var_is_error(self, scene_dir, tmp_path, monkeypatch, capsys):
+    def test_bad_env_var_is_ignored(self, scene_dir, tmp_path, monkeypatch):
+        argv = ["eval-count", "--annotations", str(scene_dir / "annotations.jsonl"),
+                "--density-dir", str(scene_dir / "density")]
+        monkeypatch.delenv("MRB_THREADS", raising=False)
+        assert main([*argv, "--out", str(tmp_path / "unset.csv")]) == 0
         monkeypatch.setenv("MRB_THREADS", "many")
-        assert main(
-            ["eval-count", "--annotations", str(scene_dir / "annotations.jsonl"),
-             "--density-dir", str(scene_dir / "density")]
-        ) == 2
-        assert "MRB_THREADS" in capsys.readouterr().err
+        assert main([*argv, "--out", str(tmp_path / "many.csv")]) == 0
+        assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "unset.csv").read_bytes()
+
+
+REPORT_ARGS = {
+    "stats": lambda scene, tmp: ["stats", "--train", scene / "annotations.jsonl",
+                                 "--test", scene / "annotations.jsonl"],
+    "eval-det": lambda scene, tmp: ["eval-det", "--annotations", scene / "annotations.jsonl",
+                                    "--detections", scene / "detections.jsonl", "--nms-iou", "0.4"],
+    "eval-count": lambda scene, tmp: ["eval-count", "--annotations", scene / "annotations.jsonl",
+                                      "--density-dir", scene / "density"],
+    "eval-ratio": lambda scene, tmp: ["eval-ratio", "--annotations", scene / "annotations.jsonl",
+                                      "--detections", scene / "detections.jsonl", "--by-condition"],
+    "report-video": lambda scene, tmp: ["report-video", "--annotations", scene / "annotations.jsonl",
+                                        "--density-dir", scene / "density"],
+    "gradcheck": lambda scene, tmp: ["gradcheck", "--trials", "2"],
+    "loss-eval": lambda scene, tmp: ["loss-eval", "--fixture", TestLossEvalCli.fixture(tmp)],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(REPORT_ARGS))
+def test_stdout_matches_out_file(command, fmt, scene_dir, tmp_path, capsys):
+    argv = [str(a) for a in REPORT_ARGS[command](scene_dir, tmp_path)] + ["--format", fmt]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.is_dir() == (command == "stats" and fmt == "csv")
+    if out.is_dir():
+        # several CSV tables: one file each, one "# name" section each on stdout
+        names = [line[2:] for line in stdout.decode().splitlines() if line.startswith("# ")]
+        assert len(names) > 1
+        assert sorted(names) == sorted(p.stem for p in out.iterdir())
+        want = b"".join(f"# {n}\n".encode() + (out / f"{n}.csv").read_bytes() for n in names)
+    else:
+        want = out.read_bytes()
+    assert stdout == want

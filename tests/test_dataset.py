@@ -198,6 +198,32 @@ class TestLoadDetections:
         assert tuple(back) == scene.detections
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rec: rec.update(image_id=""),
+        lambda rec: rec.update(image_id="a"),
+        lambda rec: rec.pop("video_id"),
+        lambda rec: rec.update(condition=["DT"]),
+    ],
+    ids=["empty-image-id", "duplicate-image-id", "missing-video-id", "list-condition"],
+)
+def test_header_errors_match_across_loaders(tmp_path, edit):
+    path = tmp_path / "records.jsonl"
+    messages = []
+    for loader, body in ((load_annotations, image_record("b")),
+                         (load_detections, {"image_id": "b", "video_id": "v1", "condition": "DT",
+                                            "detections": []})):
+        first = {**body, "image_id": "a"}
+        edit(body)
+        write_jsonl(path, [first, body])
+        with pytest.raises(DataFormatError) as err:
+            loader(path)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"{path}:2: ")
+
+
 def manifest_with(counts):
     """Manifest with given per-image (masked, unmasked, unknown) face counts."""
     images = []
