@@ -37,12 +37,12 @@ from .density import (
     DensityMap,
     KernelSpec,
     PointSet,
-    downsample_sum_preserving,
     integrate_count,
     read_density,
     render_density,
     write_density,
 )
+from .density import downsample_sum_preserving  # noqa: F401  (unused; perfbench's tracer wraps it)
 from .errors import DataFormatError
 from .geometry import Annotation, BBox, Detection, FaceLabel
 from .metrics import (
@@ -204,9 +204,13 @@ def _cmd_stats(args) -> int:
 
 def _cmd_gen_density(args) -> int:
     subsets = [s.strip() for s in args.subsets.split(",") if s.strip()]
+    if not subsets:
+        raise ValueError(f"--subsets names no subset, expected some of {_SUBSETS}")
     for s in subsets:
         if s not in _SUBSETS:
             raise ValueError(f"unknown density subset {s!r}, expected one of {_SUBSETS}")
+    if args.downscale < 1:
+        raise ValueError(f"downscale must be a positive integer, got {args.downscale}")
     manifest = load_annotations(args.annotations)
     spec = KernelSpec(
         beta=args.beta,
@@ -228,7 +232,7 @@ def _cmd_gen_density(args) -> int:
             else:
                 annos = [a for a in rec.annotations if a.label.value == subset]
             pts = PointSet(tuple(a.box.center for a in annos), rec.width, rec.height)
-            dmap = downsample_sum_preserving(render_density(pts, spec), args.downscale)
+            dmap = render_density(pts, spec, args.downscale)
             maps.append((out / f"{rec.image_id}.{subset}.nfmd", dmap))
     for path, dmap in maps:
         write_density(dmap, path)

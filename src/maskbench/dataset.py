@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .density import DensityMap, KernelSpec, PointSet, downsample_sum_preserving, render_density
+from .density import DensityMap, KernelSpec, PointSet, render_density
 from .errors import DataFormatError
 from .geometry import Annotation, BBox, Detection, FaceLabel
 from .ratio import Condition, CovidPeriod, ImageMeta, annotation_ratio
@@ -625,9 +625,7 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
                     params.image_width,
                     params.image_height,
                 )
-                gt = downsample_sum_preserving(
-                    render_density(pts, params.kernel), params.density_downscale
-                )
+                gt = render_density(pts, params.kernel, params.density_downscale)
                 noise_field = rng.uniform(-1.0, 1.0, gt.values.shape)
                 pred = gt.values * (1.0 + params.density_noise * noise_field)
                 maps[name] = DensityMap(pred, gt.downscale)

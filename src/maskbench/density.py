@@ -134,45 +134,57 @@ def adaptive_sigmas(pts: PointSet, spec: KernelSpec = KernelSpec()) -> list[floa
     return [spec.beta * d for d in mean_dist]
 
 
-def render_density(pts: PointSet, spec: KernelSpec = KernelSpec()) -> DensityMap:
-    """Render a full-resolution density map; each face contributes exactly mass 1.
+def render_density(
+    pts: PointSet, spec: KernelSpec = KernelSpec(), downscale: int = 1
+) -> DensityMap:
+    """Render a density map at 1/downscale of image resolution; each face has mass 1.
 
-    The Gaussian for face i is sampled at cell centers, truncated at
+    The Gaussian for face i is sampled at pixel centers, truncated at
     ``truncation_radius * sigma_i`` per axis, clipped to the image, and then
-    renormalized over the surviving cells. Contributions are accumulated in
-    input order, so the result is bit-reproducible. An empty point set yields
-    an all-zero map.
+    renormalized over the surviving pixels. Each of the ceil(H/downscale) x
+    ceil(W/downscale) output cells holds the sum of its downscale x downscale
+    pixel block, as ``downsample_sum_preserving`` of the full-resolution map
+    would. The kernel is separable, so a face's block sums are the outer
+    product of its two per-axis profiles, each block-summed and normalized by
+    its own sum; no full-resolution map is made. Contributions are
+    accumulated in input order, so the result is bit-reproducible. An empty
+    point set yields an all-zero map.
     """
+    if not isinstance(downscale, (int, np.integer)) or downscale <= 0:
+        raise ValueError(f"downscale must be a positive integer, got {downscale!r}")
     h, w = pts.image_height, pts.image_width
-    values = np.zeros((h, w), dtype=np.float64)
+    values = np.zeros((-(-h // downscale), -(-w // downscale)), dtype=np.float64)
     if len(pts) == 0:
-        return DensityMap(values)
+        return DensityMap(values, downscale)
 
-    sigmas = adaptive_sigmas(pts, spec)
-    for (x, y), sigma in zip(pts.points, sigmas):
-        _add_face(values, x, y, sigma, spec.truncation_radius)
-    return DensityMap(values)
+    for (x, y), sigma in zip(pts.points, adaptive_sigmas(pts, spec)):
+        if sigma > _DELTA_SIGMA:
+            r = spec.truncation_radius * sigma
+            xs = _block_profile(x, sigma, r, w, downscale)
+            ys = _block_profile(y, sigma, r, h, downscale)
+            if xs is not None and ys is not None:
+                (c0, px), (r0, py) = xs, ys
+                values[r0 : r0 + len(py), c0 : c0 + len(px)] += np.outer(py, px)
+                continue
+        # degenerate kernel: all mass into the cell containing the point
+        values[min(h - 1, int(y)) // downscale, min(w - 1, int(x)) // downscale] += 1.0
+    return DensityMap(values, downscale)
 
 
-def _add_face(values: np.ndarray, x: float, y: float, sigma: float, trunc: float) -> None:
-    h, w = values.shape
-    if sigma > _DELTA_SIGMA:
-        r = trunc * sigma
-        # cells whose centers (c + 0.5) fall within +-r of the face center
-        c0 = max(0, math.ceil(x - r - 0.5))
-        c1 = min(w - 1, math.floor(x + r - 0.5))
-        r0 = max(0, math.ceil(y - r - 0.5))
-        r1 = min(h - 1, math.floor(y + r - 0.5))
-        if c0 <= c1 and r0 <= r1:
-            cx = np.arange(c0, c1 + 1, dtype=np.float64) + 0.5 - x
-            cy = np.arange(r0, r1 + 1, dtype=np.float64) + 0.5 - y
-            g = np.exp(-(cy[:, None] ** 2 + cx[None, :] ** 2) / (2.0 * sigma * sigma))
-            total = g.sum()
-            if total > 0.0:
-                values[r0 : r1 + 1, c0 : c1 + 1] += g / total
-                return
-    # degenerate kernel: all mass into the cell containing the point
-    values[min(h - 1, int(y)), min(w - 1, int(x))] += 1.0
+def _block_profile(center: float, sigma: float, r: float, size: int, ds: int):
+    """(first cell, ds-pixel block sums normalized to 1) of one axis's Gaussian, or None.
+
+    None when no pixel center (p + 0.5) lies within +-r of the center, or
+    every weight underflows.
+    """
+    pix = np.arange(
+        max(0, math.ceil(center - r - 0.5)), min(size - 1, math.floor(center + r - 0.5)) + 1
+    )
+    g = np.exp(-((pix + 0.5 - center) ** 2) / (2.0 * sigma * sigma))
+    total = g.sum()  # 0.0 for an empty window
+    if not total > 0.0:
+        return None
+    return pix[0] // ds, np.bincount(pix // ds - pix[0] // ds, weights=g) / total
 
 
 def integrate_count(density: DensityMap) -> float:

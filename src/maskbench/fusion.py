@@ -402,8 +402,10 @@ def run_gradient_check(
     by max(|analytic|, |numeric|, 1e-3); the floor keeps finite-difference
     round-off from dominating near-zero gradients. Raw weights are drawn from
     [0.2, 2.0] so the non-negativity clamp stays inactive (the clamp boundary
-    is not differentiable).
+    is not differentiable). At least one trial is required.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     levels = (3, 4, 5)
     worst = 0.0

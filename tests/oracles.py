@@ -13,6 +13,13 @@ import math
 
 import numpy as np
 
+from maskbench.density import (
+    DensityMap,
+    KernelSpec,
+    PointSet,
+    adaptive_sigmas,
+    downsample_sum_preserving,
+)
 from maskbench.fusion import FeatureLevel, FusionWeights, bifpn_fuse
 from maskbench.geometry import Annotation, Detection, FaceLabel, SizeBucket
 
@@ -199,3 +206,43 @@ def nms_scalar(dets: list[Detection], iou_thr: float) -> list[Detection]:
             kept.append(i)
     kept.sort()
     return [dets[i] for i in kept]
+
+
+def render_density_two_step(
+    pts: PointSet, spec: KernelSpec = KernelSpec(), downscale: int = 1
+) -> DensityMap:
+    """The full-resolution renderer, then a block sum: the reference for render_density.
+
+    Each face's 2-D Gaussian is sampled at every pixel center of its clipped
+    truncation window, renormalized, and added into an H x W buffer in input
+    order; a face whose sigma is below 1e-6 or whose window holds no pixel
+    center is a unit deposit in its pixel. The buffer is then reduced with
+    downsample_sum_preserving.
+    """
+    h, w = pts.image_height, pts.image_width
+    values = np.zeros((h, w), dtype=np.float64)
+    sigmas = adaptive_sigmas(pts, spec) if len(pts) else []
+    for (x, y), sigma in zip(pts.points, sigmas):
+        _add_face(values, x, y, sigma, spec.truncation_radius)
+    return downsample_sum_preserving(DensityMap(values), downscale)
+
+
+def _add_face(values: np.ndarray, x: float, y: float, sigma: float, trunc: float) -> None:
+    h, w = values.shape
+    if sigma > 1e-6:
+        r = trunc * sigma
+        # cells whose centers (c + 0.5) fall within +-r of the face center
+        c0 = max(0, math.ceil(x - r - 0.5))
+        c1 = min(w - 1, math.floor(x + r - 0.5))
+        r0 = max(0, math.ceil(y - r - 0.5))
+        r1 = min(h - 1, math.floor(y + r - 0.5))
+        if c0 <= c1 and r0 <= r1:
+            cx = np.arange(c0, c1 + 1, dtype=np.float64) + 0.5 - x
+            cy = np.arange(r0, r1 + 1, dtype=np.float64) + 0.5 - y
+            g = np.exp(-(cy[:, None] ** 2 + cx[None, :] ** 2) / (2.0 * sigma * sigma))
+            total = g.sum()
+            if total > 0.0:
+                values[r0 : r1 + 1, c0 : c1 + 1] += g / total
+                return
+    # degenerate kernel: all mass into the cell containing the point
+    values[min(h - 1, int(y)), min(w - 1, int(x))] += 1.0

@@ -169,6 +169,33 @@ class TestEvalCli:
         for quantity in ("masked", "unmasked", "total"):
             assert rows[quantity][2] <= 1e-3  # f32 storage noise only
 
+    @pytest.mark.parametrize("downscale", ["0", "-3"])
+    def test_gen_density_bad_downscale_is_data_error(self, downscale, tmp_path, capsys):
+        # checked before the annotations are read: this file does not exist
+        out = tmp_path / "gtmaps"
+        assert main(
+            ["gen-density", "--annotations", str(tmp_path / "missing.jsonl"),
+             "--out", str(out), "--downscale", downscale]
+        ) == 2
+        assert f"downscale must be a positive integer, got {downscale}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_bad_density_downscale_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "scene"
+        assert main(synth_args(out, extra=["--density-downscale", "0"])) == 2
+        assert "downscale" in capsys.readouterr().err
+        assert not list(out.rglob("*.nfmd"))
+
+    @pytest.mark.parametrize("subsets", [",", " , ,", ""])
+    def test_gen_density_without_subsets_is_data_error(self, subsets, scene_dir, tmp_path, capsys):
+        out = tmp_path / "gtmaps"
+        assert main(
+            ["gen-density", "--annotations", str(scene_dir / "annotations.jsonl"),
+             "--out", str(out), "--subsets", subsets]
+        ) == 2
+        assert "subset" in capsys.readouterr().err
+        assert not list(out.glob("*.nfmd"))
+
     def test_eval_ratio_density_path(self, scene_dir, tmp_path):
         code = main(
             ["eval-ratio", "--annotations", str(scene_dir / "annotations.jsonl"),
@@ -356,6 +383,13 @@ class TestGradcheckCli:
         assert main(["gradcheck", "--trials", "2", "--out", str(tmp_path / "g.csv")]) == 0
         assert main(["gradcheck", "--trials", "2", "--tolerance", "1e-30",
                      "--out", str(tmp_path / "g2.csv")]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trial_is_data_error(self, trials, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert main(["gradcheck", "--trials", trials, "--out", str(out)]) == 2
+        assert "trials" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLossEvalCli:

@@ -15,7 +15,7 @@ from maskbench.density import (
 )
 from maskbench.errors import DataFormatError
 
-from oracles import neighbor_sigmas
+from oracles import neighbor_sigmas, render_density_two_step
 
 
 def pts(points, w=64, h=64):
@@ -130,6 +130,89 @@ class TestRenderDensity:
         points = [(rng.uniform(0, 64), rng.uniform(0, 64)) for _ in range(20)]
         dmap = render_density(pts(points))
         assert (dmap.values >= 0).all()
+
+
+def _scene(rng, n, w, h, cluster=False):
+    if cluster:  # a tight crowd: small sigmas, windows of a few pixels
+        cx, cy = rng.uniform(0, w), rng.uniform(0, h)
+        xs = np.clip(rng.normal(cx, 4.0, n), 0.0, np.nextafter(w, 0))
+        ys = np.clip(rng.normal(cy, 4.0, n), 0.0, np.nextafter(h, 0))
+    else:
+        xs, ys = rng.uniform(0, w, n), rng.uniform(0, h, n)
+    return PointSet(tuple(zip(xs, ys)), w, h)
+
+
+class TestRenderAtDownscale:
+    """render_density(pts, spec, ds) against the full-resolution render plus block sum."""
+
+    @staticmethod
+    def assert_matches_two_step(ps, ds, spec=KernelSpec()):
+        got = render_density(ps, spec, ds)
+        want = render_density_two_step(ps, spec, ds)
+        assert got.downscale == want.downscale == ds
+        assert got.values.shape == want.values.shape
+        assert got.values.shape == (-(-ps.image_height // ds), -(-ps.image_width // ds))
+        np.testing.assert_allclose(got.values, want.values, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("ds", [1, 2, 4, 8, 16])
+    def test_square_scenes(self, ds):
+        rng = np.random.default_rng(100 + ds)
+        for i in range(8):
+            n = int(rng.integers(1, 60))
+            self.assert_matches_two_step(_scene(rng, n, 256, 256, cluster=i % 2 == 1), ds)
+
+    def test_hd_frames_at_downscale_8(self):
+        rng = np.random.default_rng(7)
+        for i in range(2):
+            self.assert_matches_two_step(_scene(rng, 150, 1280, 720, cluster=i == 1), 8)
+
+    @pytest.mark.parametrize("w, h, ds", [(250, 170, 8), (97, 61, 4), (33, 45, 16), (7, 5, 8)])
+    def test_sizes_not_multiples_of_downscale(self, w, h, ds):
+        rng = np.random.default_rng(w * h)
+        for n in (1, 5, 40):
+            self.assert_matches_two_step(_scene(rng, n, w, h), ds)
+
+    @pytest.mark.parametrize("ds", [1, 4, 8])
+    def test_points_on_the_borders(self, ds):
+        w, h = 250, 170
+        right, bottom = np.nextafter(w, 0), np.nextafter(h, 0)
+        points = [
+            (0.0, 0.0), (right, 0.0), (0.0, bottom), (right, bottom),
+            (0.0, 85.3), (right, 40.0), (124.5, 0.0), (60.25, bottom),
+            (247.9, 168.2), (3.0, 166.0),
+        ]
+        self.assert_matches_two_step(PointSet(tuple(points), w, h), ds)
+        self.assert_matches_two_step(PointSet(tuple(points), w, h), ds, KernelSpec(beta=3.0))
+
+    @pytest.mark.parametrize("ds", [1, 2, 8])
+    def test_duplicate_points_deposit_in_their_cell(self, ds):
+        # every point has a twin and k=1, so every sigma is 0 and every face a deposit
+        w, h = 250, 170
+        points = [(10.2, 10.7), (249.9, 169.9), (0.0, 0.0), (123.5, 64.0)] * 2
+        ps = PointSet(tuple(points), w, h)
+        spec = KernelSpec(k=1)
+        assert adaptive_sigmas(ps, spec) == [0.0] * len(points)
+        self.assert_matches_two_step(ps, ds, spec)
+        got = render_density(ps, spec, ds).values
+        for x, y in points[:4]:
+            assert got[int(y) // ds, int(x) // ds] == 2.0
+        assert got.sum() == 8.0
+
+    @pytest.mark.parametrize("ds", [1, 3, 8, 16])
+    def test_single_point_and_empty_set(self, ds):
+        for points in ([], [(100.3, 50.8)], [(0.0, 169.5)]):
+            self.assert_matches_two_step(PointSet(tuple(points), 250, 170), ds)
+
+    @pytest.mark.parametrize("ds", [0, -3, 2.5, 8.0, "8", None])
+    def test_bad_downscale_is_rejected(self, ds):
+        with pytest.raises(ValueError, match="downscale"):
+            render_density(pts([(32, 32)]), KernelSpec(), ds)
+
+    def test_numpy_integer_downscale(self):
+        ps = pts([(32, 32), (10, 50)])
+        assert np.array_equal(
+            render_density(ps, downscale=np.int64(4)).values, render_density(ps, downscale=4).values
+        )
 
 
 class TestIntegrateCount:

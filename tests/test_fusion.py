@@ -297,6 +297,11 @@ class TestFusionGradients:
     def test_packaged_checker_agrees(self):
         assert run_gradient_check(seed=123, trials=5) <= 1e-5
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_packaged_checker_needs_a_trial(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            run_gradient_check(seed=123, trials=trials)
+
     def test_packaged_fd_helper_matches_oracle(self):
         rng = np.random.default_rng(8)
         levels = [3, 4]
