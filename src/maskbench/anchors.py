@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Annotation, BBox, FaceLabel, boxes_to_array, iou_matrix
+from .geometry import Annotation, FaceLabel, boxes_to_array, iou_matrix
 
 DEFAULT_LEVELS: tuple[int, ...] = (3, 4, 5, 6, 7)
 DEFAULT_RATIOS: tuple[float, ...] = (0.5, 1.0, 2.0)  # width:height
@@ -235,18 +235,6 @@ def decode_boxes(anchors: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.stack(
         [gx - gw / 2.0, gy - gh / 2.0, gx + gw / 2.0, gy + gh / 2.0], axis=1
     )
-
-
-def encode_box(anchor: BBox, gt: BBox) -> tuple[float, float, float, float]:
-    """Scalar convenience wrapper around encode_boxes."""
-    t = encode_boxes(boxes_to_array([anchor]), boxes_to_array([gt]))[0]
-    return (float(t[0]), float(t[1]), float(t[2]), float(t[3]))
-
-
-def decode_box(anchor: BBox, t: Sequence[float]) -> BBox:
-    """Scalar convenience wrapper around decode_boxes."""
-    box = decode_boxes(boxes_to_array([anchor]), np.asarray(t, dtype=np.float64))[0]
-    return BBox(float(box[0]), float(box[1]), float(box[2]), float(box[3]))
 
 
 def binary_cross_entropy(p, target):

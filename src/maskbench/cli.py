@@ -20,6 +20,7 @@ import numpy as np
 from . import anchors as anchors_mod
 from . import fusion
 from .dataset import (
+    DENSITY_SUBSETS,
     DatasetManifest,
     DetectionRecord,
     ImageRecord,
@@ -29,6 +30,7 @@ from .dataset import (
     load_annotations,
     load_detections,
     render_report,
+    subset_points,
     synth_scene,
     write_report,
     write_synth_scene,
@@ -36,7 +38,6 @@ from .dataset import (
 from .density import (
     DensityMap,
     KernelSpec,
-    PointSet,
     integrate_count,
     read_density,
     render_density,
@@ -45,25 +46,17 @@ from .density import (
 from .density import downsample_sum_preserving  # noqa: F401  (unused; perfbench's tracer wraps it)
 from .errors import DataFormatError
 from .geometry import Annotation, BBox, Detection, FaceLabel
-from .metrics import (
-    EvalConfig,
-    average_precision,
-    mae,
-    mean_ap,
-    pearson,
-    ratio_correlation,
-    ratio_pairs,
-)
+from .metrics import BUCKETS, EvalConfig, average_precision, mae, mean_ap, pearson, ratio_pairs
+from .metrics import ratio_correlation  # noqa: F401  (unused; perfbench's tracer wraps it)
 from .ratio import (
     RatioReport,
     aggregate_by_video,
     annotation_ratio,
     density_ratio,
     detection_ratio,
+    group_by_condition,
     nms,
 )
-
-_SUBSETS = ("total", "masked", "unmasked")
 
 
 class _UsageError(Exception):
@@ -92,11 +85,18 @@ def _dets_by_image(
     records: Sequence[DetectionRecord],
     nms_iou: float | None,
 ) -> dict[str, tuple[Detection, ...]]:
-    known = {rec.image_id for rec in manifest.images}
+    metas = {rec.image_id: rec.meta for rec in manifest.images}
     for rec in records:
-        if rec.image_id not in known:
+        if rec.image_id not in metas:
             raise DataFormatError(
                 f"detections reference unknown image_id {rec.image_id!r}"
+            )
+        want = metas[rec.image_id]
+        if (rec.meta.video_id, rec.meta.condition) != (want.video_id, want.condition):
+            raise DataFormatError(
+                f"detections for image {rec.image_id!r} give video_id "
+                f"{rec.meta.video_id!r}, condition {rec.meta.condition.value!r}; the "
+                f"annotations give {want.video_id!r}, {want.condition.value!r}"
             )
     if nms_iou is not None:
         by_image = {rec.image_id: tuple(nms(list(rec.detections), nms_iou)) for rec in records}
@@ -104,17 +104,6 @@ def _dets_by_image(
         by_image = {rec.image_id: rec.detections for rec in records}
     # images without a detection record count as zero detections
     return {rec.image_id: by_image.get(rec.image_id, ()) for rec in manifest.images}
-
-
-def _detection_reports(
-    manifest: DatasetManifest,
-    dets_by_image: Mapping[str, Sequence[Detection]],
-    conf_thr: float,
-) -> dict[str, RatioReport]:
-    return {
-        rec.image_id: detection_ratio(dets_by_image[rec.image_id], conf_thr)
-        for rec in manifest.images
-    }
 
 
 def _density_reports(manifest: DatasetManifest, density_dir: str) -> dict[str, RatioReport]:
@@ -159,9 +148,8 @@ def _swap_convention(
 def _estimated_reports(args, manifest: DatasetManifest):
     """Per-image estimates from whichever input the command was given."""
     if args.detections:
-        records = load_detections(args.detections)
-        dets = _dets_by_image(manifest, records, args.nms_iou)
-        return _detection_reports(manifest, dets, args.conf_thr)
+        dets = _dets_by_image(manifest, load_detections(args.detections), args.nms_iou)
+        return {i: detection_ratio(d, args.conf_thr) for i, d in dets.items()}
     return _density_reports(manifest, args.density_dir)
 
 
@@ -196,8 +184,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    train = load_annotations(args.train, "Training")
-    test = load_annotations(args.test, "Testing")
+    train = load_annotations(args.train)
+    test = load_annotations(args.test)
     _emit(dataset_stats(train, test), args.out, args.format)
     return 0
 
@@ -205,10 +193,10 @@ def _cmd_stats(args) -> int:
 def _cmd_gen_density(args) -> int:
     subsets = [s.strip() for s in args.subsets.split(",") if s.strip()]
     if not subsets:
-        raise ValueError(f"--subsets names no subset, expected some of {_SUBSETS}")
+        raise ValueError(f"--subsets names no subset, expected some of {DENSITY_SUBSETS}")
     for s in subsets:
-        if s not in _SUBSETS:
-            raise ValueError(f"unknown density subset {s!r}, expected one of {_SUBSETS}")
+        if s not in DENSITY_SUBSETS:
+            raise ValueError(f"unknown density subset {s!r}, expected one of {DENSITY_SUBSETS}")
     if args.downscale < 1:
         raise ValueError(f"downscale must be a positive integer, got {args.downscale}")
     manifest = load_annotations(args.annotations)
@@ -227,12 +215,7 @@ def _cmd_gen_density(args) -> int:
     maps = []
     for rec in manifest.images:
         for subset in subsets:
-            if subset == "total":
-                annos = [a for a in rec.annotations if a.label is not FaceLabel.UNKNOWN]
-            else:
-                annos = [a for a in rec.annotations if a.label.value == subset]
-            pts = PointSet(tuple(a.box.center for a in annos), rec.width, rec.height)
-            dmap = render_density(pts, spec, args.downscale)
+            dmap = render_density(subset_points(rec, subset), spec, args.downscale)
             maps.append((out / f"{rec.image_id}.{subset}.nfmd", dmap))
     for path, dmap in maps:
         write_density(dmap, path)
@@ -249,7 +232,7 @@ def _cmd_eval_det(args) -> int:
     cells = [
         (label, bucket)
         for label in (FaceLabel.MASKED, FaceLabel.UNMASKED)
-        for bucket in cfg.buckets
+        for bucket in BUCKETS
     ]
     aps = [average_precision(dets, gts, label, bucket, cfg) for label, bucket in cells]
     rows = [
@@ -276,6 +259,11 @@ def _count_rows(
     return rows
 
 
+def _ratio_gamma(pairs: Sequence[tuple[str, float, float]]) -> float | None:
+    """Pearson correlation of (image_id, gt, est) pairs; None below two pairs."""
+    return pearson([p[2] for p in pairs], [p[1] for p in pairs]) if len(pairs) >= 2 else None
+
+
 def _cmd_eval_count(args) -> int:
     manifest = load_annotations(args.annotations)
     est = _density_reports(manifest, args.density_dir)
@@ -300,23 +288,15 @@ def _cmd_eval_ratio(args) -> int:
     gt_conv = _swap_convention(gt, args.convention)
     rows = _count_rows(est, gt, order)
     pairs = ratio_pairs(est_conv, gt_conv, cfg)
-    gamma = (
-        pearson([p[2] for p in pairs], [p[1] for p in pairs]) if len(pairs) >= 2 else None
-    )
-    ratio_mae = (
-        mae([p[2] for p in pairs], [p[1] for p in pairs]) if pairs else None
-    )
-    rows.append(("ratio", len(pairs), ratio_mae, gamma))
+    ratio_mae = mae([p[2] for p in pairs], [p[1] for p in pairs]) if pairs else None
+    rows.append(("ratio", len(pairs), ratio_mae, _ratio_gamma(pairs)))
 
     if args.by_condition:
-        by_id = {rec.image_id: rec.meta.condition for rec in manifest.images}
-        for condition in ("DT", "NT"):
-            ids = [i for i in order if by_id[i].value == condition]
-            sub_est = {i: est_conv[i] for i in ids}
-            sub_gt = {i: gt_conv[i] for i in ids}
-            sub_pairs = ratio_pairs(sub_est, sub_gt, cfg)
-            sub_gamma = ratio_correlation(sub_est, sub_gt, cfg)
-            rows.append((f"ratio_{condition}", len(sub_pairs), None, sub_gamma))
+        metas = {rec.image_id: rec.meta for rec in manifest.images}
+        groups = group_by_condition((metas[p[0]], p) for p in pairs)
+        for condition, group in groups.items():
+            sub_pairs = [p for _, p in group]
+            rows.append((f"ratio_{condition.value}", len(sub_pairs), None, _ratio_gamma(sub_pairs)))
 
     if args.scatter:
         write_report(
@@ -404,7 +384,7 @@ def _cmd_loss_eval(args) -> int:
             gamma=float(get(loss_cfg, "gamma", 2.0)),
             normalize_by_positives=bool(get(loss_cfg, "normalize", False)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{args.fixture}: {exc}") from exc
 
     labels = {lab.value: lab for lab in FaceLabel}
@@ -423,7 +403,7 @@ def _cmd_loss_eval(args) -> int:
             raise DataFormatError(f"{args.fixture}: ground_truth[{i}]: bad label {label!r}")
         try:
             gts.append(Annotation(BBox(*(float(v) for v in box)), labels[label]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{args.fixture}: ground_truth[{i}]: {exc}") from exc
 
     try:
@@ -488,10 +468,9 @@ def build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, func, help_, parents=(common,), formatter=argparse.ArgumentDefaultsHelpFormatter):
-        p = sub.add_parser(
-            name, help=help_, parents=list(parents), formatter_class=formatter
-        )
+    def add(name, func, help_, parents=(common,)):
+        p = sub.add_parser(name, help=help_, parents=list(parents),
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=func)
         return p
 

@@ -59,7 +59,6 @@ class DatasetManifest:
     """An ordered collection of annotated frames with unique image ids."""
 
     images: tuple[ImageRecord, ...]
-    split: str | None = None
 
     def __post_init__(self) -> None:
         seen = set()
@@ -84,6 +83,19 @@ class DetectionRecord:
     detections: tuple[Detection, ...]
 
 
+# the face subsets a density map can draw; a map file is <image_id>.<subset>.nfmd
+DENSITY_SUBSETS = ("total", "masked", "unmasked")
+
+
+def subset_points(rec: ImageRecord, subset: str) -> PointSet:
+    """Centres of the faces a subset's density map draws; total is every known face."""
+    if subset == "total":
+        faces = [a for a in rec.annotations if a.label is not FaceLabel.UNKNOWN]
+    else:
+        faces = [a for a in rec.annotations if a.label.value == subset]
+    return PointSet(tuple(a.box.center for a in faces), rec.width, rec.height)
+
+
 _LABELS = {lab.value: lab for lab in FaceLabel}
 _CONDITIONS = {c.value: c for c in Condition}
 _PERIODS = {p.value: p for p in CovidPeriod}
@@ -94,7 +106,10 @@ def _parse_box(raw, where: str, width: int | None, height: int | None) -> BBox:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
     ):
         raise DataFormatError(f"{where}: box must be a list of 4 numbers, got {raw!r}")
-    l, t, r, b = (float(v) for v in raw)
+    try:
+        l, t, r, b = (float(v) for v in raw)
+    except OverflowError as exc:
+        raise DataFormatError(f"{where}: box coordinate out of range ({exc})") from exc
     if width is not None and height is not None:
         l, r = min(max(l, 0.0), width), min(max(r, 0.0), width)
         t, b = min(max(t, 0.0), height), min(max(b, 0.0), height)
@@ -143,7 +158,7 @@ def _parse_header(obj: dict, where: str, seen: set[str]) -> tuple[str, str, Cond
     return image_id, video_id, _CONDITIONS[condition]
 
 
-def load_annotations(path, split: str | None = None) -> DatasetManifest:
+def load_annotations(path) -> DatasetManifest:
     """Load an annotations JSONL file into a manifest.
 
     Malformed lines, invalid boxes, and duplicate image ids raise
@@ -188,7 +203,7 @@ def load_annotations(path, split: str | None = None) -> DatasetManifest:
             annotations.append(Annotation(box, _LABELS[label]))
         meta = ImageMeta(video_id, condition, _PERIODS[period])
         records.append(ImageRecord(image_id, meta, width, height, tuple(annotations)))
-    return DatasetManifest(tuple(records), split)
+    return DatasetManifest(tuple(records))
 
 
 def save_annotations(manifest: DatasetManifest, path) -> None:
@@ -239,7 +254,7 @@ def load_detections(path) -> list[DetectionRecord]:
                 raise DataFormatError(f"{dwhere}: conf must be a number")
             try:
                 dets.append(Detection(box, _LABELS[label], float(conf)))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{dwhere}: {exc}") from exc
         meta = ImageMeta(video_id, condition)
         records.append(DetectionRecord(image_id, meta, tuple(dets)))
@@ -288,6 +303,7 @@ class Table:
 
 
 _SIZE_EDGES = (0.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+_RATIO_BINS = 10
 _COUNT_EDGES = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
@@ -311,18 +327,13 @@ def _split_counts(m: DatasetManifest) -> dict[str, int]:
     return counts
 
 
-def dataset_stats(
-    train: DatasetManifest,
-    test: DatasetManifest,
-    size_edges: Sequence[float] = _SIZE_EDGES,
-    ratio_bins: int = 10,
-) -> dict[str, Table]:
+def dataset_stats(train: DatasetManifest, test: DatasetManifest) -> dict[str, Table]:
     """Summary tables over a train/test manifest pair.
 
     Returns label counts per split with totals, per-image label averages
     (1 decimal), and three histograms: face size (max box dimension, log-2
-    bins by default), per-image mask-wearing ratio (bins of width
-    1/ratio_bins), and annotated faces per image.
+    bins), per-image mask-wearing ratio (bins of width 0.1, the last one
+    closed), and annotated faces per image.
     """
     tc = _split_counts(train)
     sc = _split_counts(test)
@@ -375,28 +386,28 @@ def dataset_stats(
         ("bin", "training", "testing"),
         tuple(
             zip(
-                _bin_labels(size_edges),
-                _histogram(sizes(train), size_edges),
-                _histogram(sizes(test), size_edges),
+                _bin_labels(_SIZE_EDGES),
+                _histogram(sizes(train), _SIZE_EDGES),
+                _histogram(sizes(test), _SIZE_EDGES),
             )
         ),
     )
 
-    width = 1.0 / ratio_bins
-    ratio_edges = [i * width for i in range(ratio_bins)]
+    # ratios never exceed 1, so the open last bin of _histogram is [0.9-1]
+    width = 1.0 / _RATIO_BINS
+    ratio_edges = [i * width for i in range(_RATIO_BINS)]
     ratio_labels = [
-        f"[{i * width:g}-{(i + 1) * width:g})" for i in range(ratio_bins - 1)
-    ] + [f"[{(ratio_bins - 1) * width:g}-1]"]
-
-    def ratio_hist(vals: list[float]) -> list[int]:
-        hist, _ = np.histogram(
-            np.asarray(vals, dtype=np.float64), bins=ratio_edges + [1.0 + 1e-12]
-        )
-        return [int(v) for v in hist]
-
+        f"[{i * width:g}-{(i + 1) * width:g})" for i in range(_RATIO_BINS - 1)
+    ] + [f"[{(_RATIO_BINS - 1) * width:g}-1]"]
     ratio_table = Table(
         ("bin", "training", "testing"),
-        tuple(zip(ratio_labels, ratio_hist(ratios(train)), ratio_hist(ratios(test)))),
+        tuple(
+            zip(
+                ratio_labels,
+                _histogram(ratios(train), ratio_edges),
+                _histogram(ratios(test), ratio_edges),
+            )
+        ),
     )
 
     count_hist = Table(
@@ -577,11 +588,10 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
             else:
                 label = FaceLabel.UNMASKED
             annotations.append(Annotation(box, label))
-        images.append(
-            ImageRecord(
-                image_id, meta, params.image_width, params.image_height, tuple(annotations)
-            )
+        rec = ImageRecord(
+            image_id, meta, params.image_width, params.image_height, tuple(annotations)
         )
+        images.append(rec)
 
         dets = []
         for a in annotations:
@@ -614,17 +624,9 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
         det_records.append(DetectionRecord(image_id, det_meta, tuple(dets)))
 
         if density is not None:
-            subsets = {
-                "total": [a for a in annotations if a.label is not FaceLabel.UNKNOWN],
-                "unmasked": [a for a in annotations if a.label is FaceLabel.UNMASKED],
-            }
             maps = {}
-            for name, subset in subsets.items():
-                pts = PointSet(
-                    tuple(a.box.center for a in subset),
-                    params.image_width,
-                    params.image_height,
-                )
+            for name in ("total", "unmasked"):
+                pts = subset_points(rec, name)
                 gt = render_density(pts, params.kernel, params.density_downscale)
                 noise_field = rng.uniform(-1.0, 1.0, gt.values.shape)
                 pred = gt.values * (1.0 + params.density_noise * noise_field)

@@ -216,11 +216,9 @@ def fpn_topdown(
 class _NodeRecord:
     name: str
     level: int
-    # one source per fused input:
-    #   ("input", src_level, target_hw) for a raw pyramid level,
-    #   ("node", src_name, src_level, target_hw) for an earlier fusion node;
-    # either kind is resized from src_level to this node's level.
-    sources: list[tuple]
+    # one (node name, level) per fused input, resized from that level to this
+    # node's; "in<level>" names the raw pyramid level, which has no tangent
+    sources: list[tuple[str, int]]
     inputs: list[np.ndarray]
     eff: np.ndarray
     den: float
@@ -239,7 +237,7 @@ def _fuse(inputs: list[np.ndarray], eff: np.ndarray, epsilon: float, name: str):
 
 def _bifpn_forward(
     m_in: Mapping[int, FeatureLevel], weights: FusionWeights, conv: ConvFn
-) -> tuple[dict[int, np.ndarray], list[_NodeRecord], dict[str, np.ndarray]]:
+) -> tuple[dict[int, np.ndarray], list[_NodeRecord]]:
     levels = _check_pyramid(m_in, min_levels=2)
     bottom, top = levels[0], levels[-1]
     arity = node_arity(levels)
@@ -252,67 +250,44 @@ def _bifpn_forward(
             )
 
     trace: list[_NodeRecord] = []
-    node_values: dict[str, np.ndarray] = {}
+    node_values = {f"in{level}": m_in[level].values for level in levels}
 
-    def run_node(name: str, level: int, sources: list[tuple]) -> None:
+    def run_node(name: str, level: int, sources: list[tuple[str, int]]) -> None:
         inputs = []
-        for src in sources:
-            if src[0] == "input":
-                _, src_level, target_hw = src
-                v = m_in[src_level].values
-            else:
-                _, src_name, src_level, target_hw = src
-                v = node_values[src_name]
+        for src_name, src_level in sources:
+            v = node_values[src_name]
             if src_level != level:
-                v = _resize_array(v, src_level, level, target_hw)
+                v = _resize_array(v, src_level, level, (m_in[level].height, m_in[level].width))
             inputs.append(v)
         eff = weights.effective(name)
         z, den = _fuse(inputs, eff, weights.epsilon, name)
         node_values[name] = _apply_conv(conv, level, z)
         trace.append(_NodeRecord(name, level, sources, inputs, eff, den, z))
 
-    def hw(level: int) -> tuple[int, int]:
-        return m_in[level].height, m_in[level].width
-
     # top-down intermediates; the highest one takes the raw top-level input
+    above = f"in{top}"
     for level in reversed(levels[:-1]):
-        if level + 1 == top:
-            above = ("input", top, hw(level))
-        else:
-            above = ("node", f"td{level + 1}", level + 1, hw(level))
-        run_node(f"td{level}", level, [("input", level, None), above])
+        run_node(f"td{level}", level, [(f"in{level}", level), (above, level + 1)])
+        above = f"td{level}"
 
     # bottom-up outputs; boundary nodes fuse their two available inputs
-    run_node(
-        f"out{bottom}",
-        bottom,
-        [("input", bottom, None), ("node", f"td{bottom}", bottom, None)],
-    )
-    for level in levels[1:-1]:
-        run_node(
-            f"out{level}",
-            level,
-            [
-                ("input", level, None),
-                ("node", f"td{level}", level, None),
-                ("node", f"out{level - 1}", level - 1, hw(level)),
-            ],
-        )
-    run_node(
-        f"out{top}",
-        top,
-        [("input", top, None), ("node", f"out{top - 1}", top - 1, hw(top))],
-    )
+    for level in levels:
+        sources = [(f"in{level}", level)]
+        if level != top:
+            sources.append((f"td{level}", level))
+        if level != bottom:
+            sources.append((f"out{level - 1}", level - 1))
+        run_node(f"out{level}", level, sources)
 
     outputs = {level: node_values[f"out{level}"] for level in levels}
-    return outputs, trace, node_values
+    return outputs, trace
 
 
 def bifpn_fuse(
     m_in: Mapping[int, FeatureLevel], weights: FusionWeights, conv: ConvFn = None
 ) -> dict[int, FeatureLevel]:
     """One bidirectional weighted-fusion pass; returns the output pyramid."""
-    outputs, _, _ = _bifpn_forward(m_in, weights, conv)
+    outputs, _ = _bifpn_forward(m_in, weights, conv)
     return {level: FeatureLevel(level, v) for level, v in outputs.items()}
 
 
@@ -328,7 +303,7 @@ def fusion_weight_gradients(
     the fusion graph; the clamp at zero contributes a zero subgradient for
     raw weights <= 0.
     """
-    outputs, trace, _ = _bifpn_forward(m_in, weights, conv)
+    outputs, trace = _bifpn_forward(m_in, weights, conv)
     levels = sorted(outputs.keys())
     cotangents = {}
     for level in levels:
@@ -369,7 +344,7 @@ def finite_difference_gradients(
     """
 
     def objective(w: FusionWeights) -> float:
-        outputs, _, _ = _bifpn_forward(m_in, w, conv)
+        outputs, _ = _bifpn_forward(m_in, w, conv)
         return math.fsum(
             float(np.vdot(np.asarray(upstream[level], dtype=np.float64), out))
             for level, out in outputs.items()
@@ -442,13 +417,12 @@ def _tangent_pass(
     tangents: dict[str, np.ndarray] = {}
     for record in trace:
         zdot = np.zeros_like(record.z)
-        for src, w in zip(record.sources, record.eff):
-            if src[0] != "node":
+        for (src_name, src_level), w in zip(record.sources, record.eff):
+            if src_name not in tangents:
                 continue  # raw pyramid inputs do not depend on the weights
-            _, src_name, src_level, target_hw = src
             xdot = tangents[src_name]
             if src_level != record.level:
-                xdot = _resize_array(xdot, src_level, record.level, target_hw)
+                xdot = _resize_array(xdot, src_level, record.level, record.z.shape[1:])
             zdot += w * xdot
         zdot /= record.den
         if record.name == seed_name:

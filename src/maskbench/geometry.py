@@ -100,12 +100,7 @@ class Detection:
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0.0 when disjoint."""
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return float(iou_matrix(boxes_to_array((a,)), boxes_to_array((b,)))[0, 0])
 
 
 def size_bucket(box: BBox) -> SizeBucket:

@@ -19,13 +19,16 @@ from .geometry import (
 from .ratio import RatioReport
 
 
+# the size buckets eval-det reports, in report order
+BUCKETS: tuple[SizeBucket, ...] = (SizeBucket.L, SizeBucket.M, SizeBucket.S)
+
+
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation knobs: match IoU, the small-image ratio filter, bucket set."""
+    """Evaluation knobs: match IoU and the small-image ratio filter."""
 
     iou_thr: float = 0.4
     min_faces_per_image: int = 5
-    buckets: tuple[SizeBucket, ...] = (SizeBucket.L, SizeBucket.M, SizeBucket.S)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.iou_thr <= 1.0):

@@ -10,10 +10,8 @@ from maskbench.anchors import (
     LossBreakdown,
     LossConfig,
     binary_cross_entropy,
-    decode_box,
     decode_boxes,
     default_scales,
-    encode_box,
     encode_boxes,
     focal_loss,
     generate_anchors,
@@ -79,13 +77,13 @@ class TestGenerateAnchors:
 
 class TestBoxCoding:
     def test_identity(self):
-        a = BBox(0, 0, 10, 10)
-        assert encode_box(a, a) == pytest.approx((0, 0, 0, 0), abs=1e-12)
+        a = [(0, 0, 10, 10)]
+        assert tuple(encode_boxes(a, a)[0]) == pytest.approx((0, 0, 0, 0), abs=1e-12)
 
     def test_hand_case(self):
-        anchor = BBox(0, 0, 10, 10)  # 10x10 at (5, 5)
-        gt = BBox(0, -5, 20, 15)  # 20x20 at (10, 5)
-        t = encode_box(anchor, gt)
+        anchor = [(0, 0, 10, 10)]  # 10x10 at (5, 5)
+        gt = [(0, -5, 20, 15)]  # 20x20 at (10, 5)
+        t = tuple(encode_boxes(anchor, gt)[0])
         assert t == pytest.approx((0.5, 0.0, math.log(2), math.log(2)), abs=1e-12)
 
     def test_round_trip_bulk(self):
@@ -110,18 +108,15 @@ class TestBoxCoding:
     )
     @settings(max_examples=200)
     def test_round_trip_property(self, ac, aw, ah, gc, gw, gh):
-        anchor = BBox(ac[0], ac[1], ac[0] + aw, ac[1] + ah)
-        gt = BBox(gc[0], gc[1], gc[0] + gw, gc[1] + gh)
-        back = decode_box(anchor, encode_box(anchor, gt))
-        for got, want in zip(
-            (back.left, back.top, back.right, back.bottom),
-            (gt.left, gt.top, gt.right, gt.bottom),
-        ):
+        anchor = [(ac[0], ac[1], ac[0] + aw, ac[1] + ah)]
+        gt = (gc[0], gc[1], gc[0] + gw, gc[1] + gh)
+        back = decode_boxes(anchor, encode_boxes(anchor, [gt]))[0]
+        for got, want in zip(back, gt):
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_decode_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            decode_box(BBox(0, 0, 1, 1), (0, 0, math.inf, 0))
+            decode_boxes([(0, 0, 1, 1)], (0, 0, math.inf, 0))
 
 
 def _anno(l, t, r, b, label=FaceLabel.MASKED):

@@ -7,9 +7,11 @@ import pytest
 
 import maskbench.cli as cli
 from maskbench.cli import main
-from maskbench.dataset import DetectionRecord, load_detections, write_detections
+from maskbench.dataset import DetectionRecord, load_annotations, load_detections, write_detections
 from maskbench.density import DensityMap, write_density
 from maskbench.geometry import BBox, Detection, FaceLabel
+from maskbench.metrics import EvalConfig, ratio_correlation, ratio_pairs
+from maskbench.ratio import Condition, annotation_ratio, detection_ratio
 
 from oracles import brute_force_matches, envelope_ap, nms_scalar
 
@@ -85,8 +87,9 @@ class TestExitCodes:
             ({"condition": ["DT"]}, {"box": [5, 5, 25, 25], "label": "masked"}),
             ({}, {"box": [5, 5, 25, 25], "label": {"masked": True}}),
             ({"width": True}, {"box": [0, 0, 1, 1], "label": "masked"}),
+            ({}, {"box": [10**400, 5, 25, 25], "label": "masked"}),
         ],
-        ids=["list-condition", "dict-label", "bool-width"],
+        ids=["list-condition", "dict-label", "bool-width", "401-digit-coordinate"],
     )
     def test_mistyped_annotation_field_is_data_error(self, tmp_path, capsys, header, face):
         rec = {"image_id": "a", "video_id": "v", "condition": "DT", "period": "during",
@@ -237,6 +240,57 @@ class TestEvalCli:
         assert code == 0
         rows = [r[0] for r in json.loads((tmp_path / "bc.json").read_text())["report"]["rows"]]
         assert "ratio_DT" in rows and "ratio_NT" in rows
+
+    @pytest.mark.parametrize("images", [12, 3], ids=["both-conditions", "one-nt-image"])
+    def test_by_condition_rows_equal_per_condition_oracle(self, tmp_path, images):
+        # videos alternate DT/NT; with 3 images NT has one pair and no gamma
+        scene = tmp_path / "s"
+        extra = ("--videos", "2", "--flip-rate", "0.3", "--drop-rate", "0.2")
+        assert main(synth_args(scene, seed=5, images=images, extra=extra)) == 0
+        out = tmp_path / "bc.json"
+        assert main(
+            ["eval-ratio", "--annotations", str(scene / "annotations.jsonl"),
+             "--detections", str(scene / "detections.jsonl"),
+             "--by-condition", "--format", "json", "--out", str(out)]
+        ) == 0
+        rows = {r[0]: tuple(r) for r in json.loads(out.read_text())["report"]["rows"]}
+        manifest = load_annotations(scene / "annotations.jsonl")
+        dets = {rec.image_id: rec.detections for rec in load_detections(scene / "detections.jsonl")}
+        for condition in Condition:
+            recs = [r for r in manifest.images if r.meta.condition is condition]
+            est = {r.image_id: detection_ratio(dets[r.image_id], 0.5) for r in recs}
+            gt = {r.image_id: annotation_ratio(r.annotations) for r in recs}
+            n = len(ratio_pairs(est, gt, EvalConfig()))
+            gamma = ratio_correlation(est, gt, EvalConfig())
+            assert rows[f"ratio_{condition.value}"] == (f"ratio_{condition.value}", n, None, gamma)
+        if images == 3:
+            assert rows["ratio_NT"] == ("ratio_NT", 1, None, None)
+
+    @pytest.mark.parametrize("field", ["video_id", "condition"])
+    def test_detection_metadata_must_match_annotations(self, scene_dir, tmp_path, capsys, field):
+        lines = (scene_dir / "detections.jsonl").read_text().splitlines()
+        rec = json.loads(lines[1])
+        before = rec[field]
+        rec[field] = {"video_id": "video99", "condition": "NT" if before == "DT" else "DT"}[field]
+        det_path = tmp_path / "d.jsonl"
+        det_path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+        annotations = str(scene_dir / "annotations.jsonl")
+        for command in ("report-video", "eval-ratio", "eval-det"):
+            assert main([command, "--annotations", annotations, "--detections", str(det_path)]) == 2
+            err = capsys.readouterr().err
+            assert repr(rec["image_id"]) in err
+            assert repr(before) in err and repr(rec[field]) in err
+
+    def test_out_of_range_confidence_is_data_error(self, scene_dir, tmp_path, capsys):
+        annotations = scene_dir / "annotations.jsonl"
+        head = json.loads(annotations.read_text().splitlines()[0])
+        det = {"box": [1, 1, 20, 20], "label": "masked", "conf": 10**400}
+        det_path = tmp_path / "huge.jsonl"
+        det_path.write_text(json.dumps({**head, "detections": [det]}) + "\n")
+        assert main(
+            ["eval-ratio", "--annotations", str(annotations), "--detections", str(det_path)]
+        ) == 2
+        assert "huge.jsonl:1: detection 0" in capsys.readouterr().err
 
     def test_unknown_image_in_detections_rejected(self, scene_dir, tmp_path, capsys):
         det_path = tmp_path / "alien.jsonl"
@@ -445,6 +499,23 @@ class TestLossEvalCli:
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
+        assert main(["loss-eval", "--fixture", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"width": 32', '"width": 1e400'),
+            ('"3": [16]', '"3": [1' + "0" * 400 + "]"),
+            ('"box": [8, 8, 24, 24]', '"box": [1' + "0" * 400 + ", 8, 24, 24]"),
+        ],
+        ids=["1e400-width", "401-digit-scale", "401-digit-gt-coordinate"],
+    )
+    def test_out_of_range_number_is_data_error(self, tmp_path, capsys, old, new):
+        path = self.fixture(tmp_path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
         assert main(["loss-eval", "--fixture", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 

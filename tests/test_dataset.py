@@ -287,6 +287,15 @@ class TestDatasetStats:
         ratio_hist = tables["mask_ratio_histogram"]
         assert sum(r[1] for r in ratio_hist.rows) == 2
 
+    def test_ratio_histogram_closes_its_last_bin(self):
+        # ratios of exactly 0.9 and 1.0 both land in the closed last bin
+        train = manifest_with([(9, 1, 0), (3, 0, 0), (1, 1, 0)])
+        table = dataset_stats(train, manifest_with([]))["mask_ratio_histogram"]
+        rows = {r[0]: r[1] for r in table.rows}
+        assert rows["[0.9-1]"] == 2
+        assert rows["[0.5-0.6)"] == 1
+        assert sum(rows.values()) == 3
+
 
 class TestSelectFrames:
     def test_threshold(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from maskbench.geometry import (
     BBox,
@@ -15,10 +15,20 @@ from maskbench.geometry import (
     size_bucket,
 )
 
+from oracles import iou_scalar
+
 
 def box_strategy(lo=-100, hi=100):
     coord = st.integers(lo, hi)
     return st.tuples(coord, coord, st.integers(1, 50), st.integers(1, 50)).map(
+        lambda t: BBox(t[0], t[1], t[0] + t[2], t[1] + t[3])
+    )
+
+
+def float_box_strategy():
+    coord = st.floats(-100, 100)
+    side = st.floats(0.01, 50)
+    return st.tuples(coord, coord, side, side).map(
         lambda t: BBox(t[0], t[1], t[0] + t[2], t[1] + t[3])
     )
 
@@ -87,7 +97,19 @@ class TestIoU:
         m = iou_matrix(boxes_to_array(boxes), boxes_to_array(boxes))
         for i in range(len(boxes)):
             for j in range(len(boxes)):
-                assert m[i, j] == pytest.approx(iou(boxes[i], boxes[j]), abs=1e-12)
+                assert m[i, j] == iou_scalar(boxes[i], boxes[j])
+
+    @given(
+        st.one_of(box_strategy(), float_box_strategy()),
+        st.one_of(box_strategy(), float_box_strategy()),
+    )
+    @example(BBox(0, 0, 10, 10), BBox(20, 20, 30, 30))  # disjoint
+    @example(BBox(0, 0, 10, 10), BBox(10, 0, 20, 10))  # edges touch
+    @example(BBox(0, 0, 10, 10), BBox(10, 10, 20, 20))  # corners touch
+    @example(BBox(0.1, 0.2, 0.7, 0.9), BBox(0.7, 0.2, 1.3, 0.9))  # float edges touch
+    def test_scalar_equals_oracle(self, a, b):
+        # the scalar iou is iou_matrix on one pair: the same float expression
+        assert iou(a, b) == iou_scalar(a, b)
 
 
 class TestSizeBucket:

@@ -3,6 +3,7 @@ import pytest
 
 from maskbench.geometry import Annotation, BBox, Detection, FaceLabel, SizeBucket
 from maskbench.metrics import (
+    BUCKETS,
     EvalConfig,
     average_precision,
     mae,
@@ -297,7 +298,7 @@ class TestEvalConfig:
         cfg = EvalConfig()
         assert cfg.iou_thr == 0.4
         assert cfg.min_faces_per_image == 5
-        assert cfg.buckets == (SizeBucket.L, SizeBucket.M, SizeBucket.S)
+        assert BUCKETS == (SizeBucket.L, SizeBucket.M, SizeBucket.S)
 
     def test_validation(self):
         with pytest.raises(ValueError):
