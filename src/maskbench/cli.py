@@ -20,13 +20,16 @@ import numpy as np
 from . import anchors as anchors_mod
 from . import fusion
 from .dataset import (
+    _LABELS,
     DENSITY_SUBSETS,
     DatasetManifest,
     DetectionRecord,
     ImageRecord,
     SynthParams,
     Table,
+    _parse_box,
     dataset_stats,
+    density_path,
     load_annotations,
     load_detections,
     render_report,
@@ -45,7 +48,7 @@ from .density import (
 )
 from .density import downsample_sum_preserving  # noqa: F401  (unused; perfbench's tracer wraps it)
 from .errors import DataFormatError
-from .geometry import Annotation, BBox, Detection, FaceLabel
+from .geometry import Annotation, Detection, FaceLabel
 from .metrics import BUCKETS, EvalConfig, average_precision, mae, mean_ap, pearson, ratio_pairs
 from .metrics import ratio_correlation  # noqa: F401  (unused; perfbench's tracer wraps it)
 from .ratio import (
@@ -117,7 +120,7 @@ def _density_reports(manifest: DatasetManifest, density_dir: str) -> dict[str, R
 
 
 def _read_subset(root: Path, rec: ImageRecord, subset: str) -> DensityMap:
-    path = root / f"{rec.image_id}.{subset}.nfmd"
+    path = density_path(root, rec.image_id, subset)
     if not path.exists():
         raise DataFormatError(f"missing density prediction {path}")
     dmap = read_density(path)
@@ -216,7 +219,7 @@ def _cmd_gen_density(args) -> int:
     for rec in manifest.images:
         for subset in subsets:
             dmap = render_density(subset_points(rec, subset), spec, args.downscale)
-            maps.append((out / f"{rec.image_id}.{subset}.nfmd", dmap))
+            maps.append((density_path(out, rec.image_id, subset), dmap))
     for path, dmap in maps:
         write_density(dmap, path)
     return 0
@@ -387,24 +390,20 @@ def _cmd_loss_eval(args) -> int:
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{args.fixture}: {exc}") from exc
 
-    labels = {lab.value: lab for lab in FaceLabel}
     gt_raw = get(fixture, "ground_truth")
     if not isinstance(gt_raw, list):
         raise DataFormatError(f"{args.fixture}: ground_truth must be a list")
     gts = []
     for i, g in enumerate(gt_raw):
+        where = f"{args.fixture}: ground_truth[{i}]"
         if not isinstance(g, dict):
-            raise DataFormatError(f"{args.fixture}: ground_truth[{i}]: expected an object")
-        box = g.get("box")
-        if not (isinstance(box, list) and len(box) == 4):
-            raise DataFormatError(f"{args.fixture}: ground_truth[{i}]: bad box {box!r}")
+            raise DataFormatError(f"{where}: expected an object")
+        # not clamped to the image: a fixture's ground truth is taken as given
+        box = _parse_box(g.get("box"), where, None, None)
         label = g.get("label")
-        if not isinstance(label, str) or label not in labels:
-            raise DataFormatError(f"{args.fixture}: ground_truth[{i}]: bad label {label!r}")
-        try:
-            gts.append(Annotation(BBox(*(float(v) for v in box)), labels[label]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{args.fixture}: ground_truth[{i}]: {exc}") from exc
+        if not isinstance(label, str) or label not in _LABELS:
+            raise DataFormatError(f"{where}: bad label {label!r}")
+        gts.append(Annotation(box, _LABELS[label]))
 
     try:
         match = anchors_mod.match_anchors(anchor_set, gts, pos_iou=pos_iou, neg_iou=neg_iou)

@@ -83,8 +83,13 @@ class DetectionRecord:
     detections: tuple[Detection, ...]
 
 
-# the face subsets a density map can draw; a map file is <image_id>.<subset>.nfmd
+# the face subsets a density map can draw
 DENSITY_SUBSETS = ("total", "masked", "unmasked")
+
+
+def density_path(root, image_id: str, subset: str) -> Path:
+    """The file of one image's map of one subset: <root>/<image_id>.<subset>.nfmd."""
+    return Path(root) / f"{image_id}.{subset}.nfmd"
 
 
 def subset_points(rec: ImageRecord, subset: str) -> PointSet:
@@ -319,14 +324,6 @@ def _histogram(values: Sequence[float], edges: Sequence[float]) -> list[int]:
     return [int(v) for v in hist]
 
 
-def _split_counts(m: DatasetManifest) -> dict[str, int]:
-    counts = {"images": len(m), "masked": 0, "unmasked": 0, "unknown": 0}
-    for rec in m.images:
-        for a in rec.annotations:
-            counts[a.label.value] += 1
-    return counts
-
-
 def dataset_stats(train: DatasetManifest, test: DatasetManifest) -> dict[str, Table]:
     """Summary tables over a train/test manifest pair.
 
@@ -335,98 +332,46 @@ def dataset_stats(train: DatasetManifest, test: DatasetManifest) -> dict[str, Ta
     bins), per-image mask-wearing ratio (bins of width 0.1, the last one
     closed), and annotated faces per image.
     """
-    tc = _split_counts(train)
-    sc = _split_counts(test)
-    counts = Table(
-        ("split", "images", "masked", "unmasked", "unknown"),
-        (
-            ("Training", tc["images"], tc["masked"], tc["unmasked"], tc["unknown"]),
-            ("Testing", sc["images"], sc["masked"], sc["unmasked"], sc["unknown"]),
-            (
-                "Total",
-                tc["images"] + sc["images"],
-                tc["masked"] + sc["masked"],
-                tc["unmasked"] + sc["unmasked"],
-                tc["unknown"] + sc["unknown"],
-            ),
-        ),
-    )
+    splits = (("Training", train), ("Testing", test))
+    # per split: images, then the faces of each FaceLabel
+    counts = []
+    for _, m in splits:
+        labels = [a.label for rec in m.images for a in rec.annotations]
+        counts.append((len(m), *(labels.count(lab) for lab in FaceLabel)))
+    names = [lab.value for lab in FaceLabel]
+    count_rows = [(name, *c) for (name, _), c in zip(splits, counts)]
+    count_rows.append(("Total", *(sum(col) for col in zip(*counts))))
+    averages = [
+        (name, *(round(v / n, 1) if n else 0.0 for v in faces))
+        for (name, _), (n, *faces) in zip(splits, counts)
+    ]
 
-    def avg_row(split: str, c: dict[str, int]) -> tuple:
-        n = c["images"]
-        if n == 0:
-            return (split, 0.0, 0.0, 0.0)
-        return (
-            split,
-            round(c["masked"] / n, 1),
-            round(c["unmasked"] / n, 1),
-            round(c["unknown"] / n, 1),
-        )
+    def histogram(labels, edges, values_of_record) -> Table:
+        # values_of_record(rec) gives a record's values; None (no ratio) is left out
+        columns = [
+            _histogram([v for r in m.images for v in values_of_record(r) if v is not None], edges)
+            for _, m in splits
+        ]
+        return Table(("bin", "training", "testing"), tuple(zip(labels, *columns)))
 
-    averages = Table(
-        ("split", "masked", "unmasked", "unknown"),
-        (avg_row("Training", tc), avg_row("Testing", sc)),
-    )
-
-    def sizes(m: DatasetManifest) -> list[float]:
-        return [max(a.box.width, a.box.height) for r in m.images for a in r.annotations]
-
-    def ratios(m: DatasetManifest) -> list[float]:
-        out = []
-        for r in m.images:
-            ratio = annotation_ratio(r.annotations).ratio
-            if ratio is not None:
-                out.append(ratio)
-        return out
-
-    def faces_per_image(m: DatasetManifest) -> list[float]:
-        return [float(len(r.annotations)) for r in m.images]
-
-    size_hist = Table(
-        ("bin", "training", "testing"),
-        tuple(
-            zip(
-                _bin_labels(_SIZE_EDGES),
-                _histogram(sizes(train), _SIZE_EDGES),
-                _histogram(sizes(test), _SIZE_EDGES),
-            )
-        ),
-    )
-
+    # i / _RATIO_BINS puts every ratio k/n equal to i/10 exactly on its edge;
     # ratios never exceed 1, so the open last bin of _histogram is [0.9-1]
-    width = 1.0 / _RATIO_BINS
-    ratio_edges = [i * width for i in range(_RATIO_BINS)]
-    ratio_labels = [
-        f"[{i * width:g}-{(i + 1) * width:g})" for i in range(_RATIO_BINS - 1)
-    ] + [f"[{(_RATIO_BINS - 1) * width:g}-1]"]
-    ratio_table = Table(
-        ("bin", "training", "testing"),
-        tuple(
-            zip(
-                ratio_labels,
-                _histogram(ratios(train), ratio_edges),
-                _histogram(ratios(test), ratio_edges),
-            )
-        ),
-    )
-
-    count_hist = Table(
-        ("bin", "training", "testing"),
-        tuple(
-            zip(
-                _bin_labels(_COUNT_EDGES),
-                _histogram(faces_per_image(train), _COUNT_EDGES),
-                _histogram(faces_per_image(test), _COUNT_EDGES),
-            )
-        ),
-    )
-
+    ratio_edges = [i / _RATIO_BINS for i in range(_RATIO_BINS)]
+    ratio_labels = _bin_labels(ratio_edges)[:-1] + [f"[{ratio_edges[-1]:g}-1]"]
     return {
-        "counts": counts,
-        "per_image_averages": averages,
-        "face_size_histogram": size_hist,
-        "mask_ratio_histogram": ratio_table,
-        "faces_per_image_histogram": count_hist,
+        "counts": Table(("split", "images", *names), count_rows),
+        "per_image_averages": Table(("split", *names), averages),
+        "face_size_histogram": histogram(
+            _bin_labels(_SIZE_EDGES),
+            _SIZE_EDGES,
+            lambda rec: [max(a.box.width, a.box.height) for a in rec.annotations],
+        ),
+        "mask_ratio_histogram": histogram(
+            ratio_labels, ratio_edges, lambda rec: [annotation_ratio(rec.annotations).ratio]
+        ),
+        "faces_per_image_histogram": histogram(
+            _bin_labels(_COUNT_EDGES), _COUNT_EDGES, lambda rec: [float(len(rec.annotations))]
+        ),
     }
 
 
@@ -447,6 +392,11 @@ def select_frames(
 # synthetic scenes
 
 
+# (mean, std) of the simulated detector's true and false positive confidences
+_TP_CONFIDENCE = (0.9, 0.05)
+_FP_CONFIDENCE = (0.3, 0.1)
+
+
 @dataclass(frozen=True)
 class SynthParams:
     """Parameters of the seeded synthetic scene generator.
@@ -455,9 +405,10 @@ class SynthParams:
     dropped with drop_rate, its label flipped with flip_rate, and its box
     jittered by per-coordinate Gaussian noise of jitter_sigma pixels; spurious
     detections arrive at false_positive_rate per image (Poisson). True
-    detections draw confidence from a clamped normal tp_confidence
-    (mean, std), false positives from fp_confidence. When every detector
-    noise knob is zero the detector is perfect and reports confidence 1.0.
+    detections draw confidence from a normal _TP_CONFIDENCE (mean, std)
+    clamped to [0, 1], false positives from _FP_CONFIDENCE. When every
+    detector noise knob is zero the detector is perfect and reports
+    confidence 1.0.
     Unknown-labeled faces are never detected: they are undecidable by
     definition.
 
@@ -481,8 +432,6 @@ class SynthParams:
     drop_rate: float = 0.0
     flip_rate: float = 0.0
     false_positive_rate: float = 0.0
-    tp_confidence: tuple[float, float] = (0.9, 0.05)
-    fp_confidence: tuple[float, float] = (0.3, 0.1)
     density_noise: float = 0.0
     density_downscale: int = 8
     kernel: KernelSpec = KernelSpec()
@@ -508,9 +457,6 @@ class SynthParams:
             raise ValueError("n_videos must be >= 1")
         if self.density_downscale < 1:
             raise ValueError("density_downscale must be >= 1")
-        for mean, std in (self.tp_confidence, self.fp_confidence):
-            if not (0.0 <= mean <= 1.0 and std >= 0.0):
-                raise ValueError("confidence models need mean in [0, 1] and std >= 0")
 
     @property
     def is_noiseless(self) -> bool:
@@ -600,7 +546,7 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
             u_drop = rng.random()
             u_flip = rng.random()
             noise = rng.standard_normal(4)
-            conf_draw = rng.normal(params.tp_confidence[0], params.tp_confidence[1])
+            conf_draw = rng.normal(*_TP_CONFIDENCE)
             if u_drop < params.drop_rate:
                 continue
             label = a.label
@@ -617,7 +563,7 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
             for _ in range(int(rng.poisson(params.false_positive_rate))):
                 box = _synth_box(rng, params)
                 label = FaceLabel.MASKED if rng.random() < 0.5 else FaceLabel.UNMASKED
-                conf = min(max(rng.normal(*params.fp_confidence), 0.0), 1.0)
+                conf = min(max(rng.normal(*_FP_CONFIDENCE), 0.0), 1.0)
                 dets.append(Detection(box, label, conf))
         # detector output carries no covid period (the detections schema has none)
         det_meta = ImageMeta(meta.video_id, meta.condition)
@@ -651,7 +597,7 @@ def write_synth_scene(scene: SynthScene, out_dir) -> None:
         density_dir.mkdir(exist_ok=True)
         for image_id in sorted(scene.density):
             for name, dmap in sorted(scene.density[image_id].items()):
-                write_density(dmap, density_dir / f"{image_id}.{name}.nfmd")
+                write_density(dmap, density_path(density_dir, image_id, name))
 
 
 # ---------------------------------------------------------------------------

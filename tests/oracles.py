@@ -246,3 +246,79 @@ def _add_face(values: np.ndarray, x: float, y: float, sigma: float, trunc: float
                 return
     # degenerate kernel: all mass into the cell containing the point
     values[min(h - 1, int(y)), min(w - 1, int(x))] += 1.0
+
+
+def _bin_of(value: float, edges) -> int:
+    """Index of the last edge at or below value, found by a linear search."""
+    index = 0
+    for i, edge in enumerate(edges):
+        if value >= edge:
+            index = i
+    return index
+
+
+def dataset_stats_loops(train, test) -> dict:
+    """dataset_stats as plain loops over explicit edges and bin labels.
+
+    Labels are counted one face at a time; every value goes to the last edge at
+    or below it, the last bin of each histogram open (ratio edges are i/10, and
+    a ratio never exceeds 1, so its last bin is [0.9-1]).
+    """
+    from maskbench.dataset import Table
+
+    size_edges = (0.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+    size_bins = ["[0-8)", "[8-16)", "[16-32)", "[32-64)", "[64-128)", "[128-256)", ">=256"]
+    ratio_edges = [i / 10 for i in range(10)]
+    ratio_bins = ["[0-0.1)", "[0.1-0.2)", "[0.2-0.3)", "[0.3-0.4)", "[0.4-0.5)", "[0.5-0.6)",
+                  "[0.6-0.7)", "[0.7-0.8)", "[0.8-0.9)", "[0.9-1]"]
+    count_edges = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
+    count_bins = ["[0-1)", "[1-2)", "[2-4)", "[4-8)", "[8-16)", "[16-32)", "[32-64)",
+                  "[64-128)", "[128-256)", ">=256"]
+
+    count_rows, avg_rows, hists = [], [], []
+    for name, manifest in (("Training", train), ("Testing", test)):
+        masked = unmasked = unknown = 0
+        sizes = [0] * len(size_edges)
+        ratios = [0] * len(ratio_edges)
+        faces = [0] * len(count_edges)
+        for rec in manifest.images:
+            m = u = 0
+            for a in rec.annotations:
+                if a.label is FaceLabel.MASKED:
+                    m += 1
+                elif a.label is FaceLabel.UNMASKED:
+                    u += 1
+                else:
+                    unknown += 1
+                side = max(a.box.right - a.box.left, a.box.bottom - a.box.top)
+                sizes[_bin_of(side, size_edges)] += 1
+            masked += m
+            unmasked += u
+            if m + u > 0:
+                ratios[_bin_of(m / (m + u), ratio_edges)] += 1
+            faces[_bin_of(len(rec.annotations), count_edges)] += 1
+        n = len(manifest.images)
+        count_rows.append((name, n, masked, unmasked, unknown))
+        if n == 0:
+            avg_rows.append((name, 0.0, 0.0, 0.0))
+        else:
+            avg_rows.append(
+                (name, round(masked / n, 1), round(unmasked / n, 1), round(unknown / n, 1))
+            )
+        hists.append((sizes, ratios, faces))
+    (_, *tr), (_, *te) = count_rows
+    count_rows.append(("Total", *(a + b for a, b in zip(tr, te))))
+
+    def hist_table(labels, k):
+        return Table(
+            ("bin", "training", "testing"),
+            [(labels[i], hists[0][k][i], hists[1][k][i]) for i in range(len(labels))],
+        )
+
+    return {
+        "counts": Table(("split", "images", "masked", "unmasked", "unknown"), count_rows),
+        "per_image_averages": Table(("split", "masked", "unmasked", "unknown"), avg_rows),
+        "face_size_histogram": hist_table(size_bins, 0),
+        "mask_ratio_histogram": hist_table(ratio_bins, 1),
+        "faces_per_image_histogram": hist_table(count_bins, 2),
+    }

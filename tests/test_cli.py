@@ -490,9 +490,13 @@ class TestLossEvalCli:
             lambda p: p["ground_truth"][0].update(label=["masked"]),
             lambda p: p.update(image=5),
             lambda p: p.update(matching=[1]),
+            lambda p: p["ground_truth"][0].update(box=[True, "1", 24, 24]),
+            lambda p: p["ground_truth"][0].update(box=[8, True, 24, 24]),
+            lambda p: p["ground_truth"][0].update(box=[8, 8, "24", 24]),
         ],
         ids=["scalar-scales", "level-without-scales", "non-object-gt", "null-coordinate",
-             "list-label", "non-object-image", "list-matching"],
+             "list-label", "non-object-image", "list-matching", "bool-and-string-coordinates",
+             "bool-coordinate", "numeric-string-coordinate"],
     )
     def test_mistyped_fixture_field_is_data_error(self, tmp_path, capsys, edit):
         path = self.fixture(tmp_path)

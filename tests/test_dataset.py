@@ -24,6 +24,7 @@ from maskbench.density import integrate_count
 from maskbench.errors import DataFormatError
 from maskbench.geometry import Annotation, BBox, FaceLabel
 from maskbench.ratio import Condition, CovidPeriod, ImageMeta
+from oracles import dataset_stats_loops
 
 
 def write_jsonl(path, records):
@@ -295,6 +296,52 @@ class TestDatasetStats:
         assert rows["[0.9-1]"] == 2
         assert rows["[0.5-0.6)"] == 1
         assert sum(rows.values()) == 3
+
+
+    def test_ratio_on_a_bin_edge_goes_to_the_upper_bin(self):
+        # 3, 6 and 7 masked faces of 10: each ratio is exactly a bin edge
+        train = manifest_with([(3, 7, 0), (6, 4, 0), (7, 3, 0)])
+        table = dataset_stats(train, manifest_with([]))["mask_ratio_histogram"]
+        rows = {r[0]: r[1] for r in table.rows}
+        assert rows["[0.3-0.4)"] == rows["[0.6-0.7)"] == rows["[0.7-0.8)"] == 1
+        assert sum(rows.values()) == 3
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_plain_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = (FaceLabel.MASKED, FaceLabel.UNMASKED, FaceLabel.UNKNOWN)
+        # face sides from 3 to 300 px, the size edges among them
+        sides = [3.0, 7.9, 8.0, 16.0, 32.0, 63.5, 64.0, 128.0, 256.0, 300.0]
+
+        def face(label):
+            side = float(rng.choice(sides)) if rng.random() < 0.5 else rng.uniform(3.0, 300.0)
+            return Annotation(BBox(0.0, 0.0, side, side * rng.uniform(0.5, 1.0)), label)
+
+        def record(i, faces):
+            annos = tuple(face(lab) for lab in faces)
+            meta = ImageMeta("v1", Condition.DAYTIME, CovidPeriod.DURING)
+            return ImageRecord(f"img{i}", meta, 320, 320, annos)
+
+        def split(n_images):
+            images = [
+                [labels[j] for j in rng.integers(0, 3, rng.integers(0, 40))]
+                for _ in range(n_images)
+            ]
+            return DatasetManifest(tuple(record(i, faces) for i, faces in enumerate(images)))
+
+        # every ratio edge k/10 and k/20, one image of unknown faces only, one with none
+        edges = [[labels[0]] * k + [labels[1]] * (n - k) for n in (10, 20) for k in range(n + 1)]
+        edges += [[labels[2]] * 3, []]
+        order = rng.permutation(len(edges))
+        on_edges = DatasetManifest(
+            tuple(record(i, edges[j]) for i, j in enumerate(order))
+        )
+        empty = split(0)
+        for train, test in ((on_edges, split(rng.integers(0, 13))), (split(12), empty),
+                            (empty, on_edges), (empty, empty)):
+            got, want = dataset_stats(train, test), dataset_stats_loops(train, test)
+            assert list(got) == list(want)
+            assert got == want
 
 
 class TestSelectFrames:
