@@ -67,14 +67,14 @@ def generate_anchors(
     if not isinstance(scales, Mapping):
         scales = {level: tuple(scales) for level in levels}
     ratios = [float(r) for r in ratios]
-    if not ratios or any(r <= 0 for r in ratios):
+    if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):
         raise ValueError(f"aspect ratios must be positive and non-empty, got {ratios}")
 
     all_boxes = []
     all_levels = []
     for level in levels:
         level_scales = [float(s) for s in scales.get(level, ())]
-        if not level_scales or any(s <= 0 for s in level_scales):
+        if not level_scales or not all(math.isfinite(s) and s > 0 for s in level_scales):
             raise ValueError(f"scales for level {level} must be positive and non-empty")
         stride = float(2**level)
         grid_w = math.ceil(image_w / stride)
@@ -309,6 +309,9 @@ def multitask_loss(
             f"predictions must cover all {n} anchors, got "
             f"{p_obj.shape[0]}/{p_cls.shape[0]}/{t.shape[0]}"
         )
+    for name, values in (("objectness", p_obj), ("class", p_cls), ("box", t)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} predictions must be finite")
 
     scored = ~match.ignore_mask
     objectness = float(

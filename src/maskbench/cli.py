@@ -48,7 +48,7 @@ from .density import (
 )
 from .density import downsample_sum_preserving  # noqa: F401  (unused; perfbench's tracer wraps it)
 from .errors import DataFormatError
-from .geometry import Annotation, Detection, FaceLabel
+from .geometry import Annotation, FaceLabel
 from .metrics import BUCKETS, EvalConfig, average_precision, mae, mean_ap, pearson, ratio_pairs
 from .metrics import ratio_correlation  # noqa: F401  (unused; perfbench's tracer wraps it)
 from .ratio import (
@@ -87,7 +87,7 @@ def _dets_by_image(
     manifest: DatasetManifest,
     records: Sequence[DetectionRecord],
     nms_iou: float | None,
-) -> dict[str, tuple[Detection, ...]]:
+) -> dict[str, DetectionRecord]:
     metas = {rec.image_id: rec.meta for rec in manifest.images}
     for rec in records:
         if rec.image_id not in metas:
@@ -101,12 +101,17 @@ def _dets_by_image(
                 f"{rec.meta.video_id!r}, condition {rec.meta.condition.value!r}; the "
                 f"annotations give {want.video_id!r}, {want.condition.value!r}"
             )
+    by_image = {rec.image_id: rec for rec in records}
     if nms_iou is not None:
-        by_image = {rec.image_id: tuple(nms(list(rec.detections), nms_iou)) for rec in records}
-    else:
-        by_image = {rec.image_id: rec.detections for rec in records}
+        by_image = {
+            i: DetectionRecord(i, rec.meta, nms(list(rec.detections), nms_iou))
+            for i, rec in by_image.items()
+        }
     # images without a detection record count as zero detections
-    return {rec.image_id: by_image.get(rec.image_id, ()) for rec in manifest.images}
+    return {
+        rec.image_id: by_image.get(rec.image_id) or DetectionRecord(rec.image_id, rec.meta)
+        for rec in manifest.images
+    }
 
 
 def _density_reports(manifest: DatasetManifest, density_dir: str) -> dict[str, RatioReport]:
@@ -135,7 +140,7 @@ def _read_subset(root: Path, rec: ImageRecord, subset: str) -> DensityMap:
 
 
 def _gt_reports(manifest: DatasetManifest) -> dict[str, RatioReport]:
-    return {rec.image_id: annotation_ratio(rec.annotations) for rec in manifest.images}
+    return {rec.image_id: annotation_ratio(rec) for rec in manifest.images}
 
 
 def _swap_convention(
@@ -228,7 +233,7 @@ def _cmd_gen_density(args) -> int:
 def _cmd_eval_det(args) -> int:
     manifest = load_annotations(args.annotations)
     records = load_detections(args.detections)
-    dets = _dets_by_image(manifest, records, args.nms_iou)
+    dets = {i: rec.detections for i, rec in _dets_by_image(manifest, records, args.nms_iou).items()}
     gts = manifest.annotations_by_id()
     cfg = EvalConfig(iou_thr=args.iou_thr)
 

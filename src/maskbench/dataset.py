@@ -28,14 +28,23 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .density import DensityMap, KernelSpec, PointSet, render_density
 from .errors import DataFormatError
-from .geometry import Annotation, BBox, Detection, FaceLabel
+from .geometry import (
+    FACE_LABELS,
+    Annotation,
+    BBox,
+    Detection,
+    FaceLabel,
+    boxes_to_array,
+    labels_to_array,
+)
 from .ratio import Condition, CovidPeriod, ImageMeta, annotation_ratio
 
 
@@ -43,15 +52,98 @@ class SmallFaceWarning(UserWarning):
     """An annotation is smaller than the 10 x 10 px protocol minimum."""
 
 
-@dataclass(frozen=True)
-class ImageRecord:
-    """One annotated frame."""
+class _FaceRecord:
+    """A frame's faces as read-only arrays; their value objects are built on demand.
 
-    image_id: str
-    meta: ImageMeta
-    width: int
-    height: int
-    annotations: tuple[Annotation, ...]
+    boxes is (N, 4) float64 (left, top, right, bottom) and labels (N,) int8
+    indices into FACE_LABELS. Records are immutable and compare by value.
+    """
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+            for x, y in ((getattr(self, f), getattr(other, f)) for f in self._FIELDS)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.image_id, self.meta, len(self.labels)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    if a.flags.writeable:
+        a.flags.writeable = False
+    return a
+
+
+def _build_annotations(boxes: np.ndarray, labels: np.ndarray) -> tuple[Annotation, ...]:
+    return tuple(
+        Annotation(BBox(*box), FACE_LABELS[code])
+        for box, code in zip(boxes.tolist(), labels.tolist())
+    )
+
+
+def _build_detections(
+    boxes: np.ndarray, labels: np.ndarray, conf: np.ndarray
+) -> tuple[Detection, ...]:
+    return tuple(
+        Detection(BBox(*box), FACE_LABELS[code], c)
+        for box, code, c in zip(boxes.tolist(), labels.tolist(), conf.tolist())
+    )
+
+
+class ImageRecord(_FaceRecord):
+    """One annotated frame.
+
+    Built from Annotation objects, or by the loader from arrays; the
+    annotations tuple is built from the arrays on first access and cached.
+    """
+
+    __slots__ = ("image_id", "meta", "width", "height", "boxes", "labels", "_annotations")
+    _FIELDS = ("image_id", "meta", "width", "height", "boxes", "labels")
+
+    def __init__(
+        self,
+        image_id: str,
+        meta: ImageMeta,
+        width: int,
+        height: int,
+        annotations: Iterable[Annotation] = (),
+        *,
+        boxes: np.ndarray | None = None,
+        labels: np.ndarray | None = None,
+    ) -> None:
+        if boxes is None:
+            annotations = tuple(annotations)
+            boxes = boxes_to_array(a.box for a in annotations)
+            labels = labels_to_array(a.label for a in annotations)
+        else:
+            annotations = None
+        init = object.__setattr__
+        init(self, "image_id", image_id)
+        init(self, "meta", meta)
+        init(self, "width", width)
+        init(self, "height", height)
+        init(self, "boxes", _readonly(boxes))
+        init(self, "labels", _readonly(labels))
+        init(self, "_annotations", annotations)
+
+    @property
+    def annotations(self) -> tuple[Annotation, ...]:
+        if self._annotations is None:
+            object.__setattr__(self, "_annotations", _build_annotations(self.boxes, self.labels))
+        return self._annotations
 
 
 @dataclass(frozen=True)
@@ -74,13 +166,48 @@ class DatasetManifest:
         return {rec.image_id: rec.annotations for rec in self.images}
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One frame's detector output."""
+class DetectionRecord(_FaceRecord):
+    """One frame's detector output; conf is its (N,) float64 confidence array.
 
-    image_id: str
-    meta: ImageMeta
-    detections: tuple[Detection, ...]
+    Built from Detection objects, or by the loader from arrays; the
+    detections tuple is built from the arrays on first access and cached.
+    """
+
+    __slots__ = ("image_id", "meta", "boxes", "labels", "conf", "_detections")
+    _FIELDS = ("image_id", "meta", "boxes", "labels", "conf")
+
+    def __init__(
+        self,
+        image_id: str,
+        meta: ImageMeta,
+        detections: Iterable[Detection] = (),
+        *,
+        boxes: np.ndarray | None = None,
+        labels: np.ndarray | None = None,
+        conf: np.ndarray | None = None,
+    ) -> None:
+        if boxes is None:
+            detections = tuple(detections)
+            boxes = boxes_to_array(d.box for d in detections)
+            labels = labels_to_array(d.label for d in detections)
+            conf = np.array([d.confidence for d in detections], dtype=np.float64)
+        else:
+            detections = None
+        init = object.__setattr__
+        init(self, "image_id", image_id)
+        init(self, "meta", meta)
+        init(self, "boxes", _readonly(boxes))
+        init(self, "labels", _readonly(labels))
+        init(self, "conf", _readonly(conf))
+        init(self, "_detections", detections)
+
+    @property
+    def detections(self) -> tuple[Detection, ...]:
+        if self._detections is None:
+            object.__setattr__(
+                self, "_detections", _build_detections(self.boxes, self.labels, self.conf)
+            )
+        return self._detections
 
 
 # the face subsets a density map can draw
@@ -92,18 +219,23 @@ def density_path(root, image_id: str, subset: str) -> Path:
     return Path(root) / f"{image_id}.{subset}.nfmd"
 
 
-def subset_points(rec: ImageRecord, subset: str) -> PointSet:
-    """Centres of the faces a subset's density map draws; total is every known face."""
-    if subset == "total":
-        faces = [a for a in rec.annotations if a.label is not FaceLabel.UNKNOWN]
-    else:
-        faces = [a for a in rec.annotations if a.label.value == subset]
-    return PointSet(tuple(a.box.center for a in faces), rec.width, rec.height)
-
-
 _LABELS = {lab.value: lab for lab in FaceLabel}
 _CONDITIONS = {c.value: c for c in Condition}
 _PERIODS = {p.value: p for p in CovidPeriod}
+# label array codes by label name, for every face and for detections
+_CODES = {lab.value: i for i, lab in enumerate(FACE_LABELS)}
+_DETECTION_CODES = {k: _CODES[k] for k in (FaceLabel.MASKED.value, FaceLabel.UNMASKED.value)}
+
+
+def subset_points(rec: ImageRecord, subset: str) -> PointSet:
+    """Centres of the faces a subset's density map draws; total is every known face."""
+    if subset == "total":
+        keep = rec.labels != _CODES[FaceLabel.UNKNOWN.value]
+    else:
+        keep = rec.labels == _CODES.get(subset, -1)
+    l, t, r, b = rec.boxes[keep].T
+    centres = zip(((l + r) / 2.0).tolist(), ((t + b) / 2.0).tolist())
+    return PointSet(tuple(centres), rec.width, rec.height)
 
 
 def _parse_box(raw, where: str, width: int | None, height: int | None) -> BBox:
@@ -130,30 +262,60 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _parse_lines(path) -> Iterable[tuple[int, dict]]:
+# characters of JSONL a loader checks at once; this bounds the decoded lines it
+# holds, which a count of lines does not: 64 lines took in all six frames of a
+# crowded-scene file and 256 lines all 250 of a sparse one, and both peaked
+# about 1 MiB above reading line by line. No block size was clearly faster.
+_LOAD_BLOCK_CHARS = 65536
+
+
+def _blocks(path) -> Iterator[list[tuple[int, str]]]:
+    """The file's non-blank (line number, text) lines, in blocks.
+
+    A block ends with the line that brings its text to _LOAD_BLOCK_CHARS. A
+    read error (invalid UTF-8, say) is raised after the lines read before it
+    are yielded, so they are checked first, as when reading line by line.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+        numbered = enumerate(f, start=1)
+        while True:
+            block, size = [], 0
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(
-                    f"{path}:{lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-                ) from exc
-            if not isinstance(obj, dict):
-                raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
+                for lineno, line in numbered:
+                    if line.strip():
+                        block.append((lineno, line))
+                        size += len(line)
+                        if size >= _LOAD_BLOCK_CHARS:
+                            break
+            except ValueError:
+                if block:
+                    yield block
+                raise
+            if not block:
+                return
+            yield block
+
+
+def _decode(path, lineno: int, line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}:{lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
+    return obj
 
 
 def _parse_header(obj: dict, where: str, seen: set[str]) -> tuple[str, str, Condition]:
-    """Check the image_id, video_id and condition that both JSONL formats carry."""
+    """Check the image_id, video_id and condition that both JSONL formats carry.
+
+    The image_id must not be in seen; the caller adds it.
+    """
     image_id = _require(obj, "image_id", where)
     if not isinstance(image_id, str) or not image_id:
         raise DataFormatError(f"{where}: image_id must be a non-empty string")
     if image_id in seen:
         raise DataFormatError(f"{where}: duplicate image_id {image_id!r}")
-    seen.add(image_id)
     video_id = _require(obj, "video_id", where)
     if not isinstance(video_id, str) or not video_id:
         raise DataFormatError(f"{where}: video_id must be a non-empty string")
@@ -163,6 +325,161 @@ def _parse_header(obj: dict, where: str, seen: set[str]) -> tuple[str, str, Cond
     return image_id, video_id, _CONDITIONS[condition]
 
 
+def _load(path, read_block, read_line) -> list:
+    """Every record of a JSONL file, checked a block of lines at a time.
+
+    read_block(path, block, seen) checks the block's faces as arrays and
+    returns its records, warning about small faces last; it raises on anything
+    it does not accept as is. The block is then read again by read_line(path,
+    lineno, line, seen), one line and one face at a time: the only full
+    validator of per-face fields, it raises the first error, located, after
+    the warnings of the faces before it, or accepts what read_block was too
+    strict for. seen holds the image ids of the blocks before.
+    """
+    records = []
+    seen: set[str] = set()
+    for block in _blocks(path):
+        try:
+            got = read_block(path, block, seen)
+        except Exception:
+            got = None
+        if got is None:
+            got = []
+            for lineno, line in block:
+                got.append(read_line(path, lineno, line, seen))
+        seen.update(rec.image_id for rec in got)
+        records.extend(got)
+    return records
+
+
+def _block_headers(path, block, seen, read_header) -> list[tuple]:
+    """Each line's checked header (image_id first); raises if an image_id repeats."""
+    heads = [read_header(_decode(path, n, line), f"{path}:{n}", seen) for n, line in block]
+    if len({h[0] for h in heads}) < len(heads):
+        raise ValueError("an image_id repeats")
+    return heads
+
+
+def _block_faces(raw: list, codes: Mapping[str, int]):
+    """The (N, 4) boxes and (N,) label codes of a block's raw face objects.
+
+    Raises on any value that the per-line check might not accept as is.
+    """
+    boxes = [f["box"] for f in raw]
+    labels = [f["label"] for f in raw]
+    if set(map(type, boxes)) - {list} or set(map(len, boxes)) - {4}:
+        raise ValueError("a box is not a list of 4")
+    # type(), not isinstance: bool is an int, and np.array would take "1" as 1
+    if set(map(type, chain.from_iterable(boxes))) - {int, float}:
+        raise ValueError("a box holds a non-number")
+    if not set(labels) <= codes.keys():
+        raise ValueError("a label is unknown")
+    return (
+        np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        np.array([codes[lab] for lab in labels], dtype=np.int8),
+    )
+
+
+def _check_boxes(boxes: np.ndarray) -> None:
+    """Raise unless every box is finite with right > left and bottom > top (as BBox)."""
+    if not (
+        np.isfinite(boxes).all()
+        and (boxes[:, 2] > boxes[:, 0]).all()
+        and (boxes[:, 3] > boxes[:, 1]).all()
+    ):
+        raise ValueError("a box is non-finite or empty")
+
+
+def _split(counts: list[int], *arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Per-line read-only views of block arrays whose rows run line after line."""
+    for a in arrays:
+        a.flags.writeable = False
+    ends = list(accumulate(counts))
+    return [tuple(a[start:end] for a in arrays) for start, end in zip([0, *ends], ends)]
+
+
+def _warn_small(fwhere: str, image_id: str, width: float, height: float) -> None:
+    # stacklevel 5 names load_annotations' caller: this, a reader, _load, load_annotations
+    warnings.warn(
+        f"{fwhere} ({image_id}): face {width:g}x{height:g} px is "
+        "below the 10x10 annotation protocol minimum",
+        SmallFaceWarning,
+        stacklevel=5,
+    )
+
+
+def _annotation_header(obj: dict, where: str, seen: set[str]):
+    """(image_id, meta, width, height, faces) of an annotations line, checked."""
+    image_id, video_id, condition = _parse_header(obj, where, seen)
+    width = _require(obj, "width", where)
+    height = _require(obj, "height", where)
+    if not all(
+        isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (width, height)
+    ):
+        raise DataFormatError(f"{where}: width/height must be positive integers")
+    period = _require(obj, "period", where)
+    if not isinstance(period, str) or period not in _PERIODS:
+        raise DataFormatError(f"{where}: period must be 'before' or 'during'")
+    faces = _require(obj, "faces", where)
+    if not isinstance(faces, list):
+        raise DataFormatError(f"{where}: faces must be a list")
+    return image_id, ImageMeta(video_id, condition, _PERIODS[period]), width, height, faces
+
+
+def _annotation_line(path, lineno: int, line: str, seen: set[str]) -> ImageRecord:
+    where = f"{path}:{lineno}"
+    image_id, meta, width, height, faces = _annotation_header(
+        _decode(path, lineno, line), where, seen
+    )
+    seen.add(image_id)
+    annotations = []
+    for i, face in enumerate(faces):
+        fwhere = f"{where}: face {i}"
+        if not isinstance(face, dict):
+            raise DataFormatError(f"{fwhere}: expected an object")
+        box = _parse_box(_require(face, "box", fwhere), fwhere, width, height)
+        label = _require(face, "label", fwhere)
+        if not isinstance(label, str) or label not in _LABELS:
+            raise DataFormatError(
+                f"{fwhere}: label must be masked/unmasked/unknown, got {label!r}"
+            )
+        if box.width < 10.0 or box.height < 10.0:
+            _warn_small(fwhere, image_id, box.width, box.height)
+        annotations.append(Annotation(box, _LABELS[label]))
+    return ImageRecord(image_id, meta, width, height, annotations)
+
+
+def _annotation_block(path, block, seen: set[str]) -> list[ImageRecord]:
+    heads = _block_headers(path, block, seen, _annotation_header)
+    counts = [len(h[4]) for h in heads]
+    boxes, labels = _block_faces([f for h in heads for f in h[4]], _CODES)
+    dims = np.array([h[2:4] for h in heads], dtype=np.float64).reshape(-1, 2)
+    # below 2**53 a float64 holds every int exactly, so the clamp compares as in Python
+    if not (dims < 2.0**53).all():
+        raise ValueError("an image is too large")
+    # min(max(v, 0.0), bound) per coordinate, as _parse_box (NaN and -0.0 kept)
+    bound = np.repeat(dims[:, [0, 1, 0, 1]], counts, axis=0)
+    boxes = np.where(0.0 > boxes, 0.0, boxes)
+    boxes = np.where(bound < boxes, bound, boxes)
+    _check_boxes(boxes)
+
+    sizes = boxes[:, 2:] - boxes[:, :2]
+    small = np.flatnonzero((sizes < 10.0).any(axis=1)).tolist()
+    if small:
+        line_of = np.repeat(np.arange(len(heads)), counts).tolist()
+        starts = [end - n for end, n in zip(accumulate(counts), counts)]
+        for i in small:
+            k = line_of[i]
+            fwhere = f"{path}:{block[k][0]}: face {i - starts[k]}"
+            _warn_small(fwhere, heads[k][0], *sizes[i].tolist())
+    return [
+        ImageRecord(image_id, meta, width, height, boxes=b, labels=lab)
+        for (image_id, meta, width, height, _), (b, lab) in zip(
+            heads, _split(counts, boxes, labels)
+        )
+    ]
+
+
 def load_annotations(path) -> DatasetManifest:
     """Load an annotations JSONL file into a manifest.
 
@@ -170,45 +487,7 @@ def load_annotations(path) -> DatasetManifest:
     DataFormatError naming the offending line; sub-protocol face sizes only
     warn.
     """
-    records = []
-    seen: set[str] = set()
-    for lineno, obj in _parse_lines(path):
-        where = f"{path}:{lineno}"
-        image_id, video_id, condition = _parse_header(obj, where, seen)
-        width = _require(obj, "width", where)
-        height = _require(obj, "height", where)
-        if not all(
-            isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (width, height)
-        ):
-            raise DataFormatError(f"{where}: width/height must be positive integers")
-        period = _require(obj, "period", where)
-        if not isinstance(period, str) or period not in _PERIODS:
-            raise DataFormatError(f"{where}: period must be 'before' or 'during'")
-        faces = _require(obj, "faces", where)
-        if not isinstance(faces, list):
-            raise DataFormatError(f"{where}: faces must be a list")
-        annotations = []
-        for i, face in enumerate(faces):
-            fwhere = f"{where}: face {i}"
-            if not isinstance(face, dict):
-                raise DataFormatError(f"{fwhere}: expected an object")
-            box = _parse_box(_require(face, "box", fwhere), fwhere, width, height)
-            label = _require(face, "label", fwhere)
-            if not isinstance(label, str) or label not in _LABELS:
-                raise DataFormatError(
-                    f"{fwhere}: label must be masked/unmasked/unknown, got {label!r}"
-                )
-            if box.width < 10.0 or box.height < 10.0:
-                warnings.warn(
-                    f"{fwhere} ({image_id}): face {box.width:g}x{box.height:g} px is "
-                    "below the 10x10 annotation protocol minimum",
-                    SmallFaceWarning,
-                    stacklevel=2,
-                )
-            annotations.append(Annotation(box, _LABELS[label]))
-        meta = ImageMeta(video_id, condition, _PERIODS[period])
-        records.append(ImageRecord(image_id, meta, width, height, tuple(annotations)))
-    return DatasetManifest(tuple(records))
+    return DatasetManifest(tuple(_load(path, _annotation_block, _annotation_line)))
 
 
 def save_annotations(manifest: DatasetManifest, path) -> None:
@@ -223,47 +502,68 @@ def save_annotations(manifest: DatasetManifest, path) -> None:
                 "width": rec.width,
                 "height": rec.height,
                 "faces": [
-                    {
-                        "box": [a.box.left, a.box.top, a.box.right, a.box.bottom],
-                        "label": a.label.value,
-                    }
-                    for a in rec.annotations
+                    {"box": box, "label": FACE_LABELS[code].value}
+                    for box, code in zip(rec.boxes.tolist(), rec.labels.tolist())
                 ],
             }
             f.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
+def _detection_header(obj: dict, where: str, seen: set[str]):
+    """(image_id, meta, detections) of a detections line, checked."""
+    image_id, video_id, condition = _parse_header(obj, where, seen)
+    dets_raw = _require(obj, "detections", where)
+    if not isinstance(dets_raw, list):
+        raise DataFormatError(f"{where}: detections must be a list")
+    return image_id, ImageMeta(video_id, condition), dets_raw
+
+
+def _detection_line(path, lineno: int, line: str, seen: set[str]) -> DetectionRecord:
+    where = f"{path}:{lineno}"
+    image_id, meta, dets_raw = _detection_header(_decode(path, lineno, line), where, seen)
+    seen.add(image_id)
+    dets = []
+    for i, det in enumerate(dets_raw):
+        dwhere = f"{where}: detection {i}"
+        if not isinstance(det, dict):
+            raise DataFormatError(f"{dwhere}: expected an object")
+        box = _parse_box(_require(det, "box", dwhere), dwhere, None, None)
+        label = _require(det, "label", dwhere)
+        if label not in (FaceLabel.MASKED.value, FaceLabel.UNMASKED.value):
+            raise DataFormatError(
+                f"{dwhere}: label must be masked or unmasked, got {label!r}"
+            )
+        conf = _require(det, "conf", dwhere)
+        if not isinstance(conf, (int, float)) or isinstance(conf, bool):
+            raise DataFormatError(f"{dwhere}: conf must be a number")
+        try:
+            dets.append(Detection(box, _LABELS[label], float(conf)))
+        except (ValueError, OverflowError) as exc:
+            raise DataFormatError(f"{dwhere}: {exc}") from exc
+    return DetectionRecord(image_id, meta, dets)
+
+
+def _detection_block(path, block, seen: set[str]) -> list[DetectionRecord]:
+    heads = _block_headers(path, block, seen, _detection_header)
+    counts = [len(h[2]) for h in heads]
+    raw = [d for h in heads for d in h[2]]
+    boxes, labels = _block_faces(raw, _DETECTION_CODES)
+    _check_boxes(boxes)
+    conf = [d["conf"] for d in raw]
+    if set(map(type, conf)) - {int, float}:
+        raise ValueError("a conf is not a number")
+    conf = np.array(conf, dtype=np.float64)
+    if not ((conf >= 0.0) & (conf <= 1.0)).all():
+        raise ValueError("a conf is outside [0, 1]")
+    return [
+        DetectionRecord(image_id, meta, boxes=b, labels=lab, conf=c)
+        for (image_id, meta, _), (b, lab, c) in zip(heads, _split(counts, boxes, labels, conf))
+    ]
+
+
 def load_detections(path) -> list[DetectionRecord]:
     """Load a detections JSONL file; same error policy as load_annotations."""
-    records = []
-    seen: set[str] = set()
-    for lineno, obj in _parse_lines(path):
-        where = f"{path}:{lineno}"
-        image_id, video_id, condition = _parse_header(obj, where, seen)
-        dets_raw = _require(obj, "detections", where)
-        if not isinstance(dets_raw, list):
-            raise DataFormatError(f"{where}: detections must be a list")
-        dets = []
-        for i, det in enumerate(dets_raw):
-            dwhere = f"{where}: detection {i}"
-            if not isinstance(det, dict):
-                raise DataFormatError(f"{dwhere}: expected an object")
-            box = _parse_box(_require(det, "box", dwhere), dwhere, None, None)
-            label = _require(det, "label", dwhere)
-            if label not in (FaceLabel.MASKED.value, FaceLabel.UNMASKED.value):
-                raise DataFormatError(
-                    f"{dwhere}: label must be masked or unmasked, got {label!r}"
-                )
-            conf = _require(det, "conf", dwhere)
-            if not isinstance(conf, (int, float)) or isinstance(conf, bool):
-                raise DataFormatError(f"{dwhere}: conf must be a number")
-            try:
-                dets.append(Detection(box, _LABELS[label], float(conf)))
-            except (ValueError, OverflowError) as exc:
-                raise DataFormatError(f"{dwhere}: {exc}") from exc
-        meta = ImageMeta(video_id, condition)
-        records.append(DetectionRecord(image_id, meta, tuple(dets)))
-    return records
+    return _load(path, _detection_block, _detection_line)
 
 
 def write_detections(records: Sequence[DetectionRecord], path) -> None:
@@ -275,12 +575,10 @@ def write_detections(records: Sequence[DetectionRecord], path) -> None:
                 "video_id": rec.meta.video_id,
                 "condition": rec.meta.condition.value,
                 "detections": [
-                    {
-                        "box": [d.box.left, d.box.top, d.box.right, d.box.bottom],
-                        "label": d.label.value,
-                        "conf": d.confidence,
-                    }
-                    for d in rec.detections
+                    {"box": box, "label": FACE_LABELS[code].value, "conf": c}
+                    for box, code, c in zip(
+                        rec.boxes.tolist(), rec.labels.tolist(), rec.conf.tolist()
+                    )
                 ],
             }
             f.write(json.dumps(obj, separators=(",", ":")) + "\n")

@@ -23,6 +23,11 @@ class FaceLabel(Enum):
     UNKNOWN = "unknown"
 
 
+# a label array holds each face's index into FACE_LABELS, as int8
+FACE_LABELS: tuple[FaceLabel, ...] = tuple(FaceLabel)
+_LABEL_CODES = {lab: i for i, lab in enumerate(FACE_LABELS)}
+
+
 class SizeBucket(Enum):
     """Size stratification of a face box.
 
@@ -121,6 +126,11 @@ def boxes_to_array(boxes: Iterable[BBox]) -> np.ndarray:
     if not data:
         return np.zeros((0, 4), dtype=np.float64)
     return np.asarray(data, dtype=np.float64)
+
+
+def labels_to_array(labels: Iterable[FaceLabel]) -> np.ndarray:
+    """The (N,) int8 label array of labels (see FACE_LABELS)."""
+    return np.fromiter((_LABEL_CODES[lab] for lab in labels), dtype=np.int8)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .geometry import Annotation, Detection, FaceLabel, boxes_to_array, iou_matrix
+from .geometry import FACE_LABELS, Detection, FaceLabel, boxes_to_array, iou_matrix, labels_to_array
 from .geometry import iou  # noqa: F401  (unused; perfbench's tracer wraps ratio.iou)
 
 
@@ -109,24 +109,35 @@ def nms(dets: Sequence[Detection], iou_thr: float = 0.4) -> list[Detection]:
     return [dets[i] for i in np.flatnonzero(keep)]
 
 
-def detection_ratio(dets: Sequence[Detection], conf_thr: float = 0.5) -> RatioReport:
-    """Count detections at or above the confidence threshold by label."""
+_MASKED, _UNMASKED = (FACE_LABELS.index(lab) for lab in (FaceLabel.MASKED, FaceLabel.UNMASKED))
+
+
+def _label_counts(labels: np.ndarray) -> RatioReport:
+    return RatioReport(
+        float(np.count_nonzero(labels == _MASKED)), float(np.count_nonzero(labels == _UNMASKED))
+    )
+
+
+def detection_ratio(dets, conf_thr: float = 0.5) -> RatioReport:
+    """Count detections at or above the confidence threshold by label.
+
+    dets is a sequence of Detection or a record carrying labels and conf arrays.
+    """
     if not (0.0 <= conf_thr <= 1.0):
         raise ValueError(f"conf_thr must be in [0, 1], got {conf_thr}")
-    masked = sum(
-        1 for d in dets if d.confidence >= conf_thr and d.label is FaceLabel.MASKED
-    )
-    unmasked = sum(
-        1 for d in dets if d.confidence >= conf_thr and d.label is FaceLabel.UNMASKED
-    )
-    return RatioReport(float(masked), float(unmasked))
+    if hasattr(dets, "conf"):
+        return _label_counts(dets.labels[dets.conf >= conf_thr])
+    return _label_counts(labels_to_array(d.label for d in dets if d.confidence >= conf_thr))
 
 
-def annotation_ratio(annotations: Sequence[Annotation]) -> RatioReport:
-    """Ground-truth counts for one image; UNKNOWN faces are not counted."""
-    masked = sum(1 for a in annotations if a.label is FaceLabel.MASKED)
-    unmasked = sum(1 for a in annotations if a.label is FaceLabel.UNMASKED)
-    return RatioReport(float(masked), float(unmasked))
+def annotation_ratio(annotations) -> RatioReport:
+    """Ground-truth counts for one image; UNKNOWN faces are not counted.
+
+    annotations is a sequence of Annotation or a record carrying a labels array.
+    """
+    if hasattr(annotations, "labels"):
+        return _label_counts(annotations.labels)
+    return _label_counts(labels_to_array(a.label for a in annotations))
 
 
 def density_ratio(count_total: float, count_unmasked: float) -> RatioReport:

@@ -3,13 +3,16 @@
 Everything here is deliberately written as plain scalar loops, separate from
 the vectorized implementations under test: IoU is recomputed inline, matching
 decisions are enumerated one detection at a time, the precision envelope is
-an explicit suffix scan, and gradients come from bump-and-reevaluate central
-differences over the public forward pass.
+an explicit suffix scan, gradients come from bump-and-reevaluate central
+differences over the public forward pass, and the JSONL loaders check one
+line and one face at a time into value objects.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
 
 import numpy as np
 
@@ -20,8 +23,10 @@ from maskbench.density import (
     adaptive_sigmas,
     downsample_sum_preserving,
 )
+from maskbench.errors import DataFormatError
 from maskbench.fusion import FeatureLevel, FusionWeights, bifpn_fuse
-from maskbench.geometry import Annotation, Detection, FaceLabel, SizeBucket
+from maskbench.geometry import Annotation, BBox, Detection, FaceLabel, SizeBucket
+from maskbench.ratio import Condition, CovidPeriod, ImageMeta
 
 
 def iou_scalar(a, b) -> float:
@@ -322,3 +327,147 @@ def dataset_stats_loops(train, test) -> dict:
         "mask_ratio_histogram": hist_table(ratio_bins, 1),
         "faces_per_image_histogram": hist_table(count_bins, 2),
     }
+
+
+# ---------------------------------------------------------------------------
+# object loaders: one JSONL line, then one face, at a time
+
+
+_CONDITIONS = {"DT": Condition.DAYTIME, "NT": Condition.NIGHTTIME}
+_PERIODS = {"before": CovidPeriod.BEFORE, "during": CovidPeriod.DURING}
+_LABELS = {lab.value: lab for lab in FaceLabel}
+
+
+def _box_of(raw, where: str, width: int | None, height: int | None) -> BBox:
+    if not (isinstance(raw, list) and len(raw) == 4) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
+    ):
+        raise DataFormatError(f"{where}: box must be a list of 4 numbers, got {raw!r}")
+    try:
+        l, t, r, b = (float(v) for v in raw)
+    except OverflowError as exc:
+        raise DataFormatError(f"{where}: box coordinate out of range ({exc})") from exc
+    if width is not None and height is not None:
+        l, r = min(max(l, 0.0), width), min(max(r, 0.0), width)
+        t, b = min(max(t, 0.0), height), min(max(b, 0.0), height)
+    try:
+        return BBox(l, t, r, b)
+    except ValueError as exc:
+        raise DataFormatError(f"{where}: {exc}") from exc
+
+
+def _field(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise DataFormatError(f"{where}: missing required field {key!r}")
+    return obj[key]
+
+
+def _json_lines(path):
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(
+                    f"{path}:{lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+                ) from exc
+            if not isinstance(obj, dict):
+                raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, obj
+
+
+def _line_header(obj: dict, where: str, seen: set[str]):
+    image_id = _field(obj, "image_id", where)
+    if not isinstance(image_id, str) or not image_id:
+        raise DataFormatError(f"{where}: image_id must be a non-empty string")
+    if image_id in seen:
+        raise DataFormatError(f"{where}: duplicate image_id {image_id!r}")
+    seen.add(image_id)
+    video_id = _field(obj, "video_id", where)
+    if not isinstance(video_id, str) or not video_id:
+        raise DataFormatError(f"{where}: video_id must be a non-empty string")
+    condition = _field(obj, "condition", where)
+    if not isinstance(condition, str) or condition not in _CONDITIONS:
+        raise DataFormatError(f"{where}: condition must be 'DT' or 'NT'")
+    return image_id, video_id, _CONDITIONS[condition]
+
+
+def load_annotations_objects(path):
+    """load_annotations one face at a time into value objects: its reference."""
+    from maskbench.dataset import DatasetManifest, ImageRecord, SmallFaceWarning
+
+    records = []
+    seen: set[str] = set()
+    for lineno, obj in _json_lines(path):
+        where = f"{path}:{lineno}"
+        image_id, video_id, condition = _line_header(obj, where, seen)
+        width = _field(obj, "width", where)
+        height = _field(obj, "height", where)
+        if not all(
+            isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (width, height)
+        ):
+            raise DataFormatError(f"{where}: width/height must be positive integers")
+        period = _field(obj, "period", where)
+        if not isinstance(period, str) or period not in _PERIODS:
+            raise DataFormatError(f"{where}: period must be 'before' or 'during'")
+        faces = _field(obj, "faces", where)
+        if not isinstance(faces, list):
+            raise DataFormatError(f"{where}: faces must be a list")
+        annotations = []
+        for i, face in enumerate(faces):
+            fwhere = f"{where}: face {i}"
+            if not isinstance(face, dict):
+                raise DataFormatError(f"{fwhere}: expected an object")
+            box = _box_of(_field(face, "box", fwhere), fwhere, width, height)
+            label = _field(face, "label", fwhere)
+            if not isinstance(label, str) or label not in _LABELS:
+                raise DataFormatError(
+                    f"{fwhere}: label must be masked/unmasked/unknown, got {label!r}"
+                )
+            if box.width < 10.0 or box.height < 10.0:
+                warnings.warn(
+                    f"{fwhere} ({image_id}): face {box.width:g}x{box.height:g} px is "
+                    "below the 10x10 annotation protocol minimum",
+                    SmallFaceWarning,
+                    stacklevel=2,
+                )
+            annotations.append(Annotation(box, _LABELS[label]))
+        meta = ImageMeta(video_id, condition, _PERIODS[period])
+        records.append(ImageRecord(image_id, meta, width, height, tuple(annotations)))
+    return DatasetManifest(tuple(records))
+
+
+def load_detections_objects(path):
+    """load_detections one detection at a time into value objects: its reference."""
+    from maskbench.dataset import DetectionRecord
+
+    records = []
+    seen: set[str] = set()
+    for lineno, obj in _json_lines(path):
+        where = f"{path}:{lineno}"
+        image_id, video_id, condition = _line_header(obj, where, seen)
+        dets_raw = _field(obj, "detections", where)
+        if not isinstance(dets_raw, list):
+            raise DataFormatError(f"{where}: detections must be a list")
+        dets = []
+        for i, det in enumerate(dets_raw):
+            dwhere = f"{where}: detection {i}"
+            if not isinstance(det, dict):
+                raise DataFormatError(f"{dwhere}: expected an object")
+            box = _box_of(_field(det, "box", dwhere), dwhere, None, None)
+            label = _field(det, "label", dwhere)
+            if label not in (FaceLabel.MASKED.value, FaceLabel.UNMASKED.value):
+                raise DataFormatError(
+                    f"{dwhere}: label must be masked or unmasked, got {label!r}"
+                )
+            conf = _field(det, "conf", dwhere)
+            if not isinstance(conf, (int, float)) or isinstance(conf, bool):
+                raise DataFormatError(f"{dwhere}: conf must be a number")
+            try:
+                dets.append(Detection(box, _LABELS[label], float(conf)))
+            except (ValueError, OverflowError) as exc:
+                raise DataFormatError(f"{dwhere}: {exc}") from exc
+        records.append(DetectionRecord(image_id, ImageMeta(video_id, condition), tuple(dets)))
+    return records

@@ -74,6 +74,15 @@ class TestGenerateAnchors:
         with pytest.raises(ValueError):
             generate_anchors(32, 32, levels=[3], scales=[16], ratios=[])
 
+    @pytest.mark.parametrize("bad", [1e400, math.nan], ids=["1e400", "nan"])
+    def test_rejects_non_finite_ratios_and_scales(self, bad):
+        with pytest.raises(ValueError, match="aspect ratios must be positive"):
+            generate_anchors(32, 32, levels=[3], scales=[16], ratios=[0.5, bad])
+        with pytest.raises(ValueError, match="scales for level 3 must be positive"):
+            generate_anchors(32, 32, levels=[3], scales=[16, bad])
+        with pytest.raises(ValueError, match="scales for level 3 must be positive"):
+            generate_anchors(32, 32, levels=[3], scales={3: [bad]})
+
 
 class TestBoxCoding:
     def test_identity(self):

@@ -524,6 +524,41 @@ class TestLossEvalCli:
         assert str(path) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("field, value", [("objectness", math.nan), ("class", math.nan),
+                                              ("class", math.inf), ("box", math.nan)])
+    def test_non_finite_prediction_is_data_error(self, tmp_path, capsys, fmt, field, value):
+        path = self.fixture(tmp_path)
+        payload = json.loads(path.read_text())
+        if field == "box":
+            payload["predictions"]["box"][5] = [0.0, value, 0.0, 0.0]
+        else:
+            payload["predictions"][field][5] = value
+        path.write_text(json.dumps(payload))
+        assert main(["loss-eval", "--fixture", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {field} predictions must be finite\n"
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"ratios": [0.5, 1.0, 2.0]', '"ratios": [0.5, 1.0, 1e400]'),
+            ('"ratios": [0.5, 1.0, 2.0]', '"ratios": [0.5, NaN, 2.0]'),
+            ('"3": [16]', '"3": [1e400]'),
+            ('"3": [16]', '"3": [NaN]'),
+        ],
+        ids=["1e400-ratio", "nan-ratio", "1e400-scale", "nan-scale"],
+    )
+    def test_non_finite_anchor_ratio_or_scale_is_data_error(self, tmp_path, capsys, old, new):
+        path = self.fixture(tmp_path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert main(["loss-eval", "--fixture", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 class TestThreads:
     def test_outputs_identical_across_thread_counts(self, scene_dir, tmp_path):
         outs = []

@@ -1,9 +1,11 @@
 """Exit-code contract under mutation: 0 for an input that loads, 2 for a data error.
 
 Each example sets one field, at any depth, of a valid annotations file,
-detections file or loss fixture to a hostile value and runs one command on it.
-`main` must return 0 or 2 with an `error:` line; it must never raise or
-report a usage error.
+detections file or loss fixture to a hostile value, or drops it, and runs one
+command on it. `main` must return 0 or 2 with an `error:` line; it must never
+raise or report a usage error. An error in a JSONL file names its path and the
+mutated line, unless it is a disagreement between the two files, which names
+the image. Damaged NFMD maps exit 2 naming the map.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import copy
 import io
 import json
 import math
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -86,6 +89,15 @@ def mutated(doc, path, value):
     return doc
 
 
+def dropped(doc, path):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return doc
+
+
 def dumps(obj) -> str:
     return json.dumps(obj).replace(f'"{_OVERFLOW}"', "1e400")
 
@@ -141,6 +153,17 @@ def test_valid_inputs_exit_zero(tmp_path, target):
         assert run([a.format(**paths) for a in command]) == (0, "")
 
 
+def check_exit(paths, target, path, command):
+    """Run command; exit 0, or exit 2 with an error naming the mutated line if it has one."""
+    code, err = run([a.format(**paths) for a in command])
+    assert code in (0, 2), (path, command, err)
+    if code == 2:
+        assert err.startswith("error: "), err
+        # a cross-file disagreement names the image instead of a line
+        if target != "fixture" and not err.startswith("error: detections "):
+            assert err.startswith(f"error: {paths[target]}:{path[0] + 1}:"), (path, err)
+
+
 @pytest.mark.parametrize("target", sorted(TARGETS))
 def test_one_hostile_field_exits_zero_or_two(tmp_path_factory, target):
     doc, _, commands = TARGETS[target]
@@ -150,10 +173,53 @@ def test_one_hostile_field_exits_zero_or_two(tmp_path_factory, target):
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.sampled_from(list(field_paths(doc))), HOSTILE, st.sampled_from(commands))
     def check(path, value, command):
-        paths = write_inputs(root, target, mutated(doc, path, value))
-        code, err = run([a.format(**paths) for a in command])
-        assert code in (0, 2), (path, value, command, err)
-        if code == 2:
-            assert err.startswith("error: "), err
+        check_exit(write_inputs(root, target, mutated(doc, path, value)), target, path, command)
 
     check()
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_one_dropped_field_exits_zero_or_two(tmp_path_factory, target):
+    doc, _, commands = TARGETS[target]
+    root = tmp_path_factory.mktemp(target)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(list(field_paths(doc))), st.sampled_from(commands))
+    def check(path, command):
+        check_exit(write_inputs(root, target, dropped(doc, path)), target, path, command)
+
+    check()
+
+
+def _nfmd_truncated_header(data: bytes) -> bytes:
+    return data[:9]
+
+
+def _nfmd_short_payload(data: bytes) -> bytes:
+    return data[:-4]
+
+
+def _nfmd_wrong_magic(data: bytes) -> bytes:
+    return b"NFMX" + data[4:]
+
+
+def _nfmd_nan_cell(data: bytes) -> bytes:
+    return data[:-4] + struct.pack("<f", math.nan)
+
+
+@pytest.mark.parametrize("damage", [_nfmd_truncated_header, _nfmd_short_payload,
+                                    _nfmd_wrong_magic, _nfmd_nan_cell])
+@pytest.mark.parametrize("victim", ["img0.total.nfmd", "img1.unmasked.nfmd"])
+def test_damaged_density_map_exits_two_naming_it(tmp_path, damage, victim):
+    paths = write_inputs(tmp_path, "annotations", ANNOTATIONS)
+    maps = tmp_path / "maps"
+    argv = ["gen-density", "--annotations", str(paths["annotations"]), "--out", str(maps),
+            "--downscale", "4"]
+    assert run(argv) == (0, "")
+    count = ["eval-count", "--annotations", str(paths["annotations"]), "--density-dir", str(maps)]
+    assert run(count)[0] == 0
+    (maps / victim).write_bytes(damage((maps / victim).read_bytes()))
+    code, err = run(count)
+    assert code == 2
+    assert err.startswith(f"error: {maps / victim}: "), err

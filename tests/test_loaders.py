@@ -1,0 +1,291 @@
+"""The block-checked JSONL loaders against the line-at-a-time object loaders.
+
+For every input the array loaders and the reference loaders of oracles.py
+either both raise DataFormatError with the same text or both return records
+whose value-object tuples compare equal; the SmallFaceWarnings emitted on the
+way, with the frame they name, are the same too. The inputs are the valid
+documents of test_exit_codes with one field set to a hostile value or dropped,
+and documents longer than one block with the mutation past the first block.
+"""
+
+import contextlib
+import copy
+import io
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from maskbench import dataset
+from maskbench.cli import main
+from maskbench.dataset import (
+    SynthParams,
+    load_annotations,
+    load_detections,
+    synth_scene,
+    write_synth_scene,
+)
+from maskbench.errors import DataFormatError
+from maskbench.geometry import FACE_LABELS, boxes_to_array
+
+from oracles import load_annotations_objects, load_detections_objects
+from test_exit_codes import (
+    ANNOTATIONS,
+    DETECTIONS,
+    HOSTILE,
+    dropped,
+    dumps,
+    field_paths,
+    mutated,
+)
+
+LOADERS = {
+    "annotations": (load_annotations, load_annotations_objects),
+    "detections": (load_detections, load_detections_objects),
+}
+
+
+def outcome(load, path):
+    """("ok", records) or (error type, message), and the warnings as (text, category, file, line).
+
+    The errors caught are those that mrb reports with exit code 2.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", load(path))
+        except (DataFormatError, OSError, ValueError) as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def faces_of(kind, result):
+    """Each record's header fields and its value-object tuple."""
+    if kind == "annotations":
+        return [((r.image_id, r.meta, r.width, r.height), r.annotations) for r in result.images]
+    return [((r.image_id, r.meta), r.detections) for r in result]
+
+
+def assert_equivalent(kind, path):
+    load, oracle = LOADERS[kind]
+    (got, got_warnings), (want, want_warnings) = outcome(load, path), outcome(oracle, path)
+    assert got_warnings == want_warnings
+    assert got[0] == want[0], (got, want)
+    assert got[1] == want[1]
+    if got[0] != "ok":
+        return
+    assert faces_of(kind, got[1]) == faces_of(kind, want[1])
+    records = got[1].images if kind == "annotations" else got[1]
+    for rec, (_, objects) in zip(records, faces_of(kind, want[1])):
+        # bytes, not ==: a -0.0 coordinate must stay -0.0 for the writers
+        want_boxes = boxes_to_array(o.box for o in objects)
+        assert rec.boxes.shape == want_boxes.shape
+        assert rec.boxes.tobytes() == want_boxes.tobytes()
+        assert [FACE_LABELS[c] for c in rec.labels.tolist()] == [o.label for o in objects]
+        if kind == "detections":
+            assert rec.conf.tolist() == [o.confidence for o in objects]
+
+
+def write_jsonl(path, doc):
+    path.write_text("".join(dumps(line) + "\n" for line in doc))
+
+
+SHORT = {"annotations": ANNOTATIONS, "detections": DETECTIONS}
+
+
+def _long_line(kind, i):
+    head = {"image_id": f"img{i}", "video_id": f"v{i % 3}", "condition": "DT" if i % 2 else "NT"}
+    if kind == "annotations":
+        faces = [{"box": [i % 40, 3, i % 40 + 12 + i % 7, 30], "label": "masked"},
+                 {"box": [-0.0, -4, 5 + i % 11, 12.5], "label": ("unmasked", "unknown")[i % 2]},
+                 {"box": [50, 40, 70.25, 90], "label": "unmasked"}]
+        return {**head, "period": "during", "width": 64, "height": 48,
+                "faces": (faces * 4)[: i % 12]}
+    dets = [{"box": [i % 40, -0.0, i % 40 + 9.5, 14], "label": "masked", "conf": 0.5},
+            {"box": [1, 2, 3, 4 + i], "label": "unmasked", "conf": i % 2},
+            {"box": [-3, 5, 1e6, 7], "label": "masked", "conf": 1 / (i + 1)}]
+    return {**head, "detections": (dets * 4)[: i % 12]}
+
+
+def long_doc(kind, blocks=1.25):
+    """About blocks loader blocks of lines, with small, clamped, -0.0 and unknown faces."""
+    doc, size = [], 0
+    while size < blocks * dataset._LOAD_BLOCK_CHARS:
+        doc.append(_long_line(kind, len(doc)))
+        size += len(dumps(doc[-1])) + 1
+    return doc
+
+
+def first_block_lines(doc):
+    """How many of doc's lines the loaders check in their first block."""
+    size = 0
+    for n, line in enumerate(doc, start=1):
+        size += len(dumps(line)) + 1
+        if size >= dataset._LOAD_BLOCK_CHARS:
+            return n
+    return len(doc)
+
+
+def mutation_paths(doc, first_line=0):
+    return [p for p in field_paths(doc) if p[0] >= first_line]
+
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_valid_documents_load_equal(tmp_path, kind):
+    for name, doc in (("short", SHORT[kind]), ("long", long_doc(kind))):
+        path = tmp_path / f"{name}.jsonl"
+        write_jsonl(path, doc)
+        assert_equivalent(kind, path)
+
+
+def test_clamp_to_a_width_beyond_float_precision(tmp_path):
+    # the per-line loader clamps to the int 2**53 + 1, which no float64 holds
+    doc = copy.deepcopy(ANNOTATIONS)
+    doc[0]["width"] = 2**53 + 1
+    doc[0]["faces"][0]["box"] = [0, 4, 1e30, 22]
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, doc)
+    assert_equivalent("annotations", path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_one_hostile_field(tmp_path_factory, kind):
+    path = tmp_path_factory.mktemp(kind) / "in.jsonl"
+    doc = SHORT[kind]
+
+    @SETTINGS
+    @given(st.sampled_from(list(field_paths(doc))), HOSTILE)
+    def check(field, value):
+        write_jsonl(path, mutated(doc, field, value))
+        assert_equivalent(kind, path)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_one_dropped_field(tmp_path_factory, kind):
+    path = tmp_path_factory.mktemp(kind) / "in.jsonl"
+    doc = SHORT[kind]
+
+    @settings(SETTINGS, max_examples=60)
+    @given(st.sampled_from(list(field_paths(doc))))
+    def check(field):
+        write_jsonl(path, dropped(doc, field))
+        assert_equivalent(kind, path)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_mutation_past_the_first_block(tmp_path_factory, kind):
+    path = tmp_path_factory.mktemp(kind) / "in.jsonl"
+    doc = long_doc(kind)
+    paths = mutation_paths(doc, first_line=first_block_lines(doc))
+
+    @settings(SETTINGS, max_examples=30)
+    @given(st.sampled_from(paths), st.one_of(HOSTILE, st.just(dropped)))
+    def check(field, value):
+        write_jsonl(path, dropped(doc, field) if value is dropped else mutated(doc, field, value))
+        assert_equivalent(kind, path)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("case", ["first-block", "across-blocks", "second-block"])
+def test_duplicate_image_id_within_and_across_blocks(tmp_path, kind, case):
+    doc = long_doc(kind)
+    block = first_block_lines(doc)
+    first, second = {"first-block": (3, 5), "across-blocks": (3, block + 2),
+                     "second-block": (block + 1, block + 9)}[case]
+    doc[second]["image_id"] = doc[first]["image_id"]
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, doc)
+    assert_equivalent(kind, path)
+    with pytest.raises(DataFormatError, match=f"{path}:{second + 1}: duplicate image_id"):
+        LOADERS[kind][0](path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_read_error_comes_after_the_lines_before_it(tmp_path, kind):
+    # invalid UTF-8 deep in the file: the faces before it warn first, and a data
+    # error in an earlier line wins, as when the file is read line by line
+    doc = long_doc(kind)
+    path = tmp_path / "in.jsonl"
+    text = "".join(dumps(line) + "\n" for line in doc).encode()
+    path.write_bytes(text + b'{"image_id": "\xff"}\n')
+    assert_equivalent(kind, path)
+    doc[first_block_lines(doc) + 5]["video_id"] = ""
+    text = "".join(dumps(line) + "\n" for line in doc).encode()
+    path.write_bytes(text + b'{"image_id": "\xff"}\n')
+    assert_equivalent(kind, path)
+
+
+def test_records_are_read_only_and_compare_by_value(tmp_path):
+    path = tmp_path / "a.jsonl"
+    write_jsonl(path, long_doc("annotations", 0.05))
+    rec = load_annotations(path).images[5]
+    with pytest.raises(ValueError):
+        rec.boxes[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        rec.width = 3
+    rebuilt = dataset.ImageRecord(rec.image_id, rec.meta, rec.width, rec.height, rec.annotations)
+    assert rebuilt == rec and hash(rebuilt) == hash(rec)
+    assert rebuilt != dataset.ImageRecord(rec.image_id, rec.meta, rec.width, rec.height)
+
+
+# ---------------------------------------------------------------------------
+# the commands that count faces read the arrays, never the value objects
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_array_paths_build_no_value_objects(tmp_path, monkeypatch):
+    scene = tmp_path / "scene"
+    write_synth_scene(synth_scene(SynthParams(seed=5, n_images=12, faces_min=0, faces_max=12,
+                                              image_width=96, image_height=64,
+                                              unknown_probability=0.2, false_positive_rate=1.0)),
+                      scene)
+
+    def refuse(*args):
+        raise AssertionError("a value-object tuple was built")
+
+    monkeypatch.setattr(dataset, "_build_annotations", refuse)
+    monkeypatch.setattr(dataset, "_build_detections", refuse)
+    ann, det, dens = scene / "annotations.jsonl", scene / "detections.jsonl", scene / "density"
+    for argv in (
+        ["eval-ratio", "--annotations", ann, "--detections", det, "--by-condition",
+         "--min-faces", "1", "--scatter", tmp_path / "scatter.csv"],
+        ["eval-ratio", "--annotations", ann, "--density-dir", dens, "--min-faces", "1"],
+        ["report-video", "--annotations", ann, "--detections", det],
+        ["report-video", "--annotations", ann, "--density-dir", dens],
+        ["eval-count", "--annotations", ann, "--density-dir", dens],
+        ["gen-density", "--annotations", ann, "--out", tmp_path / "maps",
+         "--subsets", "total,masked,unmasked"],
+    ):
+        assert _run([str(a) for a in argv]) == (0, ""), argv
+
+    # the guard itself works: eval-det still reads the value objects
+    with pytest.raises(AssertionError, match="value-object tuple"):
+        _run(["eval-det", "--annotations", str(ann), "--detections", str(det)])
+
+
+def test_load_then_write_gives_the_same_bytes(tmp_path):
+    params = SynthParams(seed=3, n_images=9, jitter_sigma=2.0, false_positive_rate=2.0,
+                         unknown_probability=0.1)
+    write_synth_scene(synth_scene(params, include_density=False), tmp_path)
+    ann, det = tmp_path / "annotations.jsonl", tmp_path / "detections.jsonl"
+    dataset.save_annotations(load_annotations(ann), tmp_path / "ann2.jsonl")
+    dataset.write_detections(load_detections(det), tmp_path / "det2.jsonl")
+    assert (tmp_path / "ann2.jsonl").read_bytes() == ann.read_bytes()
+    assert (tmp_path / "det2.jsonl").read_bytes() == det.read_bytes()
