@@ -634,9 +634,9 @@ def dataset_stats(train: DatasetManifest, test: DatasetManifest) -> dict[str, Ta
     # per split: images, then the faces of each FaceLabel
     counts = []
     for _, m in splits:
-        labels = [a.label for rec in m.images for a in rec.annotations]
-        counts.append((len(m), *(labels.count(lab) for lab in FaceLabel)))
-    names = [lab.value for lab in FaceLabel]
+        labels = np.concatenate([np.zeros(0, np.int8), *(rec.labels for rec in m.images)])
+        counts.append((len(m), *map(int, np.bincount(labels, minlength=len(FACE_LABELS)))))
+    names = [lab.value for lab in FACE_LABELS]
     count_rows = [(name, *c) for (name, _), c in zip(splits, counts)]
     count_rows.append(("Total", *(sum(col) for col in zip(*counts))))
     averages = [
@@ -644,13 +644,16 @@ def dataset_stats(train: DatasetManifest, test: DatasetManifest) -> dict[str, Ta
         for (name, _), (n, *faces) in zip(splits, counts)
     ]
 
-    def histogram(labels, edges, values_of_record) -> Table:
-        # values_of_record(rec) gives a record's values; None (no ratio) is left out
-        columns = [
-            _histogram([v for r in m.images for v in values_of_record(r) if v is not None], edges)
-            for _, m in splits
-        ]
+    def histogram(labels, edges, values_of_images) -> Table:
+        columns = [_histogram(values_of_images(m.images), edges) for _, m in splits]
         return Table(("bin", "training", "testing"), tuple(zip(labels, *columns)))
+
+    def face_sizes(images):
+        boxes = np.concatenate([np.zeros((0, 4)), *(rec.boxes for rec in images)])
+        return np.maximum(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
+
+    def ratios(images):  # images with no known face have no ratio and are left out
+        return [r for r in (annotation_ratio(rec).ratio for rec in images) if r is not None]
 
     # i / _RATIO_BINS puts every ratio k/n equal to i/10 exactly on its edge;
     # ratios never exceed 1, so the open last bin of _histogram is [0.9-1]
@@ -659,16 +662,10 @@ def dataset_stats(train: DatasetManifest, test: DatasetManifest) -> dict[str, Ta
     return {
         "counts": Table(("split", "images", *names), count_rows),
         "per_image_averages": Table(("split", *names), averages),
-        "face_size_histogram": histogram(
-            _bin_labels(_SIZE_EDGES),
-            _SIZE_EDGES,
-            lambda rec: [max(a.box.width, a.box.height) for a in rec.annotations],
-        ),
-        "mask_ratio_histogram": histogram(
-            ratio_labels, ratio_edges, lambda rec: [annotation_ratio(rec.annotations).ratio]
-        ),
+        "face_size_histogram": histogram(_bin_labels(_SIZE_EDGES), _SIZE_EDGES, face_sizes),
+        "mask_ratio_histogram": histogram(ratio_labels, ratio_edges, ratios),
         "faces_per_image_histogram": histogram(
-            _bin_labels(_COUNT_EDGES), _COUNT_EDGES, lambda rec: [float(len(rec.annotations))]
+            _bin_labels(_COUNT_EDGES), _COUNT_EDGES, lambda images: [len(r.labels) for r in images]
         ),
     }
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataFormatError
 
@@ -31,6 +30,16 @@ _NFMD_HEADER = struct.Struct("<III")
 # Below this sigma the truncation window can miss every cell center, so the
 # face degenerates to a unit deposit in its nearest cell.
 _DELTA_SIGMA = 1e-6
+
+# The k-nearest search of adaptive_sigmas compares blocks of at most
+# _KNN_BLOCK query rows against all n points, holding two such arrays at a
+# time; the grid holds three (n, width) arrays, its candidate lists capped at
+# _KNN_BLOCK columns. So the search never holds more than 3 x _KNN_BLOCK x n
+# float64 values. Below _GRID_MIN_POINTS points the exact comparison alone is
+# faster than the grid (measured on uniform 1280x720 scenes, k=3: 0.14 vs
+# 0.18 ms at 136 points, 0.25 vs 0.18 ms at 139, 27 vs 2.9 ms at 2,000).
+_KNN_BLOCK = 256
+_GRID_MIN_POINTS = 138
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,8 +126,9 @@ class DensityMap:
 def adaptive_sigmas(pts: PointSet, spec: KernelSpec = KernelSpec()) -> list[float]:
     """Per-point Gaussian sigma: beta times the mean distance to the nearest neighbors.
 
-    Uses the min(k, N-1) nearest other points. A single isolated point falls
-    back to ``spec.sigma_default``.
+    Uses the min(k, N-1) nearest other points, found by an exact search: each
+    distance is sqrt(dx*dx + dy*dy) of the two points' coordinates. A single
+    isolated point falls back to ``spec.sigma_default``.
     """
     n = len(pts)
     if n == 0:
@@ -126,12 +136,91 @@ def adaptive_sigmas(pts: PointSet, spec: KernelSpec = KernelSpec()) -> list[floa
     if n == 1:
         return [spec.sigma_default]
     coords = np.asarray(pts.points, dtype=np.float64)
-    n_neighbors = min(spec.k, n - 1)
-    tree = cKDTree(coords)
-    # query includes the point itself at distance 0 in column 0
-    dists, _ = tree.query(coords, k=n_neighbors + 1)
-    mean_dist = dists[:, 1:].mean(axis=1)
+    # column 0 is the point itself (or a duplicate of it) at distance 0
+    kk = min(spec.k, n - 1) + 1
+    d2 = _grid_nearest_sq(coords, kk) if n >= _GRID_MIN_POINTS else None
+    if d2 is None:
+        d2 = _nearest_sq(coords, coords, kk)
+    mean_dist = np.sqrt(d2)[:, 1:].mean(axis=1)
     return [spec.beta * d for d in mean_dist]
+
+
+def _nearest_sq(queries: np.ndarray, coords: np.ndarray, kk: int) -> np.ndarray:
+    """The kk smallest squared distances from each query to coords, ascending."""
+    out = np.empty((len(queries), kk))
+    for s in range(0, len(queries), _KNN_BLOCK):
+        q = queries[s : s + _KNN_BLOCK]
+        d2 = np.subtract.outer(q[:, 0], coords[:, 0])
+        d2 *= d2
+        dy = np.subtract.outer(q[:, 1], coords[:, 1])
+        dy *= dy
+        d2 += dy
+        del dy
+        d2.partition(kk - 1, axis=1)
+        out[s : s + len(q)] = np.sort(d2[:, :kk], axis=1)
+    return out
+
+
+def _grid_nearest_sq(coords: np.ndarray, kk: int) -> np.ndarray | None:
+    """_nearest_sq(coords, coords, kk), pruned by a uniform grid; None if it does not fit.
+
+    Cells are sized to hold about kk points, and each point's candidates are
+    the points of the 3x3 cells around its own. A row is kept only if its
+    kk-th squared distance is at most the squared distance to the nearest
+    edge of that block, shrunk by a margin far above rounding error, so no
+    point outside the block can be nearer; other rows are searched against
+    every point. None when every point is in one spot or the fullest block
+    row holds too many candidates (piled-up duplicates or a dense crowd).
+    """
+    n = len(coords)
+    lo = coords.min(axis=0)
+    ext = coords.max(axis=0) - lo
+    # the second term keeps cells of a thin or collinear scene from shrinking to nothing
+    side = max(math.sqrt(ext[0] * ext[1] * kk / n), ext.max() * kk / n)
+    if not side > 0.0:
+        return None
+    shape = (ext // side).astype(np.intp) + 1  # cells along x, y
+    cell = np.minimum(((coords - lo) // side).astype(np.intp), shape - 1)
+    nx, ny = shape
+    ids = cell[:, 1] * nx + cell[:, 0]
+    order = np.argsort(ids, kind="stable")
+    starts = np.zeros(nx * ny + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ids, minlength=nx * ny), out=starts[1:])
+    # a block row's three cells are one run of the cell-sorted points
+    rows = cell[:, 1, None] + np.arange(-1, 2)
+    valid = (rows >= 0) & (rows < ny)
+    first = np.clip(rows, 0, ny - 1) * nx
+    begin = np.where(valid, starts[first + np.maximum(cell[:, 0, None] - 1, 0)], 0)
+    end = np.where(valid, starts[first + np.minimum(cell[:, 0, None] + 1, nx - 1) + 1], 0)
+    width = int((end - begin).max())
+    if not kk <= 3 * width <= _KNN_BLOCK:
+        return None
+    # padding slots point at index n, a sentinel at infinity
+    xs, ys = (np.append(coords[order, axis], np.inf) for axis in (0, 1))
+    idx = begin[:, :, None] + np.arange(width)
+    idx[idx >= end[:, :, None]] = n
+    idx = idx.reshape(n, -1)
+    d2 = xs[idx]
+    d2 -= coords[:, 0, None]
+    d2 *= d2
+    dy = ys[idx]
+    del idx
+    dy -= coords[:, 1, None]
+    dy *= dy
+    d2 += dy
+    del dy
+    d2.partition(kk - 1, axis=1)
+    d2 = np.sort(d2[:, :kk], axis=1)
+    # distance to the block's nearest edge; a side that reaches the grid's border has none
+    edge = np.minimum(
+        np.where(cell > 1, coords - (lo + (cell - 1) * side), np.inf),
+        np.where(cell < shape - 2, lo + (cell + 2) * side - coords, np.inf),
+    ).min(axis=1)
+    edge = np.maximum(edge - 1e-9 * (np.abs(lo).max() + ext.max() + side), 0.0)
+    redo = np.flatnonzero(~(d2[:, -1] <= edge * edge))
+    if len(redo):
+        d2[redo] = _nearest_sq(coords[redo], coords, kk)
+    return d2
 
 
 def render_density(

@@ -4,8 +4,9 @@ Everything here is deliberately written as plain scalar loops, separate from
 the vectorized implementations under test: IoU is recomputed inline, matching
 decisions are enumerated one detection at a time, the precision envelope is
 an explicit suffix scan, gradients come from bump-and-reevaluate central
-differences over the public forward pass, and the JSONL loaders check one
-line and one face at a time into value objects.
+differences over the public forward pass, the JSONL loaders check one line
+and one face at a time into value objects, and the adaptive kernel sigmas
+come from scipy's k-d tree.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import warnings
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from maskbench.density import (
     DensityMap,
@@ -196,6 +198,22 @@ def neighbor_sigmas(
         nearest = dists[: min(k, n - 1)]
         out.append(beta * sum(nearest) / len(nearest))
     return out
+
+
+def adaptive_sigmas_kdtree(pts: PointSet, spec: KernelSpec = KernelSpec()) -> list[float]:
+    """adaptive_sigmas through scipy's k-d tree: the reference for the exact numpy search."""
+    n = len(pts)
+    if n == 0:
+        raise ValueError("adaptive_sigmas requires a non-empty point set")
+    if n == 1:
+        return [spec.sigma_default]
+    coords = np.asarray(pts.points, dtype=np.float64)
+    n_neighbors = min(spec.k, n - 1)
+    tree = cKDTree(coords)
+    # query includes the point itself at distance 0 in column 0
+    dists, _ = tree.query(coords, k=n_neighbors + 1)
+    mean_dist = dists[:, 1:].mean(axis=1)
+    return [spec.beta * d for d in mean_dist]
 
 
 def nms_scalar(dets: list[Detection], iou_thr: float) -> list[Detection]:

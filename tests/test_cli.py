@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -631,3 +635,14 @@ def test_stdout_matches_out_file(command, fmt, scene_dir, tmp_path, capsys):
     else:
         want = out.read_bytes()
     assert stdout == want
+
+
+def test_import_loads_no_scipy():
+    # scipy.spatial alone cost about 0.2 s of a 0.3-s `import maskbench.cli`
+    code = ("import sys, maskbench, maskbench.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from maskbench import density
+from maskbench.cli import main
+from maskbench.dataset import SynthParams, synth_scene, write_synth_scene
 from maskbench.density import (
+    _GRID_MIN_POINTS,
     DensityMap,
     KernelSpec,
     PointSet,
@@ -15,7 +22,7 @@ from maskbench.density import (
 )
 from maskbench.errors import DataFormatError
 
-from oracles import neighbor_sigmas, render_density_two_step
+from oracles import adaptive_sigmas_kdtree, neighbor_sigmas, render_density_two_step
 
 
 def pts(points, w=64, h=64):
@@ -83,6 +90,142 @@ class TestAdaptiveSigmas:
             scaled = [(x * s, y * s) for x, y in points]
             got = adaptive_sigmas(pts(scaled, int(64 * s) + 1, int(64 * s) + 1))
             assert got == [b * s for b in base]
+
+
+def assert_sigmas_equal_kdtree(xy, w, h, ks=(1, 2, 3, 4)):
+    ps = PointSet(tuple(map(tuple, np.asarray(xy, dtype=np.float64))), w, h)
+    for k in ks:
+        spec = KernelSpec(k=k)
+        assert adaptive_sigmas(ps, spec) == adaptive_sigmas_kdtree(ps, spec), f"k={k}"
+
+
+class TestSigmasEqualKdTree:
+    """The exact search gives the k-d tree's sigmas bit for bit (==, not allclose),
+    below and above the point count where the grid takes over."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 500),
+        snap=st.sampled_from([0.0, 1.0, 0.5, 8.0, 37.0]),
+        dup_share=st.sampled_from([0.0, 0.1, 0.6]),
+        clusters=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_scenes(self, n, snap, dup_share, clusters, seed):
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform((0, 0), (320, 240), (n, 2))
+        if clusters:  # crowds amid sparse faces: some nearest faces lie outside the grid block
+            crowd = rng.random(n) < 0.8
+            centres = rng.uniform((0, 0), (320, 240), (clusters, 2))[rng.integers(0, clusters, n)]
+            xy[crowd] = np.clip(rng.normal(centres, 3.0)[crowd], 0, np.nextafter((320, 240), 0))
+        if snap:
+            xy = np.floor(xy / snap) * snap
+        dups = int(dup_share * n)
+        xy[rng.integers(0, n, dups)] = xy[rng.integers(0, n, dups)]
+        assert_sigmas_equal_kdtree(xy, 320, 240)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 30)),
+                    min_size=_GRID_MIN_POINTS - 8, max_size=_GRID_MIN_POINTS + 60))
+    def test_drawn_integer_points(self, points):
+        assert_sigmas_equal_kdtree(points, 41, 31)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_2000_faces_at_1280x720(self, seed):
+        rng = np.random.default_rng(seed)
+        assert_sigmas_equal_kdtree(rng.uniform((0, 0), (1280, 720), (2000, 2)), 1280, 720,
+                                   ks=(1, 3, 4))
+
+    def test_integer_points_on_cell_edges(self):
+        # 400 points of a 21 x 21 lattice of step 5 span 100 x 100 pixels; at k=3
+        # the grid sizes its cells to hold 4 points, sqrt(100 * 100 * 4 / 400) = 10
+        # pixels or two steps, so every other lattice line is a cell edge
+        lattice = [(7 + 5 * i, 3 + 5 * j) for j in range(21) for i in range(21)]
+        interior = [p for p in lattice if 7 < p[0] < 107 and 3 < p[1] < 103]
+        dropped = {interior[i] for i in np.random.default_rng(0).choice(len(interior), 41, False)}
+        kept = [p for p in lattice if p not in dropped]
+        assert len(kept) == 400
+        assert_sigmas_equal_kdtree(kept, 120, 110)
+        assert_sigmas_equal_kdtree(lattice, 120, 110)
+        assert_sigmas_equal_kdtree(kept + kept[::3], 120, 110)
+        rng = np.random.default_rng(9)
+        assert_sigmas_equal_kdtree(np.floor(rng.uniform(0, 64, (600, 2))), 64, 64)
+
+    @pytest.mark.parametrize("q, step", [((20.4, 55.0), (-1, 0)), ((55.0, 20.4), (0, -1)),
+                                         ((89.5, 55.0), (1, 0)), ((55.0, 89.5), (0, 1))])
+    def test_nearest_face_just_outside_the_block(self, q, step):
+        # 400 faces over 100 x 100 pixels: 10-pixel cells at k=3, as above. q is in
+        # the second or second-last cell from a border, 15 pixels from its 3 x 3
+        # block's edges across the step and about 10.4 along it. Its nearest face
+        # lies 10.5 pixels along the step, just outside the block; the next ones
+        # are lattice faces inside the block, 12 to 15 pixels away
+        lattice = [(5.0 * i, 5.0 * j) for j in range(21) for i in range(21)]
+        far = [p for p in lattice if math.dist(p, q) >= 12]
+        inner = sorted((p for p in far if 0 < p[0] < 100 and 0 < p[1] < 100),
+                       key=lambda p: -math.dist(p, q))
+        faces = [p for p in far if p not in inner[: len(far) - 398]]
+        faces += [q, (q[0] + 10.5 * step[0], q[1] + 10.5 * step[1])]
+        assert len(faces) == 400
+        assert_sigmas_equal_kdtree(faces, 101, 101, ks=(1, 3))
+
+    def test_collinear_points(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, 500, 300)
+        assert_sigmas_equal_kdtree(np.column_stack([x, np.full(300, 100.0)]), 512, 512)
+        assert_sigmas_equal_kdtree(np.column_stack([np.full(300, 3.5), x]), 512, 512)
+        steps = np.arange(300.0)
+        assert_sigmas_equal_kdtree(np.column_stack([steps, steps]), 512, 512)
+
+    @pytest.mark.parametrize("n", [2, 5, _GRID_MIN_POINTS, 400])
+    def test_all_identical_points(self, n):
+        assert_sigmas_equal_kdtree([(12.25, 40.5)] * n, 64, 64)
+        assert adaptive_sigmas(pts([(12.25, 40.5)] * n)) == [0.0] * n
+
+    def test_heavy_duplicates(self):
+        rng = np.random.default_rng(8)
+        xy = rng.uniform((0, 0), (1280, 720), (2000, 2))
+        xy[:1000] = xy[0]  # one spot holds half the scene
+        assert_sigmas_equal_kdtree(xy, 1280, 720, ks=(1, 3))
+        spots = rng.uniform((0, 0), (300, 200), (10, 2))
+        assert_sigmas_equal_kdtree(np.repeat(spots, 30, axis=0), 300, 200)
+        # pairs and triples of twins among distinct points
+        xy = rng.uniform((0, 0), (300, 200), (300, 2))
+        xy[100:200] = xy[:100]
+        xy[200:250] = xy[:50]
+        assert_sigmas_equal_kdtree(xy, 300, 200)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tiny_scenes_and_k_at_least_n(self, n):
+        rng = np.random.default_rng(n)
+        assert_sigmas_equal_kdtree(rng.uniform(0, 64, (n, 2)), 64, 64, ks=(1, 2, 3, 4))
+        assert_sigmas_equal_kdtree([(5.0, 5.0)] * n, 64, 64, ks=(1, 2, 3, 4))
+
+
+def test_gen_density_bytes_match_the_kdtree_oracle(tmp_path, monkeypatch):
+    params = SynthParams(seed=21, n_images=5, faces_min=10, faces_max=300,
+                         image_width=320, image_height=200, unknown_probability=0.1)
+    scene = synth_scene(params, include_density=False)
+    counts = [len(rec.labels) for rec in scene.manifest.images]
+    assert min(counts) < _GRID_MIN_POINTS <= max(counts)
+    write_synth_scene(scene, tmp_path)
+    ann = tmp_path / "annotations.jsonl"
+
+    def gen(out):
+        argv = ["gen-density", "--annotations", str(ann), "--out", str(out),
+                "--subsets", "total,masked,unmasked", "--downscale", "1"]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    fast = gen(tmp_path / "fast")
+    calls = []
+
+    def oracle(pts, spec):
+        calls.append(len(pts))
+        return adaptive_sigmas_kdtree(pts, spec)
+
+    monkeypatch.setattr(density, "adaptive_sigmas", oracle)
+    assert gen(tmp_path / "oracle") == fast
+    assert len(fast) == 3 * len(counts) and max(calls) >= _GRID_MIN_POINTS
 
 
 class TestRenderDensity:

@@ -28,7 +28,7 @@ from maskbench.dataset import (
 from maskbench.errors import DataFormatError
 from maskbench.geometry import FACE_LABELS, boxes_to_array
 
-from oracles import load_annotations_objects, load_detections_objects
+from oracles import dataset_stats_loops, load_annotations_objects, load_detections_objects
 from test_exit_codes import (
     ANNOTATIONS,
     DETECTIONS,
@@ -278,6 +278,24 @@ def test_array_paths_build_no_value_objects(tmp_path, monkeypatch):
     # the guard itself works: eval-det still reads the value objects
     with pytest.raises(AssertionError, match="value-object tuple"):
         _run(["eval-det", "--annotations", str(ann), "--detections", str(det)])
+
+
+def test_stats_builds_no_value_objects(tmp_path, monkeypatch):
+    params = SynthParams(seed=6, n_images=15, faces_min=0, faces_max=20, image_width=300,
+                         image_height=200, face_size_min=4.0, unknown_probability=0.2)
+    write_synth_scene(synth_scene(params, include_density=False), tmp_path)
+    ann = tmp_path / "annotations.jsonl"
+
+    def refuse(*args):
+        raise AssertionError("a value-object tuple was built")
+
+    monkeypatch.setattr(dataset, "_build_annotations", refuse)
+    argv = ["stats", "--train", ann, "--test", ann, "--out", tmp_path / "stats.json"]
+    assert _run([str(a) for a in argv]) == (0, "")
+    tables = dataset.dataset_stats(load_annotations(ann), load_annotations(ann))
+    monkeypatch.undo()
+    manifest = load_annotations(ann)
+    assert tables == dataset_stats_loops(manifest, manifest)
 
 
 def test_load_then_write_gives_the_same_bytes(tmp_path):
