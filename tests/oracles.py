@@ -5,8 +5,10 @@ the vectorized implementations under test: IoU is recomputed inline, matching
 decisions are enumerated one detection at a time, the precision envelope is
 an explicit suffix scan, gradients come from bump-and-reevaluate central
 differences over the public forward pass, the JSONL loaders check one line
-and one face at a time into value objects, and the adaptive kernel sigmas
-come from scipy's k-d tree.
+and one face at a time into value objects, the adaptive kernel sigmas
+come from scipy's k-d tree, and density maps are drawn one face at a time,
+either from two block-summed 1-D profiles or at full resolution and then
+block-summed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from maskbench.density import (
+    _DELTA_SIGMA,
     DensityMap,
     KernelSpec,
     PointSet,
@@ -229,6 +232,61 @@ def nms_scalar(dets: list[Detection], iou_thr: float) -> list[Detection]:
             kept.append(i)
     kept.sort()
     return [dets[i] for i in kept]
+
+
+def render_density_loop(
+    pts: PointSet, spec: KernelSpec = KernelSpec(), downscale: int = 1
+) -> DensityMap:
+    """The per-face renderer: the reference for render_density's batched profiles.
+
+    Render a density map at 1/downscale of image resolution; each face has mass 1.
+
+    The Gaussian for face i is sampled at pixel centers, truncated at
+    ``truncation_radius * sigma_i`` per axis, clipped to the image, and then
+    renormalized over the surviving pixels. Each of the ceil(H/downscale) x
+    ceil(W/downscale) output cells holds the sum of its downscale x downscale
+    pixel block, as ``downsample_sum_preserving`` of the full-resolution map
+    would. The kernel is separable, so a face's block sums are the outer
+    product of its two per-axis profiles, each block-summed and normalized by
+    its own sum; no full-resolution map is made. Contributions are
+    accumulated in input order, so the result is bit-reproducible. An empty
+    point set yields an all-zero map.
+    """
+    if not isinstance(downscale, (int, np.integer)) or downscale <= 0:
+        raise ValueError(f"downscale must be a positive integer, got {downscale!r}")
+    h, w = pts.image_height, pts.image_width
+    values = np.zeros((-(-h // downscale), -(-w // downscale)), dtype=np.float64)
+    if len(pts) == 0:
+        return DensityMap(values, downscale)
+
+    for (x, y), sigma in zip(pts.points, adaptive_sigmas(pts, spec)):
+        if sigma > _DELTA_SIGMA:
+            r = spec.truncation_radius * sigma
+            xs = _block_profile(x, sigma, r, w, downscale)
+            ys = _block_profile(y, sigma, r, h, downscale)
+            if xs is not None and ys is not None:
+                (c0, px), (r0, py) = xs, ys
+                values[r0 : r0 + len(py), c0 : c0 + len(px)] += np.outer(py, px)
+                continue
+        # degenerate kernel: all mass into the cell containing the point
+        values[min(h - 1, int(y)) // downscale, min(w - 1, int(x)) // downscale] += 1.0
+    return DensityMap(values, downscale)
+
+
+def _block_profile(center: float, sigma: float, r: float, size: int, ds: int):
+    """(first cell, ds-pixel block sums normalized to 1) of one axis's Gaussian, or None.
+
+    None when no pixel center (p + 0.5) lies within +-r of the center, or
+    every weight underflows.
+    """
+    pix = np.arange(
+        max(0, math.ceil(center - r - 0.5)), min(size - 1, math.floor(center + r - 0.5)) + 1
+    )
+    g = np.exp(-((pix + 0.5 - center) ** 2) / (2.0 * sigma * sigma))
+    total = g.sum()  # 0.0 for an empty window
+    if not total > 0.0:
+        return None
+    return pix[0] // ds, np.bincount(pix // ds - pix[0] // ds, weights=g) / total
 
 
 def render_density_two_step(

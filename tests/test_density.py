@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maskbench import density
+from maskbench import cli, density
 from maskbench.cli import main
 from maskbench.dataset import SynthParams, synth_scene, write_synth_scene
 from maskbench.density import (
     _GRID_MIN_POINTS,
+    _PROFILE_BLOCK,
     DensityMap,
     KernelSpec,
     PointSet,
@@ -22,7 +23,12 @@ from maskbench.density import (
 )
 from maskbench.errors import DataFormatError
 
-from oracles import adaptive_sigmas_kdtree, neighbor_sigmas, render_density_two_step
+from oracles import (
+    adaptive_sigmas_kdtree,
+    neighbor_sigmas,
+    render_density_loop,
+    render_density_two_step,
+)
 
 
 def pts(points, w=64, h=64):
@@ -51,6 +57,12 @@ class TestKernelSpec:
             KernelSpec(beta=0.0)
         with pytest.raises(ValueError):
             KernelSpec(k=0)
+
+    @pytest.mark.parametrize("field", ["beta", "sigma_default", "truncation_radius"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
+            KernelSpec(**{field: value})
 
 
 class TestAdaptiveSigmas:
@@ -370,6 +382,141 @@ class TestIntegrateCount:
 
     def test_uniform_map(self):
         assert integrate_count(DensityMap(np.full((8, 8), 0.25))) == pytest.approx(16.0)
+
+
+def _drawn_scene(rng, n, w, h, snap, dup_share, clusters, edge_share):
+    """n faces in a w x h frame: snapped, duplicated, crowded, and some on the four edges."""
+    top = np.nextafter((w, h), 0)
+    xy = rng.uniform((0, 0), (w, h), (n, 2))
+    if clusters:
+        crowd = rng.random(n) < 0.7
+        centres = rng.uniform((0, 0), (w, h), (clusters, 2))[rng.integers(0, clusters, n)]
+        xy[crowd] = np.clip(rng.normal(centres, 2.0)[crowd], 0, top)
+    if snap:
+        xy = np.minimum(np.floor(xy / snap) * snap, top)
+    dups = int(dup_share * n)
+    xy[rng.integers(0, n, dups)] = xy[rng.integers(0, n, dups)]
+    # the window of a face on an edge is clipped there
+    edge = rng.random(n) < edge_share
+    side = rng.integers(0, 4, n)
+    xy[edge & (side == 0), 0] = 0.0
+    xy[edge & (side == 1), 0] = top[0]
+    xy[edge & (side == 2), 1] = 0.0
+    xy[edge & (side == 3), 1] = top[1]
+    return PointSet(tuple(map(tuple, xy)), w, h)
+
+
+def assert_render_equals_loop(ps, spec, ds):
+    got = render_density(ps, spec, ds)
+    want = render_density_loop(ps, spec, ds)
+    assert got.values.shape == want.values.shape and got.downscale == want.downscale
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestRenderEqualsLoop:
+    """The batched profiles give the per-face renderer's map bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 500),
+        w=st.integers(1, 300),
+        h=st.integers(1, 200),
+        ds=st.integers(1, 9),
+        snap=st.sampled_from([0.0, 0.5, 1.0, 8.0]),
+        dup_share=st.sampled_from([0.0, 0.1, 0.6]),
+        clusters=st.integers(0, 3),
+        edge_share=st.sampled_from([0.0, 0.2]),
+        spec=st.sampled_from([
+            KernelSpec(),
+            KernelSpec(beta=1e-9),  # every sigma below the degenerate cutoff
+            KernelSpec(sigma_default=1e-7, k=1),  # a lone face is degenerate
+            KernelSpec(beta=50.0, sigma_default=500.0),  # windows cover the whole image
+            KernelSpec(beta=0.05, k=1, truncation_radius=0.6),  # many empty windows
+            KernelSpec(truncation_radius=40.0),  # far weights that underflow
+            KernelSpec(beta=1e-4, truncation_radius=1e4),  # windows whose weights all do
+        ]),
+        block=st.sampled_from([_PROFILE_BLOCK, 256, 1]),  # one chunk, several, one face each
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_scenes(self, n, w, h, ds, snap, dup_share, clusters, edge_share, spec,
+                          block, seed):
+        ps = _drawn_scene(np.random.default_rng(seed), n, w, h, snap, dup_share, clusters,
+                          edge_share)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "_PROFILE_BLOCK", block)
+            assert_render_equals_loop(ps, spec, ds)
+
+    @pytest.mark.parametrize("ds", [1, 4, 8])
+    def test_2000_faces_span_several_chunks(self, ds, monkeypatch):
+        rng = np.random.default_rng(ds)
+        ps = _drawn_scene(rng, 2000, 1280, 720, 0.0, 0.05, 0, 0.01)
+        chunks = []
+
+        def counted(*args):
+            chunks.append(len(args[0]) // 2)
+            return profiles(*args)
+
+        profiles = density._profiles
+        monkeypatch.setattr(density, "_profiles", counted)
+        assert_render_equals_loop(ps, KernelSpec(), ds)
+        assert len(chunks) >= 2 and sum(chunks) == 2000
+
+    def test_a_window_longer_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(density, "_PROFILE_BLOCK", 100)
+        ps = PointSet(((30.5, 20.25), (400.0, 300.0), (401.5, 299.0)), 640, 480)
+        assert_render_equals_loop(ps, KernelSpec(sigma_default=300.0), 1)
+        assert_render_equals_loop(ps, KernelSpec(beta=200.0), 3)
+
+    @pytest.mark.parametrize(
+        "spec, points, match",
+        [
+            (KernelSpec(beta=1e308), [(10.0, 10.0), (50.0, 40.0)],
+             r"beta 1e\+308 makes a kernel sigma overflow to infinity"),
+            (KernelSpec(truncation_radius=1e308), [(10.0, 10.0), (50.0, 40.0)],
+             r"truncation_radius 1e\+308 makes the radius of a kernel of sigma 1\d\.\d+ overflow"),
+            (KernelSpec(truncation_radius=1e308), [(10.0, 10.0)],
+             r"truncation_radius 1e\+308 makes the radius of a kernel of sigma 4\.0 overflow"),
+            (KernelSpec(sigma_default=1e308), [(10.0, 10.0)],
+             r"truncation_radius 3\.0 makes the radius of a kernel of sigma 1e\+308 overflow"),
+        ],
+    )
+    def test_overflowing_kernel_is_a_value_error(self, spec, points, match):
+        with pytest.raises(ValueError, match=match):
+            render_density(pts(points), spec, 4)
+
+    def test_a_profile_whose_weights_all_underflow_is_a_deposit(self):
+        # sigma 1e-3 and radius 10: only a pixel center within 0.038 of the face keeps weight
+        ps = PointSet(((10.3, 20.7), (10.5, 30.5), (40.5, 20.3), (20.25, 5.5)), 64, 48)
+        spec = KernelSpec(beta=1e-4, k=1, truncation_radius=1e4)
+        assert_render_equals_loop(ps, spec, 1)
+        got = render_density(ps, spec, 1).values
+        assert got[20, 10] == got[20, 40] == got[5, 20] == 1.0 and got[30, 10] == 1.0
+
+    def test_huge_finite_sigma_spreads_the_face_evenly(self):
+        ps = pts([(10.0, 5.0)], w=12, h=8)
+        spec = KernelSpec(sigma_default=1e200)
+        assert_render_equals_loop(ps, spec, 1)
+        assert render_density(ps, spec, 1).values.tolist() == [[1 / 96] * 12] * 8
+
+
+def test_gen_density_bytes_match_the_loop_oracle(tmp_path, monkeypatch):
+    params = SynthParams(seed=23, n_images=4, faces_min=1, faces_max=400,
+                         image_width=333, image_height=201, unknown_probability=0.1)
+    write_synth_scene(synth_scene(params, include_density=False), tmp_path)
+    ann = tmp_path / "annotations.jsonl"
+
+    def gen(out, ds):
+        argv = ["gen-density", "--annotations", str(ann), "--out", str(out),
+                "--subsets", "total,masked,unmasked", "--downscale", str(ds)]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    for ds in (1, 4, 8):
+        fast = gen(tmp_path / f"fast{ds}", ds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "render_density", render_density_loop)
+            assert gen(tmp_path / f"loop{ds}", ds) == fast
+        assert len(fast) == 12
 
 
 class TestDownsample:

@@ -223,3 +223,32 @@ def test_damaged_density_map_exits_two_naming_it(tmp_path, damage, victim):
     code, err = run(count)
     assert code == 2
     assert err.startswith(f"error: {maps / victim}: "), err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--sigma-default", "inf", "sigma_default must be positive and finite, got inf"),
+    ("--truncation", "inf", "truncation_radius must be positive and finite, got inf"),
+    ("--beta", "inf", "beta must be positive and finite, got inf"),
+    ("--beta", "nan", "beta must be positive and finite, got nan"),
+    ("--beta", "1e308", "beta 1e+308 makes a kernel sigma overflow to infinity"),
+    ("--truncation", "1e308", "truncation_radius 1e+308 makes the radius of a kernel"),
+    ("--sigma-default", "1e308", "of sigma 1e+308 overflow to infinity"),
+])
+def test_kernel_that_overflows_exits_two_naming_it(tmp_path, flag, value, message):
+    paths = write_inputs(tmp_path, "annotations", ANNOTATIONS)
+    argv = ["gen-density", "--annotations", str(paths["annotations"]),
+            "--out", str(tmp_path / "maps"), flag, value]
+    code, err = run(argv)
+    assert code == 2 and err.startswith("error: ") and message in err, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("inf", "beta must be positive and finite, got inf"),
+    ("1e308", "beta 1e+308 makes a kernel sigma overflow to infinity"),
+])
+def test_synth_beta_that_overflows_exits_two_naming_it(tmp_path, value, message):
+    argv = ["synth", "--seed", "3", "--out", str(tmp_path / "scene"), "--images", "2",
+            "--faces-min", "3", "--faces-max", "6", "--beta", value]
+    code, err = run(argv)
+    assert code == 2 and err.startswith("error: ") and message in err, err
