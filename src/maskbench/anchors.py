@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Annotation, FaceLabel, boxes_to_array, iou_matrix
+from .geometry import LABEL_CODES, Annotation, FaceLabel, face_arrays, iou_matrix
 
 DEFAULT_LEVELS: tuple[int, ...] = (3, 4, 5, 6, 7)
 DEFAULT_RATIOS: tuple[float, ...] = (0.5, 1.0, 2.0)  # width:height
@@ -164,9 +164,9 @@ def match_anchors(
     class_target = np.zeros(n, dtype=np.float64)
 
     if gts:
-        gt_boxes = boxes_to_array(a.box for a in gts)
-        unknown = np.array([a.label is FaceLabel.UNKNOWN for a in gts])
-        masked = np.array([a.label is FaceLabel.MASKED for a in gts])
+        gt_boxes, gt_labels, _ = face_arrays(gts)
+        unknown = gt_labels == LABEL_CODES[FaceLabel.UNKNOWN]
+        masked = gt_labels == LABEL_CODES[FaceLabel.MASKED]
         ious = iou_matrix(boxes, gt_boxes)
 
         best_gt = ious.argmax(axis=1)  # ties resolve to the lowest index

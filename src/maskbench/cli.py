@@ -28,6 +28,7 @@ from .dataset import (
     SynthParams,
     Table,
     _parse_box,
+    _unique_keys,
     dataset_stats,
     density_path,
     load_annotations,
@@ -232,9 +233,8 @@ def _cmd_gen_density(args) -> int:
 
 def _cmd_eval_det(args) -> int:
     manifest = load_annotations(args.annotations)
-    records = load_detections(args.detections)
-    dets = {i: rec.detections for i, rec in _dets_by_image(manifest, records, args.nms_iou).items()}
-    gts = manifest.annotations_by_id()
+    dets = _dets_by_image(manifest, load_detections(args.detections), args.nms_iou)
+    gts = {rec.image_id: rec for rec in manifest.images}
     cfg = EvalConfig(iou_thr=args.iou_thr)
 
     cells = [
@@ -254,17 +254,14 @@ def _cmd_eval_det(args) -> int:
 def _count_rows(
     est: Mapping[str, RatioReport], gt: Mapping[str, RatioReport], order: Sequence[str]
 ) -> list[tuple]:
-    def counts(reports: Mapping[str, RatioReport], quantity: str) -> list[float]:
-        if quantity == "total":
-            return [reports[i].total for i in order]
-        return [getattr(reports[i], f"{quantity}_count") for i in order]
-
-    rows = []
-    for quantity in ("masked", "unmasked", "total"):
-        e, g = counts(est, quantity), counts(gt, quantity)
-        gamma = pearson(e, g) if len(order) >= 2 else None
-        rows.append((quantity, len(order), mae(e, g), gamma))
-    return rows
+    # [quantity, estimated or ground truth, image], from one pass over the images
+    columns = np.array(
+        [(r.masked_count, r.unmasked_count, r.total) for i in order for r in (est[i], gt[i])]
+    ).reshape(-1, 2, 3).transpose(2, 1, 0).copy()
+    return [
+        (quantity, len(order), mae(e, g), pearson(e, g) if len(order) >= 2 else None)
+        for quantity, (e, g) in zip(("masked", "unmasked", "total"), columns)
+    ]
 
 
 def _ratio_gamma(pairs: Sequence[tuple[str, float, float]]) -> float | None:
@@ -355,9 +352,11 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_loss_eval(args) -> int:
     with open(args.fixture, "r", encoding="utf-8") as f:
         try:
-            fixture = json.load(f)
+            fixture = json.load(f, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{args.fixture}: invalid JSON: {exc}") from exc
+        except DataFormatError as exc:  # a repeated key
+            raise DataFormatError(f"{args.fixture}: {exc}") from exc
 
     def get(obj, key, default=None):
         if not isinstance(obj, dict):
@@ -525,28 +524,25 @@ def build_parser() -> _Parser:
     p.add_argument("--annotations", required=True)
     p.add_argument("--density-dir", required=True, help="directory of <image_id>.<subset>.nfmd")
 
-    p = add("eval-ratio", _cmd_eval_ratio, "per-image counts and mask-wearing ratio quality", parents=(common, report))
-    p.add_argument("--annotations", required=True)
-    src = p.add_mutually_exclusive_group(required=True)
+    # the per-image ratio estimates of eval-ratio and report-video
+    estimates = _Parser(add_help=False)
+    estimates.add_argument("--annotations", required=True)
+    src = estimates.add_mutually_exclusive_group(required=True)
     src.add_argument("--detections", help="detections JSONL (detection path)")
     src.add_argument("--density-dir", help="NFMD directory (density path)")
-    p.add_argument("--conf-thr", type=float, default=0.5, help="detection confidence threshold")
+    estimates.add_argument("--conf-thr", type=float, default=0.5, help="detection confidence threshold")
+    estimates.add_argument("--nms-iou", type=float, default=None, help="apply NMS at this IoU first")
+    estimates.add_argument("--convention", choices=("masked", "unmasked"), default="masked",
+                           help="which count forms the ratio numerator")
+
+    p = add("eval-ratio", _cmd_eval_ratio, "per-image counts and mask-wearing ratio quality",
+            parents=(common, report, estimates))
     p.add_argument("--min-faces", type=int, default=5, help="skip images with fewer gt faces")
-    p.add_argument("--nms-iou", type=float, default=None, help="apply NMS at this IoU first")
-    p.add_argument("--convention", choices=("masked", "unmasked"), default="masked",
-                   help="which count forms the ratio numerator")
     p.add_argument("--by-condition", action="store_true", help="add per-condition ratio rows")
     p.add_argument("--scatter", default=None, help="also write scatter pairs CSV here")
 
-    p = add("report-video", _cmd_report_video, "per-video mean ratio table", parents=(common, report))
-    p.add_argument("--annotations", required=True)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--detections", help="detections JSONL (detection path)")
-    src.add_argument("--density-dir", help="NFMD directory (density path)")
-    p.add_argument("--conf-thr", type=float, default=0.5, help="detection confidence threshold")
-    p.add_argument("--nms-iou", type=float, default=None, help="apply NMS at this IoU first")
-    p.add_argument("--convention", choices=("masked", "unmasked"), default="masked",
-                   help="which count forms the ratio numerator")
+    add("report-video", _cmd_report_video, "per-video mean ratio table",
+        parents=(common, report, estimates))
 
     p = add("gradcheck", _cmd_gradcheck, "verify fusion weight gradients against finite differences", parents=(common, report))
     p.add_argument("--seed", type=int, default=0)

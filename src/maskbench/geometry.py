@@ -25,7 +25,7 @@ class FaceLabel(Enum):
 
 # a label array holds each face's index into FACE_LABELS, as int8
 FACE_LABELS: tuple[FaceLabel, ...] = tuple(FaceLabel)
-_LABEL_CODES = {lab: i for i, lab in enumerate(FACE_LABELS)}
+LABEL_CODES = {lab: i for i, lab in enumerate(FACE_LABELS)}
 
 
 class SizeBucket(Enum):
@@ -39,6 +39,11 @@ class SizeBucket(Enum):
     M = "M"
     L = "L"
     EXCLUDED = "excluded"
+
+
+# a size-bucket array holds each box's index into SIZE_BUCKETS, as int8
+SIZE_BUCKETS: tuple[SizeBucket, ...] = tuple(SizeBucket)
+_S, _M, _L, _EXCLUDED = range(len(SIZE_BUCKETS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,27 +115,38 @@ def iou(a: BBox, b: BBox) -> float:
 
 def size_bucket(box: BBox) -> SizeBucket:
     """Assign a box to its size bucket (see SizeBucket for the partition)."""
-    w, h = box.width, box.height
-    if w < 8.0 or h < 8.0:
-        return SizeBucket.EXCLUDED
-    if w <= 16.0 and h <= 16.0:
-        return SizeBucket.S
-    if w > 32.0 and h > 32.0:
-        return SizeBucket.L
-    return SizeBucket.M
+    return SIZE_BUCKETS[size_buckets(boxes_to_array((box,)))[0]]
+
+
+def size_buckets(boxes: np.ndarray) -> np.ndarray:
+    """The (N,) int8 size-bucket codes (see SIZE_BUCKETS) of (N, 4) ltrb boxes."""
+    w, h = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+    out = np.full(len(boxes), _M, dtype=np.int8)
+    out[(w <= 16.0) & (h <= 16.0)] = _S
+    out[(w > 32.0) & (h > 32.0)] = _L
+    out[(w < 8.0) | (h < 8.0)] = _EXCLUDED
+    return out
 
 
 def boxes_to_array(boxes: Iterable[BBox]) -> np.ndarray:
     """Stack boxes into an (N, 4) float64 array of (left, top, right, bottom)."""
-    data = [(b.left, b.top, b.right, b.bottom) for b in boxes]
-    if not data:
-        return np.zeros((0, 4), dtype=np.float64)
-    return np.asarray(data, dtype=np.float64)
+    return np.array([(b.left, b.top, b.right, b.bottom) for b in boxes], np.float64).reshape(-1, 4)
 
 
-def labels_to_array(labels: Iterable[FaceLabel]) -> np.ndarray:
-    """The (N,) int8 label array of labels (see FACE_LABELS)."""
-    return np.fromiter((_LABEL_CODES[lab] for lab in labels), dtype=np.int8)
+def face_arrays(faces) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(boxes, labels, conf) of a record, or of a sequence of Annotation or of Detection.
+
+    boxes is (N, 4) float64 ltrb, labels (N,) int8 codes (see FACE_LABELS), conf (N,)
+    float64 or None for annotations. A record gives its own arrays; nothing else
+    turns value objects into arrays.
+    """
+    if hasattr(faces, "labels"):
+        return faces.boxes, faces.labels, getattr(faces, "conf", None)
+    faces = tuple(faces)
+    labels = np.fromiter((LABEL_CODES[f.label] for f in faces), dtype=np.int8, count=len(faces))
+    detections = not faces or hasattr(faces[0], "confidence")
+    conf = np.array([f.confidence for f in faces], dtype=np.float64) if detections else None
+    return boxes_to_array(f.box for f in faces), labels, conf
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

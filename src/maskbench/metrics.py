@@ -8,13 +8,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import (
+    LABEL_CODES,
+    SIZE_BUCKETS,
     Annotation,
     Detection,
     FaceLabel,
     SizeBucket,
-    boxes_to_array,
+    face_arrays,
     iou_matrix,
-    size_bucket,
+    size_buckets,
 )
 from .ratio import RatioReport
 
@@ -58,61 +60,63 @@ def average_precision(
     match). AP is the area under the precision envelope over recall
     (all-point interpolation). Returns None when no ground truth is in scope.
 
-    The IoUs come from one iou_matrix per image against its in-scope ground
-    truth and one row-max per image against its ignore regions, computed
-    before ranking. iou_matrix evaluates the same float expression as the
-    scalar iou, so every match decision is bit-identical to scoring one
-    detection against one ground truth at a time.
+    An image's faces are a record or value objects (see face_arrays); scope
+    and ignore are masks over its label and size-bucket codes. The IoUs come
+    from one iou_matrix per image against its in-scope ground truth and one
+    row-max against its ignore regions, computed before ranking. iou_matrix
+    evaluates the same float expression as the scalar iou, so every match
+    decision is bit-identical to scoring one pair of boxes at a time.
     """
     if label is FaceLabel.UNKNOWN:
         raise ValueError("AP is defined for the masked/unmasked classes only")
     if bucket is SizeBucket.EXCLUDED:
         raise ValueError("the excluded bucket is never evaluated")
+    code, unknown = LABEL_CODES[label], LABEL_CODES[FaceLabel.UNKNOWN]
+    # in_bucket[c]: whether a face of the class in size bucket c is in scope
+    in_bucket = np.array([b in (BUCKETS if bucket is None else (bucket,)) for b in SIZE_BUCKETS])
 
-    # per image, only when non-empty
-    scope_boxes: dict[str, np.ndarray] = {}
-    ignore_boxes: dict[str, np.ndarray] = {}
-    n_pos = 0
+    scope_boxes, ignore_boxes = {}, {}  # per image, only when non-empty
     for image_id, annos in annotations.items():
-        scope, ignore = [], []
-        for a in annos:
-            if a.label is FaceLabel.UNKNOWN:
-                ignore.append(a.box)
-            elif a.label is label:
-                b = size_bucket(a.box)
-                in_scope = b is not SizeBucket.EXCLUDED if bucket is None else b is bucket
-                (scope if in_scope else ignore).append(a.box)
-        if scope:
-            scope_boxes[image_id] = boxes_to_array(scope)
-        if ignore:
-            ignore_boxes[image_id] = boxes_to_array(ignore)
-        n_pos += len(scope)
+        boxes, labels, _ = face_arrays(annos)
+        own = labels == code
+        scope = own & in_bucket[size_buckets(boxes)]
+        ignore = (own & ~scope) | (labels == unknown)
+        if scope.any():
+            scope_boxes[image_id] = boxes[scope]
+        if ignore.any():
+            ignore_boxes[image_id] = boxes[ignore]
+    n_pos = sum(len(b) for b in scope_boxes.values())
     if n_pos == 0:
         return None
 
-    items = []  # (image_id, row, confidence) in input order
-    scope_ious: dict[str, np.ndarray] = {}
-    best_ignores: dict[str, np.ndarray] = {}
+    # the class's detections in image order, then row order
+    image_of, row_of, confs = [], [], [np.zeros(0)]
+    scope_ious, best_ignores = {}, {}
     for image_id, dets in detections.items():
-        own = [d for d in dets if d.label is label]
-        if not own:
+        boxes, labels, conf = face_arrays(dets)
+        own = labels == code
+        n = int(np.count_nonzero(own))
+        if not n:
             continue
-        items.extend((image_id, row, d.confidence) for row, d in enumerate(own))
-        boxes = boxes_to_array(d.box for d in own)
+        image_of += [image_id] * n
+        row_of += range(n)
+        confs.append(conf[own])
+        boxes = boxes[own]
         if image_id in scope_boxes:
             scope_ious[image_id] = iou_matrix(boxes, scope_boxes[image_id])
         if image_id in ignore_boxes:
             best_ignores[image_id] = iou_matrix(boxes, ignore_boxes[image_id]).max(axis=1)
 
     # stable sort: equal confidences keep input order
-    ranked = sorted(items, key=lambda item: -item[2])
+    ranked = np.argsort(-np.concatenate(confs), kind="stable").tolist()
 
     matched: dict[str, np.ndarray] = {
         image_id: np.zeros(len(b), dtype=bool) for image_id, b in scope_boxes.items()
     }
     tp = np.zeros(len(ranked))
     fp = np.zeros(len(ranked))
-    for rank, (image_id, row, _) in enumerate(ranked):
+    for rank, k in enumerate(ranked):
+        image_id, row = image_of[k], row_of[k]
         best_scope, best_j = -1.0, -1
         ious = scope_ious.get(image_id)
         if ious is not None:
@@ -150,14 +154,17 @@ def mean_ap(aps: Sequence[float | None]) -> float:
     return float(np.mean(defined))
 
 
+def _series(c, c_gt, n_min: int, need: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both series as float64 arrays; ValueError unless 1-D, of equal length and >= n_min long."""
+    c, c_gt = np.asarray(c, dtype=np.float64), np.asarray(c_gt, dtype=np.float64)
+    if c.shape != c_gt.shape or c.ndim != 1 or c.shape[0] < n_min:
+        raise ValueError(f"{need}, got {c.shape} and {c_gt.shape}")
+    return c, c_gt
+
+
 def mae(c: Sequence[float], c_gt: Sequence[float]) -> float:
     """Mean absolute error between predicted and ground-truth values."""
-    c = np.asarray(c, dtype=np.float64)
-    c_gt = np.asarray(c_gt, dtype=np.float64)
-    if c.shape != c_gt.shape or c.ndim != 1 or c.shape[0] == 0:
-        raise ValueError(
-            f"mae needs two equal-length non-empty series, got {c.shape} and {c_gt.shape}"
-        )
+    c, c_gt = _series(c, c_gt, 1, "mae needs two equal-length non-empty series")
     return float(np.mean(np.abs(c - c_gt)))
 
 
@@ -167,13 +174,7 @@ def pearson(c: Sequence[float], c_gt: Sequence[float]) -> float | None:
     Clipped to [-1, 1]: on nearly collinear series the rounding of the sums
     can otherwise land a few ulps outside it.
     """
-    c = np.asarray(c, dtype=np.float64)
-    c_gt = np.asarray(c_gt, dtype=np.float64)
-    if c.shape != c_gt.shape or c.ndim != 1 or c.shape[0] < 2:
-        raise ValueError(
-            f"pearson needs two equal-length series of >= 2 values, got "
-            f"{c.shape} and {c_gt.shape}"
-        )
+    c, c_gt = _series(c, c_gt, 2, "pearson needs two equal-length series of >= 2 values")
     dc = c - c.mean()
     dg = c_gt - c_gt.mean()
     denom = np.sqrt(np.sum(dc * dc)) * np.sqrt(np.sum(dg * dg))

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .geometry import FACE_LABELS, Detection, FaceLabel, boxes_to_array, iou_matrix, labels_to_array
+from .geometry import LABEL_CODES, Detection, FaceLabel, face_arrays, iou_matrix
 from .geometry import iou  # noqa: F401  (unused; perfbench's tracer wraps ratio.iou)
 
 
@@ -67,6 +67,8 @@ class RatioReport:
         return self.unmasked_count / self.total if self.total > 0.0 else None
 
 
+_MASKED, _UNMASKED = LABEL_CODES[FaceLabel.MASKED], LABEL_CODES[FaceLabel.UNMASKED]
+
 # candidates settled per step of nms; caps its IoU temporaries at this many rows
 _NMS_BLOCK = 64
 
@@ -87,11 +89,8 @@ def nms(dets: Sequence[Detection], iou_thr: float = 0.4) -> list[Detection]:
     """
     if not (0.0 < iou_thr <= 1.0):
         raise ValueError(f"iou_thr must be in (0, 1], got {iou_thr}")
-    if not dets:
-        return []
-    boxes = boxes_to_array(d.box for d in dets)
-    conf = np.array([d.confidence for d in dets])
-    masked = np.array([d.label is FaceLabel.MASKED for d in dets])
+    boxes, labels, conf = face_arrays(dets)
+    masked = labels == _MASKED
     keep = np.zeros(len(dets), dtype=bool)
     for in_class in (masked, ~masked):
         idx = np.flatnonzero(in_class)
@@ -109,35 +108,28 @@ def nms(dets: Sequence[Detection], iou_thr: float = 0.4) -> list[Detection]:
     return [dets[i] for i in np.flatnonzero(keep)]
 
 
-_MASKED, _UNMASKED = (FACE_LABELS.index(lab) for lab in (FaceLabel.MASKED, FaceLabel.UNMASKED))
-
-
 def _label_counts(labels: np.ndarray) -> RatioReport:
-    return RatioReport(
-        float(np.count_nonzero(labels == _MASKED)), float(np.count_nonzero(labels == _UNMASKED))
-    )
+    counts = np.bincount(labels, minlength=len(LABEL_CODES))
+    return RatioReport(float(counts[_MASKED]), float(counts[_UNMASKED]))
 
 
 def detection_ratio(dets, conf_thr: float = 0.5) -> RatioReport:
     """Count detections at or above the confidence threshold by label.
 
-    dets is a sequence of Detection or a record carrying labels and conf arrays.
+    dets is a sequence of Detection or a detection record (see face_arrays).
     """
     if not (0.0 <= conf_thr <= 1.0):
         raise ValueError(f"conf_thr must be in [0, 1], got {conf_thr}")
-    if hasattr(dets, "conf"):
-        return _label_counts(dets.labels[dets.conf >= conf_thr])
-    return _label_counts(labels_to_array(d.label for d in dets if d.confidence >= conf_thr))
+    _, labels, conf = face_arrays(dets)
+    return _label_counts(labels[conf >= conf_thr])
 
 
 def annotation_ratio(annotations) -> RatioReport:
     """Ground-truth counts for one image; UNKNOWN faces are not counted.
 
-    annotations is a sequence of Annotation or a record carrying a labels array.
+    annotations is a sequence of Annotation or a record (see face_arrays).
     """
-    if hasattr(annotations, "labels"):
-        return _label_counts(annotations.labels)
-    return _label_counts(labels_to_array(a.label for a in annotations))
+    return _label_counts(face_arrays(annotations)[1])
 
 
 def density_ratio(count_total: float, count_unmasked: float) -> RatioReport:

@@ -438,17 +438,32 @@ def _field(obj: dict, key: str, where: str):
     return obj[key]
 
 
+class _Repeated(Exception):
+    pass
+
+
+def _no_repeats(pairs):
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise _Repeated(key)
+        seen.add(key)
+    return dict(pairs)
+
+
 def _json_lines(path):
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, object_pairs_hook=_no_repeats)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(
                     f"{path}:{lineno}:{exc.colno}: invalid JSON: {exc.msg}"
                 ) from exc
+            except _Repeated as exc:
+                raise DataFormatError(f"{path}:{lineno}: repeated key {exc.args[0]!r}") from exc
             if not isinstance(obj, dict):
                 raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, obj

@@ -387,6 +387,9 @@ class TestEvalCli:
 
 
 def _exact_ap(dets, gts, label, bucket, cfg):
+    # eval-det passes records; the scalar reference reads their value objects
+    dets = {i: list(rec.detections) for i, rec in dets.items()}
+    gts = {i: list(rec.annotations) for i, rec in gts.items()}
     matches = brute_force_matches(dets, gts, label, bucket, cfg.iou_thr)
     return None if matches is None else envelope_ap(*matches)
 

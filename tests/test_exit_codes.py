@@ -5,7 +5,8 @@ detections file or loss fixture to a hostile value, or drops it, and runs one
 command on it. `main` must return 0 or 2 with an `error:` line; it must never
 raise or report a usage error. An error in a JSONL file names its path and the
 mutated line, unless it is a disagreement between the two files, which names
-the image. Damaged NFMD maps exit 2 naming the map.
+the image. A JSON object that repeats a key, at any depth, exits 2 naming the
+file and, in JSONL, the line. Damaged NFMD maps exit 2 naming the map.
 """
 
 import contextlib
@@ -190,6 +191,26 @@ def test_one_dropped_field_exits_zero_or_two(tmp_path_factory, target):
         check_exit(write_inputs(root, target, dropped(doc, path)), target, path, command)
 
     check()
+
+
+@pytest.mark.parametrize("target, line, old, new, key", [
+    ("annotations", 2, '"video_id": "v1"', '"video_id": "v1", "video_id": "v1"', "video_id"),
+    ("annotations", 1, '"label": "unknown"', '"label": "unknown", "label": "masked"', "label"),
+    ("detections", 1, '"condition": "DT"', '"condition": "NT", "condition": "DT"', "condition"),
+    ("detections", 2, '"conf": 0.8', '"conf": 0.8, "conf": 0.8', "conf"),
+    ("fixture", None, '"pos_iou": 0.5', '"pos_iou": 0.5, "pos_iou": 0.9', "pos_iou"),
+    ("fixture", None, '"image": ', '"ground_truth": [], "image": ', "ground_truth"),
+])
+def test_repeated_key_exits_two_naming_it(tmp_path, target, line, old, new, key):
+    # a repeat used to keep the last value silently
+    paths = write_inputs(tmp_path, target, TARGETS[target][0])
+    text = paths[target].read_text()
+    assert text.count(old) == 1
+    paths[target].write_text(text.replace(old, new))
+    where = str(paths[target]) if line is None else f"{paths[target]}:{line}"
+    for command in TARGETS[target][2]:
+        code, err = run([a.format(**paths) for a in command])
+        assert (code, err) == (2, f"error: {where}: repeated key {key!r}\n"), command
 
 
 def _nfmd_truncated_header(data: bytes) -> bytes:

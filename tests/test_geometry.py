@@ -5,17 +5,24 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from maskbench.geometry import (
+    SIZE_BUCKETS,
+    Annotation,
     BBox,
     Detection,
     FaceLabel,
     SizeBucket,
     boxes_to_array,
+    face_arrays,
     iou,
     iou_matrix,
     size_bucket,
+    size_buckets,
 )
 
-from oracles import iou_scalar
+from oracles import bucket_of, iou_scalar
+
+# box sides on and just past the size-bucket edges
+BUCKET_EDGES = (7.999, 8.0, 16.0, 16.001, 32.0, 32.001)
 
 
 def box_strategy(lo=-100, hi=100):
@@ -135,3 +142,40 @@ class TestSizeBucket:
     def test_partition(self, w, h):
         # every valid box lands in exactly one bucket
         assert size_bucket(BBox(0, 0, w, h)) in SizeBucket
+
+    def test_size_buckets_equal_the_scalar_oracle_at_the_edges(self):
+        boxes = [BBox(x, y, x + w, y + h) for w in BUCKET_EDGES for h in BUCKET_EDGES
+                 for x, y in ((0.0, 0.0), (3.7, 101.3))]
+        codes = size_buckets(boxes_to_array(boxes))
+        assert codes.dtype == np.int8
+        assert [SIZE_BUCKETS[c] for c in codes.tolist()] == [bucket_of(b) for b in boxes]
+        assert [size_bucket(b) for b in boxes] == [bucket_of(b) for b in boxes]
+        assert size_buckets(boxes_to_array([])).shape == (0,)
+
+
+class TestFaceArrays:
+    def test_value_objects(self):
+        dets = [Detection(BBox(1, 2, 3, 4), FaceLabel.UNMASKED, 0.25),
+                Detection(BBox(0, 0, 9, 9.5), FaceLabel.MASKED, 1.0)]
+        boxes, labels, conf = face_arrays(dets)
+        assert boxes.tolist() == [[1, 2, 3, 4], [0, 0, 9, 9.5]]
+        assert labels.dtype == np.int8 and labels.tolist() == [1, 0]
+        assert conf.dtype == np.float64 and conf.tolist() == [0.25, 1.0]
+        boxes, labels, conf = face_arrays(iter([Annotation(BBox(1, 2, 3, 4), FaceLabel.UNKNOWN)]))
+        assert boxes.shape == (1, 4) and labels.tolist() == [2] and conf is None
+
+    def test_empty(self):
+        boxes, labels, conf = face_arrays([])
+        assert boxes.shape == (0, 4) and labels.shape == (0,) and conf.shape == (0,)
+
+    def test_record_arrays_pass_through(self):
+        from maskbench.dataset import DetectionRecord, ImageRecord
+        from maskbench.ratio import Condition, ImageMeta
+
+        meta = ImageMeta("v", Condition.DAYTIME)
+        rec = DetectionRecord("a", meta, [Detection(BBox(1, 2, 3, 4), FaceLabel.MASKED, 0.5)])
+        boxes, labels, conf = face_arrays(rec)
+        assert boxes is rec.boxes and labels is rec.labels and conf is rec.conf
+        rec = ImageRecord("a", meta, 9, 9, [Annotation(BBox(1, 2, 3, 4), FaceLabel.MASKED)])
+        boxes, labels, conf = face_arrays(rec)
+        assert boxes is rec.boxes and labels is rec.labels and conf is None

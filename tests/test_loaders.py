@@ -212,6 +212,31 @@ def test_duplicate_image_id_within_and_across_blocks(tmp_path, kind, case):
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("old, new, key", [
+    ('"video_id": ', '"video_id": "v", "video_id": ', "video_id"),
+    ('"box": ', '"label": "masked", "box": ', "label"),
+    ('"video_id": ', '"x": {"a": 1, "a": 2}, "video_id": ', "a"),
+    ('"video_id": ', '"video_id": "a:b", "video_id": ', "video_id"),
+    ('"video_id": ', '"x": "a:b", "video_id": ', None),
+], ids=["header", "face", "nested", "colon-in-string", "colon-no-repeat"])
+def test_repeated_key_past_the_first_block(tmp_path, kind, old, new, key):
+    # the block loader skips the key check when a block's ':' count is its key count
+    doc = long_doc(kind)
+    lines = [dumps(line) for line in doc]
+    # a line past the first block that holds faces
+    lineno = next(n for n in range(first_block_lines(doc) + 2, len(doc)) if '"box": ' in lines[n - 1])
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert_equivalent(kind, path)
+    if key is None:
+        LOADERS[kind][0](path)
+    else:
+        with pytest.raises(DataFormatError, match=f"{path}:{lineno}: repeated key {key!r}"):
+            LOADERS[kind][0](path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
 def test_read_error_comes_after_the_lines_before_it(tmp_path, kind):
     # invalid UTF-8 deep in the file: the faces before it warn first, and a data
     # error in an earlier line wins, as when the file is read line by line
@@ -240,7 +265,8 @@ def test_records_are_read_only_and_compare_by_value(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the commands that count faces read the arrays, never the value objects
+# the commands that count faces or score detections read the arrays, never the
+# value objects
 
 
 def _run(argv):
@@ -260,6 +286,7 @@ def test_array_paths_build_no_value_objects(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a value-object tuple was built")
 
+    build_detections = dataset._build_detections
     monkeypatch.setattr(dataset, "_build_annotations", refuse)
     monkeypatch.setattr(dataset, "_build_detections", refuse)
     ann, det, dens = scene / "annotations.jsonl", scene / "detections.jsonl", scene / "density"
@@ -272,12 +299,17 @@ def test_array_paths_build_no_value_objects(tmp_path, monkeypatch):
         ["eval-count", "--annotations", ann, "--density-dir", dens],
         ["gen-density", "--annotations", ann, "--out", tmp_path / "maps",
          "--subsets", "total,masked,unmasked"],
+        ["eval-det", "--annotations", ann, "--detections", det],
     ):
         assert _run([str(a) for a in argv]) == (0, ""), argv
 
-    # the guard itself works: eval-det still reads the value objects
+    # the guard itself works: NMS still reads Detection objects
+    nms_det = ["eval-det", "--annotations", str(ann), "--detections", str(det), "--nms-iou", "0.4"]
     with pytest.raises(AssertionError, match="value-object tuple"):
-        _run(["eval-det", "--annotations", str(ann), "--detections", str(det)])
+        _run(nms_det)
+    # and with the Detection objects allowed, NMS and AP build no Annotation
+    monkeypatch.setattr(dataset, "_build_detections", build_detections)
+    assert _run(nms_det) == (0, "")
 
 
 def test_stats_builds_no_value_objects(tmp_path, monkeypatch):

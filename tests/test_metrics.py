@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from maskbench.geometry import Annotation, BBox, Detection, FaceLabel, SizeBucket
+from maskbench.geometry import Annotation, BBox, Detection, FaceLabel, SizeBucket, iou
 from maskbench.metrics import (
     BUCKETS,
     EvalConfig,
@@ -12,9 +13,9 @@ from maskbench.metrics import (
     ratio_correlation,
     ratio_pairs,
 )
-from maskbench.ratio import RatioReport
+from maskbench.ratio import Condition, ImageMeta, RatioReport
 
-from maskbench.dataset import SynthParams, synth_scene
+from maskbench.dataset import DetectionRecord, ImageRecord, SynthParams, synth_scene
 
 from oracles import brute_force_ap, brute_force_matches, envelope_ap
 
@@ -172,6 +173,69 @@ def _random_instance(rng, n_images=None, max_dets=20):
             ds.append(det(l, t, r, b, conf, label))
         dets[iid] = ds
     return gts, dets
+
+
+# box sides on and just past the size-bucket edges, and some in between
+SIDES = (7.999, 8.0, 16.0, 16.001, 32.0, 32.001, 10.0, 20.0, 40.0)
+LABELS = (FaceLabel.MASKED, FaceLabel.UNMASKED, FaceLabel.UNKNOWN)
+CONFIDENCES = (0.0, 0.25, 0.5, 0.75, 1.0)  # few values, so many ties
+
+
+@st.composite
+def scenes(draw):
+    """(detections, annotations, iou_thr): object lists per image.
+
+    Images may be empty or have no detection entry at all. Detections copy a
+    face's box, shifted a little or not, or lie anywhere. In half the scenes
+    with such a copy, the IoU threshold is the exact IoU of one copy with its
+    face, so that a match decision falls on the threshold itself.
+    """
+    coord = st.integers(0, 60).map(float)
+    face = st.tuples(coord, coord, st.sampled_from(SIDES), st.sampled_from(SIDES),
+                     st.sampled_from(LABELS))
+    annotations, detections, pairs = {}, {}, []
+    for i in range(draw(st.integers(1, 5))):
+        faces = [Annotation(BBox(x, y, x + w, y + h), lab)
+                 for x, y, w, h, lab in draw(st.lists(face, max_size=6))]
+        annotations[f"im{i}"] = faces
+        if draw(st.booleans()) and i:
+            continue  # no detection entry for this image
+        dets = []
+        for _ in range(draw(st.integers(0, 6))):
+            label = draw(st.sampled_from(LABELS[:2]))
+            conf = draw(st.sampled_from(CONFIDENCES))
+            if faces and draw(st.booleans()):
+                src = draw(st.sampled_from(faces)).box
+                dx, dy = draw(st.sampled_from((0.0, 1.0, 2.5))), draw(st.sampled_from((0.0, 3.0)))
+                box = BBox(src.left + dx, src.top + dy, src.right + dx, src.bottom + dy)
+                pairs.append((box, src))
+            else:
+                x, y = draw(coord), draw(coord)
+                box = BBox(x, y, x + draw(st.sampled_from(SIDES)), y + draw(st.sampled_from(SIDES)))
+            dets.append(Detection(box, label, conf))
+        detections[f"im{i}"] = dets
+    thr = 0.4
+    if pairs and draw(st.booleans()):
+        thr = iou(*draw(st.sampled_from(pairs)))
+    return detections, annotations, thr
+
+
+META = ImageMeta("v", Condition.DAYTIME)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scenes())
+def test_ap_on_records_equals_object_lists_and_brute_force_decisions(scene):
+    detections, annotations, thr = scene
+    det_records = {i: DetectionRecord(i, META, d) for i, d in detections.items()}
+    gt_records = {i: ImageRecord(i, META, 100, 100, a) for i, a in annotations.items()}
+    cfg = EvalConfig(iou_thr=thr)
+    for label in (FaceLabel.MASKED, FaceLabel.UNMASKED):
+        for bucket in (None, *BUCKETS):
+            got = average_precision(det_records, gt_records, label, bucket, cfg)
+            assert got == average_precision(detections, annotations, label, bucket, cfg)
+            matches = brute_force_matches(detections, annotations, label, bucket, thr)
+            assert got == (None if matches is None else envelope_ap(*matches))
 
 
 class TestMeanAp:
