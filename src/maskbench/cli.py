@@ -28,7 +28,6 @@ from .dataset import (
     SynthParams,
     Table,
     _parse_box,
-    _unique_keys,
     dataset_stats,
     density_path,
     load_annotations,
@@ -36,6 +35,7 @@ from .dataset import (
     render_report,
     subset_points,
     synth_scene,
+    unique_keys,
     write_report,
     write_synth_scene,
 )
@@ -254,13 +254,18 @@ def _cmd_eval_det(args) -> int:
 def _count_rows(
     est: Mapping[str, RatioReport], gt: Mapping[str, RatioReport], order: Sequence[str]
 ) -> list[tuple]:
-    # [quantity, estimated or ground truth, image], from one pass over the images
-    columns = np.array(
-        [(r.masked_count, r.unmasked_count, r.total) for i in order for r in (est[i], gt[i])]
-    ).reshape(-1, 2, 3).transpose(2, 1, 0).copy()
+    def counts(r: RatioReport) -> tuple:
+        return r.masked_count, r.unmasked_count, r.total
+
+    # each quantity's estimated and ground-truth columns, filled in one pass over order
+    columns = {quantity: ([], []) for quantity in ("masked", "unmasked", "total")}
+    for i in order:
+        for (e, g), x, y in zip(columns.values(), counts(est[i]), counts(gt[i])):
+            e.append(x)
+            g.append(y)
     return [
         (quantity, len(order), mae(e, g), pearson(e, g) if len(order) >= 2 else None)
-        for quantity, (e, g) in zip(("masked", "unmasked", "total"), columns)
+        for quantity, (e, g) in columns.items()
     ]
 
 
@@ -352,7 +357,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_loss_eval(args) -> int:
     with open(args.fixture, "r", encoding="utf-8") as f:
         try:
-            fixture = json.load(f, object_pairs_hook=_unique_keys)
+            fixture = json.load(f, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{args.fixture}: invalid JSON: {exc}") from exc
         except DataFormatError as exc:  # a repeated key

@@ -55,11 +55,11 @@ class _FaceRecord:
     """A frame's faces as read-only arrays; their value objects are built on demand.
 
     boxes is (N, 4) float64 (left, top, right, bottom) and labels (N,) int8
-    indices into FACE_LABELS. Records are immutable and compare by value. A
-    subclass's last slot caches its value objects; the others are its fields.
+    indices into FACE_LABELS. Records are immutable and compare by value.
     """
 
     __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -69,14 +69,14 @@ class _FaceRecord:
             return NotImplemented
         return all(
             np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-            for x, y in ((getattr(self, f), getattr(other, f)) for f in self.__slots__[:-1])
+            for x, y in ((getattr(self, f), getattr(other, f)) for f in self._FIELDS)
         )
 
     def __hash__(self) -> int:
         return hash((self.image_id, self.meta, len(self.labels)))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__[:-1])
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
         return f"{type(self).__name__}({fields})"
 
 
@@ -110,6 +110,7 @@ class ImageRecord(_FaceRecord):
     """
 
     __slots__ = ("image_id", "meta", "width", "height", "boxes", "labels", "_annotations")
+    _FIELDS = ("image_id", "meta", "width", "height", "boxes", "labels")
 
     def __init__(
         self,
@@ -168,6 +169,7 @@ class DetectionRecord(_FaceRecord):
     """
 
     __slots__ = ("image_id", "meta", "boxes", "labels", "conf", "_detections")
+    _FIELDS = ("image_id", "meta", "boxes", "labels", "conf")
 
     def __init__(
         self,
@@ -287,7 +289,7 @@ def _blocks(path) -> Iterator[list[tuple[int, str]]]:
             yield block
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's dict; raises DataFormatError naming its first repeated key."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
@@ -298,15 +300,15 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 # one decoder for every line: json.loads with a hook would build one per call
-_KEY_CHECK = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_KEY_CHECK = json.JSONDecoder(object_pairs_hook=unique_keys)
 
 
-def _decode(path, lineno: int, line: str, check_keys: bool = True) -> dict:
-    """The line's JSON object; check_keys decodes it again to reject a repeated key."""
+def _decode(path, lineno: int, line: str) -> dict:
+    """The line's JSON object, decoded once; a repeated key at any depth is an error."""
     try:
-        obj = json.loads(line)
-        if check_keys:
-            _KEY_CHECK.decode(line)
+        if line.startswith("\ufeff"):  # json.loads refuses it; JSONDecoder.decode does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        obj = _KEY_CHECK.decode(line)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}:{lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except DataFormatError as exc:
@@ -363,18 +365,8 @@ def _load(path, read_block, read_line) -> list:
 
 
 def _block_headers(path, block, seen, read_header) -> list[tuple]:
-    """Each line's checked header (image_id first, faces last); raises if an image_id repeats.
-
-    The lines skip the repeated-key check (a fifth of a load) unless the
-    block's ':' count differs from the key count of its lines and their faces:
-    a block that passes has only object faces, so equal counts leave no repeat.
-    """
-    objs = [_decode(path, n, line, check_keys=False) for n, line in block]
-    heads = [read_header(obj, f"{path}:{n}", seen) for obj, (n, _) in zip(objs, block)]
-    keys = sum(map(len, objs)) + sum(map(len, chain.from_iterable(h[-1] for h in heads)))
-    if sum(line.count(":") for _, line in block) != keys:
-        for n, line in block:
-            _decode(path, n, line)
+    """Each line's checked header (image_id first); raises if an image_id repeats."""
+    heads = [read_header(_decode(path, n, line), f"{path}:{n}", seen) for n, line in block]
     if len({h[0] for h in heads}) < len(heads):
         raise ValueError("an image_id repeats")
     return heads

@@ -220,7 +220,7 @@ def test_duplicate_image_id_within_and_across_blocks(tmp_path, kind, case):
     ('"video_id": ', '"x": "a:b", "video_id": ', None),
 ], ids=["header", "face", "nested", "colon-in-string", "colon-no-repeat"])
 def test_repeated_key_past_the_first_block(tmp_path, kind, old, new, key):
-    # the block loader skips the key check when a block's ':' count is its key count
+    # at any depth, in a block that the block loader reads, and with ':' in strings
     doc = long_doc(kind)
     lines = [dumps(line) for line in doc]
     # a line past the first block that holds faces
@@ -234,6 +234,28 @@ def test_repeated_key_past_the_first_block(tmp_path, kind, old, new, key):
     else:
         with pytest.raises(DataFormatError, match=f"{path}:{lineno}: repeated key {key!r}"):
             LOADERS[kind][0](path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_repeated_key_comes_before_trailing_text(tmp_path, kind):
+    # the object closes, and its repeat is found, before the text after it is read
+    lines = [dumps(line) for line in long_doc(kind)]
+    lines[0] = lines[0].replace('"video_id": ', '"video_id": "v", "video_id": ', 1) + " x"
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert_equivalent(kind, path)
+    with pytest.raises(DataFormatError, match=f"{path}:1: repeated key 'video_id'"):
+        LOADERS[kind][0](path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_bom_is_invalid_json(tmp_path, kind):
+    lines = [dumps(line) for line in long_doc(kind)]
+    path = tmp_path / "in.jsonl"
+    path.write_text("\ufeff" + "".join(line + "\n" for line in lines), encoding="utf-8")
+    assert_equivalent(kind, path)
+    with pytest.raises(DataFormatError, match=f"{path}:1:1: invalid JSON: Unexpected UTF-8 BOM"):
+        LOADERS[kind][0](path)
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
