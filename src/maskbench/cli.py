@@ -105,7 +105,7 @@ def _dets_by_image(
     by_image = {rec.image_id: rec for rec in records}
     if nms_iou is not None:
         by_image = {
-            i: DetectionRecord(i, rec.meta, nms(list(rec.detections), nms_iou))
+            i: DetectionRecord(i, rec.meta, nms(rec.detections, nms_iou))
             for i, rec in by_image.items()
         }
     # images without a detection record count as zero detections
@@ -334,6 +334,8 @@ def _cmd_report_video(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {args.tolerance}")
     worst = fusion.run_gradient_check(
         seed=args.seed,
         trials=args.trials,

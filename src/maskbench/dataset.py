@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -52,14 +52,14 @@ class SmallFaceWarning(UserWarning):
 
 
 class _FaceRecord:
-    """A frame's faces as read-only arrays; their value objects are built on demand.
+    """A frame's faces as read-only arrays; their value objects are built on each access.
 
     boxes is (N, 4) float64 (left, top, right, bottom) and labels (N,) int8
-    indices into FACE_LABELS. Records are immutable and compare by value.
+    indices into FACE_LABELS. Records are immutable and compare by value: every
+    slot is a compared field.
     """
 
     __slots__ = ()
-    _FIELDS: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -69,19 +69,21 @@ class _FaceRecord:
             return NotImplemented
         return all(
             np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-            for x, y in ((getattr(self, f), getattr(other, f)) for f in self._FIELDS)
+            for x, y in ((getattr(self, f), getattr(other, f)) for f in self.__slots__)
         )
 
     def __hash__(self) -> int:
         return hash((self.image_id, self.meta, len(self.labels)))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
-        return f"{type(self).__name__}({fields})"
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({shown})"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """a if it is read-only, else a read-only copy: a record never changes its caller's array."""
     if a.flags.writeable:
+        a = a.copy()
         a.flags.writeable = False
     return a
 
@@ -105,12 +107,11 @@ def _build_detections(
 class ImageRecord(_FaceRecord):
     """One annotated frame.
 
-    Built from Annotation objects, or by the loader from arrays; the
-    annotations tuple is built from the arrays on first access and cached.
+    Built from Annotation objects, of which it keeps only the arrays, or by the
+    loader from arrays; the annotations tuple is rebuilt on every access.
     """
 
-    __slots__ = ("image_id", "meta", "width", "height", "boxes", "labels", "_annotations")
-    _FIELDS = ("image_id", "meta", "width", "height", "boxes", "labels")
+    __slots__ = ("image_id", "meta", "width", "height", "boxes", "labels")
 
     def __init__(
         self,
@@ -124,10 +125,7 @@ class ImageRecord(_FaceRecord):
         labels: np.ndarray | None = None,
     ) -> None:
         if boxes is None:
-            annotations = tuple(annotations)
             boxes, labels, _ = face_arrays(annotations)
-        else:
-            annotations = None
         init = object.__setattr__
         init(self, "image_id", image_id)
         init(self, "meta", meta)
@@ -135,13 +133,10 @@ class ImageRecord(_FaceRecord):
         init(self, "height", height)
         init(self, "boxes", _readonly(boxes))
         init(self, "labels", _readonly(labels))
-        init(self, "_annotations", annotations)
 
     @property
     def annotations(self) -> tuple[Annotation, ...]:
-        if self._annotations is None:
-            object.__setattr__(self, "_annotations", _build_annotations(self.boxes, self.labels))
-        return self._annotations
+        return _build_annotations(self.boxes, self.labels)
 
 
 @dataclass(frozen=True)
@@ -164,12 +159,11 @@ class DatasetManifest:
 class DetectionRecord(_FaceRecord):
     """One frame's detector output; conf is its (N,) float64 confidence array.
 
-    Built from Detection objects, or by the loader from arrays; the
-    detections tuple is built from the arrays on first access and cached.
+    Built from Detection objects, of which it keeps only the arrays, or by the
+    loader from arrays; the detections tuple is rebuilt on every access.
     """
 
-    __slots__ = ("image_id", "meta", "boxes", "labels", "conf", "_detections")
-    _FIELDS = ("image_id", "meta", "boxes", "labels", "conf")
+    __slots__ = ("image_id", "meta", "boxes", "labels", "conf")
 
     def __init__(
         self,
@@ -182,25 +176,17 @@ class DetectionRecord(_FaceRecord):
         conf: np.ndarray | None = None,
     ) -> None:
         if boxes is None:
-            detections = tuple(detections)
             boxes, labels, conf = face_arrays(detections)
-        else:
-            detections = None
         init = object.__setattr__
         init(self, "image_id", image_id)
         init(self, "meta", meta)
         init(self, "boxes", _readonly(boxes))
         init(self, "labels", _readonly(labels))
         init(self, "conf", _readonly(conf))
-        init(self, "_detections", detections)
 
     @property
     def detections(self) -> tuple[Detection, ...]:
-        if self._detections is None:
-            object.__setattr__(
-                self, "_detections", _build_detections(self.boxes, self.labels, self.conf)
-            )
-        return self._detections
+        return _build_detections(self.boxes, self.labels, self.conf)
 
 
 # the face subsets a density map can draw
@@ -337,16 +323,16 @@ def _parse_header(obj: dict, where: str, seen: set[str]) -> tuple[str, str, Cond
     return image_id, video_id, _CONDITIONS[condition]
 
 
-def _load(path, read_block, read_line) -> list:
+def _load(path, read_block, check_line) -> list:
     """Every record of a JSONL file, checked a block of lines at a time.
 
     read_block(path, block, seen) checks the block's faces as arrays and
     returns its records, warning about small faces last; it raises on anything
-    it does not accept as is. The block is then read again by read_line(path,
-    lineno, line, seen), one line and one face at a time: the only full
-    validator of per-face fields, it raises the first error, located, after
-    the warnings of the faces before it, or accepts what read_block was too
-    strict for. seen holds the image ids of the blocks before.
+    it does not accept. Then check_line(path, lineno, line, seen) locates the
+    error, one line and one face at a time: it raises the first one after the
+    warnings of the faces before it. The two accept the same inputs; should
+    check_line find nothing, read_block's error is raised. seen holds the
+    image ids of the blocks before.
     """
     records = []
     seen: set[str] = set()
@@ -354,11 +340,9 @@ def _load(path, read_block, read_line) -> list:
         try:
             got = read_block(path, block, seen)
         except Exception:
-            got = None
-        if got is None:
-            got = []
             for lineno, line in block:
-                got.append(read_line(path, lineno, line, seen))
+                check_line(path, lineno, line, seen)
+            raise
         seen.update(rec.image_id for rec in got)
         records.extend(got)
     return records
@@ -425,10 +409,11 @@ def _annotation_header(obj: dict, where: str, seen: set[str]):
     image_id, video_id, condition = _parse_header(obj, where, seen)
     width = _require(obj, "width", where)
     height = _require(obj, "height", where)
+    # below 2**53 a float64 holds every int exactly, so the block clamp compares as in Python
     if not all(
-        isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (width, height)
+        isinstance(v, int) and not isinstance(v, bool) and 0 < v < 2**53 for v in (width, height)
     ):
-        raise DataFormatError(f"{where}: width/height must be positive integers")
+        raise DataFormatError(f"{where}: width/height must be positive integers below 2**53")
     period = _require(obj, "period", where)
     if not isinstance(period, str) or period not in _PERIODS:
         raise DataFormatError(f"{where}: period must be 'before' or 'during'")
@@ -438,13 +423,13 @@ def _annotation_header(obj: dict, where: str, seen: set[str]):
     return image_id, ImageMeta(video_id, condition, _PERIODS[period]), width, height, faces
 
 
-def _annotation_line(path, lineno: int, line: str, seen: set[str]) -> ImageRecord:
+def _annotation_line(path, lineno: int, line: str, seen: set[str]) -> None:
+    """Check one annotations line face by face; raise its first error, located."""
     where = f"{path}:{lineno}"
-    image_id, meta, width, height, faces = _annotation_header(
+    image_id, _, width, height, faces = _annotation_header(
         _decode(path, lineno, line), where, seen
     )
     seen.add(image_id)
-    annotations = []
     for i, face in enumerate(faces):
         fwhere = f"{where}: face {i}"
         if not isinstance(face, dict):
@@ -457,8 +442,6 @@ def _annotation_line(path, lineno: int, line: str, seen: set[str]) -> ImageRecor
             )
         if box.width < 10.0 or box.height < 10.0:
             _warn_small(fwhere, image_id, box.width, box.height)
-        annotations.append(Annotation(box, _LABELS[label]))
-    return ImageRecord(image_id, meta, width, height, annotations)
 
 
 def _annotation_block(path, block, seen: set[str]) -> list[ImageRecord]:
@@ -466,9 +449,6 @@ def _annotation_block(path, block, seen: set[str]) -> list[ImageRecord]:
     counts = [len(h[4]) for h in heads]
     boxes, labels = _block_faces([f for h in heads for f in h[4]], _CODES)
     dims = np.array([h[2:4] for h in heads], dtype=np.float64).reshape(-1, 2)
-    # below 2**53 a float64 holds every int exactly, so the clamp compares as in Python
-    if not (dims < 2.0**53).all():
-        raise ValueError("an image is too large")
     # min(max(v, 0.0), bound) per coordinate, as _parse_box (NaN and -0.0 kept)
     bound = np.repeat(dims[:, [0, 1, 0, 1]], counts, axis=0)
     boxes = np.where(0.0 > boxes, 0.0, boxes)
@@ -530,11 +510,11 @@ def _detection_header(obj: dict, where: str, seen: set[str]):
     return image_id, ImageMeta(video_id, condition), dets_raw
 
 
-def _detection_line(path, lineno: int, line: str, seen: set[str]) -> DetectionRecord:
+def _detection_line(path, lineno: int, line: str, seen: set[str]) -> None:
+    """Check one detections line detection by detection; raise its first error, located."""
     where = f"{path}:{lineno}"
-    image_id, meta, dets_raw = _detection_header(_decode(path, lineno, line), where, seen)
+    image_id, _, dets_raw = _detection_header(_decode(path, lineno, line), where, seen)
     seen.add(image_id)
-    dets = []
     for i, det in enumerate(dets_raw):
         dwhere = f"{where}: detection {i}"
         if not isinstance(det, dict):
@@ -549,10 +529,9 @@ def _detection_line(path, lineno: int, line: str, seen: set[str]) -> DetectionRe
         if not isinstance(conf, (int, float)) or isinstance(conf, bool):
             raise DataFormatError(f"{dwhere}: conf must be a number")
         try:
-            dets.append(Detection(box, _LABELS[label], float(conf)))
+            Detection(box, _LABELS[label], float(conf))
         except (ValueError, OverflowError) as exc:
             raise DataFormatError(f"{dwhere}: {exc}") from exc
-    return DetectionRecord(image_id, meta, dets)
 
 
 def _detection_block(path, block, seen: set[str]) -> list[DetectionRecord]:
@@ -764,6 +743,9 @@ class SynthParams:
             raise ValueError("n_videos must be >= 1")
         if self.density_downscale < 1:
             raise ValueError("density_downscale must be >= 1")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
     @property
     def is_noiseless(self) -> bool:

@@ -391,10 +391,14 @@ def euclidean_loss(pred: Sequence[DensityMap], gt: Sequence[DensityMap]) -> floa
 
 def write_density(density: DensityMap, path) -> None:
     """Write a map as an NFMD file (f32 payload; see module docstring)."""
+    header = (density.width, density.height, density.downscale)
+    if max(header) >= 2**32:  # checked before the file is opened, so none is left behind
+        raise ValueError(f"{path}: NFMD width, height and downscale must be below 2**32, "
+                         f"got {header}")
     payload = np.ascontiguousarray(density.values, dtype="<f4").tobytes()
     with open(path, "wb") as f:
         f.write(_NFMD_MAGIC)
-        f.write(_NFMD_HEADER.pack(density.width, density.height, density.downscale))
+        f.write(_NFMD_HEADER.pack(*header))
         f.write(payload)
 
 

@@ -342,6 +342,7 @@ def finite_difference_gradients(
     Numerical cross-check for fusion_weight_gradients; two forward passes per
     weight.
     """
+    _check_step(step)
 
     def objective(w: FusionWeights) -> float:
         outputs, _ = _bifpn_forward(m_in, w, conv)
@@ -363,6 +364,11 @@ def finite_difference_gradients(
     return grads
 
 
+def _check_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step}")
+
+
 def run_gradient_check(
     seed: int = 0,
     trials: int = 100,
@@ -381,6 +387,7 @@ def run_gradient_check(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_step(step)
     rng = np.random.default_rng(seed)
     levels = (3, 4, 5)
     worst = 0.0

@@ -497,9 +497,10 @@ def load_annotations_objects(path):
         width = _field(obj, "width", where)
         height = _field(obj, "height", where)
         if not all(
-            isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (width, height)
+            isinstance(v, int) and not isinstance(v, bool) and 0 < v < 2**53
+            for v in (width, height)
         ):
-            raise DataFormatError(f"{where}: width/height must be positive integers")
+            raise DataFormatError(f"{where}: width/height must be positive integers below 2**53")
         period = _field(obj, "period", where)
         if not isinstance(period, str) or period not in _PERIODS:
             raise DataFormatError(f"{where}: period must be 'before' or 'during'")

@@ -225,6 +225,22 @@ def test_header_errors_match_across_loaders(tmp_path, edit):
     assert messages[0].startswith(f"{path}:2: ")
 
 
+def test_records_leave_the_callers_arrays_writable():
+    from maskbench.dataset import DetectionRecord
+
+    meta = ImageMeta("v1", Condition.DAYTIME)
+    b = np.array([[1.0, 2.0, 3.0, 4.0]])
+    labels, conf = np.array([0], np.int8), np.array([0.5])
+    rec = ImageRecord("a", meta, 9, 9, boxes=b, labels=labels)
+    det = DetectionRecord("a", meta, boxes=b, labels=labels, conf=conf)
+    assert b.flags.writeable and labels.flags.writeable and conf.flags.writeable
+    b[0, 0] = 0
+    assert rec.boxes.tolist() == det.boxes.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    assert not (rec.boxes.flags.writeable or det.conf.flags.writeable)
+    # a read-only array is kept as it is, not copied
+    assert ImageRecord("a", meta, 9, 9, boxes=rec.boxes, labels=rec.labels).boxes is rec.boxes
+
+
 def manifest_with(counts):
     """Manifest with given per-image (masked, unmasked, unknown) face counts."""
     images = []

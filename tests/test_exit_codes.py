@@ -6,9 +6,13 @@ command on it. `main` must return 0 or 2 with an `error:` line; it must never
 raise or report a usage error. An error in a JSONL file names its path and the
 mutated line, unless it is a disagreement between the two files, which names
 the image. A JSON object that repeats a key, at any depth, exits 2 naming the
-file and, in JSONL, the line. Damaged NFMD maps exit 2 naming the map.
+file and, in JSONL, the line. Damaged NFMD maps exit 2 naming the map. A flag
+that is non-finite, or that would overflow a map header, exits 2 naming the
+parameter. Every int option of every command is run with 0 and -1, every
+float option also with nan and inf; each run exits 0 or 2.
 """
 
+import argparse
 import contextlib
 import copy
 import io
@@ -19,7 +23,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from maskbench.cli import main
+from maskbench.cli import build_parser, main
 
 ANNOTATIONS = [
     {"image_id": "img0", "video_id": "v0", "condition": "DT", "period": "during",
@@ -273,3 +277,80 @@ def test_synth_beta_that_overflows_exits_two_naming_it(tmp_path, value, message)
             "--faces-min", "3", "--faces-max", "6", "--beta", value]
     code, err = run(argv)
     assert code == 2 and err.startswith("error: ") and message in err, err
+
+
+def test_width_beyond_float_range_exits_two_naming_it(tmp_path):
+    # a box clamped to the int 10**400 used to escape as an OverflowError
+    doc = copy.deepcopy(ANNOTATIONS)
+    doc[0]["width"] = 10**400
+    doc[0]["faces"][0]["box"] = [0, 4, _OVERFLOW, 22]
+    paths = write_inputs(tmp_path, "annotations", doc)
+    want = f"error: {paths['annotations']}:1: width/height must be positive integers below 2**53\n"
+    for command in TARGETS["annotations"][2]:
+        assert run([a.format(**paths) for a in command]) == (2, want), command
+
+
+_SYNTH = ["synth", "--seed", "3", "--images", "2", "--faces-min", "1", "--faces-max", "3",
+          "--width", "48", "--height", "40"]
+_GRADCHECK = ["gradcheck", "--trials", "1", "--max-size", "1", "--max-channels", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SYNTH + ["--face-size-max", "inf"], "face_size_max must be finite, got inf"),
+    (_SYNTH + ["--fp-rate", "nan"], "false_positive_rate must be finite, got nan"),
+    (_SYNTH + ["--jitter-sigma", "inf"], "jitter_sigma must be finite, got inf"),
+    (_GRADCHECK + ["--step", "0"], "step must be finite and positive, got 0.0"),
+    (_GRADCHECK + ["--step", "nan"], "step must be finite and positive, got nan"),
+    (_GRADCHECK + ["--tolerance", "inf"], "tolerance must be finite and >= 0, got inf"),
+])
+def test_non_finite_numeric_flag_exits_two_naming_it(tmp_path, argv, message):
+    out = ["--out", str(tmp_path / "out")]
+    assert run(argv + out) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-density", "--annotations", "{annotations}", "--out", "{root}/maps",
+     "--downscale", "4294967296"],
+    _SYNTH + ["--out", "{root}/maps", "--density-downscale", "4294967296"],
+])
+def test_density_header_beyond_u32_exits_two_and_writes_no_map(tmp_path, argv):
+    paths = write_inputs(tmp_path, "annotations", ANNOTATIONS)
+    code, err = run([a.format(root=tmp_path, **paths) for a in argv])
+    assert code == 2 and "must be below 2**32" in err and err.count("\n") == 1, err
+    assert not list(tmp_path.rglob("*.nfmd"))
+
+
+def _numeric_options(parser):
+    """(command, option, type) of every int or float option of every subcommand."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            if action.type in (int, float):
+                yield command, action.option_strings[-1], action.type
+
+
+def test_every_numeric_flag_exits_zero_or_two(tmp_path):
+    scene = tmp_path / "scene"
+    assert run(_SYNTH + ["--out", str(scene)])[0] == 0
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(dumps(FIXTURE))
+    ann, det = str(scene / "annotations.jsonl"), str(scene / "detections.jsonl")
+    base = {
+        "synth": _SYNTH + ["--out", str(tmp_path / "synth")],
+        "stats": ["stats", "--train", ann, "--test", ann],
+        "gen-density": ["gen-density", "--annotations", ann, "--out", str(tmp_path / "maps")],
+        "eval-det": ["eval-det", "--annotations", ann, "--detections", det],
+        "eval-count": ["eval-count", "--annotations", ann, "--density-dir", str(scene / "density")],
+        "eval-ratio": ["eval-ratio", "--annotations", ann, "--detections", det],
+        "report-video": ["report-video", "--annotations", ann, "--detections", det],
+        "gradcheck": _GRADCHECK,
+        "loss-eval": ["loss-eval", "--fixture", str(fixture)],
+    }
+    options = list(_numeric_options(build_parser()))
+    assert {c for c, _, _ in options} == set(base)
+    for command, option, kind in options:
+        values = ("nan", "inf", "0", "-1") if kind is float else ("0", "-1")
+        for value in values:
+            argv = base[command] + [f"{option}={value}"]
+            code, err = run(argv)
+            assert code in (0, 2), (argv, err)

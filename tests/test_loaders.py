@@ -143,14 +143,18 @@ def test_valid_documents_load_equal(tmp_path, kind):
         assert_equivalent(kind, path)
 
 
-def test_clamp_to_a_width_beyond_float_precision(tmp_path):
-    # the per-line loader clamps to the int 2**53 + 1, which no float64 holds
+def test_a_width_beyond_float_precision_is_rejected(tmp_path):
+    # no float64 holds the int 2**53 + 1, so the array clamp to it could not
+    # match Python's; both loaders reject the header, before any box
     doc = copy.deepcopy(ANNOTATIONS)
     doc[0]["width"] = 2**53 + 1
     doc[0]["faces"][0]["box"] = [0, 4, 1e30, 22]
     path = tmp_path / "in.jsonl"
     write_jsonl(path, doc)
     assert_equivalent("annotations", path)
+    with pytest.raises(DataFormatError) as exc:
+        load_annotations(path)
+    assert str(exc.value) == f"{path}:1: width/height must be positive integers below 2**53"
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
