@@ -56,6 +56,7 @@ from .ratio import (
     RatioReport,
     aggregate_by_video,
     annotation_ratio,
+    check_thresholds,
     density_ratio,
     detection_ratio,
     group_by_condition,
@@ -232,10 +233,11 @@ def _cmd_gen_density(args) -> int:
 
 
 def _cmd_eval_det(args) -> int:
+    check_thresholds(args.nms_iou)
+    cfg = EvalConfig(iou_thr=args.iou_thr)
     manifest = load_annotations(args.annotations)
     dets = _dets_by_image(manifest, load_detections(args.detections), args.nms_iou)
     gts = {rec.image_id: rec for rec in manifest.images}
-    cfg = EvalConfig(iou_thr=args.iou_thr)
 
     cells = [
         (label, bucket)
@@ -288,11 +290,12 @@ def _cmd_eval_count(args) -> int:
 
 
 def _cmd_eval_ratio(args) -> int:
+    check_thresholds(args.nms_iou, args.conf_thr)
+    cfg = EvalConfig(min_faces_per_image=args.min_faces)
     manifest = load_annotations(args.annotations)
     est = _estimated_reports(args, manifest)
     gt = _gt_reports(manifest)
     order = [rec.image_id for rec in manifest.images]
-    cfg = EvalConfig(min_faces_per_image=args.min_faces)
 
     est_conv = _swap_convention(est, args.convention)
     gt_conv = _swap_convention(gt, args.convention)
@@ -317,6 +320,7 @@ def _cmd_eval_ratio(args) -> int:
 
 
 def _cmd_report_video(args) -> int:
+    check_thresholds(args.nms_iou, args.conf_thr)
     manifest = load_annotations(args.annotations)
     est = _estimated_reports(args, manifest)
     gt = _gt_reports(manifest)

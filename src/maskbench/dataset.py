@@ -212,9 +212,8 @@ def subset_points(rec: ImageRecord, subset: str) -> PointSet:
         keep = rec.labels != _CODES[FaceLabel.UNKNOWN.value]
     else:
         keep = rec.labels == _CODES.get(subset, -1)
-    l, t, r, b = rec.boxes[keep].T
-    centres = zip(((l + r) / 2.0).tolist(), ((t + b) / 2.0).tolist())
-    return PointSet(tuple(centres), rec.width, rec.height)
+    b = rec.boxes[keep]
+    return PointSet((b[:, :2] + b[:, 2:]) / 2.0, rec.width, rec.height)
 
 
 def _parse_box(raw, where: str, width: int | None, height: int | None) -> BBox:

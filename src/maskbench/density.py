@@ -69,28 +69,30 @@ class KernelSpec:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Face-center points inside an image of the given pixel dimensions."""
+    """Face-center points inside an image of the given pixel dimensions; compared by identity."""
 
-    points: tuple[tuple[float, float], ...]
+    points: np.ndarray  # read-only (N, 2) float64 copy of N (x, y) pairs
     image_width: int
     image_height: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "points", tuple((float(x), float(y)) for x, y in self.points)
-        )
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image dimensions must be positive")
-        for x, y in self.points:
+        xy = np.array(self.points, dtype=np.float64)
+        if xy.shape[1:] != (2,) and xy.shape != (0,):
+            raise ValueError(f"points must be N (x, y) pairs, got an array of shape {xy.shape}")
+        xy = xy.reshape(len(xy), 2)
+        xy.flags.writeable = False
+        object.__setattr__(self, "points", xy)
+        if not (0 < self.image_width < 2**53 and 0 < self.image_height < 2**53):
+            raise ValueError("image dimensions must be positive and below 2**53")
+        # exact below 2**53, as in Python; NaN and infinite coordinates fail them too
+        inside = ((xy >= 0.0) & (xy < (self.image_width, self.image_height))).all(axis=1)
+        if not inside.all():
+            x, y = xy[inside.argmin()].tolist()
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
-            if not (0.0 <= x < self.image_width and 0.0 <= y < self.image_height):
-                raise ValueError(
-                    f"point ({x}, {y}) outside [0, {self.image_width}) x "
-                    f"[0, {self.image_height})"
-                )
+            raise ValueError(f"point ({x}, {y}) outside [0, {self.image_width}) x [0, {self.image_height})")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -140,12 +142,11 @@ def adaptive_sigmas(pts: PointSet, spec: KernelSpec = KernelSpec()) -> list[floa
         raise ValueError("adaptive_sigmas requires a non-empty point set")
     if n == 1:
         return [spec.sigma_default]
-    coords = np.asarray(pts.points, dtype=np.float64)
     # column 0 is the point itself (or a duplicate of it) at distance 0
     kk = min(spec.k, n - 1) + 1
-    d2 = _grid_nearest_sq(coords, kk) if n >= _GRID_MIN_POINTS else None
+    d2 = _grid_nearest_sq(pts.points, kk) if n >= _GRID_MIN_POINTS else None
     if d2 is None:
-        d2 = _nearest_sq(coords, coords, kk)
+        d2 = _nearest_sq(pts.points, pts.points, kk)
     mean_dist = np.sqrt(d2)[:, 1:].mean(axis=1)
     if not spec.beta * float(np.maximum.reduce(mean_dist)) < math.inf:
         raise ValueError(f"beta {spec.beta} makes a kernel sigma overflow to infinity")
@@ -267,13 +268,12 @@ def render_density(
     # profile j is axis j % 2 of face j // 2: its window is the pixels whose
     # centers lie within +-r, clipped in float so that a huge r cannot overflow
     r[sigma <= _DELTA_SIGMA] = -1.0  # an empty window: a degenerate kernel
-    xy = np.array(pts.points)
-    first = np.maximum(np.ceil(xy - r[:, None] - 0.5), 0).astype(np.intp).ravel()
-    last = np.minimum(np.floor(xy + r[:, None] - 0.5), (w - 1, h - 1)).astype(np.intp).ravel()
+    first = np.maximum(np.ceil(pts.points - r[:, None] - 0.5), 0).astype(np.intp).ravel()
+    last = np.minimum(np.floor(pts.points + r[:, None] - 0.5), (w - 1, h - 1)).astype(np.intp).ravel()
     length = np.maximum(last - first + 1, 0)
     cell = first // downscale
     n_cells = (last // downscale - cell + 1) * (length > 0)
-    centers = xy.ravel()
+    centers = pts.points.ravel()
     with np.errstate(over="ignore"):  # a sigma above 1e154 spreads its face evenly
         den = -2.0 * sigma * sigma  # d * d / den is -(d * d) / (2 sigma^2), bit for bit
     # faces [start, stop) of a chunk hold at most _PROFILE_BLOCK samples, or are one face
@@ -285,7 +285,7 @@ def render_density(
         p, q = 2 * start, 2 * stop
         bins, table = _profiles(centers[p:q], den[start:stop], first[p:q], length[p:q],
                                 cell[p:q], n_cells[p:q], downscale)
-        for (x, y), (c0, nx, bx, r0, ny, by) in zip(pts.points[start:stop], table):
+        for (x, y), (c0, nx, bx, r0, ny, by) in zip(pts.points[start:stop].tolist(), table):
             if nx and ny:
                 values[r0 : r0 + ny, c0 : c0 + nx] += np.multiply.outer(
                     bins[by : by + ny], bins[bx : bx + nx]

@@ -18,7 +18,7 @@ from .geometry import (
     iou_matrix,
     size_buckets,
 )
-from .ratio import RatioReport
+from .ratio import RatioReport, check_thresholds
 
 
 # the size buckets eval-det reports, in report order
@@ -33,8 +33,7 @@ class EvalConfig:
     min_faces_per_image: int = 5
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.iou_thr <= 1.0):
-            raise ValueError(f"iou_thr must be in (0, 1], got {self.iou_thr}")
+        check_thresholds(self.iou_thr)
         if self.min_faces_per_image < 0:
             raise ValueError("min_faces_per_image must be >= 0")
 

@@ -73,6 +73,14 @@ _MASKED, _UNMASKED = LABEL_CODES[FaceLabel.MASKED], LABEL_CODES[FaceLabel.UNMASK
 _NMS_BLOCK = 64
 
 
+def check_thresholds(iou_thr: float | None = None, conf_thr: float | None = None) -> None:
+    """Raise ValueError unless iou_thr is in (0, 1] and conf_thr in [0, 1]; None skips a check."""
+    if iou_thr is not None and not (0.0 < iou_thr <= 1.0):
+        raise ValueError(f"iou_thr must be in (0, 1], got {iou_thr}")
+    if conf_thr is not None and not (0.0 <= conf_thr <= 1.0):
+        raise ValueError(f"conf_thr must be in [0, 1], got {conf_thr}")
+
+
 def nms(dets: Sequence[Detection], iou_thr: float = 0.4) -> list[Detection]:
     """Greedy class-wise non-maximum suppression.
 
@@ -87,8 +95,7 @@ def nms(dets: Sequence[Detection], iou_thr: float = 0.4) -> list[Detection]:
     the same float expression as the scalar iou, so every keep/drop decision
     is bit-identical to comparing one pair at a time.
     """
-    if not (0.0 < iou_thr <= 1.0):
-        raise ValueError(f"iou_thr must be in (0, 1], got {iou_thr}")
+    check_thresholds(iou_thr)
     boxes, labels, conf = face_arrays(dets)
     masked = labels == _MASKED
     keep = np.zeros(len(dets), dtype=bool)
@@ -118,8 +125,7 @@ def detection_ratio(dets, conf_thr: float = 0.5) -> RatioReport:
 
     dets is a sequence of Detection or a detection record (see face_arrays).
     """
-    if not (0.0 <= conf_thr <= 1.0):
-        raise ValueError(f"conf_thr must be in [0, 1], got {conf_thr}")
+    check_thresholds(conf_thr=conf_thr)
     _, labels, conf = face_arrays(dets)
     return _label_counts(labels[conf >= conf_thr])
 

@@ -203,6 +203,20 @@ def neighbor_sigmas(
     return out
 
 
+def point_set_error(points, width: int, height: int) -> str | None:
+    """The ValueError message PointSet gives these points, or None, one point at a time.
+
+    The reference for PointSet's mask check: the first point in input order
+    that is non-finite, or else outside [0, width) x [0, height), names the error.
+    """
+    for x, y in ((float(x), float(y)) for x, y in points):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return f"point coordinates must be finite, got ({x}, {y})"
+        if not (0.0 <= x < width and 0.0 <= y < height):
+            return f"point ({x}, {y}) outside [0, {width}) x [0, {height})"
+    return None
+
+
 def adaptive_sigmas_kdtree(pts: PointSet, spec: KernelSpec = KernelSpec()) -> list[float]:
     """adaptive_sigmas through scipy's k-d tree: the reference for the exact numpy search."""
     n = len(pts)

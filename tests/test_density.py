@@ -26,6 +26,7 @@ from maskbench.errors import DataFormatError
 from oracles import (
     adaptive_sigmas_kdtree,
     neighbor_sigmas,
+    point_set_error,
     render_density_loop,
     render_density_two_step,
 )
@@ -44,6 +45,82 @@ class TestPointSet:
 
     def test_empty_allowed(self):
         assert len(pts([])) == 0
+
+
+@st.composite
+def _points_and_image(draw):
+    """Up to 8 points in a small image, each coordinate in range or on a hostile value."""
+    w, h = draw(st.integers(1, 100)), draw(st.integers(1, 100))
+
+    def coordinate(size):
+        edge = [math.nan, math.inf, -math.inf, -1.0, -0.0, float(size), math.nextafter(size, 0)]
+        return st.one_of(st.floats(0.0, size, exclude_max=True), st.sampled_from(edge))
+
+    return draw(st.lists(st.tuples(coordinate(w), coordinate(h)), max_size=8)), w, h
+
+
+class TestPointSetArray:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=_points_and_image())
+    def test_check_matches_the_per_point_loop(self, case):
+        points, w, h = case
+        want = point_set_error(points, w, h)
+        for given_points in (points, np.array(points, dtype=np.float64).reshape(-1, 2)):
+            if want is None:
+                assert len(PointSet(given_points, w, h)) == len(points)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    PointSet(given_points, w, h)
+                assert str(exc.value) == want
+
+    def test_points_are_a_read_only_float64_array(self):
+        ps = pts([(1, 2), (3.5, 4.25)])
+        assert ps.points.dtype == np.float64 and ps.points.shape == (2, 2)
+        assert ps.points.tolist() == [[1.0, 2.0], [3.5, 4.25]]
+        with pytest.raises(ValueError):
+            ps.points[0, 0] = 5.0
+        assert pts([]).points.shape == (0, 2)
+        assert ps != pts([(1, 2), (3.5, 4.25)]) and ps == ps  # compared by identity
+
+    @pytest.mark.parametrize("points", [
+        [(1, 2, 3, 4)], [(1.0,)], [(1, 2), (3,)],
+        np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 2)),
+        np.zeros((2, 2, 1)), [[(1,), (2,)]], np.zeros((0, 3)), (1.0, 2.0),
+    ])
+    def test_rejects_anything_but_n_pairs(self, points):
+        with pytest.raises(ValueError):
+            PointSet(points, 64, 64)
+
+    def test_image_dimensions_stay_below_2_pow_53(self):
+        # below 2**53 every width is a float64, so the bounds compare exactly
+        top = 2**53 - 1
+        assert len(PointSet([(top - 1.0, 1.0)], top, 10)) == 1
+        with pytest.raises(ValueError, match=r"outside \[0, 9007199254740991\)"):
+            PointSet([(float(top), 1.0)], top, 10)
+        for w, h in ((2**53, 10), (10, 2**53), (2**53 + 1, 10), (0, 10), (10, -1)):
+            with pytest.raises(ValueError, match=r"^image dimensions must be positive and below 2\*\*53$"):
+                PointSet([], w, h)
+
+    def test_needs_a_sized_input(self):
+        with pytest.raises(TypeError):
+            PointSet(((1.0, 2.0) for _ in range(2)), 64, 64)
+
+    def test_callers_array_stays_writable_and_unchanged(self):
+        xy = np.array([[1.5, 2.5], [3.0, 4.0]])
+        ps = PointSet(xy, 8, 8)
+        assert xy.flags.writeable and not np.shares_memory(xy, ps.points)
+        xy[0, 0] = 7.0
+        assert ps.points.tolist() == [[1.5, 2.5], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("downscale", [1, 8])
+    def test_tuple_and_array_point_sets_render_the_same_bytes(self, downscale):
+        rng = np.random.default_rng(13)
+        for n, (w, h) in ((1, (40, 30)), (7, (64, 48)), (300, (320, 240))):
+            xy = rng.uniform(0.0, (w, h), (n, 2))
+            from_tuples = render_density(PointSet(tuple(map(tuple, xy.tolist())), w, h),
+                                         downscale=downscale)
+            from_array = render_density(PointSet(xy, w, h), downscale=downscale)
+            assert from_tuples.values.tobytes() == from_array.values.tobytes()
 
 
 class TestKernelSpec:

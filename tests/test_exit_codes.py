@@ -8,8 +8,9 @@ mutated line, unless it is a disagreement between the two files, which names
 the image. A JSON object that repeats a key, at any depth, exits 2 naming the
 file and, in JSONL, the line. Damaged NFMD maps exit 2 naming the map. A flag
 that is non-finite, or that would overflow a map header, exits 2 naming the
-parameter. Every int option of every command is run with 0 and -1, every
-float option also with nan and inf; each run exits 0 or 2.
+parameter; an out-of-range --conf-thr, --nms-iou, --iou-thr or --min-faces does
+so before any input is read, on every route. Every int option of every command is run with 0 and -1,
+every float option also with nan and inf, on each route; each run exits 0 or 2.
 """
 
 import argparse
@@ -320,6 +321,44 @@ def test_density_header_beyond_u32_exits_two_and_writes_no_map(tmp_path, argv):
     assert not list(tmp_path.rglob("*.nfmd"))
 
 
+_BAD_THRESHOLDS = [
+    ("--conf-thr", "nan", "conf_thr must be in [0, 1], got nan"),
+    ("--conf-thr", "-0.5", "conf_thr must be in [0, 1], got -0.5"),
+    ("--conf-thr", "1.5", "conf_thr must be in [0, 1], got 1.5"),
+    ("--nms-iou", "nan", "iou_thr must be in (0, 1], got nan"),
+    ("--nms-iou", "0", "iou_thr must be in (0, 1], got 0.0"),
+    ("--nms-iou", "7", "iou_thr must be in (0, 1], got 7.0"),
+]
+_ESTIMATES = {
+    "detections": ["--detections", "{detections}"],
+    "density-dir": ["--density-dir", "{root}/maps"],
+    "empty detections": ["--detections", "{root}/empty.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command, route, flag, value, message", [
+    *((command, route, *bad) for command in ("eval-ratio", "report-video")
+      for route in _ESTIMATES for bad in _BAD_THRESHOLDS),
+    *(("eval-det", route, flag, value, message) for route in ("detections", "empty detections")
+      for flag in ("--nms-iou", "--iou-thr")
+      for nms, value, message in _BAD_THRESHOLDS if nms == "--nms-iou"),
+    *(("eval-ratio", route, "--min-faces", "-1", "min_faces_per_image must be >= 0")
+      for route in _ESTIMATES),
+])
+def test_bad_threshold_exits_two_before_any_input_is_read(tmp_path, command, route, flag,
+                                                          value, message):
+    paths = write_inputs(tmp_path, "annotations", ANNOTATIONS)
+    (tmp_path / "empty.jsonl").write_text("")
+    assert run(["gen-density", "--annotations", str(paths["annotations"]),
+                "--out", str(tmp_path / "maps")]) == (0, "")
+    argv = [command, "--annotations", "{annotations}", *_ESTIMATES[route], f"{flag}={value}"]
+    argv = [a.format(root=tmp_path, **paths) for a in argv]
+    assert run(argv) == (2, f"error: {message}\n")
+    # the flag is reported even when an input is missing
+    paths["annotations"].unlink()
+    assert run(argv) == (2, f"error: {message}\n")
+
+
 def _numeric_options(parser):
     """(command, option, type) of every int or float option of every subcommand."""
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -335,22 +374,26 @@ def test_every_numeric_flag_exits_zero_or_two(tmp_path):
     fixture = tmp_path / "fixture.json"
     fixture.write_text(dumps(FIXTURE))
     ann, det = str(scene / "annotations.jsonl"), str(scene / "detections.jsonl")
+    dens = str(scene / "density")
     base = {
-        "synth": _SYNTH + ["--out", str(tmp_path / "synth")],
-        "stats": ["stats", "--train", ann, "--test", ann],
-        "gen-density": ["gen-density", "--annotations", ann, "--out", str(tmp_path / "maps")],
-        "eval-det": ["eval-det", "--annotations", ann, "--detections", det],
-        "eval-count": ["eval-count", "--annotations", ann, "--density-dir", str(scene / "density")],
-        "eval-ratio": ["eval-ratio", "--annotations", ann, "--detections", det],
-        "report-video": ["report-video", "--annotations", ann, "--detections", det],
-        "gradcheck": _GRADCHECK,
-        "loss-eval": ["loss-eval", "--fixture", str(fixture)],
+        "synth": [_SYNTH + ["--out", str(tmp_path / "synth")]],
+        "stats": [["stats", "--train", ann, "--test", ann]],
+        "gen-density": [["gen-density", "--annotations", ann, "--out", str(tmp_path / "maps")]],
+        "eval-det": [["eval-det", "--annotations", ann, "--detections", det]],
+        "eval-count": [["eval-count", "--annotations", ann, "--density-dir", dens]],
+        "eval-ratio": [["eval-ratio", "--annotations", ann, "--detections", det],
+                       ["eval-ratio", "--annotations", ann, "--density-dir", dens]],
+        "report-video": [["report-video", "--annotations", ann, "--detections", det],
+                         ["report-video", "--annotations", ann, "--density-dir", dens]],
+        "gradcheck": [_GRADCHECK],
+        "loss-eval": [["loss-eval", "--fixture", str(fixture)]],
     }
     options = list(_numeric_options(build_parser()))
     assert {c for c, _, _ in options} == set(base)
     for command, option, kind in options:
         values = ("nan", "inf", "0", "-1") if kind is float else ("0", "-1")
         for value in values:
-            argv = base[command] + [f"{option}={value}"]
-            code, err = run(argv)
-            assert code in (0, 2), (argv, err)
+            for route in base[command]:
+                argv = route + [f"{option}={value}"]
+                code, err = run(argv)
+                assert code in (0, 2), (argv, err)
