@@ -9,9 +9,11 @@ in one thread; --threads is still accepted and has no effect.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -461,6 +463,7 @@ def _cmd_loss_eval(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="mrb",
@@ -580,7 +583,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # one line per warning, like errors
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except (DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

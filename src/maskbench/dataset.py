@@ -194,7 +194,14 @@ DENSITY_SUBSETS = ("total", "masked", "unmasked")
 
 
 def density_path(root, image_id: str, subset: str) -> Path:
-    """The file of one image's map of one subset: <root>/<image_id>.<subset>.nfmd."""
+    """The file of one image's map of one subset: <root>/<image_id>.<subset>.nfmd.
+
+    An image_id holding '/' or '\\' could name a file outside root: DataFormatError.
+    """
+    if "/" in image_id or "\\" in image_id:
+        raise DataFormatError(
+            f"image_id {image_id!r} holds a path separator, so it cannot name a density map file"
+        )
     return Path(root) / f"{image_id}.{subset}.nfmd"
 
 

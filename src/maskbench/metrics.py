@@ -38,6 +38,9 @@ class EvalConfig:
             raise ValueError("min_faces_per_image must be >= 0")
 
 
+_DISCARDED, _TP, _FP = range(3)  # a detection's outcome (see _match_image)
+
+
 def average_precision(
     detections: Mapping[str, Sequence[Detection]],
     annotations: Mapping[str, Sequence[Annotation]],
@@ -59,12 +62,10 @@ def average_precision(
     match). AP is the area under the precision envelope over recall
     (all-point interpolation). Returns None when no ground truth is in scope.
 
-    An image's faces are a record or value objects (see face_arrays); scope
-    and ignore are masks over its label and size-bucket codes. The IoUs come
-    from one iou_matrix per image against its in-scope ground truth and one
-    row-max against its ignore regions, computed before ranking. iou_matrix
-    evaluates the same float expression as the scalar iou, so every match
-    decision is bit-identical to scoring one pair of boxes at a time.
+    Faces are a record or value objects (see face_arrays); scope and ignore are
+    masks over label and size-bucket codes. As in COCOeval, each image is matched
+    on its own, from one iou_matrix (bit-identical to the scalar iou), and one stable
+    sort of all confidences (image order, then row order) ranks the outcomes.
     """
     if label is FaceLabel.UNKNOWN:
         raise ValueError("AP is defined for the masked/unmasked classes only")
@@ -74,75 +75,59 @@ def average_precision(
     # in_bucket[c]: whether a face of the class in size bucket c is in scope
     in_bucket = np.array([b in (BUCKETS if bucket is None else (bucket,)) for b in SIZE_BUCKETS])
 
-    scope_boxes, ignore_boxes = {}, {}  # per image, only when non-empty
+    faces, n_pos = {}, 0  # per image: its in-scope and ignore faces, and which are in scope
     for image_id, annos in annotations.items():
         boxes, labels, _ = face_arrays(annos)
         own = labels == code
         scope = own & in_bucket[size_buckets(boxes)]
         ignore = (own & ~scope) | (labels == unknown)
-        if scope.any():
-            scope_boxes[image_id] = boxes[scope]
-        if ignore.any():
-            ignore_boxes[image_id] = boxes[ignore]
-    n_pos = sum(len(b) for b in scope_boxes.values())
+        n_pos += int(np.count_nonzero(scope))
+        kept = scope | ignore
+        if kept.any():
+            faces[image_id] = boxes[kept], scope[kept]
     if n_pos == 0:
         return None
 
-    # the class's detections in image order, then row order
-    image_of, row_of, confs = [], [], [np.zeros(0)]
-    scope_ious, best_ignores = {}, {}
+    # the class's detections and their outcomes in image order, then row order
+    confs, outcomes = [np.zeros(0)], [np.zeros(0, dtype=np.int8)]
     for image_id, dets in detections.items():
         boxes, labels, conf = face_arrays(dets)
         own = labels == code
-        n = int(np.count_nonzero(own))
-        if not n:
-            continue
-        image_of += [image_id] * n
-        row_of += range(n)
         confs.append(conf[own])
-        boxes = boxes[own]
-        if image_id in scope_boxes:
-            scope_ious[image_id] = iou_matrix(boxes, scope_boxes[image_id])
-        if image_id in ignore_boxes:
-            best_ignores[image_id] = iou_matrix(boxes, ignore_boxes[image_id]).max(axis=1)
+        outcomes.append(np.full(len(confs[-1]), _FP, dtype=np.int8))  # when no face can match
+        if own.any() and image_id in faces:
+            gt_boxes, scope = faces[image_id]
+            ious = iou_matrix(boxes[own], gt_boxes)
+            best_ignore = ious[:, ~scope].max(axis=1, initial=-1.0)
+            outcomes[-1] = _match_image(confs[-1], ious[:, scope], best_ignore, cfg.iou_thr)
 
-    # stable sort: equal confidences keep input order
-    ranked = np.argsort(-np.concatenate(confs), kind="stable").tolist()
-
-    matched: dict[str, np.ndarray] = {
-        image_id: np.zeros(len(b), dtype=bool) for image_id, b in scope_boxes.items()
-    }
-    tp = np.zeros(len(ranked))
-    fp = np.zeros(len(ranked))
-    for rank, k in enumerate(ranked):
-        image_id, row = image_of[k], row_of[k]
-        best_scope, best_j = -1.0, -1
-        ious = scope_ious.get(image_id)
-        if ious is not None:
-            ious = np.where(matched[image_id], -1.0, ious[row])
-            best_j = int(ious.argmax())
-            best_scope = float(ious[best_j])
-        ign = best_ignores.get(image_id)
-        best_ignore = -1.0 if ign is None else float(ign[row])
-        if best_scope >= cfg.iou_thr and best_scope >= best_ignore:
-            matched[image_id][best_j] = True
-            tp[rank] = 1.0
-        elif best_ignore >= cfg.iou_thr:
-            pass  # matched an ignore region: counts nowhere
-        else:
-            fp[rank] = 1.0
-
-    ctp = np.cumsum(tp)
-    cfp = np.cumsum(fp)
-    keep = (ctp + cfp) > 0  # drop ranks of discarded detections
+    ranked = np.concatenate(outcomes)[np.argsort(-np.concatenate(confs), kind="stable")]
+    ctp, cfp = np.cumsum(ranked == _TP), np.cumsum(ranked == _FP)
+    keep = (ctp + cfp) > 0  # drop the discarded ranks before the first counted one
     ctp, cfp = ctp[keep], cfp[keep]
-    if ctp.shape[0] == 0:
-        return 0.0
-    recall = ctp / n_pos
-    precision = ctp / (ctp + cfp)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    deltas = np.diff(np.concatenate(([0.0], recall)))
+    envelope = np.maximum.accumulate((ctp / (ctp + cfp))[::-1])[::-1]
+    deltas = np.diff(np.concatenate(([0.0], ctp / n_pos)))
     return float(np.sum(deltas * envelope))
+
+
+def _match_image(conf, scope_ious, best_ignore, iou_thr: float) -> np.ndarray:
+    """One image's greedy match of a class's detections: an int8 outcome per row, in row order.
+
+    scope_ious (n, m) holds IoUs with the in-scope faces, best_ignore (n,) the best
+    with an ignore region (-1.0 if none). By descending conf, ties in row order, each
+    takes the free face of highest IoU (lowest index on a tie) if that reaches iou_thr
+    and best_ignore; else it is discarded if best_ignore does.
+    """
+    outcome = np.full(len(conf), _FP, dtype=np.int8)
+    outcome[best_ignore >= iou_thr] = _DISCARDED  # unless matched below
+    free = np.ones(scope_ious.shape[1], dtype=bool)
+    for row in np.argsort(-conf, kind="stable").tolist() if free.size else ():
+        ious = np.where(free, scope_ious[row], -1.0)
+        j = ious.argmax()
+        if ious[j] >= iou_thr and ious[j] >= best_ignore[row]:
+            free[j] = False
+            outcome[row] = _TP
+    return outcome
 
 
 def mean_ap(aps: Sequence[float | None]) -> float:

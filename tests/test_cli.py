@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -649,3 +650,78 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def _one_image(path, image_id, sides=(20.0, 30.0)):
+    """An annotations file of one 64x64 image with one masked face per side length."""
+    faces = [{"box": [2.0 + 2 * i, 2.0, 2.0 + 2 * i + side, 2.0 + side], "label": "masked"}
+             for i, side in enumerate(sides)]
+    path.write_text(json.dumps({"image_id": image_id, "video_id": "v", "condition": "DT",
+                                "period": "during", "width": 64, "height": 64,
+                                "faces": faces}) + "\n")
+    return path
+
+
+def _density_commands(annotations, maps):
+    return {
+        "gen-density": ["gen-density", "--annotations", annotations, "--out", maps],
+        "eval-count": ["eval-count", "--annotations", annotations, "--density-dir", maps],
+        "eval-ratio": ["eval-ratio", "--annotations", annotations, "--density-dir", maps],
+        "report-video": ["report-video", "--annotations", annotations, "--density-dir", maps],
+    }
+
+
+@pytest.mark.parametrize("command", ["gen-density", "eval-count", "eval-ratio", "report-video"])
+@pytest.mark.parametrize("kind", ["parent", "absolute", "slash", "backslash"])
+def test_image_id_with_a_path_separator_names_no_density_map(kind, command, tmp_path, capsys):
+    # such an id would read or write a map outside the density directory
+    (tmp_path / "victim").mkdir()
+    image_id = {"parent": "../x", "absolute": str(tmp_path / "victim" / "x"),
+                "slash": "a/b", "backslash": "a\\b"}[kind]
+    annotations = str(_one_image(tmp_path / "a.jsonl", image_id))
+    maps = tmp_path / "maps" / "out"
+    maps.mkdir(parents=True)
+    assert main(_density_commands(annotations, str(maps))[command]) == 2
+    assert capsys.readouterr().err == (
+        f"error: image_id {image_id!r} holds a path separator, "
+        "so it cannot name a density map file\n"
+    )
+    assert not list(tmp_path.rglob("*.nfmd"))
+
+
+def test_image_id_with_dots_and_spaces_round_trips_through_density_files(tmp_path, capsys):
+    annotations = str(_one_image(tmp_path / "a.jsonl", "img.1 a"))
+    commands = _density_commands(annotations, str(tmp_path / "maps"))
+    assert main(commands["gen-density"]) == 0
+    assert sorted(p.name for p in (tmp_path / "maps").iterdir()) == [
+        "img.1 a.total.nfmd", "img.1 a.unmasked.nfmd"]
+    assert main([*commands["eval-count"], "--format", "json"]) == 0
+    rows = {r[0]: r for r in json.loads(capsys.readouterr().out)["report"]["rows"]}
+    for quantity in ("masked", "unmasked", "total"):
+        assert rows[quantity][1] == 1 and rows[quantity][2] <= 1e-3
+
+
+def test_detection_route_accepts_an_image_id_with_a_path_separator(tmp_path):
+    annotations = str(_one_image(tmp_path / "a.jsonl", "../x"))
+    detections = tmp_path / "d.jsonl"
+    detections.write_text(json.dumps({"image_id": "../x", "video_id": "v", "condition": "DT",
+                                      "detections": [{"box": [2, 2, 22, 22], "label": "masked",
+                                                      "conf": 0.9}]}) + "\n")
+    for command in ("eval-det", "eval-ratio", "report-video"):
+        assert main([command, "--annotations", annotations, "--detections", str(detections),
+                     "--out", str(tmp_path / f"{command}.csv")]) == 0
+
+
+def test_each_small_face_warning_is_one_stderr_line(tmp_path, capsys):
+    # the line does not name the source line that loads the file, so it is the
+    # same whatever code surrounds that call
+    path = _one_image(tmp_path / "a.jsonl", "im", sides=(9.0, 20.0, 8.5, 9.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["stats", "--train", str(path), "--test", str(path)]) == 0
+    err = capsys.readouterr().err
+    want = [f"warning: {path}:1: face {i} (im): face {side:g}x{side:g} px is below the "
+            "10x10 annotation protocol minimum"
+            for i, side in ((0, 9.0), (2, 8.5), (3, 9.5))]
+    assert err.splitlines() == want + want  # --train and --test each load the file
+    assert "cli.py" not in err and "SmallFaceWarning" not in err

@@ -369,3 +369,48 @@ class TestEvalConfig:
             EvalConfig(iou_thr=0.0)
         with pytest.raises(ValueError):
             EvalConfig(min_faces_per_image=-1)
+
+
+@st.composite
+def scenes_with_an_unannotated_image(draw):
+    """scenes() plus one image that has detections but no annotation entry.
+
+    Its detections copy faces of the other images, so that a matcher keyed to
+    the wrong image would find a face for them.
+    """
+    detections, annotations, thr = draw(scenes())
+    faces = [a.box for annos in annotations.values() for a in annos]
+    orphans = []
+    for _ in range(draw(st.integers(1, 6))):
+        box = draw(st.sampled_from(faces)) if faces else BBox(0.0, 0.0, 20.0, 20.0)
+        orphans.append(Detection(box, draw(st.sampled_from(LABELS[:2])),
+                                 draw(st.sampled_from(CONFIDENCES))))
+    return {**detections, "orphan": orphans}, annotations, thr
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scenes_with_an_unannotated_image())
+def test_detections_of_an_unannotated_image_are_false_positives(scene):
+    detections, annotations, thr = scene
+    det_records = {i: DetectionRecord(i, META, d) for i, d in detections.items()}
+    gt_records = {i: ImageRecord(i, META, 100, 100, a) for i, a in annotations.items()}
+    cfg = EvalConfig(iou_thr=thr)
+    alone = {"orphan": detections["orphan"]}
+    for label in (FaceLabel.MASKED, FaceLabel.UNMASKED):
+        n_orphans = sum(d.label is label for d in alone["orphan"])
+        for bucket in (None, *BUCKETS):
+            got = average_precision(det_records, gt_records, label, bucket, cfg)
+            assert got == average_precision(detections, annotations, label, bucket, cfg)
+            matches = brute_force_matches(detections, annotations, label, bucket, thr)
+            assert got == (None if matches is None else envelope_ap(*matches))
+            if matches is None:
+                continue
+            # the same as an empty annotation entry, and no match on their own
+            assert got == average_precision(detections, {**annotations, "orphan": []},
+                                            label, bucket, cfg)
+            assert average_precision(alone, annotations, label, bucket, cfg) == 0.0
+            # each of the image's detections of the class adds one false positive
+            without = brute_force_matches({i: d for i, d in detections.items() if i != "orphan"},
+                                          annotations, label, bucket, thr)
+            assert matches[0].count(False) == without[0].count(False) + n_orphans
+            assert matches[0].count(True) == without[0].count(True)
