@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,18 +23,17 @@ import numpy as np
 from . import anchors as anchors_mod
 from . import fusion
 from .dataset import (
-    _LABELS,
     DENSITY_SUBSETS,
     DatasetManifest,
     DetectionRecord,
     ImageRecord,
     SynthParams,
     Table,
-    _parse_box,
     dataset_stats,
     density_path,
     load_annotations,
     load_detections,
+    parse_annotation,
     render_report,
     subset_points,
     synth_scene,
@@ -51,7 +51,7 @@ from .density import (
 )
 from .density import downsample_sum_preserving  # noqa: F401  (unused; perfbench's tracer wraps it)
 from .errors import DataFormatError
-from .geometry import Annotation, FaceLabel
+from .geometry import FaceLabel
 from .metrics import BUCKETS, EvalConfig, average_precision, mae, mean_ap, pearson, ratio_pairs
 from .metrics import ratio_correlation  # noqa: F401  (unused; perfbench's tracer wraps it)
 from .ratio import (
@@ -170,26 +170,9 @@ def _estimated_reports(args, manifest: DatasetManifest):
 
 
 def _cmd_synth(args) -> int:
-    params = SynthParams(
-        seed=args.seed,
-        n_images=args.images,
-        faces_min=args.faces_min,
-        faces_max=args.faces_max,
-        image_width=args.width,
-        image_height=args.height,
-        masked_probability=args.masked_prob,
-        unknown_probability=args.unknown_prob,
-        n_videos=args.videos,
-        face_size_min=args.face_size_min,
-        face_size_max=args.face_size_max,
-        jitter_sigma=args.jitter_sigma,
-        drop_rate=args.drop_rate,
-        flip_rate=args.flip_rate,
-        false_positive_rate=args.fp_rate,
-        density_noise=args.density_noise,
-        density_downscale=args.density_downscale,
-        kernel=KernelSpec(beta=args.beta, k=args.k),
-    )
+    # every SynthParams field but the kernel is the flag of its name (build_parser)
+    given = {f.name: getattr(args, f.name) for f in fields(SynthParams) if f.name != "kernel"}
+    params = SynthParams(**given, kernel=KernelSpec(beta=args.beta, k=args.k))
     scene = synth_scene(params, include_density=not args.no_density)
     write_synth_scene(scene, args.out)
     return 0
@@ -219,16 +202,16 @@ def _cmd_gen_density(args) -> int:
         truncation_radius=args.truncation,
     )
     out = Path(args.out)
+    # every map's path is checked before --out is made or any map is rendered
+    jobs = [(rec, subset, density_path(out, rec.image_id, subset))
+            for rec in manifest.images for subset in subsets]
     out.mkdir(parents=True, exist_ok=True)
 
     # every map is rendered before any is written: with the file writes
     # interleaved between renders, gen-density measured 25-50% slower on a
     # 2-vCPU VM for the same bytes
-    maps = []
-    for rec in manifest.images:
-        for subset in subsets:
-            dmap = render_density(subset_points(rec, subset), spec, args.downscale)
-            maps.append((density_path(out, rec.image_id, subset), dmap))
+    maps = [(path, render_density(subset_points(rec, subset), spec, args.downscale))
+            for rec, subset, path in jobs]
     for path, dmap in maps:
         write_density(dmap, path)
     return 0
@@ -410,17 +393,8 @@ def _cmd_loss_eval(args) -> int:
     gt_raw = get(fixture, "ground_truth")
     if not isinstance(gt_raw, list):
         raise DataFormatError(f"{args.fixture}: ground_truth must be a list")
-    gts = []
-    for i, g in enumerate(gt_raw):
-        where = f"{args.fixture}: ground_truth[{i}]"
-        if not isinstance(g, dict):
-            raise DataFormatError(f"{where}: expected an object")
-        # not clamped to the image: a fixture's ground truth is taken as given
-        box = _parse_box(g.get("box"), where, None, None)
-        label = g.get("label")
-        if not isinstance(label, str) or label not in _LABELS:
-            raise DataFormatError(f"{where}: bad label {label!r}")
-        gts.append(Annotation(box, _LABELS[label]))
+    # not clamped to the image: a fixture's ground truth is taken as given
+    gts = [parse_annotation(g, f"{args.fixture}: ground_truth[{i}]") for i, g in enumerate(gt_raw)]
 
     try:
         match = anchors_mod.match_anchors(anchor_set, gts, pos_iou=pos_iou, neg_iou=neg_iou)
@@ -491,27 +465,29 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
+    kernel = KernelSpec()
+
+    def kernel_flags(p):
+        p.add_argument("--beta", type=float, default=kernel.beta, help="adaptive kernel sigma factor")
+        p.add_argument("--k", type=int, default=kernel.k, help="kernel nearest-neighbor count")
+
     p = add("synth", _cmd_synth, "generate a seeded synthetic scene set")
     p.add_argument("--seed", type=int, required=True, help="RNG seed; fully determines output")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--images", type=int, default=200)
-    p.add_argument("--faces-min", type=int, default=5)
-    p.add_argument("--faces-max", type=int, default=80)
-    p.add_argument("--width", type=int, default=256)
-    p.add_argument("--height", type=int, default=256)
-    p.add_argument("--masked-prob", type=float, default=0.5)
-    p.add_argument("--unknown-prob", type=float, default=0.0)
-    p.add_argument("--videos", type=int, default=4)
-    p.add_argument("--face-size-min", type=float, default=12.0)
-    p.add_argument("--face-size-max", type=float, default=56.0)
-    p.add_argument("--jitter-sigma", type=float, default=0.0, help="box jitter std (px)")
-    p.add_argument("--drop-rate", type=float, default=0.0)
-    p.add_argument("--flip-rate", type=float, default=0.0)
-    p.add_argument("--fp-rate", type=float, default=0.0, help="false positives per image")
-    p.add_argument("--density-noise", type=float, default=0.0)
-    p.add_argument("--density-downscale", type=int, default=8)
-    p.add_argument("--beta", type=float, default=0.3, help="adaptive kernel sigma factor")
-    p.add_argument("--k", type=int, default=3, help="kernel nearest-neighbor count")
+    # every other SynthParams field but the kernel is a flag of the field's type and
+    # default, named as the field with - for _, or by its short name
+    short = {"n_images": "images", "image_width": "width", "image_height": "height",
+             "masked_probability": "masked-prob", "unknown_probability": "unknown-prob",
+             "n_videos": "videos", "false_positive_rate": "fp-rate"}
+    helps = {"jitter_sigma": "box jitter std (px)", "false_positive_rate": "false positives per image"}
+    for f in fields(SynthParams):
+        if f.name in ("seed", "kernel"):
+            continue
+        flag = short.get(f.name, f.name.replace("_", "-"))
+        p.add_argument(f"--{flag}", dest=f.name, metavar=flag.replace("-", "_").upper(),
+                       type={"int": int, "float": float}[f.type], default=f.default,
+                       help=helps.get(f.name))
+    kernel_flags(p)
     p.add_argument("--no-density", action="store_true", help="skip density predictions")
 
     p = add("stats", _cmd_stats, "dataset statistics tables", parents=(common, report))
@@ -522,10 +498,11 @@ def build_parser() -> _Parser:
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True, help="output directory for NFMD files")
     p.add_argument("--subsets", default="total,unmasked", help="comma list of total/masked/unmasked")
-    p.add_argument("--beta", type=float, default=0.3, help="adaptive kernel sigma factor")
-    p.add_argument("--k", type=int, default=3, help="kernel nearest-neighbor count")
-    p.add_argument("--sigma-default", type=float, default=4.0, help="sigma for a lone face")
-    p.add_argument("--truncation", type=float, default=3.0, help="kernel cutoff in sigmas")
+    kernel_flags(p)
+    p.add_argument("--sigma-default", type=float, default=kernel.sigma_default,
+                   help="sigma for a lone face")
+    p.add_argument("--truncation", type=float, default=kernel.truncation_radius,
+                   help="kernel cutoff in sigmas")
     p.add_argument("--downscale", type=int, default=8, help="output resolution divisor")
 
     p = add("eval-det", _cmd_eval_det, "detection AP per class and size bucket", parents=(common, report))
@@ -586,7 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings():  # one line per warning, like errors
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.func(args)
-    except (DataFormatError, OSError, ValueError) as exc:
+    except (DataFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -247,6 +247,18 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def parse_annotation(face, where: str, width: int | None = None,
+                     height: int | None = None) -> Annotation:
+    """A checked face object; its box is clamped to width x height when both are given."""
+    if not isinstance(face, dict):
+        raise DataFormatError(f"{where}: expected an object")
+    box = _parse_box(_require(face, "box", where), where, width, height)
+    label = _require(face, "label", where)
+    if not isinstance(label, str) or label not in _LABELS:
+        raise DataFormatError(f"{where}: label must be masked/unmasked/unknown, got {label!r}")
+    return Annotation(box, _LABELS[label])
+
+
 # characters of JSONL a loader checks at once; this bounds the decoded lines it
 # holds, which a count of lines does not: 64 lines took in all six frames of a
 # crowded-scene file and 256 lines all 250 of a sparse one, and both peaked
@@ -438,14 +450,7 @@ def _annotation_line(path, lineno: int, line: str, seen: set[str]) -> None:
     seen.add(image_id)
     for i, face in enumerate(faces):
         fwhere = f"{where}: face {i}"
-        if not isinstance(face, dict):
-            raise DataFormatError(f"{fwhere}: expected an object")
-        box = _parse_box(_require(face, "box", fwhere), fwhere, width, height)
-        label = _require(face, "label", fwhere)
-        if not isinstance(label, str) or label not in _LABELS:
-            raise DataFormatError(
-                f"{fwhere}: label must be masked/unmasked/unknown, got {label!r}"
-            )
+        box = parse_annotation(face, fwhere, width, height).box
         if box.width < 10.0 or box.height < 10.0:
             _warn_small(fwhere, image_id, box.width, box.height)
 
@@ -488,23 +493,23 @@ def load_annotations(path) -> DatasetManifest:
     return DatasetManifest(tuple(_load(path, _annotation_block, _annotation_line)))
 
 
+def _write_jsonl(path, records, fields_of) -> None:
+    """One compact JSON line per record: image_id, video_id, condition, then fields_of(rec)."""
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            obj = {"image_id": rec.image_id, "video_id": rec.meta.video_id,
+                   "condition": rec.meta.condition.value, **fields_of(rec)}
+            f.write(json.dumps(obj, separators=(",", ":")) + "\n")
+
+
 def save_annotations(manifest: DatasetManifest, path) -> None:
     """Write a manifest back to annotations JSONL (inverse of load_annotations)."""
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in manifest.images:
-            obj = {
-                "image_id": rec.image_id,
-                "video_id": rec.meta.video_id,
-                "condition": rec.meta.condition.value,
-                "period": (rec.meta.covid_period or CovidPeriod.DURING).value,
-                "width": rec.width,
-                "height": rec.height,
-                "faces": [
-                    {"box": box, "label": FACE_LABELS[code].value}
-                    for box, code in zip(rec.boxes.tolist(), rec.labels.tolist())
-                ],
-            }
-            f.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    _write_jsonl(path, manifest.images, lambda rec: {
+        "period": (rec.meta.covid_period or CovidPeriod.DURING).value,
+        "width": rec.width, "height": rec.height,
+        "faces": [{"box": box, "label": FACE_LABELS[code].value}
+                  for box, code in zip(rec.boxes.tolist(), rec.labels.tolist())],
+    })
 
 
 def _detection_header(obj: dict, where: str, seen: set[str]):
@@ -565,20 +570,10 @@ def load_detections(path) -> list[DetectionRecord]:
 
 def write_detections(records: Sequence[DetectionRecord], path) -> None:
     """Write detection records as detections JSONL."""
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            obj = {
-                "image_id": rec.image_id,
-                "video_id": rec.meta.video_id,
-                "condition": rec.meta.condition.value,
-                "detections": [
-                    {"box": box, "label": FACE_LABELS[code].value, "conf": c}
-                    for box, code, c in zip(
-                        rec.boxes.tolist(), rec.labels.tolist(), rec.conf.tolist()
-                    )
-                ],
-            }
-            f.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    _write_jsonl(path, records, lambda rec: {"detections": [
+        {"box": box, "label": FACE_LABELS[code].value, "conf": c}
+        for box, code, c in zip(rec.boxes.tolist(), rec.labels.tolist(), rec.conf.tolist())
+    ]})
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +732,9 @@ class SynthParams:
             )
         if self.image_width < 8 or self.image_height < 8:
             raise ValueError("image dimensions must be at least 8 px")
+        # as in the loaders, which read what synth writes
+        if self.image_width >= 2**53 or self.image_height >= 2**53:
+            raise ValueError("image dimensions must be below 2**53")
         for name in ("masked_probability", "unknown_probability", "drop_rate", "flip_rate", "density_noise"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

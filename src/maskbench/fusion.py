@@ -103,15 +103,31 @@ class FusionWeights:
 
 
 def node_arity(levels: Sequence[int]) -> dict[str, int]:
-    """Number of fused inputs per node for the bidirectional pass."""
+    """Number of fused inputs per node of the bidirectional pass: td nodes, then out, bottom-up."""
+    graph = _bifpn_graph(levels)
+    order = sorted(graph, key=lambda name: (not name.startswith("td"), graph[name][0]))
+    return {name: len(graph[name][1]) for name in order}
+
+
+def _bifpn_graph(levels: Sequence[int]) -> dict[str, tuple[int, list[tuple[str, int]]]]:
+    """Each node's level and (source, level) inputs: td nodes top-down, then out nodes bottom-up.
+
+    The highest td node takes the raw top level; boundary out nodes fuse the two inputs they have.
+    """
     levels = _check_levels(levels)
     bottom, top = levels[0], levels[-1]
-    arity: dict[str, int] = {}
-    for level in levels[:-1]:
-        arity[f"td{level}"] = 2
+    graph = {}
+    for level in reversed(levels[:-1]):
+        upper = f"td{level + 1}" if level + 1 < top else f"in{top}"
+        graph[f"td{level}"] = (level, [(f"in{level}", level), (upper, level + 1)])
     for level in levels:
-        arity[f"out{level}"] = 2 if level in (bottom, top) else 3
-    return arity
+        sources = [(f"in{level}", level)]
+        if level != top:
+            sources.append((f"td{level}", level))
+        if level != bottom:
+            sources.append((f"out{level - 1}", level - 1))
+        graph[f"out{level}"] = (level, sources)
+    return graph
 
 
 def _check_levels(levels: Sequence[int]) -> list[int]:
@@ -239,9 +255,7 @@ def _bifpn_forward(
     m_in: Mapping[int, FeatureLevel], weights: FusionWeights, conv: ConvFn
 ) -> tuple[dict[int, np.ndarray], list[_NodeRecord]]:
     levels = _check_pyramid(m_in, min_levels=2)
-    bottom, top = levels[0], levels[-1]
-    arity = node_arity(levels)
-    for name, k in arity.items():
+    for name, k in node_arity(levels).items():
         if name not in weights.raw:
             raise ValueError(f"missing weights for fusion node {name}")
         if weights.raw[name].shape[0] != k:
@@ -252,7 +266,7 @@ def _bifpn_forward(
     trace: list[_NodeRecord] = []
     node_values = {f"in{level}": m_in[level].values for level in levels}
 
-    def run_node(name: str, level: int, sources: list[tuple[str, int]]) -> None:
+    for name, (level, sources) in _bifpn_graph(levels).items():
         inputs = []
         for src_name, src_level in sources:
             v = node_values[src_name]
@@ -263,22 +277,6 @@ def _bifpn_forward(
         z, den = _fuse(inputs, eff, weights.epsilon, name)
         node_values[name] = _apply_conv(conv, level, z)
         trace.append(_NodeRecord(name, level, sources, inputs, eff, den, z))
-
-    # top-down intermediates; the highest one takes the raw top-level input
-    above = f"in{top}"
-    for level in reversed(levels[:-1]):
-        run_node(f"td{level}", level, [(f"in{level}", level), (above, level + 1)])
-        above = f"td{level}"
-
-    # bottom-up outputs; boundary nodes fuse their two available inputs
-    for level in levels:
-        sources = [(f"in{level}", level)]
-        if level != top:
-            sources.append((f"td{level}", level))
-        if level != bottom:
-            sources.append((f"out{level - 1}", level - 1))
-        run_node(f"out{level}", level, sources)
-
     outputs = {level: node_values[f"out{level}"] for level in levels}
     return outputs, trace
 

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 import maskbench.cli as cli
 from maskbench.cli import main
 from maskbench.dataset import DetectionRecord, load_annotations, load_detections, write_detections
-from maskbench.density import DensityMap, write_density
+from maskbench.density import DensityMap, KernelSpec, write_density
 from maskbench.geometry import BBox, Detection, FaceLabel
 from maskbench.metrics import EvalConfig, ratio_correlation, ratio_pairs
 from maskbench.ratio import Condition, annotation_ratio, detection_ratio
@@ -725,3 +726,110 @@ def test_each_small_face_warning_is_one_stderr_line(tmp_path, capsys):
             for i, side in ((0, 9.0), (2, 8.5), (3, 9.5))]
     assert err.splitlines() == want + want  # --train and --test each load the file
     assert "cli.py" not in err and "SmallFaceWarning" not in err
+
+
+def test_synth_flag_defaults_are_the_fields_of_synth_params(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "synth_scene", lambda params, include_density: seen.append(params))
+    monkeypatch.setattr(cli, "write_synth_scene", lambda scene, out: None)
+    assert main(["synth", "--seed", "0", "--out", str(tmp_path / "x")]) == 0
+    (params,) = seen
+    want = cli.SynthParams(seed=0)
+    assert params == want
+    for field in fields(want):  # 200 == 200.0, so the types are checked too
+        assert type(getattr(params, field.name)) is type(getattr(want, field.name))
+
+
+def test_gen_density_kernel_flag_defaults_are_those_of_kernel_spec():
+    # synth's are checked with the rest of its SynthParams above
+    args = cli.build_parser().parse_args(["gen-density", "--annotations", "a", "--out", "x"])
+    assert KernelSpec(beta=args.beta, k=args.k, sigma_default=args.sigma_default,
+                      truncation_radius=args.truncation) == KernelSpec()
+
+
+@pytest.mark.parametrize("face, message", [
+    ({"label": "masked"}, "missing required field 'box'"),
+    ({"box": [1, 1, 9, 9]}, "missing required field 'label'"),
+    ({"box": [1, 1, 9, 9], "label": "hat"}, "label must be masked/unmasked/unknown, got 'hat'"),
+    ("masked", "expected an object"),
+], ids=["no-box", "no-label", "unknown-label", "not-an-object"])
+def test_loss_fixture_ground_truth_gets_the_annotation_loaders_messages(tmp_path, capsys,
+                                                                        face, message):
+    path = TestLossEvalCli.fixture(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["ground_truth"].append(face)
+    path.write_text(json.dumps(payload))
+    assert main(["loss-eval", "--fixture", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: ground_truth[1]: {message}\n"
+
+
+def _mrb(*args):
+    """Run mrb in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "maskbench.cli", *args],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["gen-density", "synth"])
+def test_map_too_large_to_allocate_is_a_data_error(command, tmp_path):
+    # a 10**9 x 10**9 frame needs a 111-PiB map at downscale 8, which fails at once
+    side = str(10**9)
+    annotations = tmp_path / "a.jsonl"
+    annotations.write_text(json.dumps(
+        {"image_id": "big", "video_id": "v", "condition": "DT", "period": "during",
+         "width": 10**9, "height": 10**9,
+         "faces": [{"box": [10, 10, 40, 40], "label": "masked"}]}) + "\n")
+    args = {"gen-density": ["--annotations", str(annotations)],
+            "synth": ["--seed", "1", "--images", "1", "--width", side, "--height", side]}[command]
+    done = _mrb(command, *args, "--out", str(tmp_path / "out"))
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in done.stderr
+
+
+def _two_images(path, second_id):
+    """An annotations file of image img0, then image second_id."""
+    path.write_text("".join(_one_image(path, i).read_text() for i in ("img0", second_id)))
+    return path
+
+
+def test_gen_density_checks_every_map_path_before_it_makes_out(tmp_path, capsys):
+    annotations = _two_images(tmp_path / "a.jsonl", "a/b")
+    out = tmp_path / "new" / "deep"
+    assert main(["gen-density", "--annotations", str(annotations), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: image_id 'a/b' holds a path separator, so it cannot name a density map file\n")
+    assert not (tmp_path / "new").exists()
+
+
+def test_gen_density_checks_every_map_path_before_any_render(tmp_path, capsys, monkeypatch):
+    def render(*_):
+        raise AssertionError("rendered a map")
+
+    monkeypatch.setattr(cli, "render_density", render)
+    annotations = _two_images(tmp_path / "a.jsonl", "a/b")
+    assert main(["gen-density", "--annotations", str(annotations),
+                 "--out", str(tmp_path / "maps")]) == 2
+    assert "holds a path separator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--width", str(2**53), "--height", "64"],
+                                   ["--width", "64", "--height", str(2**53)]],
+                         ids=["width", "height"])
+def test_synth_rejects_a_frame_its_loaders_reject(flags, tmp_path, capsys):
+    out = tmp_path / "scene"
+    assert main(["synth", "--seed", "1", "--images", "2", "--no-density", *flags,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: image dimensions must be below 2**53\n"
+    assert not out.exists()
+
+
+def test_synth_writes_the_largest_frame_its_loaders_accept(tmp_path):
+    out = tmp_path / "scene"
+    assert main(["synth", "--seed", "1", "--images", "2", "--no-density",
+                 "--width", str(2**53 - 1), "--height", "64", "--out", str(out)]) == 0
+    annotations = str(out / "annotations.jsonl")
+    assert main(["stats", "--train", annotations, "--test", annotations,
+                 "--out", str(tmp_path / "stats")]) == 0

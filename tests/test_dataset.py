@@ -12,6 +12,7 @@ from maskbench.dataset import (
     dataset_stats,
     load_annotations,
     load_detections,
+    parse_annotation,
     save_annotations,
     select_frames,
     synth_scene,
@@ -523,3 +524,11 @@ class TestWriteReport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             write_report(Table(("a",), ()), tmp_path / "x", "yaml")
+
+
+def test_parse_annotation_clamps_only_when_given_the_image_size():
+    face = {"box": [-5, 2, 70, 30.5], "label": "unknown"}
+    assert parse_annotation(face, "w", 64, 48) == Annotation(BBox(0.0, 2.0, 64.0, 30.5),
+                                                            FaceLabel.UNKNOWN)
+    assert parse_annotation(face, "w") == Annotation(BBox(-5.0, 2.0, 70.0, 30.5),
+                                                     FaceLabel.UNKNOWN)
