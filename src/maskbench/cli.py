@@ -202,16 +202,16 @@ def _cmd_gen_density(args) -> int:
         truncation_radius=args.truncation,
     )
     out = Path(args.out)
-    # every map's path is checked before --out is made or any map is rendered
+    # every map's path is checked before any map is rendered, and --out is
+    # made only once every map has rendered, so a failed run leaves nothing
     jobs = [(rec, subset, density_path(out, rec.image_id, subset))
             for rec in manifest.images for subset in subsets]
-    out.mkdir(parents=True, exist_ok=True)
-
     # every map is rendered before any is written: with the file writes
     # interleaved between renders, gen-density measured 25-50% slower on a
     # 2-vCPU VM for the same bytes
     maps = [(path, render_density(subset_points(rec, subset), spec, args.downscale))
             for rec, subset, path in jobs]
+    out.mkdir(parents=True, exist_ok=True)
     for path, dmap in maps:
         write_density(dmap, path)
     return 0

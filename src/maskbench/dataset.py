@@ -1,4 +1,4 @@
-"""Dataset files, statistics, frame selection, synthetic scenes, and reports.
+"""Dataset files, statistics, synthetic scenes, and reports.
 
 File formats owned here (one JSON object per line, UTF-8):
 
@@ -210,7 +210,8 @@ _CONDITIONS = {c.value: c for c in Condition}
 _PERIODS = {p.value: p for p in CovidPeriod}
 # label array codes by label name, for every face and for detections
 _CODES = {lab.value: i for i, lab in enumerate(FACE_LABELS)}
-_DETECTION_CODES = {k: _CODES[k] for k in (FaceLabel.MASKED.value, FaceLabel.UNMASKED.value)}
+_DETECTION_LABELS = (FaceLabel.MASKED.value, FaceLabel.UNMASKED.value)
+_DETECTION_CODES = {k: _CODES[k] for k in _DETECTION_LABELS}
 
 
 def subset_points(rec: ImageRecord, subset: str) -> PointSet:
@@ -257,6 +258,24 @@ def parse_annotation(face, where: str, width: int | None = None,
     if not isinstance(label, str) or label not in _LABELS:
         raise DataFormatError(f"{where}: label must be masked/unmasked/unknown, got {label!r}")
     return Annotation(box, _LABELS[label])
+
+
+def parse_detection(det, where: str) -> Detection:
+    """A checked detection object: a box, a masked or unmasked label and a conf in [0, 1]."""
+    if not isinstance(det, dict):
+        raise DataFormatError(f"{where}: expected an object")
+    box = _parse_box(_require(det, "box", where), where, None, None)
+    label = _require(det, "label", where)
+    # a tuple, not _DETECTION_CODES: a list label is unhashable
+    if label not in _DETECTION_LABELS:
+        raise DataFormatError(f"{where}: label must be masked or unmasked, got {label!r}")
+    conf = _require(det, "conf", where)
+    if not isinstance(conf, (int, float)) or isinstance(conf, bool):
+        raise DataFormatError(f"{where}: conf must be a number")
+    try:
+        return Detection(box, _LABELS[label], float(conf))
+    except (ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{where}: {exc}") from exc
 
 
 # characters of JSONL a loader checks at once; this bounds the decoded lines it
@@ -341,43 +360,46 @@ def _parse_header(obj: dict, where: str, seen: set[str]) -> tuple[str, str, Cond
     return image_id, video_id, _CONDITIONS[condition]
 
 
-def _load(path, read_block, check_line) -> list:
-    """Every record of a JSONL file, checked a block of lines at a time.
+def _load(path, read_header, read_block, check_face) -> list:
+    """Every record of a JSONL file; each line is decoded and its header checked once.
 
-    read_block(path, block, seen) checks the block's faces as arrays and
-    returns its records, warning about small faces last; it raises on anything
-    it does not accept. Then check_line(path, lineno, line, seen) locates the
-    error, one line and one face at a time: it raises the first one after the
-    warnings of the faces before it. The two accept the same inputs; should
-    check_line find nothing, read_block's error is raised. seen holds the
-    image ids of the blocks before.
+    read_header(obj, where, seen) checks a line's header, whose image_id must not be
+    in seen, and returns it with the line's raw faces last. A rejected header ends
+    its block, whose lines before it are read first. read_block(lines) checks the
+    faces of (where, header) lines as arrays and returns their records, warning
+    about small faces last. If it raises, check_face(where, head, i, face) checks
+    each face in turn, so that the first error comes after the warnings before it;
+    should none fail, read_block's error is raised.
     """
     records = []
     seen: set[str] = set()
     for block in _blocks(path):
+        lines, rejected = [], None
+        for lineno, line in block:
+            where = f"{path}:{lineno}"
+            try:
+                head = read_header(_decode(path, lineno, line), where, seen)
+            except Exception as exc:
+                rejected = exc
+                break
+            seen.add(head[0])
+            lines.append((where, head))
         try:
-            got = read_block(path, block, seen)
+            records.extend(read_block(lines))
         except Exception:
-            for lineno, line in block:
-                check_line(path, lineno, line, seen)
+            for where, head in lines:
+                for i, face in enumerate(head[-1]):
+                    check_face(where, head, i, face)
             raise
-        seen.update(rec.image_id for rec in got)
-        records.extend(got)
+        if rejected is not None:
+            raise rejected
     return records
-
-
-def _block_headers(path, block, seen, read_header) -> list[tuple]:
-    """Each line's checked header (image_id first); raises if an image_id repeats."""
-    heads = [read_header(_decode(path, n, line), f"{path}:{n}", seen) for n, line in block]
-    if len({h[0] for h in heads}) < len(heads):
-        raise ValueError("an image_id repeats")
-    return heads
 
 
 def _block_faces(raw: list, codes: Mapping[str, int]):
     """The (N, 4) boxes and (N,) label codes of a block's raw face objects.
 
-    Raises on any value that the per-line check might not accept as is.
+    Raises on any value that the one-face check might not accept as is.
     """
     boxes = [f["box"] for f in raw]
     labels = [f["label"] for f in raw]
@@ -413,7 +435,7 @@ def _split(counts: list[int], *arrays: np.ndarray) -> list[tuple[np.ndarray, ...
 
 
 def _warn_small(fwhere: str, image_id: str, width: float, height: float) -> None:
-    # stacklevel 5 names load_annotations' caller: this, a reader, _load, load_annotations
+    # stacklevel 5 names load_annotations' caller: this, a checker, _load, load_annotations
     warnings.warn(
         f"{fwhere} ({image_id}): face {width:g}x{height:g} px is "
         "below the 10x10 annotation protocol minimum",
@@ -441,22 +463,17 @@ def _annotation_header(obj: dict, where: str, seen: set[str]):
     return image_id, ImageMeta(video_id, condition, _PERIODS[period]), width, height, faces
 
 
-def _annotation_line(path, lineno: int, line: str, seen: set[str]) -> None:
-    """Check one annotations line face by face; raise its first error, located."""
-    where = f"{path}:{lineno}"
-    image_id, _, width, height, faces = _annotation_header(
-        _decode(path, lineno, line), where, seen
-    )
-    seen.add(image_id)
-    for i, face in enumerate(faces):
-        fwhere = f"{where}: face {i}"
-        box = parse_annotation(face, fwhere, width, height).box
-        if box.width < 10.0 or box.height < 10.0:
-            _warn_small(fwhere, image_id, box.width, box.height)
+def _annotation_face(where: str, head: tuple, i: int, face) -> None:
+    """Check face i of an annotations line, clamped to its frame; warn if it is small."""
+    image_id, _, width, height, _ = head
+    fwhere = f"{where}: face {i}"
+    box = parse_annotation(face, fwhere, width, height).box
+    if box.width < 10.0 or box.height < 10.0:
+        _warn_small(fwhere, image_id, box.width, box.height)
 
 
-def _annotation_block(path, block, seen: set[str]) -> list[ImageRecord]:
-    heads = _block_headers(path, block, seen, _annotation_header)
+def _annotation_block(lines: list[tuple[str, tuple]]) -> list[ImageRecord]:
+    heads = [h for _, h in lines]
     counts = [len(h[4]) for h in heads]
     boxes, labels = _block_faces([f for h in heads for f in h[4]], _CODES)
     dims = np.array([h[2:4] for h in heads], dtype=np.float64).reshape(-1, 2)
@@ -473,7 +490,7 @@ def _annotation_block(path, block, seen: set[str]) -> list[ImageRecord]:
         starts = [end - n for end, n in zip(accumulate(counts), counts)]
         for i in small:
             k = line_of[i]
-            fwhere = f"{path}:{block[k][0]}: face {i - starts[k]}"
+            fwhere = f"{lines[k][0]}: face {i - starts[k]}"
             _warn_small(fwhere, heads[k][0], *sizes[i].tolist())
     return [
         ImageRecord(image_id, meta, width, height, boxes=b, labels=lab)
@@ -490,7 +507,9 @@ def load_annotations(path) -> DatasetManifest:
     DataFormatError naming the offending line; sub-protocol face sizes only
     warn.
     """
-    return DatasetManifest(tuple(_load(path, _annotation_block, _annotation_line)))
+    return DatasetManifest(
+        tuple(_load(path, _annotation_header, _annotation_block, _annotation_face))
+    )
 
 
 def _write_jsonl(path, records, fields_of) -> None:
@@ -521,32 +540,8 @@ def _detection_header(obj: dict, where: str, seen: set[str]):
     return image_id, ImageMeta(video_id, condition), dets_raw
 
 
-def _detection_line(path, lineno: int, line: str, seen: set[str]) -> None:
-    """Check one detections line detection by detection; raise its first error, located."""
-    where = f"{path}:{lineno}"
-    image_id, _, dets_raw = _detection_header(_decode(path, lineno, line), where, seen)
-    seen.add(image_id)
-    for i, det in enumerate(dets_raw):
-        dwhere = f"{where}: detection {i}"
-        if not isinstance(det, dict):
-            raise DataFormatError(f"{dwhere}: expected an object")
-        box = _parse_box(_require(det, "box", dwhere), dwhere, None, None)
-        label = _require(det, "label", dwhere)
-        if label not in (FaceLabel.MASKED.value, FaceLabel.UNMASKED.value):
-            raise DataFormatError(
-                f"{dwhere}: label must be masked or unmasked, got {label!r}"
-            )
-        conf = _require(det, "conf", dwhere)
-        if not isinstance(conf, (int, float)) or isinstance(conf, bool):
-            raise DataFormatError(f"{dwhere}: conf must be a number")
-        try:
-            Detection(box, _LABELS[label], float(conf))
-        except (ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{dwhere}: {exc}") from exc
-
-
-def _detection_block(path, block, seen: set[str]) -> list[DetectionRecord]:
-    heads = _block_headers(path, block, seen, _detection_header)
+def _detection_block(lines: list[tuple[str, tuple]]) -> list[DetectionRecord]:
+    heads = [h for _, h in lines]
     counts = [len(h[2]) for h in heads]
     raw = [d for h in heads for d in h[2]]
     boxes, labels = _block_faces(raw, _DETECTION_CODES)
@@ -565,7 +560,8 @@ def _detection_block(path, block, seen: set[str]) -> list[DetectionRecord]:
 
 def load_detections(path) -> list[DetectionRecord]:
     """Load a detections JSONL file; same error policy as load_annotations."""
-    return _load(path, _detection_block, _detection_line)
+    return _load(path, _detection_header, _detection_block,
+                 lambda where, _, i, det: parse_detection(det, f"{where}: detection {i}"))
 
 
 def write_detections(records: Sequence[DetectionRecord], path) -> None:
@@ -660,19 +656,6 @@ def dataset_stats(train: DatasetManifest, test: DatasetManifest) -> dict[str, Ta
             _bin_labels(_COUNT_EDGES), _COUNT_EDGES, lambda images: [len(r.labels) for r in images]
         ),
     }
-
-
-def select_frames(
-    counts: Iterable[tuple[str, int]], min_faces: int = 1
-) -> list[str]:
-    """Keep frame ids whose face count is at least min_faces, preserving order."""
-    kept = []
-    for frame_id, count in counts:
-        if count < 0:
-            raise ValueError(f"frame {frame_id!r} has negative face count {count}")
-        if count >= min_faces:
-            kept.append(frame_id)
-    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +891,7 @@ def _format_cell(v) -> str:
 
 
 def _csv_escape(s: str) -> str:
-    if any(ch in s for ch in (",", '"', "\n")):
+    if any(ch in s for ch in (",", '"', "\n", "\r")):
         return '"' + s.replace('"', '""') + '"'
     return s
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -833,3 +834,43 @@ def test_synth_writes_the_largest_frame_its_loaders_accept(tmp_path):
     annotations = str(out / "annotations.jsonl")
     assert main(["stats", "--train", annotations, "--test", annotations,
                  "--out", str(tmp_path / "stats")]) == 0
+
+
+def test_gen_density_makes_out_only_after_every_render(tmp_path, capsys, monkeypatch):
+    def render(*_):
+        raise MemoryError("Unable to allocate the map")
+
+    monkeypatch.setattr(cli, "render_density", render)
+    annotations = _two_images(tmp_path / "a.jsonl", "img1")
+    out = tmp_path / "new" / "deep"
+    assert main(["gen-density", "--annotations", str(annotations), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate the map\n"
+    assert not (tmp_path / "new").exists()
+
+
+def test_csv_cells_with_a_carriage_return_round_trip(tmp_path):
+    # a bare \r ends a row for csv.reader, so a cell holding one is quoted
+    lines = [_one_image(tmp_path / "a.jsonl", f"a\rb{i}", sides=(20.0, 30.0, 12.0)).read_text()
+             for i in range(2)]
+    annotations = tmp_path / "a.jsonl"
+    annotations.write_text("".join(line.replace('"v"', '"v\\r1"') for line in lines))
+    detections = tmp_path / "d.jsonl"
+    detections.write_text("".join(
+        json.dumps({"image_id": f"a\rb{i}", "video_id": "v\r1", "condition": "DT",
+                    "detections": [{"box": [2, 2, 22, 22], "label": "masked", "conf": 0.9},
+                                   {"box": [4, 2, 34, 32], "label": "unmasked", "conf": 0.8}]})
+        + "\n" for i in range(2)))
+    scatter, videos = tmp_path / "scatter.csv", tmp_path / "videos.csv"
+    estimates = ["--annotations", str(annotations), "--detections", str(detections)]
+    assert main(["eval-ratio", *estimates, "--min-faces", "1", "--scatter", str(scatter)]) == 0
+    assert main(["report-video", *estimates, "--format", "csv", "--out", str(videos)]) == 0
+
+    def rows(path):
+        with open(path, newline="", encoding="utf-8") as f:
+            return list(csv.reader(f))
+
+    assert rows(scatter) == [["image_id", "gt_ratio", "est_ratio"],
+                             ["a\rb0", "1.0", "0.5"],
+                             ["a\rb1", "1.0", "0.5"]]
+    assert rows(videos) == [["video_id", "n_images", "gt_ratio", "est_ratio"],
+                            ["v\r1", "2", "1.0", "0.5"]]

@@ -14,7 +14,6 @@ from maskbench.dataset import (
     load_detections,
     parse_annotation,
     save_annotations,
-    select_frames,
     synth_scene,
     table_to_csv,
     write_detections,
@@ -359,30 +358,6 @@ class TestDatasetStats:
             got, want = dataset_stats(train, test), dataset_stats_loops(train, test)
             assert list(got) == list(want)
             assert got == want
-
-
-class TestSelectFrames:
-    def test_threshold(self):
-        assert select_frames([("f1", 0), ("f2", 1), ("f3", 3)], min_faces=1) == ["f2", "f3"]
-
-    def test_zero_keeps_all(self):
-        assert select_frames([("a", 0), ("b", 5)], min_faces=0) == ["a", "b"]
-
-    def test_all_below(self):
-        assert select_frames([("a", 1), ("b", 2)], min_faces=10) == []
-
-    def test_monotone_in_threshold(self):
-        rng = np.random.default_rng(2)
-        counts = [(f"f{i}", int(rng.integers(0, 50))) for i in range(40)]
-        prev = set(select_frames(counts, 0))
-        for thr in (1, 5, 10, 20):
-            cur = set(select_frames(counts, thr))
-            assert cur <= prev
-            prev = cur
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            select_frames([("a", -1)])
 
 
 class TestSynthScene:

@@ -26,7 +26,7 @@ from maskbench.dataset import (
     write_synth_scene,
 )
 from maskbench.errors import DataFormatError
-from maskbench.geometry import FACE_LABELS, boxes_to_array
+from maskbench.geometry import FACE_LABELS, BBox, Detection, FaceLabel, boxes_to_array
 
 from oracles import dataset_stats_loops, load_annotations_objects, load_detections_objects
 from test_exit_codes import (
@@ -365,3 +365,62 @@ def test_load_then_write_gives_the_same_bytes(tmp_path):
     dataset.write_detections(load_detections(det), tmp_path / "det2.jsonl")
     assert (tmp_path / "ann2.jsonl").read_bytes() == ann.read_bytes()
     assert (tmp_path / "det2.jsonl").read_bytes() == det.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one reader: each line is decoded once, and a detection object has one check
+
+
+def test_a_rejected_block_decodes_each_line_once(tmp_path, monkeypatch):
+    doc = [copy.deepcopy(line) for line in ANNOTATIONS + ANNOTATIONS[-1:]]
+    doc[2]["image_id"] = "img2"
+    doc[2]["faces"][0]["label"] = "hat"
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, doc)
+    decode, decoded = dataset._decode, []
+
+    def counted(path, lineno, line):
+        decoded.append(lineno)
+        return decode(path, lineno, line)
+
+    monkeypatch.setattr(dataset, "_decode", counted)
+    with pytest.raises(DataFormatError, match=f"{path}:3: face 0: label must be"):
+        load_annotations(path)
+    assert decoded == [1, 2, 3]
+
+
+@pytest.mark.parametrize("det, message", [
+    ("x", "expected an object"),
+    ({"label": "masked", "conf": 0.5}, "missing required field 'box'"),
+    ({"box": [1, 2, 3, 4], "conf": 0.5}, "missing required field 'label'"),
+    ({"box": [1, 2, 3, 4], "label": "masked"}, "missing required field 'conf'"),
+    ({"box": [1, 2, 3], "label": "masked", "conf": 0.5},
+     "box must be a list of 4 numbers, got [1, 2, 3]"),
+    ({"box": [1, 2, 3, 4], "label": "unknown", "conf": 0.5},
+     "label must be masked or unmasked, got 'unknown'"),
+    ({"box": [1, 2, 3, 4], "label": ["masked"], "conf": 0.5},
+     "label must be masked or unmasked, got ['masked']"),
+    ({"box": [1, 2, 3, 4], "label": "masked", "conf": True}, "conf must be a number"),
+    ({"box": [1, 2, 3, 4], "label": "masked", "conf": "0.5"}, "conf must be a number"),
+    ({"box": [1, 2, 3, 4], "label": "masked", "conf": 1.5}, "confidence must be in [0, 1], got 1.5"),
+    ({"box": [1, 2, 3, 4], "label": "masked", "conf": -1}, "confidence must be in [0, 1], got -1.0"),
+    ({"box": [1, 2, 3, 4], "label": "masked", "conf": 10**400},
+     "int too large to convert to float"),
+], ids=["not-an-object", "no-box", "no-label", "no-conf", "bad-box", "unknown-label",
+        "list-label", "bool-conf", "string-conf", "conf-above-1", "conf-below-0", "huge-conf"])
+def test_parse_detection_messages_are_the_loaders(tmp_path, det, message):
+    with pytest.raises(DataFormatError) as exc:
+        dataset.parse_detection(det, "here")
+    assert str(exc.value) == f"here: {message}"
+    doc = copy.deepcopy(DETECTIONS)
+    doc[0]["detections"] = [det]
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, doc)
+    with pytest.raises(DataFormatError) as exc:
+        load_detections(path)
+    assert str(exc.value) == f"{path}:1: detection 0: {message}"
+
+
+def test_parse_detection_builds_the_detection():
+    det = dataset.parse_detection({"box": [-3, 2, 1e6, 4.5], "label": "unmasked", "conf": 1}, "w")
+    assert det == Detection(BBox(-3.0, 2.0, 1e6, 4.5), FaceLabel.UNMASKED, 1.0)
