@@ -105,17 +105,12 @@ def _dets_by_image(
                 f"{rec.meta.video_id!r}, condition {rec.meta.condition.value!r}; the "
                 f"annotations give {want.video_id!r}, {want.condition.value!r}"
             )
-    by_image = {rec.image_id: rec for rec in records}
     if nms_iou is not None:
-        by_image = {
-            i: DetectionRecord(i, rec.meta, nms(rec.detections, nms_iou))
-            for i, rec in by_image.items()
-        }
+        records = [DetectionRecord(r.image_id, r.meta, nms(r, nms_iou)) for r in records]
+    by_image = {rec.image_id: rec for rec in records}
     # images without a detection record count as zero detections
-    return {
-        rec.image_id: by_image.get(rec.image_id) or DetectionRecord(rec.image_id, rec.meta)
-        for rec in manifest.images
-    }
+    return {rec.image_id: by_image[rec.image_id] if rec.image_id in by_image
+            else DetectionRecord(rec.image_id, rec.meta) for rec in manifest.images}
 
 
 def _density_reports(manifest: DatasetManifest, density_dir: str) -> dict[str, RatioReport]:

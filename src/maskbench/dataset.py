@@ -42,6 +42,8 @@ from .geometry import (
     BBox,
     Detection,
     FaceLabel,
+    build_annotations,
+    build_detections,
     face_arrays,
 )
 from .ratio import Condition, CovidPeriod, ImageMeta, annotation_ratio
@@ -72,8 +74,11 @@ class _FaceRecord:
             for x, y in ((getattr(self, f), getattr(other, f)) for f in self.__slots__)
         )
 
+    def __len__(self) -> int:  # the face count; a record without faces is falsy
+        return len(self.labels)
+
     def __hash__(self) -> int:
-        return hash((self.image_id, self.meta, len(self.labels)))
+        return hash((self.image_id, self.meta, len(self)))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
@@ -86,22 +91,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
         a = a.copy()
         a.flags.writeable = False
     return a
-
-
-def _build_annotations(boxes: np.ndarray, labels: np.ndarray) -> tuple[Annotation, ...]:
-    return tuple(
-        Annotation(BBox(*box), FACE_LABELS[code])
-        for box, code in zip(boxes.tolist(), labels.tolist())
-    )
-
-
-def _build_detections(
-    boxes: np.ndarray, labels: np.ndarray, conf: np.ndarray
-) -> tuple[Detection, ...]:
-    return tuple(
-        Detection(BBox(*box), FACE_LABELS[code], c)
-        for box, code, c in zip(boxes.tolist(), labels.tolist(), conf.tolist())
-    )
 
 
 class ImageRecord(_FaceRecord):
@@ -136,7 +125,7 @@ class ImageRecord(_FaceRecord):
 
     @property
     def annotations(self) -> tuple[Annotation, ...]:
-        return _build_annotations(self.boxes, self.labels)
+        return build_annotations(self.boxes, self.labels)
 
 
 @dataclass(frozen=True)
@@ -186,7 +175,7 @@ class DetectionRecord(_FaceRecord):
 
     @property
     def detections(self) -> tuple[Detection, ...]:
-        return _build_detections(self.boxes, self.labels, self.conf)
+        return build_detections(self.boxes, self.labels, self.conf)
 
 
 # the face subsets a density map can draw
@@ -286,13 +275,13 @@ _LOAD_BLOCK_CHARS = 65536
 
 
 def _blocks(path) -> Iterator[list[tuple[int, str]]]:
-    """The file's non-blank (line number, text) lines, in blocks.
+    """The file's non-blank (line number, text) lines, in blocks; only a line feed ends a line.
 
     A block ends with the line that brings its text to _LOAD_BLOCK_CHARS. A
     read error (invalid UTF-8, say) is raised after the lines read before it
     are yielded, so they are checked first, as when reading line by line.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", newline="\n") as f:
         numbered = enumerate(f, start=1)
         while True:
             block, size = [], 0
@@ -332,8 +321,9 @@ def _decode(path, lineno: int, line: str) -> dict:
         if line.startswith("\ufeff"):  # json.loads refuses it; JSONDecoder.decode does not
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
         obj = _KEY_CHECK.decode(line)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}:{lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except json.JSONDecodeError as exc:  # the column is in the prefix: drop a dangling "at"
+        msg = exc.msg.removesuffix(" at")
+        raise DataFormatError(f"{path}:{lineno}:{exc.colno}: invalid JSON: {msg}") from exc
     except DataFormatError as exc:
         raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     if not isinstance(obj, dict):

@@ -149,6 +149,23 @@ def face_arrays(faces) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     return boxes_to_array(f.box for f in faces), labels, conf
 
 
+# the inverse of face_arrays: one checked value object per row of a record's arrays
+def build_annotations(boxes: np.ndarray, labels: np.ndarray) -> tuple[Annotation, ...]:
+    return tuple(
+        Annotation(BBox(*box), FACE_LABELS[code])
+        for box, code in zip(boxes.tolist(), labels.tolist())
+    )
+
+
+def build_detections(
+    boxes: np.ndarray, labels: np.ndarray, conf: np.ndarray
+) -> tuple[Detection, ...]:
+    return tuple(
+        Detection(BBox(*box), FACE_LABELS[code], c)
+        for box, code, c in zip(boxes.tolist(), labels.tolist(), conf.tolist())
+    )
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (N, 4) and (M, 4) arrays of ltrb boxes."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)

@@ -121,7 +121,8 @@ def _match_image(conf, scope_ious, best_ignore, iou_thr: float) -> np.ndarray:
     outcome = np.full(len(conf), _FP, dtype=np.int8)
     outcome[best_ignore >= iou_thr] = _DISCARDED  # unless matched below
     free = np.ones(scope_ious.shape[1], dtype=bool)
-    for row in np.argsort(-conf, kind="stable").tolist() if free.size else ():
+    order = np.argsort(-conf, kind="stable")
+    for row in order[(scope_ious >= iou_thr).any(axis=1)[order]].tolist():  # rows that can match
         ious = np.where(free, scope_ious[row], -1.0)
         j = ious.argmax()
         if ious[j] >= iou_thr and ious[j] >= best_ignore[row]:

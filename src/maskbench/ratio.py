@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, TypeVar
 
 import numpy as np
 
-from .geometry import LABEL_CODES, Detection, FaceLabel, face_arrays, iou_matrix
+from .geometry import LABEL_CODES, Detection, FaceLabel, build_detections, face_arrays, iou_matrix
 from .geometry import iou  # noqa: F401  (unused; perfbench's tracer wraps ratio.iou)
 
 
@@ -81,19 +81,20 @@ def check_thresholds(iou_thr: float | None = None, conf_thr: float | None = None
         raise ValueError(f"conf_thr must be in [0, 1], got {conf_thr}")
 
 
-def nms(dets: Sequence[Detection], iou_thr: float = 0.4) -> list[Detection]:
+def nms(dets, iou_thr: float = 0.4) -> list[Detection]:
     """Greedy class-wise non-maximum suppression.
 
     Detections are visited in descending confidence (ties keep input order);
     one is kept iff its IoU with every kept detection of the same class is
     below iou_thr. Kept detections are returned in input order.
 
-    The boxes go into one (N, 4) array per call. Each class's candidates are
-    settled in confidence order, _NMS_BLOCK at a time: one iou_matrix settles
-    a block greedily among itself, a second drops every later candidate that
-    a kept box of the block overlaps at iou_thr or more. iou_matrix evaluates
-    the same float expression as the scalar iou, so every keep/drop decision
-    is bit-identical to comparing one pair at a time.
+    dets is a sequence of Detection, whose kept objects are returned, or a record
+    (see face_arrays), whose kept rows only are built into Detections. Each class
+    is settled in confidence order, _NMS_BLOCK at a time: one iou_matrix settles a
+    block among itself, visiting only rows that overlap a later one; a second drops
+    every later candidate that a kept box overlaps at iou_thr or more. iou_matrix
+    evaluates the scalar iou's float expression, so every keep/drop decision is
+    bit-identical to comparing one pair at a time.
     """
     check_thresholds(iou_thr)
     boxes, labels, conf = face_arrays(dets)
@@ -104,15 +105,18 @@ def nms(dets: Sequence[Detection], iou_thr: float = 0.4) -> list[Detection]:
         idx = idx[np.argsort(-conf[idx], kind="stable")]
         while idx.size:
             block, rest = idx[:_NMS_BLOCK], idx[_NMS_BLOCK:]
-            over = iou_matrix(boxes[block], boxes[block]) >= iou_thr
+            over = np.triu(iou_matrix(boxes[block], boxes[block]) >= iou_thr, 1)
             alive = np.ones(len(block), dtype=bool)
-            for i in range(len(block)):
+            for i in np.flatnonzero(over.any(axis=1)).tolist():
                 if alive[i]:
-                    alive[i + 1 :] &= ~over[i, i + 1 :]
+                    alive &= ~over[i]
             kept = block[alive]
             keep[kept] = True
             idx = rest[~(iou_matrix(boxes[kept], boxes[rest]) >= iou_thr).any(axis=0)]
-    return [dets[i] for i in np.flatnonzero(keep)]
+    rows = np.flatnonzero(keep)
+    if hasattr(dets, "labels"):  # a record: build Detections for the kept rows only
+        dets, rows = build_detections(boxes[rows], labels[rows], conf[rows]), range(len(rows))
+    return [dets[i] for i in rows]
 
 
 def _label_counts(labels: np.ndarray) -> RatioReport:

@@ -466,7 +466,8 @@ def _no_repeats(pairs):
 
 
 def _json_lines(path):
-    with open(path, "r", encoding="utf-8") as f:
+    # only \n ends a line; a bare \r is JSON whitespace
+    with open(path, "r", encoding="utf-8", newline="\n") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -474,7 +475,7 @@ def _json_lines(path):
                 obj = json.loads(line, object_pairs_hook=_no_repeats)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(
-                    f"{path}:{lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+                    f"{path}:{lineno}:{exc.colno}: invalid JSON: {exc.msg.removesuffix(' at')}"
                 ) from exc
             except _Repeated as exc:
                 raise DataFormatError(f"{path}:{lineno}: repeated key {exc.args[0]!r}") from exc

@@ -418,7 +418,8 @@ def test_detection_reports_byte_identical_to_scalar_oracles(tmp_path, monkeypatc
         return out
 
     fast = reports("fast")
-    monkeypatch.setattr(cli, "nms", nms_scalar)
+    # eval-det and eval-ratio pass nms a record; the scalar reference reads its value objects
+    monkeypatch.setattr(cli, "nms", lambda rec, iou_thr: nms_scalar(list(rec.detections), iou_thr))
     monkeypatch.setattr(cli, "average_precision", _exact_ap)
     assert reports("oracle") == fast
 

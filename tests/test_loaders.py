@@ -16,7 +16,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from maskbench import dataset
+from maskbench import cli, dataset, ratio
 from maskbench.cli import main
 from maskbench.dataset import (
     SynthParams,
@@ -262,6 +262,59 @@ def test_bom_is_invalid_json(tmp_path, kind):
         LOADERS[kind][0](path)
 
 
+def assert_same_as(kind, path, plain):
+    """path loads to plain's records, with the same warnings but for the file name."""
+    (got, got_warnings), (want, want_warnings) = (outcome(LOADERS[kind][0], p) for p in (path, plain))
+    assert got == want
+    assert [(str(w[0]).replace(str(path), str(plain)), *w[1:]) for w in got_warnings] == want_warnings
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_bare_cr_inside_a_line_is_whitespace(tmp_path, kind):
+    # only \n ends a line: a bare \r between tokens is JSON whitespace
+    lines = [dumps(line) for line in long_doc(kind)]
+    plain, path = tmp_path / "plain.jsonl", tmp_path / "in.jsonl"
+    plain.write_bytes("".join(line + "\n" for line in lines).encode())
+    path.write_bytes("".join(line.replace(", ", ",\r", 1) + "\n" for line in lines).encode())
+    assert_equivalent(kind, path)
+    assert_same_as(kind, path, plain)
+    # and every later line keeps its number
+    bad = len(lines) - 1
+    lines[bad - 1] = "x"
+    path.write_bytes("".join(line.replace(", ", ",\r", 1) + "\n" for line in lines).encode())
+    assert_equivalent(kind, path)
+    with pytest.raises(DataFormatError, match=f"{path}:{bad}:1: invalid JSON: Expecting value"):
+        LOADERS[kind][0](path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_crlf_file_loads_as_lf(tmp_path, kind):
+    lines = [dumps(line) for line in long_doc(kind)]
+    plain, path = tmp_path / "plain.jsonl", tmp_path / "in.jsonl"
+    plain.write_bytes("".join(line + "\n" for line in lines).encode())
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert_equivalent(kind, path)
+    assert_same_as(kind, path, plain)
+    # an error past the first block names its own line
+    bad = first_block_lines(long_doc(kind)) + 3
+    lines[bad - 1] = lines[bad - 1].replace('"video_id": ', '"video_id": "", "v": ', 1)
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert_equivalent(kind, path)
+    with pytest.raises(DataFormatError, match=f"{path}:{bad}: video_id must be a non-empty string"):
+        LOADERS[kind][0](path)
+
+
+def test_json_error_ends_without_a_dangling_word(tmp_path):
+    # the column is in the prefix, so json's trailing "at" is dropped
+    path = tmp_path / "d.jsonl"
+    good = dumps({"image_id": "a", "video_id": "v", "condition": "DT", "detections": []})
+    path.write_text(good + "\n" + '{"image_id": "\x01"}\n')
+    assert_equivalent("detections", path)
+    with pytest.raises(DataFormatError) as err:
+        load_detections(path)
+    assert str(err.value) == f"{path}:2:15: invalid JSON: Invalid control character"
+
+
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 def test_read_error_comes_after_the_lines_before_it(tmp_path, kind):
     # invalid UTF-8 deep in the file: the faces before it warn first, and a data
@@ -312,9 +365,8 @@ def test_array_paths_build_no_value_objects(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a value-object tuple was built")
 
-    build_detections = dataset._build_detections
-    monkeypatch.setattr(dataset, "_build_annotations", refuse)
-    monkeypatch.setattr(dataset, "_build_detections", refuse)
+    monkeypatch.setattr(dataset, "build_annotations", refuse)
+    monkeypatch.setattr(dataset, "build_detections", refuse)
     ann, det, dens = scene / "annotations.jsonl", scene / "detections.jsonl", scene / "density"
     for argv in (
         ["eval-ratio", "--annotations", ann, "--detections", det, "--by-condition",
@@ -329,13 +381,29 @@ def test_array_paths_build_no_value_objects(tmp_path, monkeypatch):
     ):
         assert _run([str(a) for a in argv]) == (0, ""), argv
 
-    # the guard itself works: NMS still reads Detection objects
+    # --nms-iou builds a Detection for each kept row and for no other
+    built, calls = [], []
+    build_detections, nms = ratio.build_detections, cli.nms
+
+    def counted_build(boxes, labels, conf):
+        built.append(len(labels))
+        return build_detections(boxes, labels, conf)
+
+    def counted_nms(rec, iou_thr):
+        kept = nms(rec, iou_thr)
+        calls.append((len(rec), len(kept)))
+        return kept
+
+    monkeypatch.setattr(ratio, "build_detections", counted_build)
+    monkeypatch.setattr(cli, "nms", counted_nms)
     nms_det = ["eval-det", "--annotations", str(ann), "--detections", str(det), "--nms-iou", "0.4"]
-    with pytest.raises(AssertionError, match="value-object tuple"):
-        _run(nms_det)
-    # and with the Detection objects allowed, NMS and AP build no Annotation
-    monkeypatch.setattr(dataset, "_build_detections", build_detections)
     assert _run(nms_det) == (0, "")
+    n_in, n_kept = (sum(c) for c in zip(*calls))
+    assert sum(built) == n_kept < n_in  # the scene has candidates that NMS drops
+
+    # the guard itself works: reading a record's value objects trips it
+    with pytest.raises(AssertionError, match="value-object tuple"):
+        load_detections(det)[0].detections
 
 
 def test_stats_builds_no_value_objects(tmp_path, monkeypatch):
@@ -347,7 +415,7 @@ def test_stats_builds_no_value_objects(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a value-object tuple was built")
 
-    monkeypatch.setattr(dataset, "_build_annotations", refuse)
+    monkeypatch.setattr(dataset, "build_annotations", refuse)
     argv = ["stats", "--train", ann, "--test", ann, "--out", tmp_path / "stats.json"]
     assert _run([str(a) for a in argv]) == (0, "")
     tables = dataset.dataset_stats(load_annotations(ann), load_annotations(ann))

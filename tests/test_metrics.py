@@ -238,6 +238,48 @@ def test_ap_on_records_equals_object_lists_and_brute_force_decisions(scene):
             assert got == (None if matches is None else envelope_ap(*matches))
 
 
+@st.composite
+def scenes_with_misses(draw):
+    """scenes() plus, per image, rows that reach no in-scope face at the threshold.
+
+    They lie far from every face, copy an unknown face (an ignore region only),
+    or copy a face of the other class; the matcher skips such rows.
+    """
+    detections, annotations, thr = draw(scenes())
+    miss = st.tuples(st.sampled_from(("far", "unknown", "other")), st.sampled_from(LABELS[:2]),
+                     st.sampled_from(CONFIDENCES))
+    for image_id, faces in annotations.items():
+        rows = list(detections.get(image_id, ()))
+        for kind, label, conf in draw(st.lists(miss, min_size=1, max_size=12)):
+            if kind == "unknown":
+                pool = [a.box for a in faces if a.label is FaceLabel.UNKNOWN]
+            elif kind == "other":
+                pool = [a.box for a in faces if a.label not in (label, FaceLabel.UNKNOWN)]
+            else:
+                pool = []
+            box = draw(st.sampled_from(pool)) if pool else BBox(300.0, 300.0, 320.0, 330.0)
+            rows.insert(draw(st.integers(0, len(rows))), Detection(box, label, conf))
+        detections[image_id] = rows
+    return detections, annotations, thr
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scenes_with_misses())
+def test_ap_equals_brute_force_when_many_rows_reach_no_face(scene):
+    detections, annotations, thr = scene
+    det_records = {i: DetectionRecord(i, META, d) for i, d in detections.items()}
+    gt_records = {i: ImageRecord(i, META, 400, 400, a) for i, a in annotations.items()}
+    cfg = EvalConfig(iou_thr=thr)
+    for label in (FaceLabel.MASKED, FaceLabel.UNMASKED):
+        for bucket in (None, *BUCKETS):
+            got = average_precision(det_records, gt_records, label, bucket, cfg)
+            assert got == average_precision(detections, annotations, label, bucket, cfg)
+            matches = brute_force_matches(detections, annotations, label, bucket, thr)
+            assert got == (None if matches is None else envelope_ap(*matches))
+            want = brute_force_ap(detections, annotations, label, bucket, thr)
+            assert got == (None if want is None else pytest.approx(want, abs=1e-9))
+
+
 class TestMeanAp:
     def test_all_ones(self):
         assert mean_ap([1.0, 1.0, 1.0]) == 1.0

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from maskbench.dataset import DetectionRecord
 from maskbench.geometry import Annotation, BBox, Detection, FaceLabel
 from maskbench.ratio import (
     Condition,
@@ -187,6 +189,55 @@ class TestNmsMatchesScalarOracle:
 
     def test_empty_image(self):
         assert nms([], 0.4) == nms_scalar([], 0.4) == []
+
+
+META = ImageMeta("v", Condition.DAYTIME)
+LABEL_SETS = ((FaceLabel.MASKED,), (FaceLabel.UNMASKED,), (FaceLabel.MASKED, FaceLabel.UNMASKED))
+
+
+def test_nms_on_records_over_several_blocks():
+    # a record holds the same rows as its objects, and only the kept rows are built
+    rng = np.random.default_rng(14)
+    for _ in range(4):
+        dets = _clustered(rng, n_faces=150, tie_prob=0.3)
+        rec = DetectionRecord("im", META, dets)
+        for thr in (0.3, 0.5):
+            assert nms(rec, thr) == nms_scalar(dets, thr)
+
+
+@st.composite
+def nms_scenes(draw):
+    """(detections, iou_thr): clusters of candidates on integer coordinates.
+
+    Confidences take three values, so ties are common; a scene may hold one
+    class only, or nothing. In half the scenes with a same-class pair of
+    nonzero IoU, the threshold is that pair's exact IoU.
+    """
+    labels = draw(st.sampled_from(LABEL_SETS))
+    coord, side, shift = st.integers(0, 200), st.integers(6, 40), st.integers(-3, 3)
+    copy = st.tuples(shift, shift, shift, shift, st.sampled_from((0.3, 0.6, 0.9)),
+                     st.sampled_from(labels))
+    dets = []
+    for l, t, w, h in draw(st.lists(st.tuples(coord, coord, side, side), max_size=25)):
+        for dl, dt, dr, db, conf, label in draw(st.lists(copy, min_size=1, max_size=6)):
+            dets.append(det(l + dl, t + dt, max(l + w + dr, l + dl + 1),
+                            max(t + h + db, t + dt + 1), label, conf))
+    thrs = {iou_scalar(a.box, b.box) for a in dets[:20] for b in dets[:20]
+            if a is not b and a.label is b.label} - {0.0}
+    if thrs and draw(st.booleans()):
+        return dets, draw(st.sampled_from(sorted(thrs)))
+    return dets, draw(st.sampled_from((0.3, 0.4, 0.5, 1.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nms_scenes())
+def test_nms_on_a_record_equals_object_lists_and_the_scalar_oracle(scene):
+    dets, thr = scene
+    rec = DetectionRecord("im", META, dets)
+    want = nms_scalar(dets, thr)
+    _assert_same_detections(nms(dets, thr), want)
+    assert len(rec) == len(dets)
+    assert nms(rec, thr) == nms(list(rec.detections), thr) == want
 
 
 class TestDetectionRatio:
