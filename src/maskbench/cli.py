@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import warnings
@@ -29,6 +28,7 @@ from .dataset import (
     ImageRecord,
     SynthParams,
     Table,
+    _decode,
     dataset_stats,
     density_path,
     load_annotations,
@@ -37,7 +37,6 @@ from .dataset import (
     render_report,
     subset_points,
     synth_scene,
-    unique_keys,
     write_report,
     write_synth_scene,
 )
@@ -105,9 +104,7 @@ def _dets_by_image(
                 f"{rec.meta.video_id!r}, condition {rec.meta.condition.value!r}; the "
                 f"annotations give {want.video_id!r}, {want.condition.value!r}"
             )
-    if nms_iou is not None:
-        records = [DetectionRecord(r.image_id, r.meta, nms(r, nms_iou)) for r in records]
-    by_image = {rec.image_id: rec for rec in records}
+    by_image = {r.image_id: r if nms_iou is None else nms(r, nms_iou) for r in records}
     # images without a detection record count as zero detections
     return {rec.image_id: by_image[rec.image_id] if rec.image_id in by_image
             else DetectionRecord(rec.image_id, rec.meta) for rec in manifest.images}
@@ -189,6 +186,8 @@ def _cmd_gen_density(args) -> int:
             raise ValueError(f"unknown density subset {s!r}, expected one of {DENSITY_SUBSETS}")
     if args.downscale < 1:
         raise ValueError(f"downscale must be a positive integer, got {args.downscale}")
+    if args.downscale >= 2**32:  # the NFMD header's u32 field
+        raise ValueError(f"downscale must be below 2**32, got {args.downscale}")
     manifest = load_annotations(args.annotations)
     spec = KernelSpec(
         beta=args.beta,
@@ -342,12 +341,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_loss_eval(args) -> int:
     with open(args.fixture, "r", encoding="utf-8") as f:
-        try:
-            fixture = json.load(f, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{args.fixture}: invalid JSON: {exc}") from exc
-        except DataFormatError as exc:  # a repeated key
-            raise DataFormatError(f"{args.fixture}: {exc}") from exc
+        fixture = _decode(args.fixture, None, f.read())
 
     def get(obj, key, default=None):
         if not isinstance(obj, dict):
@@ -397,34 +391,12 @@ def _cmd_loss_eval(args) -> int:
     except ValueError as exc:
         raise DataFormatError(f"{args.fixture}: {exc}") from exc
 
-    _emit(
-        Table(
-            (
-                "n_anchors",
-                "n_positive",
-                "n_negative",
-                "n_ignore",
-                "objectness",
-                "classification",
-                "box",
-                "total",
-            ),
-            [
-                (
-                    len(match),
-                    match.n_positive,
-                    int(np.count_nonzero(match.negative_mask)),
-                    int(np.count_nonzero(match.ignore_mask)),
-                    breakdown.objectness,
-                    breakdown.classification,
-                    breakdown.box,
-                    breakdown.total,
-                )
-            ],
-        ),
-        args.out,
-        args.format,
-    )
+    columns = ("n_anchors", "n_positive", "n_negative", "n_ignore",
+               "objectness", "classification", "box", "total")
+    row = (len(match), match.n_positive, int(np.count_nonzero(match.negative_mask)),
+           int(np.count_nonzero(match.ignore_mask)), breakdown.objectness,
+           breakdown.classification, breakdown.box, breakdown.total)
+    _emit(Table(columns, [row]), args.out, args.format)
     return 0
 
 

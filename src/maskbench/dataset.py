@@ -177,6 +177,9 @@ class DetectionRecord(_FaceRecord):
     def detections(self) -> tuple[Detection, ...]:
         return build_detections(self.boxes, self.labels, self.conf)
 
+    def __iter__(self) -> Iterator[Detection]:  # the Detections of rec.detections
+        return iter(self.detections)
+
 
 # the face subsets a density map can draw
 DENSITY_SUBSETS = ("total", "masked", "unmasked")
@@ -222,6 +225,8 @@ def _parse_box(raw, where: str, width: int | None, height: int | None) -> BBox:
         l, t, r, b = (float(v) for v in raw)
     except OverflowError as exc:
         raise DataFormatError(f"{where}: box coordinate out of range ({exc})") from exc
+    if not all(map(math.isfinite, (l, t, r, b))):  # before the clamp, which would hide inf
+        raise DataFormatError(f"{where}: box coordinates must be finite, got {(l, t, r, b)}")
     if width is not None and height is not None:
         l, r = min(max(l, 0.0), width), min(max(r, 0.0), width)
         t, b = min(max(t, 0.0), height), min(max(b, 0.0), height)
@@ -315,27 +320,35 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _KEY_CHECK = json.JSONDecoder(object_pairs_hook=unique_keys)
 
 
-def _decode(path, lineno: int, line: str) -> dict:
-    """The line's JSON object, decoded once; a repeated key at any depth is an error."""
+def _decode(path, lineno: int | None, text: str):
+    """The JSON value of text: line lineno of path, or all of path if lineno is None.
+
+    A syntax error is at path:line:column. A repeated key at any depth, or nesting
+    too deep to decode, is at path:lineno, or at path for a whole file.
+    """
+    where = path if lineno is None else f"{path}:{lineno}"
     try:
-        if line.startswith("\ufeff"):  # json.loads refuses it; JSONDecoder.decode does not
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-        obj = _KEY_CHECK.decode(line)
+        if text.startswith("\ufeff"):  # json.loads refuses it; JSONDecoder.decode does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _KEY_CHECK.decode(text)
     except json.JSONDecodeError as exc:  # the column is in the prefix: drop a dangling "at"
+        # an error past a final line feed, which json puts on one more line, stays on the last
+        line = (lineno or 1) + min(exc.lineno, text.rstrip("\n").count("\n") + 1) - 1
         msg = exc.msg.removesuffix(" at")
-        raise DataFormatError(f"{path}:{lineno}:{exc.colno}: invalid JSON: {msg}") from exc
+        raise DataFormatError(f"{path}:{line}:{exc.colno}: invalid JSON: {msg}") from exc
+    except RecursionError:
+        raise DataFormatError(f"{where}: invalid JSON: nested too deeply to decode") from None
     except DataFormatError as exc:
-        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
-    return obj
+        raise DataFormatError(f"{where}: {exc}") from exc
 
 
-def _parse_header(obj: dict, where: str, seen: set[str]) -> tuple[str, str, Condition]:
-    """Check the image_id, video_id and condition that both JSONL formats carry.
+def _parse_header(obj, where: str, seen: set[str]) -> tuple[str, str, Condition]:
+    """Check that a line is an object with the image_id, video_id and condition of both formats.
 
     The image_id must not be in seen; the caller adds it.
     """
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{where}: expected a JSON object")
     image_id = _require(obj, "image_id", where)
     if not isinstance(image_id, str) or not image_id:
         raise DataFormatError(f"{where}: image_id must be a non-empty string")
@@ -400,20 +413,16 @@ def _block_faces(raw: list, codes: Mapping[str, int]):
         raise ValueError("a box holds a non-number")
     if not set(labels) <= codes.keys():
         raise ValueError("a label is unknown")
-    return (
-        np.array(boxes, dtype=np.float64).reshape(-1, 4),
-        np.array([codes[lab] for lab in labels], dtype=np.int8),
-    )
+    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    if not np.isfinite(boxes).all():  # checked before an annotation's clamp, which would hide inf
+        raise ValueError("a box is non-finite")
+    return boxes, np.array([codes[lab] for lab in labels], dtype=np.int8)
 
 
 def _check_boxes(boxes: np.ndarray) -> None:
-    """Raise unless every box is finite with right > left and bottom > top (as BBox)."""
-    if not (
-        np.isfinite(boxes).all()
-        and (boxes[:, 2] > boxes[:, 0]).all()
-        and (boxes[:, 3] > boxes[:, 1]).all()
-    ):
-        raise ValueError("a box is non-finite or empty")
+    """Raise unless every box has right > left and bottom > top (as BBox)."""
+    if not ((boxes[:, 2] > boxes[:, 0]).all() and (boxes[:, 3] > boxes[:, 1]).all()):
+        raise ValueError("a box is empty")
 
 
 def _split(counts: list[int], *arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
@@ -434,7 +443,7 @@ def _warn_small(fwhere: str, image_id: str, width: float, height: float) -> None
     )
 
 
-def _annotation_header(obj: dict, where: str, seen: set[str]):
+def _annotation_header(obj, where: str, seen: set[str]):
     """(image_id, meta, width, height, faces) of an annotations line, checked."""
     image_id, video_id, condition = _parse_header(obj, where, seen)
     width = _require(obj, "width", where)
@@ -521,7 +530,7 @@ def save_annotations(manifest: DatasetManifest, path) -> None:
     })
 
 
-def _detection_header(obj: dict, where: str, seen: set[str]):
+def _detection_header(obj, where: str, seen: set[str]):
     """(image_id, meta, detections) of a detections line, checked."""
     image_id, video_id, condition = _parse_header(obj, where, seen)
     dets_raw = _require(obj, "detections", where)
@@ -720,6 +729,8 @@ class SynthParams:
             raise ValueError("n_videos must be >= 1")
         if self.density_downscale < 1:
             raise ValueError("density_downscale must be >= 1")
+        if self.density_downscale >= 2**32:  # the NFMD header's u32 field
+            raise ValueError(f"density_downscale must be below 2**32, got {self.density_downscale}")
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")

@@ -9,7 +9,7 @@ from typing import Iterable, TypeVar
 
 import numpy as np
 
-from .geometry import LABEL_CODES, Detection, FaceLabel, build_detections, face_arrays, iou_matrix
+from .geometry import LABEL_CODES, FaceLabel, face_arrays, iou_matrix
 from .geometry import iou  # noqa: F401  (unused; perfbench's tracer wraps ratio.iou)
 
 
@@ -81,15 +81,16 @@ def check_thresholds(iou_thr: float | None = None, conf_thr: float | None = None
         raise ValueError(f"conf_thr must be in [0, 1], got {conf_thr}")
 
 
-def nms(dets, iou_thr: float = 0.4) -> list[Detection]:
+def nms(dets, iou_thr: float = 0.4):
     """Greedy class-wise non-maximum suppression.
 
     Detections are visited in descending confidence (ties keep input order);
     one is kept iff its IoU with every kept detection of the same class is
     below iou_thr. Kept detections are returned in input order.
 
-    dets is a sequence of Detection, whose kept objects are returned, or a record
-    (see face_arrays), whose kept rows only are built into Detections. Each class
+    dets is a sequence of Detection, whose kept objects are returned as a list, or
+    a detection record (see face_arrays), whose kept rows are returned as a record
+    of the same image_id and meta, sliced from its arrays. Each class
     is settled in confidence order, _NMS_BLOCK at a time: one iou_matrix settles a
     block among itself, visiting only rows that overlap a later one; a second drops
     every later candidate that a kept box overlaps at iou_thr or more. iou_matrix
@@ -114,8 +115,9 @@ def nms(dets, iou_thr: float = 0.4) -> list[Detection]:
             keep[kept] = True
             idx = rest[~(iou_matrix(boxes[kept], boxes[rest]) >= iou_thr).any(axis=0)]
     rows = np.flatnonzero(keep)
-    if hasattr(dets, "labels"):  # a record: build Detections for the kept rows only
-        dets, rows = build_detections(boxes[rows], labels[rows], conf[rows]), range(len(rows))
+    if hasattr(dets, "labels"):
+        return type(dets)(dets.image_id, dets.meta,
+                          boxes=boxes[rows], labels=labels[rows], conf=conf[rows])
     return [dets[i] for i in rows]
 
 

@@ -437,6 +437,8 @@ def _box_of(raw, where: str, width: int | None, height: int | None) -> BBox:
         l, t, r, b = (float(v) for v in raw)
     except OverflowError as exc:
         raise DataFormatError(f"{where}: box coordinate out of range ({exc})") from exc
+    if not all(math.isfinite(v) for v in (l, t, r, b)):  # as read, before the clamp
+        raise DataFormatError(f"{where}: box coordinates must be finite, got {(l, t, r, b)}")
     if width is not None and height is not None:
         l, r = min(max(l, 0.0), width), min(max(r, 0.0), width)
         t, b = min(max(t, 0.0), height), min(max(b, 0.0), height)

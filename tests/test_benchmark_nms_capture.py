@@ -1,9 +1,11 @@
-"""The benchmark's reading of NMS must keep working on eval-det --nms-iou.
+"""The benchmark's reading of NMS must keep working on every --nms-iou command.
 
 perfbench/worker.py wraps the name cli.nms and reads .label.value of each
 detection it returns, to get the per-image kept counts that the det_crowd
-check needs. perfbench/tracer.py counts len() of the first argument of each
-call as the boxes in. This runs eval-det --nms-iou under both readers, as a
+check needs; NMS on a record returns a record, which iterates as its
+Detections. perfbench/tracer.py counts len() of the first argument of each
+call as the boxes in, and len() of the result as the boxes kept. This runs
+eval-det, eval-ratio and report-video with --nms-iou under both readers, as a
 benchmark round does. The two modules are loaded from their files (they
 import only the standard library) and are not changed.
 """
@@ -12,6 +14,8 @@ import contextlib
 import importlib.util
 import io
 from pathlib import Path
+
+import pytest
 
 import maskbench.cli as cli
 from maskbench.cli import main
@@ -32,7 +36,9 @@ def _load(name):
 _worker, _tracer = _load("worker"), _load("tracer")
 
 
-def test_nms_capture_gets_one_sized_call_per_record_in_file_order(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["eval-det", "eval-ratio", "report-video"])
+def test_nms_capture_gets_one_sized_call_per_record_in_file_order(tmp_path, monkeypatch,
+                                                                   command):
     scene = tmp_path / "scene"
     write_synth_scene(synth_scene(SynthParams(seed=5, n_images=12, faces_min=0, faces_max=12,
                                               image_width=96, image_height=64,
@@ -50,7 +56,7 @@ def test_nms_capture_gets_one_sized_call_per_record_in_file_order(tmp_path, monk
 
     monkeypatch.setattr(cli, "nms", recorded)  # undone after the test, with the worker's wrap
     kept = _worker._capture_nms(cli)
-    argv = ["eval-det", "--annotations", str(scene / "annotations.jsonl"),
+    argv = [command, "--annotations", str(scene / "annotations.jsonl"),
             "--detections", str(detections), "--nms-iou", "0.4", "--out", str(tmp_path / "d.csv")]
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0

@@ -418,8 +418,10 @@ def test_detection_reports_byte_identical_to_scalar_oracles(tmp_path, monkeypatc
         return out
 
     fast = reports("fast")
-    # eval-det and eval-ratio pass nms a record; the scalar reference reads its value objects
-    monkeypatch.setattr(cli, "nms", lambda rec, iou_thr: nms_scalar(list(rec.detections), iou_thr))
+    # eval-det and eval-ratio pass nms a record and keep the record it returns; the scalar
+    # reference reads the record's value objects
+    monkeypatch.setattr(cli, "nms", lambda rec, iou_thr: DetectionRecord(
+        rec.image_id, rec.meta, nms_scalar(list(rec), iou_thr)))
     monkeypatch.setattr(cli, "average_precision", _exact_ap)
     assert reports("oracle") == fast
 

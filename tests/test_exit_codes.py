@@ -296,6 +296,67 @@ _SYNTH = ["synth", "--seed", "3", "--images", "2", "--faces-min", "1", "--faces-
 _GRADCHECK = ["gradcheck", "--trials", "1", "--max-size", "1", "--max-channels", "1"]
 
 
+@pytest.mark.parametrize("literal, value", [("Infinity", math.inf), ("-Infinity", -math.inf),
+                                            ("1e400", math.inf)])
+@pytest.mark.parametrize("target, face", [("annotations", "face"), ("detections", "detection")])
+def test_non_finite_box_coordinate_exits_two_naming_the_face(tmp_path, target, face, literal,
+                                                             value):
+    # an annotation's clamp into its frame used to turn it into a finite coordinate
+    doc = copy.deepcopy(TARGETS[target][0])
+    box = doc[0][f"{face}s"][1]["box"]
+    box[2] = _OVERFLOW
+    paths = write_inputs(tmp_path, target, doc)
+    paths[target].write_text(paths[target].read_text().replace("1e400", literal))
+    coords = (float(box[0]), float(box[1]), value, float(box[3]))
+    want = (f"error: {paths[target]}:1: {face} 1: box coordinates must be finite, "
+            f"got {coords}\n")
+    for command in TARGETS[target][2]:
+        assert run([a.format(**paths) for a in command]) == (2, want), command
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("target, line, key", [("annotations", 2, "condition"),
+                                               ("detections", 2, "condition"),
+                                               ("fixture", None, "image")])
+def test_json_nested_past_the_recursion_limit_exits_two_naming_it(tmp_path, target, line, key):
+    # it used to escape as a RecursionError traceback
+    paths = write_inputs(tmp_path, target, TARGETS[target][0])
+    lines = paths[target].read_text().splitlines(keepends=True)  # a fixture is one line
+    k = (line or 1) - 1
+    lines[k] = lines[k].replace(f'"{key}": ', f'"x": {_DEEP}, "{key}": ', 1)
+    paths[target].write_text("".join(lines))
+    where = paths[target] if line is None else f"{paths[target]}:{line}"
+    want = f"error: {where}: invalid JSON: nested too deeply to decode\n"
+    for command in TARGETS[target][2]:
+        assert run([a.format(**paths) for a in command]) == (2, want), command
+
+
+def test_fixture_syntax_error_names_its_line_and_column(tmp_path):
+    paths = write_inputs(tmp_path, "fixture", FIXTURE)
+    text = json.dumps(FIXTURE, indent=1).replace('"pos_iou": 0.5', '"pos_iou": ,')
+    paths["fixture"].write_text(text)
+    at = text.index('"pos_iou": ,') + len('"pos_iou": ')
+    line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    assert line > 1
+    want = f"error: {paths['fixture']}:{line}:{column}: invalid JSON: Expecting value\n"
+    for command in TARGETS["fixture"][2]:
+        assert run([a.format(**paths) for a in command]) == (2, want), command
+
+
+@pytest.mark.parametrize("target", ["annotations", "detections"])
+def test_json_error_at_the_end_of_a_line_names_that_line(tmp_path, target):
+    # json places it past the line feed, on the next line; the message keeps it on its own
+    paths = write_inputs(tmp_path, target, TARGETS[target][0])
+    lines = paths[target].read_text().splitlines(keepends=True)
+    lines[0] = lines[0].removesuffix("}\n") + "\n"
+    paths[target].write_text("".join(lines))
+    want = f"error: {paths[target]}:1:1: invalid JSON: Expecting ',' delimiter\n"
+    for command in TARGETS[target][2]:
+        assert run([a.format(**paths) for a in command]) == (2, want), command
+
+
 @pytest.mark.parametrize("argv, message", [
     (_SYNTH + ["--face-size-max", "inf"], "face_size_max must be finite, got inf"),
     (_SYNTH + ["--fp-rate", "nan"], "false_positive_rate must be finite, got nan"),
@@ -309,16 +370,17 @@ def test_non_finite_numeric_flag_exits_two_naming_it(tmp_path, argv, message):
     assert run(argv + out) == (2, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("value", [2**32, 2**63, 10**23])
 @pytest.mark.parametrize("argv", [
-    ["gen-density", "--annotations", "{annotations}", "--out", "{root}/maps",
-     "--downscale", "4294967296"],
-    _SYNTH + ["--out", "{root}/maps", "--density-downscale", "4294967296"],
+    ["gen-density", "--annotations", "{annotations}", "--out", "{root}/maps", "--downscale"],
+    _SYNTH + ["--out", "{root}/maps", "--density-downscale"],
 ])
-def test_density_header_beyond_u32_exits_two_and_writes_no_map(tmp_path, argv):
+def test_density_header_beyond_u32_exits_two_and_writes_no_map(tmp_path, argv, value):
+    # rejected before anything is written: not even --out is made
     paths = write_inputs(tmp_path, "annotations", ANNOTATIONS)
-    code, err = run([a.format(root=tmp_path, **paths) for a in argv])
+    code, err = run([a.format(root=tmp_path, **paths) for a in argv] + [str(value)])
     assert code == 2 and "must be below 2**32" in err and err.count("\n") == 1, err
-    assert not list(tmp_path.rglob("*.nfmd"))
+    assert not (tmp_path / "maps").exists()
 
 
 _BAD_THRESHOLDS = [

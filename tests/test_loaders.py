@@ -16,7 +16,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from maskbench import cli, dataset, ratio
+from maskbench import cli, dataset
 from maskbench.cli import main
 from maskbench.dataset import (
     SynthParams,
@@ -363,47 +363,43 @@ def test_array_paths_build_no_value_objects(tmp_path, monkeypatch):
                       scene)
 
     def refuse(*args):
-        raise AssertionError("a value-object tuple was built")
+        raise AssertionError("a value object was built")
 
-    monkeypatch.setattr(dataset, "build_annotations", refuse)
-    monkeypatch.setattr(dataset, "build_detections", refuse)
+    # every Annotation and Detection holds a BBox, wherever it is built
+    monkeypatch.setattr(BBox, "__post_init__", refuse)
     ann, det, dens = scene / "annotations.jsonl", scene / "detections.jsonl", scene / "density"
-    for argv in (
+    on_detections = [
         ["eval-ratio", "--annotations", ann, "--detections", det, "--by-condition",
          "--min-faces", "1", "--scatter", tmp_path / "scatter.csv"],
-        ["eval-ratio", "--annotations", ann, "--density-dir", dens, "--min-faces", "1"],
         ["report-video", "--annotations", ann, "--detections", det],
-        ["report-video", "--annotations", ann, "--density-dir", dens],
-        ["eval-count", "--annotations", ann, "--density-dir", dens],
-        ["gen-density", "--annotations", ann, "--out", tmp_path / "maps",
-         "--subsets", "total,masked,unmasked"],
         ["eval-det", "--annotations", ann, "--detections", det],
-    ):
-        assert _run([str(a) for a in argv]) == (0, ""), argv
-
-    # --nms-iou builds a Detection for each kept row and for no other
-    built, calls = [], []
-    build_detections, nms = ratio.build_detections, cli.nms
-
-    def counted_build(boxes, labels, conf):
-        built.append(len(labels))
-        return build_detections(boxes, labels, conf)
+    ]
+    calls = []  # (candidates, kept) per NMS call
+    nms = cli.nms
 
     def counted_nms(rec, iou_thr):
         kept = nms(rec, iou_thr)
         calls.append((len(rec), len(kept)))
         return kept
 
-    monkeypatch.setattr(ratio, "build_detections", counted_build)
     monkeypatch.setattr(cli, "nms", counted_nms)
-    nms_det = ["eval-det", "--annotations", str(ann), "--detections", str(det), "--nms-iou", "0.4"]
-    assert _run(nms_det) == (0, "")
+    for argv in (
+        *on_detections,
+        # NMS keeps records, so --nms-iou builds no Detection either
+        *([*argv, "--nms-iou", "0.4"] for argv in on_detections),
+        ["eval-ratio", "--annotations", ann, "--density-dir", dens, "--min-faces", "1"],
+        ["report-video", "--annotations", ann, "--density-dir", dens],
+        ["eval-count", "--annotations", ann, "--density-dir", dens],
+        ["gen-density", "--annotations", ann, "--out", tmp_path / "maps",
+         "--subsets", "total,masked,unmasked"],
+    ):
+        assert _run([str(a) for a in argv]) == (0, ""), argv
     n_in, n_kept = (sum(c) for c in zip(*calls))
-    assert sum(built) == n_kept < n_in  # the scene has candidates that NMS drops
+    assert len(calls) == 3 * 12 and n_kept < n_in  # the scene has candidates that NMS drops
 
     # the guard itself works: reading a record's value objects trips it
-    with pytest.raises(AssertionError, match="value-object tuple"):
-        load_detections(det)[0].detections
+    with pytest.raises(AssertionError, match="value object was built"):
+        list(load_detections(det)[0])
 
 
 def test_stats_builds_no_value_objects(tmp_path, monkeypatch):

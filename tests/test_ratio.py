@@ -195,14 +195,22 @@ META = ImageMeta("v", Condition.DAYTIME)
 LABEL_SETS = ((FaceLabel.MASKED,), (FaceLabel.UNMASKED,), (FaceLabel.MASKED, FaceLabel.UNMASKED))
 
 
+def _nms_record(rec, thr):
+    """nms(rec, thr), checked to be a record of rec's image_id and meta."""
+    kept = nms(rec, thr)
+    assert isinstance(kept, DetectionRecord)
+    assert (kept.image_id, kept.meta) == (rec.image_id, rec.meta)
+    return kept
+
+
 def test_nms_on_records_over_several_blocks():
-    # a record holds the same rows as its objects, and only the kept rows are built
+    # a record holds the same rows as its objects; nms keeps them as a record
     rng = np.random.default_rng(14)
     for _ in range(4):
         dets = _clustered(rng, n_faces=150, tie_prob=0.3)
         rec = DetectionRecord("im", META, dets)
         for thr in (0.3, 0.5):
-            assert nms(rec, thr) == nms_scalar(dets, thr)
+            assert list(_nms_record(rec, thr)) == nms_scalar(dets, thr)
 
 
 @st.composite
@@ -237,7 +245,7 @@ def test_nms_on_a_record_equals_object_lists_and_the_scalar_oracle(scene):
     want = nms_scalar(dets, thr)
     _assert_same_detections(nms(dets, thr), want)
     assert len(rec) == len(dets)
-    assert nms(rec, thr) == nms(list(rec.detections), thr) == want
+    assert list(_nms_record(rec, thr)) == nms(list(rec.detections), thr) == want
 
 
 class TestDetectionRatio:
