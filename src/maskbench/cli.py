@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import reprlib
 import sys
 import warnings
 from dataclasses import fields
@@ -43,7 +44,9 @@ from .dataset import (
 from .density import (
     DensityMap,
     KernelSpec,
+    check_downscale,
     integrate_count,
+    map_shape,
     read_density,
     render_density,
     write_density,
@@ -125,12 +128,11 @@ def _read_subset(root: Path, rec: ImageRecord, subset: str) -> DensityMap:
     if not path.exists():
         raise DataFormatError(f"missing density prediction {path}")
     dmap = read_density(path)
-    ds = dmap.downscale
-    want = (math.ceil(rec.height / ds), math.ceil(rec.width / ds))
+    want = map_shape(rec.height, rec.width, dmap.downscale)
     if dmap.values.shape != want:
         raise DataFormatError(
-            f"{path}: {dmap.height}x{dmap.width} map does not fit the "
-            f"{rec.height}x{rec.width} image at downscale {ds} (want {want[0]}x{want[1]})"
+            f"{path}: {dmap.height}x{dmap.width} map does not fit the {rec.height}x"
+            f"{rec.width} image at downscale {dmap.downscale} (want {want[0]}x{want[1]})"
         )
     return dmap
 
@@ -178,16 +180,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_gen_density(args) -> int:
-    subsets = [s.strip() for s in args.subsets.split(",") if s.strip()]
+    # each subset once, in the order it is first named
+    subsets = list(dict.fromkeys(s.strip() for s in args.subsets.split(",") if s.strip()))
     if not subsets:
         raise ValueError(f"--subsets names no subset, expected some of {DENSITY_SUBSETS}")
     for s in subsets:
         if s not in DENSITY_SUBSETS:
             raise ValueError(f"unknown density subset {s!r}, expected one of {DENSITY_SUBSETS}")
-    if args.downscale < 1:
-        raise ValueError(f"downscale must be a positive integer, got {args.downscale}")
-    if args.downscale >= 2**32:  # the NFMD header's u32 field
-        raise ValueError(f"downscale must be below 2**32, got {args.downscale}")
+    check_downscale(args.downscale)
     manifest = load_annotations(args.annotations)
     spec = KernelSpec(
         beta=args.beta,
@@ -232,27 +232,20 @@ def _cmd_eval_det(args) -> int:
     return 0
 
 
+def _stats_row(quantity: str, est: Sequence[float], gt: Sequence[float],
+               with_mae: bool = True) -> tuple:
+    """(quantity, n, mae, gamma): MAE needs one value and gamma two, else the cell is empty."""
+    n = len(est)
+    return (quantity, n, mae(est, gt) if with_mae and n else None,
+            pearson(est, gt) if n >= 2 else None)
+
+
 def _count_rows(
     est: Mapping[str, RatioReport], gt: Mapping[str, RatioReport], order: Sequence[str]
 ) -> list[tuple]:
-    def counts(r: RatioReport) -> tuple:
-        return r.masked_count, r.unmasked_count, r.total
-
-    # each quantity's estimated and ground-truth columns, filled in one pass over order
-    columns = {quantity: ([], []) for quantity in ("masked", "unmasked", "total")}
-    for i in order:
-        for (e, g), x, y in zip(columns.values(), counts(est[i]), counts(gt[i])):
-            e.append(x)
-            g.append(y)
-    return [
-        (quantity, len(order), mae(e, g), pearson(e, g) if len(order) >= 2 else None)
-        for quantity, (e, g) in columns.items()
-    ]
-
-
-def _ratio_gamma(pairs: Sequence[tuple[str, float, float]]) -> float | None:
-    """Pearson correlation of (image_id, gt, est) pairs; None below two pairs."""
-    return pearson([p[2] for p in pairs], [p[1] for p in pairs]) if len(pairs) >= 2 else None
+    attrs = {"masked": "masked_count", "unmasked": "unmasked_count", "total": "total"}
+    return [_stats_row(q, [getattr(est[i], a) for i in order], [getattr(gt[i], a) for i in order])
+            for q, a in attrs.items()]
 
 
 def _cmd_eval_count(args) -> int:
@@ -280,15 +273,14 @@ def _cmd_eval_ratio(args) -> int:
     gt_conv = _swap_convention(gt, args.convention)
     rows = _count_rows(est, gt, order)
     pairs = ratio_pairs(est_conv, gt_conv, cfg)
-    ratio_mae = mae([p[2] for p in pairs], [p[1] for p in pairs]) if pairs else None
-    rows.append(("ratio", len(pairs), ratio_mae, _ratio_gamma(pairs)))
+    rows.append(_stats_row("ratio", [p[2] for p in pairs], [p[1] for p in pairs]))
 
     if args.by_condition:
         metas = {rec.image_id: rec.meta for rec in manifest.images}
         groups = group_by_condition((metas[p[0]], p) for p in pairs)
         for condition, group in groups.items():
-            sub_pairs = [p for _, p in group]
-            rows.append((f"ratio_{condition.value}", len(sub_pairs), None, _ratio_gamma(sub_pairs)))
+            rows.append(_stats_row(f"ratio_{condition.value}", [p[2] for _, p in group],
+                                   [p[1] for _, p in group], with_mae=False))
 
     if args.scatter:
         write_report(
@@ -342,62 +334,70 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_loss_eval(args) -> int:
     with open(args.fixture, "r", encoding="utf-8") as f:
         fixture = _decode(args.fixture, None, f.read())
+    try:  # every message about the fixture's content gets its path here
+        row = _loss_row(fixture)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{args.fixture}: {exc}") from exc
+    columns = ("n_anchors", "n_positive", "n_negative", "n_ignore",
+               "objectness", "classification", "box", "total")
+    _emit(Table(columns, [row]), args.out, args.format)
+    return 0
+
+
+def _loss_row(fixture) -> tuple:
+    """loss-eval's report row for a decoded fixture; a ValueError names the field at fault."""
 
     def get(obj, key, default=None):
         if not isinstance(obj, dict):
-            raise DataFormatError(
-                f"{args.fixture}: expected an object holding {key!r}, got {obj!r}"
-            )
+            raise ValueError(f"expected an object holding {key!r}, got {reprlib.repr(obj)}")
         if default is None and key not in obj:
-            raise DataFormatError(f"{args.fixture}: missing field {key!r}")
+            raise ValueError(f"missing field {key!r}")
         return obj.get(key, default)
 
-    image = get(fixture, "image")
-    spec = get(fixture, "anchors")
+    def check(value, name, kind=(int, float), what="a number"):
+        # as the loaders check a box coordinate: a number is never a bool or a string
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+        return value
+
+    def numbers(value, name, kind=(int, float), what="numbers"):
+        return [check(v, name, kind, f"a list of {what}")
+                for v in check(value, name, list, f"a list of {what}")]
+
+    image, spec = get(fixture, "image"), get(fixture, "anchors")
+    levels = numbers(get(spec, "levels"), "anchors.levels", int, "integers")
+    scales = spec.get("scales")
+    if isinstance(scales, dict):
+        scales = {int(k): numbers(v, f"anchors.scales[{k!r}]") for k, v in scales.items()}
+    elif scales is not None:
+        scales = numbers(scales, "anchors.scales")
+    ratios = numbers(spec.get("ratios", list(anchors_mod.DEFAULT_RATIOS)), "anchors.ratios")
+    anchor_set = anchors_mod.generate_anchors(
+        check(get(image, "width"), "image.width", int, "an integer"),
+        check(get(image, "height"), "image.height", int, "an integer"), levels, scales, ratios)
     matching = get(fixture, "matching", {})
+    pos_iou = float(check(get(matching, "pos_iou", 0.5), "matching.pos_iou"))
+    neg_iou = float(check(get(matching, "neg_iou", 0.3), "matching.neg_iou"))
     preds = get(fixture, "predictions")
-    loss_cfg = get(fixture, "loss", {})
-    try:
-        levels = [int(v) for v in get(spec, "levels")]
-        scales = spec.get("scales")
-        if isinstance(scales, dict):
-            scales = {int(k): tuple(float(x) for x in v) for k, v in scales.items()}
-        ratios = tuple(float(r) for r in spec.get("ratios", anchors_mod.DEFAULT_RATIOS))
-        anchor_set = anchors_mod.generate_anchors(
-            int(get(image, "width")), int(get(image, "height")), levels, scales, ratios
-        )
-        pos_iou = float(get(matching, "pos_iou", 0.5))
-        neg_iou = float(get(matching, "neg_iou", 0.3))
-        p_obj = np.asarray(get(preds, "objectness"), dtype=np.float64)
-        p_cls = np.asarray(get(preds, "class"), dtype=np.float64)
-        t = np.asarray(get(preds, "box"), dtype=np.float64)
-        config = anchors_mod.LossConfig(
-            alpha=float(get(loss_cfg, "alpha", 0.25)),
-            gamma=float(get(loss_cfg, "gamma", 2.0)),
-            normalize_by_positives=bool(get(loss_cfg, "normalize", False)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"{args.fixture}: {exc}") from exc
-
-    gt_raw = get(fixture, "ground_truth")
-    if not isinstance(gt_raw, list):
-        raise DataFormatError(f"{args.fixture}: ground_truth must be a list")
+    p_obj = np.array(numbers(get(preds, "objectness"), "predictions.objectness"), dtype=np.float64)
+    p_cls = np.array(numbers(get(preds, "class"), "predictions.class"), dtype=np.float64)
+    boxes = check(get(preds, "box"), "predictions.box", list, "a list of number lists")
+    t = np.array([numbers(b, "predictions.box", what="number lists") for b in boxes], dtype=np.float64)
+    loss, default = get(fixture, "loss", {}), anchors_mod.LossConfig()
+    config = anchors_mod.LossConfig(
+        alpha=float(check(get(loss, "alpha", default.alpha), "loss.alpha")),
+        gamma=float(check(get(loss, "gamma", default.gamma), "loss.gamma")),
+        normalize_by_positives=check(get(loss, "normalize", default.normalize_by_positives),
+                                     "loss.normalize", bool, "true or false"),
+    )
+    gt_raw = check(get(fixture, "ground_truth"), "ground_truth", list, "a list")
     # not clamped to the image: a fixture's ground truth is taken as given
-    gts = [parse_annotation(g, f"{args.fixture}: ground_truth[{i}]") for i, g in enumerate(gt_raw)]
-
-    try:
-        match = anchors_mod.match_anchors(anchor_set, gts, pos_iou=pos_iou, neg_iou=neg_iou)
-        breakdown = anchors_mod.multitask_loss(p_obj, p_cls, t, match, config)
-    except ValueError as exc:
-        raise DataFormatError(f"{args.fixture}: {exc}") from exc
-
-    columns = ("n_anchors", "n_positive", "n_negative", "n_ignore",
-               "objectness", "classification", "box", "total")
-    row = (len(match), match.n_positive, int(np.count_nonzero(match.negative_mask)),
-           int(np.count_nonzero(match.ignore_mask)), breakdown.objectness,
-           breakdown.classification, breakdown.box, breakdown.total)
-    _emit(Table(columns, [row]), args.out, args.format)
-    return 0
+    gts = [parse_annotation(g, f"ground_truth[{i}]") for i, g in enumerate(gt_raw)]
+    match = anchors_mod.match_anchors(anchor_set, gts, pos_iou=pos_iou, neg_iou=neg_iou)
+    breakdown = anchors_mod.multitask_loss(p_obj, p_cls, t, match, config)
+    return (len(match), match.n_positive, int(np.count_nonzero(match.negative_mask)),
+            int(np.count_nonzero(match.ignore_mask)), breakdown.objectness,
+            breakdown.classification, breakdown.box, breakdown.total)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
-    kernel = KernelSpec()
+    kernel, evaluation = KernelSpec(), EvalConfig()
 
     def kernel_flags(p):
         p.add_argument("--beta", type=float, default=kernel.beta, help="adaptive kernel sigma factor")
@@ -475,7 +475,7 @@ def build_parser() -> _Parser:
     p = add("eval-det", _cmd_eval_det, "detection AP per class and size bucket", parents=(common, report))
     p.add_argument("--annotations", required=True)
     p.add_argument("--detections", required=True)
-    p.add_argument("--iou-thr", type=float, default=0.4, help="match IoU threshold")
+    p.add_argument("--iou-thr", type=float, default=evaluation.iou_thr, help="match IoU threshold")
     p.add_argument("--nms-iou", type=float, default=None, help="apply NMS at this IoU first")
 
     p = add("eval-count", _cmd_eval_count, "counting MAE and correlation from density files", parents=(common, report))
@@ -495,7 +495,8 @@ def build_parser() -> _Parser:
 
     p = add("eval-ratio", _cmd_eval_ratio, "per-image counts and mask-wearing ratio quality",
             parents=(common, report, estimates))
-    p.add_argument("--min-faces", type=int, default=5, help="skip images with fewer gt faces")
+    p.add_argument("--min-faces", type=int, default=evaluation.min_faces_per_image,
+                   help="skip images with fewer gt faces")
     p.add_argument("--by-condition", action="store_true", help="add per-condition ratio rows")
     p.add_argument("--scatter", default=None, help="also write scatter pairs CSV here")
 

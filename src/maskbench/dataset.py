@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain
@@ -34,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .density import DensityMap, KernelSpec, PointSet, render_density
+from .density import DensityMap, KernelSpec, PointSet, check_downscale, render_density
 from .errors import DataFormatError
 from .geometry import (
     FACE_LABELS,
@@ -220,7 +221,7 @@ def _parse_box(raw, where: str, width: int | None, height: int | None) -> BBox:
     if not (isinstance(raw, list) and len(raw) == 4) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
     ):
-        raise DataFormatError(f"{where}: box must be a list of 4 numbers, got {raw!r}")
+        raise DataFormatError(f"{where}: box must be a list of 4 numbers, got {reprlib.repr(raw)}")
     try:
         l, t, r, b = (float(v) for v in raw)
     except OverflowError as exc:
@@ -250,7 +251,7 @@ def parse_annotation(face, where: str, width: int | None = None,
     box = _parse_box(_require(face, "box", where), where, width, height)
     label = _require(face, "label", where)
     if not isinstance(label, str) or label not in _LABELS:
-        raise DataFormatError(f"{where}: label must be masked/unmasked/unknown, got {label!r}")
+        raise DataFormatError(f"{where}: label must be masked/unmasked/unknown, got {reprlib.repr(label)}")
     return Annotation(box, _LABELS[label])
 
 
@@ -262,7 +263,7 @@ def parse_detection(det, where: str) -> Detection:
     label = _require(det, "label", where)
     # a tuple, not _DETECTION_CODES: a list label is unhashable
     if label not in _DETECTION_LABELS:
-        raise DataFormatError(f"{where}: label must be masked or unmasked, got {label!r}")
+        raise DataFormatError(f"{where}: label must be masked or unmasked, got {reprlib.repr(label)}")
     conf = _require(det, "conf", where)
     if not isinstance(conf, (int, float)) or isinstance(conf, bool):
         raise DataFormatError(f"{where}: conf must be a number")
@@ -727,10 +728,7 @@ class SynthParams:
             raise ValueError("need 0 < face_size_min <= face_size_max")
         if self.n_videos < 1:
             raise ValueError("n_videos must be >= 1")
-        if self.density_downscale < 1:
-            raise ValueError("density_downscale must be >= 1")
-        if self.density_downscale >= 2**32:  # the NFMD header's u32 field
-            raise ValueError(f"density_downscale must be below 2**32, got {self.density_downscale}")
+        check_downscale(self.density_downscale, "density_downscale")
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")

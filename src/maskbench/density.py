@@ -51,6 +51,20 @@ _GRID_MIN_POINTS = 138
 _PROFILE_BLOCK = 1 << 16
 
 
+def check_downscale(downscale, name: str = "downscale") -> None:
+    """The downscale rule: an integer in [1, 2**32), since the NFMD header stores it as a u32."""
+    if not isinstance(downscale, (int, np.integer)) or downscale < 1:
+        raise ValueError(f"{name} must be a positive integer, got {downscale!r}")
+    if downscale >= 2**32:
+        raise ValueError(f"{name} must be below 2**32, got {downscale}")
+
+
+def map_shape(height: int, width: int, downscale: int) -> tuple[int, int]:
+    """(rows, columns) of a height x width frame's map at 1/downscale: each side rounded up."""
+    check_downscale(downscale)
+    return -(-height // downscale), -(-width // downscale)
+
+
 @dataclass(frozen=True, slots=True)
 class KernelSpec:
     """Parameters of the geometry-adaptive Gaussian kernel."""
@@ -109,8 +123,7 @@ class DensityMap:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError(f"density values must be 2-D, got shape {self.values.shape}")
-        if self.downscale < 1:
-            raise ValueError(f"downscale must be >= 1, got {self.downscale}")
+        check_downscale(self.downscale)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("density values must be finite")
         if np.any(self.values < 0.0):
@@ -238,21 +251,19 @@ def render_density(
 
     The Gaussian for face i is sampled at pixel centers, truncated at
     ``truncation_radius * sigma_i`` per axis, clipped to the image, and then
-    renormalized over the surviving pixels. Each of the ceil(H/downscale) x
-    ceil(W/downscale) output cells holds the sum of its downscale x downscale
+    renormalized over the surviving pixels. Each of the map_shape(H, W,
+    downscale) output cells holds the sum of its downscale x downscale
     pixel block, as ``downsample_sum_preserving`` of the full-resolution map
     would. The kernel is separable, so a face's block sums are the outer
     product of its two per-axis profiles, each block-summed and normalized by
     its own sum; no full-resolution map is made. The profiles of every face
     come from one array pass per chunk of faces; the outer products are
     added in input order, so the result is bit-reproducible. An empty point
-    set yields an all-zero map. Raises ValueError when a sigma or a
-    truncation radius overflows to infinity.
+    set yields an all-zero map. Raises ValueError for a downscale that breaks
+    check_downscale's rule, or when a sigma or a truncation radius overflows.
     """
-    if not isinstance(downscale, (int, np.integer)) or downscale <= 0:
-        raise ValueError(f"downscale must be a positive integer, got {downscale!r}")
     h, w = pts.image_height, pts.image_width
-    values = np.zeros((-(-h // downscale), -(-w // downscale)), dtype=np.float64)
+    values = np.zeros(map_shape(h, w, downscale), dtype=np.float64)
     n = len(pts)
     if n == 0:
         return DensityMap(values, downscale)
@@ -358,8 +369,8 @@ def downsample_sum_preserving(density: DensityMap, factor: int) -> DensityMap:
     Dimensions that are not multiples of the factor are zero-padded on the
     right/bottom first, so the total sum is preserved exactly.
     """
-    if not isinstance(factor, (int, np.integer)) or factor <= 0:
-        raise ValueError(f"downsampling factor must be a positive integer, got {factor}")
+    check_downscale(factor, "downsampling factor")
+    check_downscale(int(density.downscale) * int(factor))  # the result's, before any padding
     if factor == 1:
         return DensityMap(density.values.copy(), density.downscale)
     h, w = density.values.shape
@@ -416,8 +427,6 @@ def read_density(path) -> DensityMap:
         raise DataFormatError(
             f"{path}: expected {expected} bytes for {width}x{height} map, got {len(data)}"
         )
-    if downscale < 1:
-        raise DataFormatError(f"{path}: downscale factor must be >= 1, got {downscale}")
     values = np.frombuffer(data, dtype="<f4", offset=4 + _NFMD_HEADER.size)
     values = values.reshape(height, width).astype(np.float64)
     try:

@@ -381,10 +381,11 @@ def run_gradient_check(
     by max(|analytic|, |numeric|, 1e-3); the floor keeps finite-difference
     round-off from dominating near-zero gradients. Raw weights are drawn from
     [0.2, 2.0] so the non-negativity clamp stays inactive (the clamp boundary
-    is not differentiable). At least one trial is required.
+    is not differentiable). trials, max_size and max_channels must be >= 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    for name, value in (("trials", trials), ("max_size", max_size), ("max_channels", max_channels)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     _check_step(step)
     rng = np.random.default_rng(seed)
     levels = (3, 4, 5)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import warnings
 
 import numpy as np
@@ -432,7 +433,7 @@ def _box_of(raw, where: str, width: int | None, height: int | None) -> BBox:
     if not (isinstance(raw, list) and len(raw) == 4) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
     ):
-        raise DataFormatError(f"{where}: box must be a list of 4 numbers, got {raw!r}")
+        raise DataFormatError(f"{where}: box must be a list of 4 numbers, got {reprlib.repr(raw)}")
     try:
         l, t, r, b = (float(v) for v in raw)
     except OverflowError as exc:
@@ -533,7 +534,7 @@ def load_annotations_objects(path):
             label = _field(face, "label", fwhere)
             if not isinstance(label, str) or label not in _LABELS:
                 raise DataFormatError(
-                    f"{fwhere}: label must be masked/unmasked/unknown, got {label!r}"
+                    f"{fwhere}: label must be masked/unmasked/unknown, got {reprlib.repr(label)}"
                 )
             if box.width < 10.0 or box.height < 10.0:
                 warnings.warn(
@@ -569,7 +570,7 @@ def load_detections_objects(path):
             label = _field(det, "label", dwhere)
             if label not in (FaceLabel.MASKED.value, FaceLabel.UNMASKED.value):
                 raise DataFormatError(
-                    f"{dwhere}: label must be masked or unmasked, got {label!r}"
+                    f"{dwhere}: label must be masked or unmasked, got {reprlib.repr(label)}"
                 )
             conf = _field(det, "conf", dwhere)
             if not isinstance(conf, (int, float)) or isinstance(conf, bool):

@@ -877,3 +877,74 @@ def test_csv_cells_with_a_carriage_return_round_trip(tmp_path):
                              ["a\rb1", "1.0", "0.5"]]
     assert rows(videos) == [["video_id", "n_images", "gt_ratio", "est_ratio"],
                             ["v\r1", "2", "1.0", "0.5"]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", [
+    ["eval-count", "--density-dir", "{maps}"],
+    ["eval-ratio", "--density-dir", "{maps}"],
+    ["eval-ratio", "--detections", "{detections}", "--by-condition"],
+], ids=["eval-count", "eval-ratio-density", "eval-ratio-detections"])
+def test_an_annotations_file_without_images_gives_rows_with_empty_cells(tmp_path, capsys,
+                                                                        command, fmt):
+    # mae needs one image and gamma two, as for a ratio row that no pair survives
+    annotations, detections, maps = tmp_path / "a.jsonl", tmp_path / "d.jsonl", tmp_path / "maps"
+    annotations.write_text("")
+    detections.write_text("")
+    maps.mkdir()
+    argv = [a.format(maps=maps, detections=detections) for a in command]
+    assert main([*argv, "--annotations", str(annotations), "--format", fmt]) == 0
+    quantities = ["masked", "unmasked", "total"] + (["ratio"] if command[0] == "eval-ratio" else [])
+    quantities += ["ratio_DT", "ratio_NT"] if "--by-condition" in command else []
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["report"]["rows"] == [[q, 0, None, None] for q in quantities]
+    else:
+        assert out == "quantity,n_images,mae,gamma\n" + "".join(f"{q},0,,\n" for q in quantities)
+
+
+def test_eval_det_on_an_annotations_file_without_images_stays_a_data_error(tmp_path, capsys):
+    (tmp_path / "a.jsonl").write_text("")
+    assert main(["eval-det", "--annotations", str(tmp_path / "a.jsonl"),
+                 "--detections", str(tmp_path / "a.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: mean_ap needs at least one defined AP cell\n"
+
+
+def test_gen_density_renders_a_subset_named_twice_once(scene_dir, tmp_path, monkeypatch):
+    calls, render_density = [], cli.render_density
+
+    def render(pts, *args):
+        calls.append(len(pts))
+        return render_density(pts, *args)
+
+    annotations = str(scene_dir / "annotations.jsonl")
+    assert main(["gen-density", "--annotations", annotations, "--out", str(tmp_path / "once"),
+                 "--subsets", "unmasked,total"]) == 0
+    monkeypatch.setattr(cli, "render_density", render)
+    assert main(["gen-density", "--annotations", annotations, "--out", str(tmp_path / "twice"),
+                 "--subsets", "unmasked,total,unmasked, total"]) == 0
+    assert len(calls) == 2 * len(load_annotations(annotations).images)
+    once, twice = (sorted((p.name, p.read_bytes()) for p in (tmp_path / d).iterdir())
+                   for d in ("once", "twice"))
+    assert once == twice
+
+
+@pytest.mark.parametrize("line", [
+    {"box": "[" * 980 + "]" * 980, "label": '"masked"'},
+    {"box": "[" + ", ".join(["7"] * 100_000) + "]", "label": '"masked"'},
+    {"box": "[2, 2, 30, 30]", "label": '"' + "m" * 10_000 + '"'},
+], ids=["980-deep-box", "100000-number-box", "10000-character-label"])
+@pytest.mark.parametrize("target", ["annotations", "detections"])
+def test_an_echoed_input_value_is_bounded(tmp_path, line, target):
+    # a fresh interpreter: a box nested 980 deep decodes only near the bottom of the stack
+    annotations = _one_image(tmp_path / "a.jsonl", "img0", sides=(20.0,))
+    face = f'{{"box": {line["box"]}, "label": {line["label"]}, "conf": 0.5}}'
+    if target == "annotations":
+        annotations.write_text(annotations.read_text().replace('"faces": [', f'"faces": [{face}, ', 1))
+    detections = tmp_path / "d.jsonl"
+    detections.write_text('{"image_id": "img0", "video_id": "v", "condition": "DT", '
+                          f'"detections": [{face}]}}\n')
+    done = _mrb("eval-det", "--annotations", str(annotations), "--detections", str(detections))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert len(done.stderr) < 200 and "..." in done.stderr, done.stderr

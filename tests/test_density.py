@@ -631,6 +631,44 @@ class TestDownsample:
             downsample_sum_preserving(m, -2)
 
 
+class TestDownscaleRule:
+    """A downscale is an integer in [1, 2**32): the NFMD header stores it as a u32."""
+
+    @pytest.mark.parametrize("ds", [2.5, 2**32, 2**63, 0])
+    def test_density_map_refuses_a_downscale_it_could_not_write(self, ds):
+        with pytest.raises(ValueError, match="downscale must be"):
+            DensityMap(np.zeros((1, 1)), ds)
+
+    def test_render_refuses_2_pow_32(self):
+        # it used to return a 1x1 map that write_density then refused
+        with pytest.raises(ValueError, match=r"downscale must be below 2\*\*32, got 4294967296"):
+            render_density(pts([(32, 32)]), downscale=2**32)
+
+    def test_downsample_refuses_a_result_of_2_pow_32(self):
+        with pytest.raises(ValueError, match=r"downscale must be below 2\*\*32"):
+            downsample_sum_preserving(DensityMap(np.ones((1, 1)), 2**31), 2)
+
+    def test_the_largest_downscale_round_trips(self, tmp_path):
+        dmap = render_density(pts([(32, 32)]), downscale=2**32 - 1)
+        assert dmap.values.shape == density.map_shape(64, 64, 2**32 - 1) == (1, 1)
+        write_density(dmap, tmp_path / "m.nfmd")
+        assert read_density(tmp_path / "m.nfmd").downscale == 2**32 - 1
+
+    @pytest.mark.parametrize("h, w, ds, shape", [(64, 64, 8, (8, 8)), (65, 63, 8, (9, 8)),
+                                                 (1, 1, 13, (1, 1)), (2**53 - 1, 3, 2, (2**52, 2))])
+    def test_map_shape_rounds_each_side_up(self, h, w, ds, shape):
+        assert density.map_shape(h, w, ds) == shape
+
+    def test_zero_downscale_in_a_file_names_it(self, tmp_path):
+        import struct
+
+        path = tmp_path / "zero.nfmd"
+        path.write_bytes(b"NFMD" + struct.pack("<III", 1, 1, 0) + b"\x00" * 4)
+        with pytest.raises(DataFormatError) as exc:
+            read_density(path)
+        assert str(exc.value) == f"{path}: downscale must be a positive integer, got 0"
+
+
 class TestEuclideanLoss:
     def test_identity_is_zero(self):
         m = DensityMap(np.random.default_rng(0).uniform(0, 1, (6, 6)))

@@ -6,7 +6,8 @@ command on it. `main` must return 0 or 2 with an `error:` line; it must never
 raise or report a usage error. An error in a JSONL file names its path and the
 mutated line, unless it is a disagreement between the two files, which names
 the image. A JSON object that repeats a key, at any depth, exits 2 naming the
-file and, in JSONL, the line. Damaged NFMD maps exit 2 naming the map. A flag
+file and, in JSONL, the line. A loss-fixture value of the wrong type exits 2
+naming its field. Damaged NFMD maps exit 2 naming the map. A flag
 that is non-finite, or that would overflow a map header, exits 2 naming the
 parameter; an out-of-range --conf-thr, --nms-iou, --iou-thr or --min-faces does
 so before any input is read, on every route. Every int option of every command is run with 0 and -1,
@@ -234,8 +235,12 @@ def _nfmd_nan_cell(data: bytes) -> bytes:
     return data[:-4] + struct.pack("<f", math.nan)
 
 
+def _nfmd_zero_downscale(data: bytes) -> bytes:
+    return data[:12] + struct.pack("<I", 0) + data[16:]
+
+
 @pytest.mark.parametrize("damage", [_nfmd_truncated_header, _nfmd_short_payload,
-                                    _nfmd_wrong_magic, _nfmd_nan_cell])
+                                    _nfmd_wrong_magic, _nfmd_nan_cell, _nfmd_zero_downscale])
 @pytest.mark.parametrize("victim", ["img0.total.nfmd", "img1.unmasked.nfmd"])
 def test_damaged_density_map_exits_two_naming_it(tmp_path, damage, victim):
     paths = write_inputs(tmp_path, "annotations", ANNOTATIONS)
@@ -364,10 +369,44 @@ def test_json_error_at_the_end_of_a_line_names_that_line(tmp_path, target):
     (_GRADCHECK + ["--step", "0"], "step must be finite and positive, got 0.0"),
     (_GRADCHECK + ["--step", "nan"], "step must be finite and positive, got nan"),
     (_GRADCHECK + ["--tolerance", "inf"], "tolerance must be finite and >= 0, got inf"),
+    (_GRADCHECK + ["--max-size", "0"], "max_size must be >= 1, got 0"),
+    (_GRADCHECK + ["--max-channels", "0"], "max_channels must be >= 1, got 0"),
 ])
 def test_non_finite_numeric_flag_exits_two_naming_it(tmp_path, argv, message):
     out = ["--out", str(tmp_path / "out")]
     assert run(argv + out) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("loss", "normalize"), "false", "loss.normalize must be true or false, got 'false'"),
+    (("loss", "normalize"), 1, "loss.normalize must be true or false, got 1"),
+    (("anchors", "levels"), [3.9], "anchors.levels must be a list of integers, got 3.9"),
+    (("anchors", "levels"), 3, "anchors.levels must be a list of integers, got 3"),
+    (("image", "width"), 16.9, "image.width must be an integer, got 16.9"),
+    (("image", "width"), "16", "image.width must be an integer, got '16'"),
+    (("image", "height"), True, "image.height must be an integer, got True"),
+    (("matching", "pos_iou"), "0.5", "matching.pos_iou must be a number, got '0.5'"),
+    (("predictions", "class"), ["0.5"] * 12, "predictions.class must be a list of numbers, got '0.5'"),
+    (("predictions", "box"), [["0.1", 0, 0, 0]] * 12,
+     "predictions.box must be a list of number lists, got '0.1'"),
+    (("predictions", "box"), [0.1, 0, 0, 0] * 12,
+     "predictions.box must be a list of number lists, got 0.1"),
+    (("loss", "alpha"), True, "loss.alpha must be a number, got True"),
+    (("loss", "gamma"), None, "loss.gamma must be a number, got None"),
+    (("predictions", "objectness"), [True] * 12,
+     "predictions.objectness must be a list of numbers, got True"),
+    (("anchors", "scales", "3"), [True], "anchors.scales['3'] must be a list of numbers, got True"),
+    (("anchors", "ratios"), [1, "2"], "anchors.ratios must be a list of numbers, got '2'"),
+    (("ground_truth",), 5, "ground_truth must be a list, got 5"),
+    (("image",), list(range(100_000)), "expected an object holding 'width', got [0, 1, 2, 3, 4, 5, ...]"),
+    (("anchors", "levels"), None, "missing field 'levels'"),
+])
+def test_mistyped_loss_fixture_value_exits_two_naming_its_field(tmp_path, path, value, message):
+    # these were converted with int(), float() and bool() and gave a report
+    doc = dropped(FIXTURE, path) if message.startswith("missing") else mutated(FIXTURE, path, value)
+    paths = write_inputs(tmp_path, "fixture", doc)
+    for command in TARGETS["fixture"][2]:
+        assert run([a.format(**paths) for a in command]) == (2, f"error: {paths['fixture']}: {message}\n")
 
 
 @pytest.mark.parametrize("value", [2**32, 2**63, 10**23])
