@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .fusion import level_shape, level_stride
 from .geometry import LABEL_CODES, Annotation, FaceLabel, face_arrays, iou_matrix
 
 DEFAULT_LEVELS: tuple[int, ...] = (3, 4, 5, 6, 7)
@@ -28,8 +29,8 @@ IGNORE = -2
 
 
 def default_scales(levels: Sequence[int] = DEFAULT_LEVELS) -> dict[int, tuple[float, ...]]:
-    """One base size per level: 16 px at level 3 doubling up to 256 px at level 7."""
-    return {level: (float(2 ** (level + 1)),) for level in levels}
+    """One base size per level, twice its stride: 16 px at level 3 doubling up to 256 px at level 7."""
+    return {level: (2.0 * level_stride(level),) for level in levels}
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,8 @@ def generate_anchors(
 ) -> AnchorSet:
     """Tile anchors over every feature-map cell of the requested pyramid levels.
 
-    Each level uses stride 2**level and a grid of ceil(image_dim / stride)
-    cells; every cell gets one anchor per (scale, ratio) pair, centered on the
+    Each level tiles the cells of its fusion.level_shape grid, fusion.level_stride
+    apart; every cell gets one anchor per (scale, ratio) pair, centered on the
     cell. A ratio r (width:height) produces width = size * sqrt(r) and
     height = size / sqrt(r), preserving the anchor area.
     """
@@ -76,27 +77,15 @@ def generate_anchors(
         level_scales = [float(s) for s in scales.get(level, ())]
         if not level_scales or not all(math.isfinite(s) and s > 0 for s in level_scales):
             raise ValueError(f"scales for level {level} must be positive and non-empty")
-        stride = float(2**level)
-        grid_w = math.ceil(image_w / stride)
-        grid_h = math.ceil(image_h / stride)
-        cx = (np.arange(grid_w, dtype=np.float64) + 0.5) * stride
-        cy = (np.arange(grid_h, dtype=np.float64) + 0.5) * stride
-        shapes = np.array(
+        grid_h, grid_w = level_shape(image_w, image_h, level)
+        sizes = np.array(
             [(s * math.sqrt(r), s / math.sqrt(r)) for s in level_scales for r in ratios],
             dtype=np.float64,
         )  # (A, 2) of (w, h)
-        centers = np.stack(
-            [np.repeat(cx[None, :], grid_h, axis=0), np.repeat(cy[:, None], grid_w, axis=1)],
-            axis=-1,
-        ).reshape(-1, 2)  # (grid_h*grid_w, 2), row-major over cells
-        half = shapes / 2.0
-        boxes = np.concatenate(
-            [
-                (centers[:, None, :] - half[None, :, :]).reshape(-1, 2),
-                (centers[:, None, :] + half[None, :, :]).reshape(-1, 2),
-            ],
-            axis=1,
-        )
+        # (cells, A, 2): the cells row-major, each holding its A anchors
+        cells = np.stack(np.meshgrid(np.arange(grid_w), np.arange(grid_h)), axis=-1).reshape(-1, 1, 2)
+        centres, sizes = np.broadcast_arrays((cells + 0.5) * level_stride(level), sizes)
+        boxes = _corners(centres.reshape(-1, 2), sizes.reshape(-1, 2))
         all_boxes.append(boxes)
         all_levels.append(np.full(boxes.shape[0], level, dtype=np.int64))
     return AnchorSet(np.concatenate(all_boxes), np.concatenate(all_levels))
@@ -201,40 +190,30 @@ def match_anchors(
     return MatchResult(assignment, objectness_target, class_target, box_target)
 
 
+def _centre_size(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(centres, sizes) of (N, 4) ltrb boxes: two (N, 2) arrays of (x, y) and (w, h)."""
+    return (boxes[:, :2] + boxes[:, 2:]) / 2.0, boxes[:, 2:] - boxes[:, :2]
+
+
+def _corners(centres: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(N, 4) ltrb boxes of (N, 2) centres and sizes; inverts _centre_size."""
+    return np.concatenate([centres - sizes / 2.0, centres + sizes / 2.0], axis=1)
+
+
 def encode_boxes(anchors: np.ndarray, gts: np.ndarray) -> np.ndarray:
     """Encode gt boxes relative to anchors: center offsets over anchor size, log size ratios."""
-    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
-    gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
-    aw = anchors[:, 2] - anchors[:, 0]
-    ah = anchors[:, 3] - anchors[:, 1]
-    ax = (anchors[:, 0] + anchors[:, 2]) / 2.0
-    ay = (anchors[:, 1] + anchors[:, 3]) / 2.0
-    gw = gts[:, 2] - gts[:, 0]
-    gh = gts[:, 3] - gts[:, 1]
-    gx = (gts[:, 0] + gts[:, 2]) / 2.0
-    gy = (gts[:, 1] + gts[:, 3]) / 2.0
-    return np.stack(
-        [(gx - ax) / aw, (gy - ay) / ah, np.log(gw / aw), np.log(gh / ah)], axis=1
-    )
+    ac, asz = _centre_size(np.asarray(anchors, dtype=np.float64).reshape(-1, 4))
+    gc, gsz = _centre_size(np.asarray(gts, dtype=np.float64).reshape(-1, 4))
+    return np.concatenate([(gc - ac) / asz, np.log(gsz / asz)], axis=1)
 
 
 def decode_boxes(anchors: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Invert encode_boxes back to absolute ltrb boxes."""
-    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
+    ac, asz = _centre_size(np.asarray(anchors, dtype=np.float64).reshape(-1, 4))
     t = np.asarray(t, dtype=np.float64).reshape(-1, 4)
     if not np.all(np.isfinite(t)):
         raise ValueError("box offsets must be finite")
-    aw = anchors[:, 2] - anchors[:, 0]
-    ah = anchors[:, 3] - anchors[:, 1]
-    ax = (anchors[:, 0] + anchors[:, 2]) / 2.0
-    ay = (anchors[:, 1] + anchors[:, 3]) / 2.0
-    gx = t[:, 0] * aw + ax
-    gy = t[:, 1] * ah + ay
-    gw = np.exp(t[:, 2]) * aw
-    gh = np.exp(t[:, 3]) * ah
-    return np.stack(
-        [gx - gw / 2.0, gy - gh / 2.0, gx + gw / 2.0, gy + gh / 2.0], axis=1
-    )
+    return _corners(t[:, :2] * asz + ac, np.exp(t[:, 2:]) * asz)
 
 
 def binary_cross_entropy(p, target):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import math
 import reprlib
 import sys
@@ -30,6 +31,7 @@ from .dataset import (
     SynthParams,
     Table,
     _decode,
+    check_density_subset,
     dataset_stats,
     density_path,
     load_annotations,
@@ -185,8 +187,7 @@ def _cmd_gen_density(args) -> int:
     if not subsets:
         raise ValueError(f"--subsets names no subset, expected some of {DENSITY_SUBSETS}")
     for s in subsets:
-        if s not in DENSITY_SUBSETS:
-            raise ValueError(f"unknown density subset {s!r}, expected one of {DENSITY_SUBSETS}")
+        check_density_subset(s)
     check_downscale(args.downscale)
     manifest = load_annotations(args.annotations)
     spec = KernelSpec(
@@ -360,15 +361,28 @@ def _loss_row(fixture) -> tuple:
             raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
         return value
 
+    def number(value, name):
+        # finite too, as a loader requires of a box coordinate; anchors and loss check list values
+        value = float(check(value, name))
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+        return value
+
     def numbers(value, name, kind=(int, float), what="numbers"):
         return [check(v, name, kind, f"a list of {what}")
                 for v in check(value, name, list, f"a list of {what}")]
+
+    def scales_level(key):
+        try:
+            return int(key)
+        except ValueError:
+            raise ValueError(f"anchors.scales keys must be integers, got {reprlib.repr(key)}") from None
 
     image, spec = get(fixture, "image"), get(fixture, "anchors")
     levels = numbers(get(spec, "levels"), "anchors.levels", int, "integers")
     scales = spec.get("scales")
     if isinstance(scales, dict):
-        scales = {int(k): numbers(v, f"anchors.scales[{k!r}]") for k, v in scales.items()}
+        scales = {scales_level(k): numbers(v, f"anchors.scales[{k!r}]") for k, v in scales.items()}
     elif scales is not None:
         scales = numbers(scales, "anchors.scales")
     ratios = numbers(spec.get("ratios", list(anchors_mod.DEFAULT_RATIOS)), "anchors.ratios")
@@ -376,8 +390,9 @@ def _loss_row(fixture) -> tuple:
         check(get(image, "width"), "image.width", int, "an integer"),
         check(get(image, "height"), "image.height", int, "an integer"), levels, scales, ratios)
     matching = get(fixture, "matching", {})
-    pos_iou = float(check(get(matching, "pos_iou", 0.5), "matching.pos_iou"))
-    neg_iou = float(check(get(matching, "neg_iou", 0.3), "matching.neg_iou"))
+    thresholds = inspect.signature(anchors_mod.match_anchors).parameters
+    pos_iou = number(get(matching, "pos_iou", thresholds["pos_iou"].default), "matching.pos_iou")
+    neg_iou = number(get(matching, "neg_iou", thresholds["neg_iou"].default), "matching.neg_iou")
     preds = get(fixture, "predictions")
     p_obj = np.array(numbers(get(preds, "objectness"), "predictions.objectness"), dtype=np.float64)
     p_cls = np.array(numbers(get(preds, "class"), "predictions.class"), dtype=np.float64)
@@ -385,8 +400,8 @@ def _loss_row(fixture) -> tuple:
     t = np.array([numbers(b, "predictions.box", what="number lists") for b in boxes], dtype=np.float64)
     loss, default = get(fixture, "loss", {}), anchors_mod.LossConfig()
     config = anchors_mod.LossConfig(
-        alpha=float(check(get(loss, "alpha", default.alpha), "loss.alpha")),
-        gamma=float(check(get(loss, "gamma", default.gamma), "loss.gamma")),
+        alpha=number(get(loss, "alpha", default.alpha), "loss.alpha"),
+        gamma=number(get(loss, "gamma", default.gamma), "loss.gamma"),
         normalize_by_positives=check(get(loss, "normalize", default.normalize_by_positives),
                                      "loss.normalize", bool, "true or false"),
     )

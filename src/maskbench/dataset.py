@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .density import DensityMap, KernelSpec, PointSet, check_downscale, render_density
+from .density import DensityMap, KernelSpec, PointSet, check_downscale, check_frame_sides, render_density
 from .errors import DataFormatError
 from .geometry import (
     FACE_LABELS,
@@ -186,6 +186,12 @@ class DetectionRecord(_FaceRecord):
 DENSITY_SUBSETS = ("total", "masked", "unmasked")
 
 
+def check_density_subset(subset: str) -> None:
+    """The density-subset rule: a subset is one of DENSITY_SUBSETS."""
+    if subset not in DENSITY_SUBSETS:
+        raise ValueError(f"unknown density subset {subset!r}, expected one of {DENSITY_SUBSETS}")
+
+
 def density_path(root, image_id: str, subset: str) -> Path:
     """The file of one image's map of one subset: <root>/<image_id>.<subset>.nfmd.
 
@@ -209,10 +215,11 @@ _DETECTION_CODES = {k: _CODES[k] for k in _DETECTION_LABELS}
 
 def subset_points(rec: ImageRecord, subset: str) -> PointSet:
     """Centres of the faces a subset's density map draws; total is every known face."""
+    check_density_subset(subset)
     if subset == "total":
         keep = rec.labels != _CODES[FaceLabel.UNKNOWN.value]
     else:
-        keep = rec.labels == _CODES.get(subset, -1)
+        keep = rec.labels == _CODES[subset]
     b = rec.boxes[keep]
     return PointSet((b[:, :2] + b[:, 2:]) / 2.0, rec.width, rec.height)
 
@@ -449,11 +456,10 @@ def _annotation_header(obj, where: str, seen: set[str]):
     image_id, video_id, condition = _parse_header(obj, where, seen)
     width = _require(obj, "width", where)
     height = _require(obj, "height", where)
-    # below 2**53 a float64 holds every int exactly, so the block clamp compares as in Python
-    if not all(
-        isinstance(v, int) and not isinstance(v, bool) and 0 < v < 2**53 for v in (width, height)
-    ):
-        raise DataFormatError(f"{where}: width/height must be positive integers below 2**53")
+    try:  # below 2**53 a float64 holds every int exactly, so the block clamp compares as in Python
+        check_frame_sides(width, height)
+    except ValueError:
+        raise DataFormatError(f"{where}: width/height must be positive integers below 2**53") from None
     period = _require(obj, "period", where)
     if not isinstance(period, str) or period not in _PERIODS:
         raise DataFormatError(f"{where}: period must be 'before' or 'during'")
@@ -718,6 +724,7 @@ class SynthParams:
         # as in the loaders, which read what synth writes
         if self.image_width >= 2**53 or self.image_height >= 2**53:
             raise ValueError("image dimensions must be below 2**53")
+        check_frame_sides(self.image_width, self.image_height)
         for name in ("masked_probability", "unknown_probability", "drop_rate", "flip_rate", "density_noise"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

@@ -59,6 +59,13 @@ def check_downscale(downscale, name: str = "downscale") -> None:
         raise ValueError(f"{name} must be below 2**32, got {downscale}")
 
 
+def check_frame_sides(width, height) -> None:
+    """The frame-side rule: integers, never bools, in (0, 2**53), where a float64 holds every int exactly."""
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 < v < 2**53
+               for v in (width, height)):
+        raise ValueError(f"image dimensions must be positive integers below 2**53, got {width!r} x {height!r}")
+
+
 def map_shape(height: int, width: int, downscale: int) -> tuple[int, int]:
     """(rows, columns) of a height x width frame's map at 1/downscale: each side rounded up."""
     check_downscale(downscale)
@@ -100,6 +107,7 @@ class PointSet:
         object.__setattr__(self, "points", xy)
         if not (0 < self.image_width < 2**53 and 0 < self.image_height < 2**53):
             raise ValueError("image dimensions must be positive and below 2**53")
+        check_frame_sides(self.image_width, self.image_height)
         # exact below 2**53, as in Python; NaN and infinite coordinates fail them too
         inside = ((xy >= 0.0) & (xy < (self.image_width, self.image_height))).all(axis=1)
         if not inside.all():

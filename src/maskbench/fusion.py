@@ -64,9 +64,17 @@ class FeatureLevel:
         return self.values.shape[2]
 
 
+def level_stride(level: int) -> float:
+    """The level's stride in pixels, 2.0 ** level: positive and finite for levels -1074..1023 only."""
+    if not -1074 <= level <= 1023:
+        raise ValueError(f"pyramid level {level} has no positive finite stride 2**{level}")
+    return 2.0**level
+
+
 def level_shape(image_w: int, image_h: int, level: int) -> tuple[int, int]:
-    """(height, width) of the level's grid: ceil(image_dim / 2**level)."""
-    return math.ceil(image_h / 2**level), math.ceil(image_w / 2**level)
+    """(height, width) of the level's grid: ceil(image_dim / stride)."""
+    stride = level_stride(level)
+    return math.ceil(image_h / stride), math.ceil(image_w / stride)
 
 
 @dataclass
@@ -192,7 +200,7 @@ def _check_pyramid(m_in: Mapping[int, FeatureLevel], min_levels: int = 1) -> lis
                 f"feature at key {level} declares level {m_in[level].level}"
             )
     for lo, hi in zip(levels, levels[1:]):
-        want = (math.ceil(m_in[lo].height / 2), math.ceil(m_in[lo].width / 2))
+        want = level_shape(m_in[lo].width, m_in[lo].height, hi - lo)
         got = (m_in[hi].height, m_in[hi].width)
         if want != got:
             raise ValueError(

@@ -74,6 +74,21 @@ class TestGenerateAnchors:
         with pytest.raises(ValueError):
             generate_anchors(32, 32, levels=[3], scales=[16], ratios=[])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"image_w": 0, "image_h": 8}, "image dimensions must be positive"),
+        ({"levels": [-1100], "scales": [8.0]},
+         "pyramid level -1100 has no positive finite stride 2**-1100"),
+        ({"levels": [3, 2000], "scales": {3: [8.0], 2000: [8.0]}},
+         "pyramid level 2000 has no positive finite stride 2**2000"),
+        # the default scales are twice the stride, so they name the level too
+        ({"levels": [2000]}, "pyramid level 2000 has no positive finite stride 2**2000"),
+        ({"levels": [-1100]}, "pyramid level -1100 has no positive finite stride 2**-1100"),
+    ], ids=["zero-side", "tiny-stride", "huge-stride", "huge-default-scale", "tiny-default-scale"])
+    def test_rejects_a_frame_or_level_with_no_grid(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            generate_anchors(**{"image_w": 8, "image_h": 8, **kwargs})
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("bad", [1e400, math.nan], ids=["1e400", "nan"])
     def test_rejects_non_finite_ratios_and_scales(self, bad):
         with pytest.raises(ValueError, match="aspect ratios must be positive"):

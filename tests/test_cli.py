@@ -206,6 +206,18 @@ class TestEvalCli:
         assert "subset" in capsys.readouterr().err
         assert not list(out.glob("*.nfmd"))
 
+    @pytest.mark.parametrize("subsets, name", [("total,bogus", "bogus"), ("unknown", "unknown"),
+                                               ("Masked,total", "Masked")])
+    def test_gen_density_unknown_subset_is_data_error_before_any_input_is_read(
+            self, subsets, name, tmp_path, capsys):
+        out = tmp_path / "gtmaps"
+        assert main(["gen-density", "--annotations", str(tmp_path / "missing.jsonl"),
+                     "--out", str(out), "--subsets", subsets]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown density subset {name!r}, expected one of ('total', 'masked', 'unmasked')\n"
+        )
+        assert not out.exists()
+
     def test_eval_ratio_density_path(self, scene_dir, tmp_path):
         code = main(
             ["eval-ratio", "--annotations", str(scene_dir / "annotations.jsonl"),

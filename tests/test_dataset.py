@@ -14,6 +14,7 @@ from maskbench.dataset import (
     load_detections,
     parse_annotation,
     save_annotations,
+    subset_points,
     synth_scene,
     table_to_csv,
     write_detections,
@@ -444,6 +445,17 @@ class TestSynthScene:
         with pytest.raises(ValueError):
             SynthParams(seed=0, drop_rate=-0.1)
 
+    @pytest.mark.parametrize("sides", [{"image_width": 100.5}, {"image_height": 64.0},
+                                       {"image_width": np.float64(64)}])
+    def test_frame_sides_are_integers(self, sides):
+        # as the annotations loader requires of what synth writes
+        with pytest.raises(ValueError) as exc:
+            SynthParams(seed=0, **sides)
+        width, height = sides.get("image_width", 256), sides.get("image_height", 256)
+        assert str(exc.value) == (
+            f"image dimensions must be positive integers below 2**53, got {width!r} x {height!r}"
+        )
+
     def test_written_tree_is_byte_stable(self, tmp_path):
         p = SynthParams(seed=11, n_images=3, faces_min=2, faces_max=5,
                         image_width=64, image_height=64)
@@ -507,3 +519,27 @@ def test_parse_annotation_clamps_only_when_given_the_image_size():
                                                             FaceLabel.UNKNOWN)
     assert parse_annotation(face, "w") == Annotation(BBox(-5.0, 2.0, 70.0, 30.5),
                                                      FaceLabel.UNKNOWN)
+
+
+def _record(image_id, *labels):
+    meta = ImageMeta("v1", Condition.DAYTIME, CovidPeriod.DURING)
+    return ImageRecord(image_id, meta, 40, 30, [Annotation(BBox(2, 2, 12, 12), lab) for lab in labels])
+
+
+@pytest.mark.parametrize("subset", ["unknown", "bogus", "Masked", ""])
+def test_subset_points_refuses_a_subset_no_map_draws(subset):
+    with pytest.raises(ValueError) as exc:
+        subset_points(_record("a", FaceLabel.UNKNOWN, FaceLabel.MASKED), subset)
+    assert str(exc.value) == (
+        f"unknown density subset {subset!r}, expected one of ('total', 'masked', 'unmasked')"
+    )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DatasetManifest((_record("a"), _record("b"), _record("a"))), "duplicate image_id 'a'"),
+    (lambda: Table(("a", "b"), [(1, 2), (3,)]), "row of width 1 does not match 2 columns"),
+], ids=["duplicate-image-id", "short-row"])
+def test_malformed_collection_raises_naming_it(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -101,6 +101,13 @@ class TestPointSetArray:
             with pytest.raises(ValueError, match=r"^image dimensions must be positive and below 2\*\*53$"):
                 PointSet([], w, h)
 
+    @pytest.mark.parametrize("w, h", [(100.5, 50), (50, 64.0), (True, 8), (8, np.float64(8))])
+    def test_image_dimensions_are_integers(self, w, h):
+        # as the annotations loader requires; a float side once failed inside numpy at render time
+        with pytest.raises(ValueError) as exc:
+            PointSet([(1.0, 1.0)], w, h)
+        assert str(exc.value) == f"image dimensions must be positive integers below 2**53, got {w!r} x {h!r}"
+
     def test_needs_a_sized_input(self):
         with pytest.raises(TypeError):
             PointSet(((1.0, 2.0) for _ in range(2)), 64, 64)
@@ -121,6 +128,12 @@ class TestPointSetArray:
                                          downscale=downscale)
             from_array = render_density(PointSet(xy, w, h), downscale=downscale)
             assert from_tuples.values.tobytes() == from_array.values.tobytes()
+
+
+def test_density_values_must_be_a_grid():
+    with pytest.raises(ValueError) as exc:
+        DensityMap(np.zeros((2, 2, 1)))
+    assert str(exc.value) == "density values must be 2-D, got shape (2, 2, 1)"
 
 
 class TestKernelSpec:

@@ -6,8 +6,9 @@ command on it. `main` must return 0 or 2 with an `error:` line; it must never
 raise or report a usage error. An error in a JSONL file names its path and the
 mutated line, unless it is a disagreement between the two files, which names
 the image. A JSON object that repeats a key, at any depth, exits 2 naming the
-file and, in JSONL, the line. A loss-fixture value of the wrong type exits 2
-naming its field. Damaged NFMD maps exit 2 naming the map. A flag
+file and, in JSONL, the line. A loss-fixture value of the wrong type, a
+non-finite number or a pyramid level with no finite stride exits 2 naming its
+field or level. Damaged NFMD maps exit 2 naming the map. A flag
 that is non-finite, or that would overflow a map header, exits 2 naming the
 parameter; an out-of-range --conf-thr, --nms-iou, --iou-thr or --min-faces does
 so before any input is read, on every route. Every int option of every command is run with 0 and -1,
@@ -405,6 +406,28 @@ def test_mistyped_loss_fixture_value_exits_two_naming_its_field(tmp_path, path, 
     # these were converted with int(), float() and bool() and gave a report
     doc = dropped(FIXTURE, path) if message.startswith("missing") else mutated(FIXTURE, path, value)
     paths = write_inputs(tmp_path, "fixture", doc)
+    for command in TARGETS["fixture"][2]:
+        assert run([a.format(**paths) for a in command]) == (2, f"error: {paths['fixture']}: {message}\n")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("matching", "pos_iou"), math.nan, "matching.pos_iou must be a finite number, got nan"),
+    (("matching", "pos_iou"), math.inf, "matching.pos_iou must be a finite number, got inf"),
+    (("matching", "neg_iou"), -math.inf, "matching.neg_iou must be a finite number, got -inf"),
+    (("loss", "alpha"), math.nan, "loss.alpha must be a finite number, got nan"),
+    (("loss", "gamma"), -math.inf, "loss.gamma must be a finite number, got -inf"),
+    (("anchors", "scales"), {"3.0": [8]}, "anchors.scales keys must be integers, got '3.0'"),
+    (("anchors",), {"levels": [-1100], "scales": {"-1100": [8]}},
+     "pyramid level -1100 has no positive finite stride 2**-1100"),
+    (("anchors",), {"levels": [-1100]}, "pyramid level -1100 has no positive finite stride 2**-1100"),
+    (("anchors",), {"levels": [2000], "scales": {"2000": [8]}},
+     "pyramid level 2000 has no positive finite stride 2**2000"),
+    (("anchors",), {"levels": [2000]}, "pyramid level 2000 has no positive finite stride 2**2000"),
+])
+def test_out_of_range_loss_fixture_value_exits_two_naming_it(tmp_path, path, value, message):
+    # these gave a report (in CSV; JSON refused to write nan), a traceback, or a message naming
+    # neither the field nor the level
+    paths = write_inputs(tmp_path, "fixture", mutated(FIXTURE, path, value))
     for command in TARGETS["fixture"][2]:
         assert run([a.format(**paths) for a in command]) == (2, f"error: {paths['fixture']}: {message}\n")
 

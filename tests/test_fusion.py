@@ -315,3 +315,43 @@ class TestFusionGradients:
             for j in range(g.shape[0]):
                 fd = fd_fusion_gradient(m_in, weights, None, upstream, name, j)
                 assert g[j] == pytest.approx(fd, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("level", [-1100, -1075, 1024, 2000])
+def test_level_without_a_positive_finite_stride_has_no_grid(level):
+    # 2**-1100 is 0.0 in a float and 2**2000 does not fit one: no grid divides by them
+    with pytest.raises(ValueError) as exc:
+        level_shape(8, 8, level)
+    assert str(exc.value) == f"pyramid level {level} has no positive finite stride 2**{level}"
+
+
+def _two_levels(channels_4=1, declared_3=3):
+    return {3: FeatureLevel(declared_3, np.zeros((1, 2, 2))),
+            4: FeatureLevel(4, np.zeros((channels_4, 1, 1)))}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FeatureLevel(3, np.zeros((2, 2))),
+     "feature values must be (channels, height, width), got shape (2, 2)"),
+    (lambda: FeatureLevel(3, np.full((1, 1, 1), np.nan)), "feature values must be finite"),
+    (lambda: FusionWeights({"td3": [1.0, np.inf]}), "weights of node td3 must be finite"),
+    (lambda: node_arity([]), "at least one pyramid level is required"),
+    (lambda: resize_level(FeatureLevel(4, np.zeros((1, 1, 1))), 3, (3, 3)),
+     "resized map (2, 2) smaller than target (3, 3)"),
+    (lambda: bifpn_fuse({3: FeatureLevel(3, np.zeros((1, 1, 1)))}, FusionWeights.ones([3])),
+     "pyramid needs at least 2 levels, got 1"),
+    (lambda: fpn_topdown(_two_levels(declared_3=5)), "feature at key 3 declares level 5"),
+    (lambda: fpn_topdown(_two_levels(channels_4=2)), "all pyramid levels must share a channel count"),
+    (lambda: fpn_topdown(_two_levels(), conv=lambda level, a: a[:, :1]),
+     "conv changed the map shape at level 3: (1, 2, 2) -> (1, 1, 2)"),
+    (lambda: bifpn_fuse(_two_levels(),
+                        FusionWeights({**FusionWeights.ones([3, 4]).raw, "td3": np.ones(3)})),
+     "node td3 expects 2 weights, got 3"),
+    (lambda: fusion_weight_gradients(_two_levels(), FusionWeights.ones([3, 4]), None, {}),
+     "upstream cotangent missing for level 3"),
+], ids=["not-3d", "non-finite-values", "non-finite-weights", "no-level", "resize-short",
+        "one-level", "declared-level", "channels", "conv-shape", "weight-count", "no-upstream"])
+def test_malformed_pyramid_input_raises_naming_it(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -456,3 +456,13 @@ def test_detections_of_an_unannotated_image_are_false_positives(scene):
                                           annotations, label, bucket, thr)
             assert matches[0].count(False) == without[0].count(False) + n_orphans
             assert matches[0].count(True) == without[0].count(True)
+
+
+@pytest.mark.parametrize("label, bucket, message", [
+    (FaceLabel.UNKNOWN, None, "AP is defined for the masked/unmasked classes only"),
+    (FaceLabel.MASKED, SizeBucket.EXCLUDED, "the excluded bucket is never evaluated"),
+], ids=["unknown-class", "excluded-bucket"])
+def test_ap_refuses_a_cell_it_never_scores(label, bucket, message):
+    with pytest.raises(ValueError) as exc:
+        average_precision({}, {}, label, bucket)
+    assert str(exc.value) == message
