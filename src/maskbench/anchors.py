@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import check_number
 from .fusion import level_shape, level_stride
 from .geometry import LABEL_CODES, Annotation, FaceLabel, face_arrays, iou_matrix
 
@@ -58,8 +59,8 @@ def generate_anchors(
     cell. A ratio r (width:height) produces width = size * sqrt(r) and
     height = size / sqrt(r), preserving the anchor area.
     """
-    if image_w <= 0 or image_h <= 0:
-        raise ValueError("image dimensions must be positive")
+    check_number(image_w, "image_w", integer=True, lo=1)
+    check_number(image_h, "image_h", integer=True, lo=1)
     levels = list(levels)
     if not levels:
         raise ValueError("at least one pyramid level is required")
@@ -67,16 +68,17 @@ def generate_anchors(
         scales = default_scales(levels)
     if not isinstance(scales, Mapping):
         scales = {level: tuple(scales) for level in levels}
-    ratios = [float(r) for r in ratios]
-    if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):
-        raise ValueError(f"aspect ratios must be positive and non-empty, got {ratios}")
+    ratios = [float(check_number(r, "aspect ratio", lo=0, lo_open=True)) for r in ratios]
+    if not ratios:
+        raise ValueError("at least one aspect ratio is required")
 
     all_boxes = []
     all_levels = []
     for level in levels:
-        level_scales = [float(s) for s in scales.get(level, ())]
-        if not level_scales or not all(math.isfinite(s) and s > 0 for s in level_scales):
-            raise ValueError(f"scales for level {level} must be positive and non-empty")
+        level_scales = [float(check_number(s, f"scale for level {level}", lo=0, lo_open=True))
+                        for s in scales.get(level, ())]
+        if not level_scales:
+            raise ValueError(f"at least one scale is required for level {level}")
         grid_h, grid_w = level_shape(image_w, image_h, level)
         sizes = np.array(
             [(s * math.sqrt(r), s / math.sqrt(r)) for s in level_scales for r in ratios],
@@ -144,8 +146,8 @@ def match_anchors(
     best unclaimed anchor is taken, so no overlapped face is left without a
     positive anchor.
     """
-    if pos_iou < neg_iou:
-        raise ValueError(f"pos_iou ({pos_iou}) must be >= neg_iou ({neg_iou})")
+    check_number(neg_iou, "neg_iou", lo=0, hi=1)
+    check_number(pos_iou, "pos_iou", lo=neg_iou, hi=1)
     boxes = anchors.boxes if isinstance(anchors, AnchorSet) else np.asarray(anchors)
     n = boxes.shape[0]
     assignment = np.full(n, NEGATIVE, dtype=np.int64)
@@ -253,6 +255,11 @@ class LossConfig:
     gamma: float = 2.0
     # divide every component by the positive-anchor count instead of raw sums
     normalize_by_positives: bool = False
+
+    def __post_init__(self) -> None:
+        # focal loss weighs the classes by alpha and 1 - alpha, and down-weights by p**gamma
+        check_number(self.alpha, "alpha", lo=0, hi=1)
+        check_number(self.gamma, "gamma", lo=0)
 
 
 @dataclass(frozen=True)

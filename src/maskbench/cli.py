@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
-import math
 import reprlib
 import sys
 import warnings
@@ -21,8 +20,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import anchors as anchors_mod
-from . import fusion
 from .dataset import (
     DENSITY_SUBSETS,
     DatasetManifest,
@@ -54,7 +51,7 @@ from .density import (
     write_density,
 )
 from .density import downsample_sum_preserving  # noqa: F401  (unused; perfbench's tracer wraps it)
-from .errors import DataFormatError
+from .errors import DataFormatError, check_number
 from .geometry import FaceLabel
 from .metrics import BUCKETS, EvalConfig, average_precision, mae, mean_ap, pearson, ratio_pairs
 from .metrics import ratio_correlation  # noqa: F401  (unused; perfbench's tracer wraps it)
@@ -92,20 +89,20 @@ def _emit(tables: Table | Mapping[str, Table], out: str | None, fmt: str) -> Non
 
 
 def _dets_by_image(
-    manifest: DatasetManifest,
-    records: Sequence[DetectionRecord],
-    nms_iou: float | None,
+    manifest: DatasetManifest, path: str, nms_iou: float | None
 ) -> dict[str, DetectionRecord]:
+    """The detections file's records by image id, after NMS if nms_iou is given."""
+    records = load_detections(path)
     metas = {rec.image_id: rec.meta for rec in manifest.images}
     for rec in records:
         if rec.image_id not in metas:
             raise DataFormatError(
-                f"detections reference unknown image_id {rec.image_id!r}"
+                f"{path}: detections reference unknown image_id {rec.image_id!r}"
             )
         want = metas[rec.image_id]
         if (rec.meta.video_id, rec.meta.condition) != (want.video_id, want.condition):
             raise DataFormatError(
-                f"detections for image {rec.image_id!r} give video_id "
+                f"{path}: detections for image {rec.image_id!r} give video_id "
                 f"{rec.meta.video_id!r}, condition {rec.meta.condition.value!r}; the "
                 f"annotations give {want.video_id!r}, {want.condition.value!r}"
             )
@@ -156,7 +153,7 @@ def _swap_convention(
 def _estimated_reports(args, manifest: DatasetManifest):
     """Per-image estimates from whichever input the command was given."""
     if args.detections:
-        dets = _dets_by_image(manifest, load_detections(args.detections), args.nms_iou)
+        dets = _dets_by_image(manifest, args.detections, args.nms_iou)
         return {i: detection_ratio(d, args.conf_thr) for i, d in dets.items()}
     return _density_reports(manifest, args.density_dir)
 
@@ -216,7 +213,7 @@ def _cmd_eval_det(args) -> int:
     check_thresholds(args.nms_iou)
     cfg = EvalConfig(iou_thr=args.iou_thr)
     manifest = load_annotations(args.annotations)
-    dets = _dets_by_image(manifest, load_detections(args.detections), args.nms_iou)
+    dets = _dets_by_image(manifest, args.detections, args.nms_iou)
     gts = {rec.image_id: rec for rec in manifest.images}
 
     cells = [
@@ -310,8 +307,9 @@ def _cmd_report_video(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {args.tolerance}")
+    from . import fusion  # imported here: no other command needs it
+
+    check_number(args.tolerance, "tolerance", lo=0)
     worst = fusion.run_gradient_check(
         seed=args.seed,
         trials=args.trials,
@@ -347,6 +345,7 @@ def _cmd_loss_eval(args) -> int:
 
 def _loss_row(fixture) -> tuple:
     """loss-eval's report row for a decoded fixture; a ValueError names the field at fault."""
+    from . import anchors as anchors_mod  # imported here: no other command needs it
 
     def get(obj, key, default=None):
         if not isinstance(obj, dict):
@@ -355,22 +354,18 @@ def _loss_row(fixture) -> tuple:
             raise ValueError(f"missing field {key!r}")
         return obj.get(key, default)
 
-    def check(value, name, kind=(int, float), what="a number"):
-        # as the loaders check a box coordinate: a number is never a bool or a string
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+    def check(value, name, kind, what):
+        if not isinstance(value, kind):
             raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
         return value
 
-    def number(value, name):
-        # finite too, as a loader requires of a box coordinate; anchors and loss check list values
-        value = float(check(value, name))
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
-        return value
+    def number(obj, key, default, name):
+        # its domain is checked where it is used, as are those of list values
+        return float(check_number(get(obj, key, default), name))
 
-    def numbers(value, name, kind=(int, float), what="numbers"):
-        return [check(v, name, kind, f"a list of {what}")
-                for v in check(value, name, list, f"a list of {what}")]
+    def numbers(value, name, what="numbers", integer=False):
+        return [check_number(v, f"{name}[{i}]", integer=integer)
+                for i, v in enumerate(check(value, name, list, f"a list of {what}"))]
 
     def scales_level(key):
         try:
@@ -379,7 +374,7 @@ def _loss_row(fixture) -> tuple:
             raise ValueError(f"anchors.scales keys must be integers, got {reprlib.repr(key)}") from None
 
     image, spec = get(fixture, "image"), get(fixture, "anchors")
-    levels = numbers(get(spec, "levels"), "anchors.levels", int, "integers")
+    levels = numbers(get(spec, "levels"), "anchors.levels", "integers", integer=True)
     scales = spec.get("scales")
     if isinstance(scales, dict):
         scales = {scales_level(k): numbers(v, f"anchors.scales[{k!r}]") for k, v in scales.items()}
@@ -387,21 +382,21 @@ def _loss_row(fixture) -> tuple:
         scales = numbers(scales, "anchors.scales")
     ratios = numbers(spec.get("ratios", list(anchors_mod.DEFAULT_RATIOS)), "anchors.ratios")
     anchor_set = anchors_mod.generate_anchors(
-        check(get(image, "width"), "image.width", int, "an integer"),
-        check(get(image, "height"), "image.height", int, "an integer"), levels, scales, ratios)
+        check_number(get(image, "width"), "image.width", integer=True),
+        check_number(get(image, "height"), "image.height", integer=True), levels, scales, ratios)
     matching = get(fixture, "matching", {})
     thresholds = inspect.signature(anchors_mod.match_anchors).parameters
-    pos_iou = number(get(matching, "pos_iou", thresholds["pos_iou"].default), "matching.pos_iou")
-    neg_iou = number(get(matching, "neg_iou", thresholds["neg_iou"].default), "matching.neg_iou")
+    pos_iou = number(matching, "pos_iou", thresholds["pos_iou"].default, "matching.pos_iou")
+    neg_iou = number(matching, "neg_iou", thresholds["neg_iou"].default, "matching.neg_iou")
     preds = get(fixture, "predictions")
     p_obj = np.array(numbers(get(preds, "objectness"), "predictions.objectness"), dtype=np.float64)
     p_cls = np.array(numbers(get(preds, "class"), "predictions.class"), dtype=np.float64)
     boxes = check(get(preds, "box"), "predictions.box", list, "a list of number lists")
-    t = np.array([numbers(b, "predictions.box", what="number lists") for b in boxes], dtype=np.float64)
+    t = np.array([numbers(b, f"predictions.box[{i}]") for i, b in enumerate(boxes)], dtype=np.float64)
     loss, default = get(fixture, "loss", {}), anchors_mod.LossConfig()
     config = anchors_mod.LossConfig(
-        alpha=number(get(loss, "alpha", default.alpha), "loss.alpha"),
-        gamma=number(get(loss, "gamma", default.gamma), "loss.gamma"),
+        alpha=number(loss, "alpha", default.alpha, "loss.alpha"),
+        gamma=number(loss, "gamma", default.gamma, "loss.gamma"),
         normalize_by_positives=check(get(loss, "normalize", default.normalize_by_positives),
                                      "loss.normalize", bool, "true or false"),
     )

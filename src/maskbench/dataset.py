@@ -28,7 +28,7 @@ import json
 import math
 import reprlib
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .density import DensityMap, KernelSpec, PointSet, check_downscale, check_frame_sides, render_density
-from .errors import DataFormatError
+from .errors import DataFormatError, check_number
 from .geometry import (
     FACE_LABELS,
     Annotation,
@@ -225,16 +225,12 @@ def subset_points(rec: ImageRecord, subset: str) -> PointSet:
 
 
 def _parse_box(raw, where: str, width: int | None, height: int | None) -> BBox:
-    if not (isinstance(raw, list) and len(raw) == 4) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
+    if not (isinstance(raw, list) and len(raw) == 4):
         raise DataFormatError(f"{where}: box must be a list of 4 numbers, got {reprlib.repr(raw)}")
-    try:
-        l, t, r, b = (float(v) for v in raw)
-    except OverflowError as exc:
-        raise DataFormatError(f"{where}: box coordinate out of range ({exc})") from exc
-    if not all(map(math.isfinite, (l, t, r, b))):  # before the clamp, which would hide inf
-        raise DataFormatError(f"{where}: box coordinates must be finite, got {(l, t, r, b)}")
+    try:  # before the clamp, which would hide inf
+        l, t, r, b = (float(check_number(v, f"box[{i}]")) for i, v in enumerate(raw))
+    except ValueError as exc:
+        raise DataFormatError(f"{where}: {exc}") from None
     if width is not None and height is not None:
         l, r = min(max(l, 0.0), width), min(max(r, 0.0), width)
         t, b = min(max(t, 0.0), height), min(max(b, 0.0), height)
@@ -272,12 +268,11 @@ def parse_detection(det, where: str) -> Detection:
     if label not in _DETECTION_LABELS:
         raise DataFormatError(f"{where}: label must be masked or unmasked, got {reprlib.repr(label)}")
     conf = _require(det, "conf", where)
-    if not isinstance(conf, (int, float)) or isinstance(conf, bool):
-        raise DataFormatError(f"{where}: conf must be a number")
     try:
-        return Detection(box, _LABELS[label], float(conf))
-    except (ValueError, OverflowError) as exc:
-        raise DataFormatError(f"{where}: {exc}") from exc
+        conf = float(check_number(conf, "conf", lo=0, hi=1))
+    except ValueError as exc:
+        raise DataFormatError(f"{where}: {exc}") from None
+    return Detection(box, _LABELS[label], conf)
 
 
 # characters of JSONL a loader checks at once; this bounds the decoded lines it
@@ -458,8 +453,8 @@ def _annotation_header(obj, where: str, seen: set[str]):
     height = _require(obj, "height", where)
     try:  # below 2**53 a float64 holds every int exactly, so the block clamp compares as in Python
         check_frame_sides(width, height)
-    except ValueError:
-        raise DataFormatError(f"{where}: width/height must be positive integers below 2**53") from None
+    except ValueError as exc:
+        raise DataFormatError(f"{where}: {exc}") from None
     period = _require(obj, "period", where)
     if not isinstance(period, str) or period not in _PERIODS:
         raise DataFormatError(f"{where}: period must be 'before' or 'during'")
@@ -713,32 +708,19 @@ class SynthParams:
     kernel: KernelSpec = KernelSpec()
 
     def __post_init__(self) -> None:
-        if self.n_images < 0:
-            raise ValueError("n_images must be >= 0")
-        if not (0 <= self.faces_min <= self.faces_max):
-            raise ValueError(
-                f"need 0 <= faces_min <= faces_max, got {self.faces_min}..{self.faces_max}"
-            )
-        if self.image_width < 8 or self.image_height < 8:
-            raise ValueError("image dimensions must be at least 8 px")
-        # as in the loaders, which read what synth writes
-        if self.image_width >= 2**53 or self.image_height >= 2**53:
-            raise ValueError("image dimensions must be below 2**53")
-        check_frame_sides(self.image_width, self.image_height)
+        check_number(self.n_images, "n_images", integer=True, lo=0)
+        check_number(self.faces_min, "faces_min", integer=True, lo=0)
+        check_number(self.faces_max, "faces_max", integer=True, lo=self.faces_min)
+        # as in the loaders, which read what synth writes, and at least 8 px
+        check_frame_sides(self.image_width, self.image_height, ("image_width", "image_height"), 8)
         for name in ("masked_probability", "unknown_probability", "drop_rate", "flip_rate", "density_noise"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.jitter_sigma < 0 or self.false_positive_rate < 0:
-            raise ValueError("noise rates must be non-negative")
-        if not (0.0 < self.face_size_min <= self.face_size_max):
-            raise ValueError("need 0 < face_size_min <= face_size_max")
-        if self.n_videos < 1:
-            raise ValueError("n_videos must be >= 1")
+            check_number(getattr(self, name), name, lo=0, hi=1)
+        check_number(self.jitter_sigma, "jitter_sigma", lo=0)
+        check_number(self.false_positive_rate, "false_positive_rate", lo=0)
+        check_number(self.face_size_min, "face_size_min", lo=0, lo_open=True)
+        check_number(self.face_size_max, "face_size_max", lo=self.face_size_min)
+        check_number(self.n_videos, "n_videos", integer=True, lo=1)
         check_downscale(self.density_downscale, "density_downscale")
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
     @property
     def is_noiseless(self) -> bool:

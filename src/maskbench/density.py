@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, check_grid, check_number
 
 _NFMD_MAGIC = b"NFMD"
 _NFMD_HEADER = struct.Struct("<III")
@@ -53,23 +53,23 @@ _PROFILE_BLOCK = 1 << 16
 
 def check_downscale(downscale, name: str = "downscale") -> None:
     """The downscale rule: an integer in [1, 2**32), since the NFMD header stores it as a u32."""
-    if not isinstance(downscale, (int, np.integer)) or downscale < 1:
-        raise ValueError(f"{name} must be a positive integer, got {downscale!r}")
-    if downscale >= 2**32:
-        raise ValueError(f"{name} must be below 2**32, got {downscale}")
+    check_number(downscale, name, integer=True, lo=1, hi=2**32, hi_open=True)
 
 
-def check_frame_sides(width, height) -> None:
-    """The frame-side rule: integers, never bools, in (0, 2**53), where a float64 holds every int exactly."""
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 < v < 2**53
-               for v in (width, height)):
-        raise ValueError(f"image dimensions must be positive integers below 2**53, got {width!r} x {height!r}")
+def check_frame_sides(width, height, names=("width", "height"), least: int = 1) -> None:
+    """The frame-side rule: integers in [least, 2**53), where a float64 holds every int exactly."""
+    for side, name in zip((width, height), names):
+        check_number(side, name, integer=True, lo=least, hi=2**53, hi_open=True)
 
 
 def map_shape(height: int, width: int, downscale: int) -> tuple[int, int]:
-    """(rows, columns) of a height x width frame's map at 1/downscale: each side rounded up."""
+    """(rows, columns) of a height x width frame's map at 1/downscale: each side rounded up.
+
+    Raises ValueError for a map of more than MAX_GRID_CELLS cells.
+    """
     check_downscale(downscale)
-    return -(-height // downscale), -(-width // downscale)
+    return check_grid(-(-height // downscale), -(-width // downscale),
+                      f"a {width} x {height} frame at downscale {downscale}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,11 +83,8 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         for name in ("beta", "sigma_default", "truncation_radius"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            check_number(getattr(self, name), name, lo=0, lo_open=True)
+        check_number(self.k, "k", integer=True, lo=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +102,7 @@ class PointSet:
         xy = xy.reshape(len(xy), 2)
         xy.flags.writeable = False
         object.__setattr__(self, "points", xy)
-        if not (0 < self.image_width < 2**53 and 0 < self.image_height < 2**53):
-            raise ValueError("image dimensions must be positive and below 2**53")
-        check_frame_sides(self.image_width, self.image_height)
+        check_frame_sides(self.image_width, self.image_height, ("image_width", "image_height"))
         # exact below 2**53, as in Python; NaN and infinite coordinates fail them too
         inside = ((xy >= 0.0) & (xy < (self.image_width, self.image_height))).all(axis=1)
         if not inside.all():
@@ -268,7 +263,8 @@ def render_density(
     come from one array pass per chunk of faces; the outer products are
     added in input order, so the result is bit-reproducible. An empty point
     set yields an all-zero map. Raises ValueError for a downscale that breaks
-    check_downscale's rule, or when a sigma or a truncation radius overflows.
+    check_downscale's rule, for a map above MAX_GRID_CELLS cells, or when a
+    sigma or a truncation radius overflows.
     """
     h, w = pts.image_height, pts.image_width
     values = np.zeros(map_shape(h, w, downscale), dtype=np.float64)

@@ -30,6 +30,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import check_grid, check_number
+
 # per-level linear map applied after each fusion; None means identity
 ConvFn = Callable[[int, np.ndarray], np.ndarray] | None
 
@@ -66,15 +68,14 @@ class FeatureLevel:
 
 def level_stride(level: int) -> float:
     """The level's stride in pixels, 2.0 ** level: positive and finite for levels -1074..1023 only."""
-    if not -1074 <= level <= 1023:
-        raise ValueError(f"pyramid level {level} has no positive finite stride 2**{level}")
-    return 2.0**level
+    return 2.0 ** check_number(level, "pyramid level", integer=True, lo=-1074, hi=1023)
 
 
 def level_shape(image_w: int, image_h: int, level: int) -> tuple[int, int]:
-    """(height, width) of the level's grid: ceil(image_dim / stride)."""
+    """(height, width) of the level's grid: ceil(image_dim / stride), of at most MAX_GRID_CELLS cells."""
     stride = level_stride(level)
-    return math.ceil(image_h / stride), math.ceil(image_w / stride)
+    return check_grid(image_h / stride, image_w / stride,
+                      f"pyramid level {level} of a {image_w} x {image_h} frame")
 
 
 @dataclass
@@ -92,8 +93,7 @@ class FusionWeights:
     epsilon: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        check_number(self.epsilon, "epsilon", lo=0)
         self.raw = {k: np.asarray(v, dtype=np.float64).reshape(-1) for k, v in self.raw.items()}
         for name, w in self.raw.items():
             if not np.all(np.isfinite(w)):
@@ -348,7 +348,7 @@ def finite_difference_gradients(
     Numerical cross-check for fusion_weight_gradients; two forward passes per
     weight.
     """
-    _check_step(step)
+    check_number(step, "step", lo=0, lo_open=True)
 
     def objective(w: FusionWeights) -> float:
         outputs, _ = _bifpn_forward(m_in, w, conv)
@@ -370,11 +370,6 @@ def finite_difference_gradients(
     return grads
 
 
-def _check_step(step: float) -> None:
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step}")
-
-
 def run_gradient_check(
     seed: int = 0,
     trials: int = 100,
@@ -389,12 +384,10 @@ def run_gradient_check(
     by max(|analytic|, |numeric|, 1e-3); the floor keeps finite-difference
     round-off from dominating near-zero gradients. Raw weights are drawn from
     [0.2, 2.0] so the non-negativity clamp stays inactive (the clamp boundary
-    is not differentiable). trials, max_size and max_channels must be >= 1.
+    is not differentiable). trials, max_size and max_channels must be integers >= 1.
     """
     for name, value in (("trials", trials), ("max_size", max_size), ("max_channels", max_channels)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    _check_step(step)
+        check_number(value, name, integer=True, lo=1)
     rng = np.random.default_rng(seed)
     levels = (3, 4, 5)
     worst = 0.0

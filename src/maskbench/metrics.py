@@ -7,6 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import check_number
 from .geometry import (
     LABEL_CODES,
     SIZE_BUCKETS,
@@ -34,8 +35,7 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         check_thresholds(self.iou_thr)
-        if self.min_faces_per_image < 0:
-            raise ValueError("min_faces_per_image must be >= 0")
+        check_number(self.min_faces_per_image, "min_faces_per_image", integer=True, lo=0)
 
 
 _DISCARDED, _TP, _FP = range(3)  # a detection's outcome (see _match_image)

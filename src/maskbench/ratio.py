@@ -9,6 +9,7 @@ from typing import Iterable, TypeVar
 
 import numpy as np
 
+from .errors import check_number
 from .geometry import LABEL_CODES, FaceLabel, face_arrays, iou_matrix
 from .geometry import iou  # noqa: F401  (unused; perfbench's tracer wraps ratio.iou)
 
@@ -75,10 +76,10 @@ _NMS_BLOCK = 64
 
 def check_thresholds(iou_thr: float | None = None, conf_thr: float | None = None) -> None:
     """Raise ValueError unless iou_thr is in (0, 1] and conf_thr in [0, 1]; None skips a check."""
-    if iou_thr is not None and not (0.0 < iou_thr <= 1.0):
-        raise ValueError(f"iou_thr must be in (0, 1], got {iou_thr}")
-    if conf_thr is not None and not (0.0 <= conf_thr <= 1.0):
-        raise ValueError(f"conf_thr must be in [0, 1], got {conf_thr}")
+    if iou_thr is not None:
+        check_number(iou_thr, "iou_thr", lo=0, hi=1, lo_open=True)
+    if conf_thr is not None:
+        check_number(conf_thr, "conf_thr", lo=0, hi=1)
 
 
 def nms(dets, iou_thr: float = 0.4):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import sys
 import warnings
 
 import numpy as np
@@ -430,16 +431,13 @@ _LABELS = {lab.value: lab for lab in FaceLabel}
 
 
 def _box_of(raw, where: str, width: int | None, height: int | None) -> BBox:
-    if not (isinstance(raw, list) and len(raw) == 4) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
+    if not (isinstance(raw, list) and len(raw) == 4):
         raise DataFormatError(f"{where}: box must be a list of 4 numbers, got {reprlib.repr(raw)}")
-    try:
-        l, t, r, b = (float(v) for v in raw)
-    except OverflowError as exc:
-        raise DataFormatError(f"{where}: box coordinate out of range ({exc})") from exc
-    if not all(math.isfinite(v) for v in (l, t, r, b)):  # as read, before the clamp
-        raise DataFormatError(f"{where}: box coordinates must be finite, got {(l, t, r, b)}")
+    for i, v in enumerate(raw):  # each as read, before the clamp: a number a float holds
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and -sys.float_info.max <= v <= sys.float_info.max):
+            raise DataFormatError(f"{where}: box[{i}] must be a finite number, got {reprlib.repr(v)}")
+    l, t, r, b = (float(v) for v in raw)
     if width is not None and height is not None:
         l, r = min(max(l, 0.0), width), min(max(r, 0.0), width)
         t, b = min(max(t, 0.0), height), min(max(b, 0.0), height)
@@ -514,11 +512,11 @@ def load_annotations_objects(path):
         image_id, video_id, condition = _line_header(obj, where, seen)
         width = _field(obj, "width", where)
         height = _field(obj, "height", where)
-        if not all(
-            isinstance(v, int) and not isinstance(v, bool) and 0 < v < 2**53
-            for v in (width, height)
-        ):
-            raise DataFormatError(f"{where}: width/height must be positive integers below 2**53")
+        for name, v in (("width", width), ("height", height)):
+            if not (isinstance(v, int) and not isinstance(v, bool) and 0 < v < 2**53):
+                raise DataFormatError(
+                    f"{where}: {name} must be an integer in [1, 2**53), got {reprlib.repr(v)}"
+                )
         period = _field(obj, "period", where)
         if not isinstance(period, str) or period not in _PERIODS:
             raise DataFormatError(f"{where}: period must be 'before' or 'during'")
@@ -573,8 +571,11 @@ def load_detections_objects(path):
                     f"{dwhere}: label must be masked or unmasked, got {reprlib.repr(label)}"
                 )
             conf = _field(det, "conf", dwhere)
-            if not isinstance(conf, (int, float)) or isinstance(conf, bool):
-                raise DataFormatError(f"{dwhere}: conf must be a number")
+            if not (isinstance(conf, (int, float)) and not isinstance(conf, bool)
+                    and 0.0 <= conf <= 1.0):
+                raise DataFormatError(
+                    f"{dwhere}: conf must be a finite number in [0, 1], got {reprlib.repr(conf)}"
+                )
             try:
                 dets.append(Detection(box, _LABELS[label], float(conf)))
             except (ValueError, OverflowError) as exc:

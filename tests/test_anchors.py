@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,14 +76,14 @@ class TestGenerateAnchors:
             generate_anchors(32, 32, levels=[3], scales=[16], ratios=[])
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"image_w": 0, "image_h": 8}, "image dimensions must be positive"),
+        ({"image_w": 0, "image_h": 8}, "image_w must be an integer >= 1, got 0"),
         ({"levels": [-1100], "scales": [8.0]},
-         "pyramid level -1100 has no positive finite stride 2**-1100"),
+         "pyramid level must be an integer in [-1074, 1023], got -1100"),
         ({"levels": [3, 2000], "scales": {3: [8.0], 2000: [8.0]}},
-         "pyramid level 2000 has no positive finite stride 2**2000"),
+         "pyramid level must be an integer in [-1074, 1023], got 2000"),
         # the default scales are twice the stride, so they name the level too
-        ({"levels": [2000]}, "pyramid level 2000 has no positive finite stride 2**2000"),
-        ({"levels": [-1100]}, "pyramid level -1100 has no positive finite stride 2**-1100"),
+        ({"levels": [2000]}, "pyramid level must be an integer in [-1074, 1023], got 2000"),
+        ({"levels": [-1100]}, "pyramid level must be an integer in [-1074, 1023], got -1100"),
     ], ids=["zero-side", "tiny-stride", "huge-stride", "huge-default-scale", "tiny-default-scale"])
     def test_rejects_a_frame_or_level_with_no_grid(self, kwargs, message):
         with pytest.raises(ValueError) as exc:
@@ -91,11 +92,13 @@ class TestGenerateAnchors:
 
     @pytest.mark.parametrize("bad", [1e400, math.nan], ids=["1e400", "nan"])
     def test_rejects_non_finite_ratios_and_scales(self, bad):
-        with pytest.raises(ValueError, match="aspect ratios must be positive"):
+        ratio = re.escape(f"aspect ratio must be a finite number > 0, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{ratio}$"):
             generate_anchors(32, 32, levels=[3], scales=[16], ratios=[0.5, bad])
-        with pytest.raises(ValueError, match="scales for level 3 must be positive"):
+        scale = re.escape(f"scale for level 3 must be a finite number > 0, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{scale}$"):
             generate_anchors(32, 32, levels=[3], scales=[16, bad])
-        with pytest.raises(ValueError, match="scales for level 3 must be positive"):
+        with pytest.raises(ValueError, match=f"^{scale}$"):
             generate_anchors(32, 32, levels=[3], scales={3: [bad]})
 
 
@@ -357,3 +360,52 @@ class TestMultitaskLoss:
     def test_breakdown_total(self):
         b = LossBreakdown(1.0, 2.0, 3.5)
         assert b.total == 6.5
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha": -0.25}, "alpha must be a finite number in [0, 1], got -0.25"),
+    ({"alpha": 1e300}, "alpha must be a finite number in [0, 1], got 1e+300"),
+    ({"alpha": math.nan}, "alpha must be a finite number in [0, 1], got nan"),
+    ({"alpha": True}, "alpha must be a finite number in [0, 1], got True"),
+    ({"gamma": -2000}, "gamma must be a finite number >= 0, got -2000"),
+    ({"gamma": math.inf}, "gamma must be a finite number >= 0, got inf"),
+], ids=["negative-alpha", "huge-alpha", "nan-alpha", "bool-alpha", "negative-gamma", "inf-gamma"])
+def test_focal_loss_config_refuses_a_weight_outside_its_domain(kwargs, message):
+    # -2000 gave an inf loss, and alpha 1e300 a loss of 1.7e+299
+    with pytest.raises(ValueError) as exc:
+        LossConfig(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_focal_loss_config_takes_each_end_of_its_domain():
+    for alpha, gamma in ((0, 0), (1, 0.0), (0.0, 1e300), (-0.0, 5e-324)):
+        assert LossConfig(alpha, gamma) == LossConfig(alpha=alpha, gamma=gamma)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"pos_iou": 7}, "pos_iou must be a finite number in [0.3, 1], got 7"),
+    ({"pos_iou": 0.2}, "pos_iou must be a finite number in [0.3, 1], got 0.2"),
+    ({"neg_iou": -0.1}, "neg_iou must be a finite number in [0, 1], got -0.1"),
+    ({"neg_iou": math.nan}, "neg_iou must be a finite number in [0, 1], got nan"),
+    ({"pos_iou": True}, "pos_iou must be a finite number in [0.3, 1], got True"),
+], ids=["pos-above-1", "pos-below-neg", "negative-neg", "nan-neg", "bool-pos"])
+def test_matching_refuses_a_threshold_outside_its_domain(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        match_anchors(np.array([[0.0, 0.0, 1.0, 1.0]]), [], **kwargs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("side", [16.5, True, 2**31 + 0.0, "16"])
+def test_anchor_frame_sides_are_integers(side):
+    with pytest.raises(ValueError) as exc:
+        generate_anchors(side, 16, levels=[3], scales=[8.0])
+    assert str(exc.value) == f"image_w must be an integer >= 1, got {side!r}"
+
+
+@pytest.mark.parametrize("w, h, level", [(16, 16, -40), (16, 16, -1074)])
+def test_a_level_grid_above_the_bound_is_refused_before_anything_is_allocated(w, h, level):
+    # -40 asked for 2**44 cells a side and -1074 overflowed ceil; a grid that fits in memory
+    # at the parent is left to test_cli, which runs it under a bounded address space
+    with pytest.raises(ValueError) as exc:
+        generate_anchors(w, h, levels=[level], scales=[8.0])
+    assert str(exc.value) == f"pyramid level {level} of a {w} x {h} frame needs a grid of more than 2**24 cells"

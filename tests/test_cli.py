@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -187,7 +188,8 @@ class TestEvalCli:
             ["gen-density", "--annotations", str(tmp_path / "missing.jsonl"),
              "--out", str(out), "--downscale", downscale]
         ) == 2
-        assert f"downscale must be a positive integer, got {downscale}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: downscale must be an integer in [1, 2**32), got {downscale}\n")
         assert not out.exists()
 
     def test_synth_bad_density_downscale_is_data_error(self, tmp_path, capsys):
@@ -563,7 +565,8 @@ class TestLossEvalCli:
         assert main(["loss-eval", "--fixture", str(path), "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {path}: {field} predictions must be finite\n"
+        name = "predictions.box[5][1]" if field == "box" else f"predictions.{field}[5]"
+        assert captured.err == f"error: {path}: {name} must be a finite number, got {value!r}\n"
 
     @pytest.mark.parametrize(
         "old, new",
@@ -805,6 +808,36 @@ def test_map_too_large_to_allocate_is_a_data_error(command, tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_a_frame_whose_anchor_grid_would_not_fit_is_refused_before_it_is_allocated(tmp_path):
+    # a 2**31 x 32 frame has 2**30 cells at level 3, which numpy was asked to allocate; under
+    # a 1-GiB address space that failed with numpy's "Unable to allocate", which names no field
+    path = TestLossEvalCli.fixture(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["image"]["width"] = 2**31
+    path.write_text(json.dumps(payload))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "maskbench.cli", "loss-eval", "--fixture", str(path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          preexec_fn=limit)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: {path}: pyramid level 3 of a 2147483648 x 32 frame needs a grid of more "
+               "than 2**24 cells\n")
+
+
+def test_importing_the_cli_leaves_the_anchor_and_fusion_code_out():
+    # only loss-eval and gradcheck need them; both import them when they run
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import sys, maskbench.cli; "
+            "print(sorted(m for m in ('maskbench.anchors', 'maskbench.fusion') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def _two_images(path, second_id):
     """An annotations file of image img0, then image second_id."""
     path.write_text("".join(_one_image(path, i).read_text() for i in ("img0", second_id)))
@@ -831,14 +864,15 @@ def test_gen_density_checks_every_map_path_before_any_render(tmp_path, capsys, m
     assert "holds a path separator" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--width", str(2**53), "--height", "64"],
-                                   ["--width", "64", "--height", str(2**53)]],
+@pytest.mark.parametrize("flags, field", [(["--width", str(2**53), "--height", "64"], "image_width"),
+                                          (["--width", "64", "--height", str(2**53)], "image_height")],
                          ids=["width", "height"])
-def test_synth_rejects_a_frame_its_loaders_reject(flags, tmp_path, capsys):
+def test_synth_rejects_a_frame_its_loaders_reject(flags, field, tmp_path, capsys):
     out = tmp_path / "scene"
     assert main(["synth", "--seed", "1", "--images", "2", "--no-density", *flags,
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: image dimensions must be below 2**53\n"
+    assert capsys.readouterr().err == (
+        f"error: {field} must be an integer in [8, 2**53), got {2**53}\n")
     assert not out.exists()
 
 

@@ -97,16 +97,22 @@ class TestPointSetArray:
         assert len(PointSet([(top - 1.0, 1.0)], top, 10)) == 1
         with pytest.raises(ValueError, match=r"outside \[0, 9007199254740991\)"):
             PointSet([(float(top), 1.0)], top, 10)
-        for w, h in ((2**53, 10), (10, 2**53), (2**53 + 1, 10), (0, 10), (10, -1)):
-            with pytest.raises(ValueError, match=r"^image dimensions must be positive and below 2\*\*53$"):
+        for w, h, field, side in ((2**53, 10, "image_width", 2**53), (10, 2**53, "image_height", 2**53),
+                                  (2**53 + 1, 10, "image_width", 2**53 + 1),
+                                  (0, 10, "image_width", 0), (10, -1, "image_height", -1)):
+            with pytest.raises(ValueError) as exc:
                 PointSet([], w, h)
+            assert str(exc.value) == f"{field} must be an integer in [1, 2**53), got {side}"
 
-    @pytest.mark.parametrize("w, h", [(100.5, 50), (50, 64.0), (True, 8), (8, np.float64(8))])
-    def test_image_dimensions_are_integers(self, w, h):
+    @pytest.mark.parametrize("w, h, field, side", [(100.5, 50, "image_width", 100.5),
+                                                   (50, 64.0, "image_height", 64.0),
+                                                   (True, 8, "image_width", True),
+                                                   (8, np.float64(8), "image_height", np.float64(8))])
+    def test_image_dimensions_are_integers(self, w, h, field, side):
         # as the annotations loader requires; a float side once failed inside numpy at render time
         with pytest.raises(ValueError) as exc:
             PointSet([(1.0, 1.0)], w, h)
-        assert str(exc.value) == f"image dimensions must be positive integers below 2**53, got {w!r} x {h!r}"
+        assert str(exc.value) == f"{field} must be an integer in [1, 2**53), got {side!r}"
 
     def test_needs_a_sized_input(self):
         with pytest.raises(TypeError):
@@ -148,11 +154,18 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(k=0)
 
+    @pytest.mark.parametrize("k", [0, 1.5, True, 3.0, "3"])
+    def test_k_is_an_integer_of_at_least_one(self, k):
+        with pytest.raises(ValueError) as exc:
+            KernelSpec(k=k)
+        assert str(exc.value) == f"k must be an integer >= 1, got {k!r}"
+
     @pytest.mark.parametrize("field", ["beta", "sigma_default", "truncation_radius"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_rejects_non_positive_or_non_finite(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
+        with pytest.raises(ValueError) as exc:
             KernelSpec(**{field: value})
+        assert str(exc.value) == f"{field} must be a finite number > 0, got {value!r}"
 
 
 class TestAdaptiveSigmas:
@@ -654,11 +667,11 @@ class TestDownscaleRule:
 
     def test_render_refuses_2_pow_32(self):
         # it used to return a 1x1 map that write_density then refused
-        with pytest.raises(ValueError, match=r"downscale must be below 2\*\*32, got 4294967296"):
+        with pytest.raises(ValueError, match=r"^downscale must be an integer in \[1, 2\*\*32\), got 4294967296$"):
             render_density(pts([(32, 32)]), downscale=2**32)
 
     def test_downsample_refuses_a_result_of_2_pow_32(self):
-        with pytest.raises(ValueError, match=r"downscale must be below 2\*\*32"):
+        with pytest.raises(ValueError, match=r"^downscale must be an integer in \[1, 2\*\*32\), got 4294967296$"):
             downsample_sum_preserving(DensityMap(np.ones((1, 1)), 2**31), 2)
 
     def test_the_largest_downscale_round_trips(self, tmp_path):
@@ -668,9 +681,17 @@ class TestDownscaleRule:
         assert read_density(tmp_path / "m.nfmd").downscale == 2**32 - 1
 
     @pytest.mark.parametrize("h, w, ds, shape", [(64, 64, 8, (8, 8)), (65, 63, 8, (9, 8)),
-                                                 (1, 1, 13, (1, 1)), (2**53 - 1, 3, 2, (2**52, 2))])
+                                                 (1, 1, 13, (1, 1)), (2**53 - 1, 3, 2**30, (2**23, 1))])
     def test_map_shape_rounds_each_side_up(self, h, w, ds, shape):
         assert density.map_shape(h, w, ds) == shape
+
+    @pytest.mark.parametrize("h, w, ds", [(2**53 - 1, 3, 2), (4097, 4096, 1), (10**9, 10**9, 8)])
+    def test_map_shape_refuses_a_map_above_the_grid_bound(self, h, w, ds):
+        # 2**24 cells: a 4096 x 4096 frame at downscale 1 is the largest square map
+        assert density.map_shape(4096, 4096, 1) == (4096, 4096)
+        with pytest.raises(ValueError) as exc:
+            density.map_shape(h, w, ds)
+        assert str(exc.value) == f"a {w} x {h} frame at downscale {ds} needs a grid of more than 2**24 cells"
 
     def test_zero_downscale_in_a_file_names_it(self, tmp_path):
         import struct
@@ -679,7 +700,7 @@ class TestDownscaleRule:
         path.write_bytes(b"NFMD" + struct.pack("<III", 1, 1, 0) + b"\x00" * 4)
         with pytest.raises(DataFormatError) as exc:
             read_density(path)
-        assert str(exc.value) == f"{path}: downscale must be a positive integer, got 0"
+        assert str(exc.value) == f"{path}: downscale must be an integer in [1, 2**32), got 0"
 
 
 class TestEuclideanLoss:

@@ -2,13 +2,15 @@
 
 Each example sets one field, at any depth, of a valid annotations file,
 detections file or loss fixture to a hostile value, or drops it, and runs one
-command on it. `main` must return 0 or 2 with an `error:` line; it must never
-raise or report a usage error. An error in a JSONL file names its path and the
-mutated line, unless it is a disagreement between the two files, which names
-the image. A JSON object that repeats a key, at any depth, exits 2 naming the
+command on it. `main` must return 0 or 2; it must never raise or report a
+usage error. Exit 2 prints one line, `error: <path>[:line[:col]]: ...`, that
+holds none of Python's own texts ("int too large", "cannot convert", "Unable to
+allocate", "not JSON compliant"). An error in a JSONL file names the mutated
+line, unless it is a disagreement between the two files, which names the
+detections file and the image. A JSON object that repeats a key, at any depth, exits 2 naming the
 file and, in JSONL, the line. A loss-fixture value of the wrong type, a
-non-finite number or a pyramid level with no finite stride exits 2 naming its
-field or level. Damaged NFMD maps exit 2 naming the map. A flag
+number outside its field's domain or a pyramid level with no finite stride or
+too large a grid exits 2 naming its field or level. Damaged NFMD maps exit 2 naming the map. A flag
 that is non-finite, or that would overflow a map header, exits 2 naming the
 parameter; an out-of-range --conf-thr, --nms-iou, --iou-thr or --min-faces does
 so before any input is read, on every route. Every int option of every command is run with 0 and -1,
@@ -21,6 +23,8 @@ import copy
 import io
 import json
 import math
+import re
+import reprlib
 import struct
 
 import pytest
@@ -70,6 +74,9 @@ HOSTILE = st.one_of(
     st.just(math.nan),
     st.just(_OVERFLOW),
     st.just(10**400),
+    # ints beyond int32 and int64, levels past the stride range, the smallest subnormal,
+    # negative zero and finite numbers far outside every field's domain
+    st.sampled_from([2**31, -2**31, 2**63, 2**64, -1074, 1024, 5e-324, -0.0, 1e300, -2000]),
     st.lists(st.integers(-5, 40), max_size=4),
     st.dictionaries(st.sampled_from(["box", "label", "a"]), st.integers(0, 9), max_size=2),
 )
@@ -161,14 +168,24 @@ def test_valid_inputs_exit_zero(tmp_path, target):
         assert run([a.format(**paths) for a in command]) == (0, "")
 
 
+# Python's own texts, which name neither a file nor a field
+INTERNAL_TEXTS = ("int too large", "cannot convert", "Unable to allocate", "not JSON compliant")
+
+
 def check_exit(paths, target, path, command):
-    """Run command; exit 0, or exit 2 with an error naming the mutated line if it has one."""
+    """Run command; exit 0, or exit 2 with one error line naming an input file.
+
+    The line is error: <path>[:line[:col]]: ... and holds none of INTERNAL_TEXTS. An
+    error in a JSONL file names the mutated line.
+    """
     code, err = run([a.format(**paths) for a in command])
     assert code in (0, 2), (path, command, err)
     if code == 2:
-        assert err.startswith("error: "), err
-        # a cross-file disagreement names the image instead of a line
-        if target != "fixture" and not err.startswith("error: detections "):
+        files = "|".join(re.escape(str(p)) for p in paths.values())
+        assert re.fullmatch(rf"error: ({files})(:\d+){{0,2}}: [^\n]+\n", err), (path, err)
+        assert not any(text in err for text in INTERNAL_TEXTS), (path, err)
+        # a disagreement between the two files names the detections file and the image
+        if target != "fixture" and not err.startswith(f"error: {paths['detections']}: detections "):
             assert err.startswith(f"error: {paths[target]}:{path[0] + 1}:"), (path, err)
 
 
@@ -258,10 +275,10 @@ def test_damaged_density_map_exits_two_naming_it(tmp_path, damage, victim):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--sigma-default", "inf", "sigma_default must be positive and finite, got inf"),
-    ("--truncation", "inf", "truncation_radius must be positive and finite, got inf"),
-    ("--beta", "inf", "beta must be positive and finite, got inf"),
-    ("--beta", "nan", "beta must be positive and finite, got nan"),
+    ("--sigma-default", "inf", "sigma_default must be a finite number > 0, got inf"),
+    ("--truncation", "inf", "truncation_radius must be a finite number > 0, got inf"),
+    ("--beta", "inf", "beta must be a finite number > 0, got inf"),
+    ("--beta", "nan", "beta must be a finite number > 0, got nan"),
     ("--beta", "1e308", "beta 1e+308 makes a kernel sigma overflow to infinity"),
     ("--truncation", "1e308", "truncation_radius 1e+308 makes the radius of a kernel"),
     ("--sigma-default", "1e308", "of sigma 1e+308 overflow to infinity"),
@@ -276,7 +293,7 @@ def test_kernel_that_overflows_exits_two_naming_it(tmp_path, flag, value, messag
 
 
 @pytest.mark.parametrize("value, message", [
-    ("inf", "beta must be positive and finite, got inf"),
+    ("inf", "beta must be a finite number > 0, got inf"),
     ("1e308", "beta 1e+308 makes a kernel sigma overflow to infinity"),
 ])
 def test_synth_beta_that_overflows_exits_two_naming_it(tmp_path, value, message):
@@ -292,7 +309,8 @@ def test_width_beyond_float_range_exits_two_naming_it(tmp_path):
     doc[0]["width"] = 10**400
     doc[0]["faces"][0]["box"] = [0, 4, _OVERFLOW, 22]
     paths = write_inputs(tmp_path, "annotations", doc)
-    want = f"error: {paths['annotations']}:1: width/height must be positive integers below 2**53\n"
+    want = (f"error: {paths['annotations']}:1: width must be an integer in [1, 2**53), "
+            f"got {reprlib.repr(10**400)}\n")
     for command in TARGETS["annotations"][2]:
         assert run([a.format(**paths) for a in command]) == (2, want), command
 
@@ -313,9 +331,7 @@ def test_non_finite_box_coordinate_exits_two_naming_the_face(tmp_path, target, f
     box[2] = _OVERFLOW
     paths = write_inputs(tmp_path, target, doc)
     paths[target].write_text(paths[target].read_text().replace("1e400", literal))
-    coords = (float(box[0]), float(box[1]), value, float(box[3]))
-    want = (f"error: {paths[target]}:1: {face} 1: box coordinates must be finite, "
-            f"got {coords}\n")
+    want = f"error: {paths[target]}:1: {face} 1: box[2] must be a finite number, got {value!r}\n"
     for command in TARGETS[target][2]:
         assert run([a.format(**paths) for a in command]) == (2, want), command
 
@@ -364,14 +380,14 @@ def test_json_error_at_the_end_of_a_line_names_that_line(tmp_path, target):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (_SYNTH + ["--face-size-max", "inf"], "face_size_max must be finite, got inf"),
-    (_SYNTH + ["--fp-rate", "nan"], "false_positive_rate must be finite, got nan"),
-    (_SYNTH + ["--jitter-sigma", "inf"], "jitter_sigma must be finite, got inf"),
-    (_GRADCHECK + ["--step", "0"], "step must be finite and positive, got 0.0"),
-    (_GRADCHECK + ["--step", "nan"], "step must be finite and positive, got nan"),
-    (_GRADCHECK + ["--tolerance", "inf"], "tolerance must be finite and >= 0, got inf"),
-    (_GRADCHECK + ["--max-size", "0"], "max_size must be >= 1, got 0"),
-    (_GRADCHECK + ["--max-channels", "0"], "max_channels must be >= 1, got 0"),
+    (_SYNTH + ["--face-size-max", "inf"], "face_size_max must be a finite number >= 12.0, got inf"),
+    (_SYNTH + ["--fp-rate", "nan"], "false_positive_rate must be a finite number >= 0, got nan"),
+    (_SYNTH + ["--jitter-sigma", "inf"], "jitter_sigma must be a finite number >= 0, got inf"),
+    (_GRADCHECK + ["--step", "0"], "step must be a finite number > 0, got 0.0"),
+    (_GRADCHECK + ["--step", "nan"], "step must be a finite number > 0, got nan"),
+    (_GRADCHECK + ["--tolerance", "inf"], "tolerance must be a finite number >= 0, got inf"),
+    (_GRADCHECK + ["--max-size", "0"], "max_size must be an integer >= 1, got 0"),
+    (_GRADCHECK + ["--max-channels", "0"], "max_channels must be an integer >= 1, got 0"),
 ])
 def test_non_finite_numeric_flag_exits_two_naming_it(tmp_path, argv, message):
     out = ["--out", str(tmp_path / "out")]
@@ -381,23 +397,23 @@ def test_non_finite_numeric_flag_exits_two_naming_it(tmp_path, argv, message):
 @pytest.mark.parametrize("path, value, message", [
     (("loss", "normalize"), "false", "loss.normalize must be true or false, got 'false'"),
     (("loss", "normalize"), 1, "loss.normalize must be true or false, got 1"),
-    (("anchors", "levels"), [3.9], "anchors.levels must be a list of integers, got 3.9"),
+    (("anchors", "levels"), [3.9], "anchors.levels[0] must be an integer, got 3.9"),
     (("anchors", "levels"), 3, "anchors.levels must be a list of integers, got 3"),
     (("image", "width"), 16.9, "image.width must be an integer, got 16.9"),
     (("image", "width"), "16", "image.width must be an integer, got '16'"),
     (("image", "height"), True, "image.height must be an integer, got True"),
-    (("matching", "pos_iou"), "0.5", "matching.pos_iou must be a number, got '0.5'"),
-    (("predictions", "class"), ["0.5"] * 12, "predictions.class must be a list of numbers, got '0.5'"),
+    (("matching", "pos_iou"), "0.5", "matching.pos_iou must be a finite number, got '0.5'"),
+    (("predictions", "class"), ["0.5"] * 12, "predictions.class[0] must be a finite number, got '0.5'"),
     (("predictions", "box"), [["0.1", 0, 0, 0]] * 12,
-     "predictions.box must be a list of number lists, got '0.1'"),
+     "predictions.box[0][0] must be a finite number, got '0.1'"),
     (("predictions", "box"), [0.1, 0, 0, 0] * 12,
-     "predictions.box must be a list of number lists, got 0.1"),
-    (("loss", "alpha"), True, "loss.alpha must be a number, got True"),
-    (("loss", "gamma"), None, "loss.gamma must be a number, got None"),
+     "predictions.box[0] must be a list of numbers, got 0.1"),
+    (("loss", "alpha"), True, "loss.alpha must be a finite number, got True"),
+    (("loss", "gamma"), None, "loss.gamma must be a finite number, got None"),
     (("predictions", "objectness"), [True] * 12,
-     "predictions.objectness must be a list of numbers, got True"),
-    (("anchors", "scales", "3"), [True], "anchors.scales['3'] must be a list of numbers, got True"),
-    (("anchors", "ratios"), [1, "2"], "anchors.ratios must be a list of numbers, got '2'"),
+     "predictions.objectness[0] must be a finite number, got True"),
+    (("anchors", "scales", "3"), [True], "anchors.scales['3'][0] must be a finite number, got True"),
+    (("anchors", "ratios"), [1, "2"], "anchors.ratios[1] must be a finite number, got '2'"),
     (("ground_truth",), 5, "ground_truth must be a list, got 5"),
     (("image",), list(range(100_000)), "expected an object holding 'width', got [0, 1, 2, 3, 4, 5, ...]"),
     (("anchors", "levels"), None, "missing field 'levels'"),
@@ -418,11 +434,29 @@ def test_mistyped_loss_fixture_value_exits_two_naming_its_field(tmp_path, path, 
     (("loss", "gamma"), -math.inf, "loss.gamma must be a finite number, got -inf"),
     (("anchors", "scales"), {"3.0": [8]}, "anchors.scales keys must be integers, got '3.0'"),
     (("anchors",), {"levels": [-1100], "scales": {"-1100": [8]}},
-     "pyramid level -1100 has no positive finite stride 2**-1100"),
-    (("anchors",), {"levels": [-1100]}, "pyramid level -1100 has no positive finite stride 2**-1100"),
+     "pyramid level must be an integer in [-1074, 1023], got -1100"),
+    (("anchors",), {"levels": [-1100]}, "pyramid level must be an integer in [-1074, 1023], got -1100"),
     (("anchors",), {"levels": [2000], "scales": {"2000": [8]}},
-     "pyramid level 2000 has no positive finite stride 2**2000"),
-    (("anchors",), {"levels": [2000]}, "pyramid level 2000 has no positive finite stride 2**2000"),
+     "pyramid level must be an integer in [-1074, 1023], got 2000"),
+    (("anchors",), {"levels": [2000]}, "pyramid level must be an integer in [-1074, 1023], got 2000"),
+    # focal loss needs alpha in [0, 1] and gamma >= 0; matching needs IoUs in [0, 1]
+    (("loss", "gamma"), -2000, "gamma must be a finite number >= 0, got -2000.0"),
+    (("loss", "alpha"), 1e300, "alpha must be a finite number in [0, 1], got 1e+300"),
+    (("loss", "alpha"), -0.25, "alpha must be a finite number in [0, 1], got -0.25"),
+    (("matching", "pos_iou"), 7, "pos_iou must be a finite number in [0.3, 1], got 7.0"),
+    (("matching", "pos_iou"), 0.2, "pos_iou must be a finite number in [0.3, 1], got 0.2"),
+    (("matching", "neg_iou"), -0.5, "neg_iou must be a finite number in [0, 1], got -0.5"),
+    # a level whose grid would not fit in memory, or whose stride is subnormal
+    (("anchors",), {"levels": [-1074], "scales": {"-1074": [8]}},
+     "pyramid level -1074 of a 16 x 16 frame needs a grid of more than 2**24 cells"),
+    (("anchors",), {"levels": [-40], "scales": {"-40": [8]}},
+     "pyramid level -40 of a 16 x 16 frame needs a grid of more than 2**24 cells"),
+    # ints beyond float range
+    (("image", "width"), 10**400, f"image.width must be an integer, got {reprlib.repr(10**400)}"),
+    (("matching", "pos_iou"), 10**400,
+     f"matching.pos_iou must be a finite number, got {reprlib.repr(10**400)}"),
+    (("predictions", "objectness", 0), 10**400,
+     f"predictions.objectness[0] must be a finite number, got {reprlib.repr(10**400)}"),
 ])
 def test_out_of_range_loss_fixture_value_exits_two_naming_it(tmp_path, path, value, message):
     # these gave a report (in CSV; JSON refused to write nan), a traceback, or a message naming
@@ -441,17 +475,18 @@ def test_density_header_beyond_u32_exits_two_and_writes_no_map(tmp_path, argv, v
     # rejected before anything is written: not even --out is made
     paths = write_inputs(tmp_path, "annotations", ANNOTATIONS)
     code, err = run([a.format(root=tmp_path, **paths) for a in argv] + [str(value)])
-    assert code == 2 and "must be below 2**32" in err and err.count("\n") == 1, err
+    assert code == 2 and f"downscale must be an integer in [1, 2**32), got {value}" in err, err
+    assert err.count("\n") == 1, err
     assert not (tmp_path / "maps").exists()
 
 
 _BAD_THRESHOLDS = [
-    ("--conf-thr", "nan", "conf_thr must be in [0, 1], got nan"),
-    ("--conf-thr", "-0.5", "conf_thr must be in [0, 1], got -0.5"),
-    ("--conf-thr", "1.5", "conf_thr must be in [0, 1], got 1.5"),
-    ("--nms-iou", "nan", "iou_thr must be in (0, 1], got nan"),
-    ("--nms-iou", "0", "iou_thr must be in (0, 1], got 0.0"),
-    ("--nms-iou", "7", "iou_thr must be in (0, 1], got 7.0"),
+    ("--conf-thr", "nan", "conf_thr must be a finite number in [0, 1], got nan"),
+    ("--conf-thr", "-0.5", "conf_thr must be a finite number in [0, 1], got -0.5"),
+    ("--conf-thr", "1.5", "conf_thr must be a finite number in [0, 1], got 1.5"),
+    ("--nms-iou", "nan", "iou_thr must be a finite number in (0, 1], got nan"),
+    ("--nms-iou", "0", "iou_thr must be a finite number in (0, 1], got 0.0"),
+    ("--nms-iou", "7", "iou_thr must be a finite number in (0, 1], got 7.0"),
 ]
 _ESTIMATES = {
     "detections": ["--detections", "{detections}"],
@@ -466,7 +501,7 @@ _ESTIMATES = {
     *(("eval-det", route, flag, value, message) for route in ("detections", "empty detections")
       for flag in ("--nms-iou", "--iou-thr")
       for nms, value, message in _BAD_THRESHOLDS if nms == "--nms-iou"),
-    *(("eval-ratio", route, "--min-faces", "-1", "min_faces_per_image must be >= 0")
+    *(("eval-ratio", route, "--min-faces", "-1", "min_faces_per_image must be an integer >= 0, got -1")
       for route in _ESTIMATES),
 ])
 def test_bad_threshold_exits_two_before_any_input_is_read(tmp_path, command, route, flag,

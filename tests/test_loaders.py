@@ -11,6 +11,7 @@ and documents longer than one block with the mutation past the first block.
 import contextlib
 import copy
 import io
+import reprlib
 import warnings
 
 import pytest
@@ -154,7 +155,7 @@ def test_a_width_beyond_float_precision_is_rejected(tmp_path):
     assert_equivalent("annotations", path)
     with pytest.raises(DataFormatError) as exc:
         load_annotations(path)
-    assert str(exc.value) == f"{path}:1: width/height must be positive integers below 2**53"
+    assert str(exc.value) == f"{path}:1: width must be an integer in [1, 2**53), got {2**53 + 1}"
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
@@ -464,12 +465,16 @@ def test_a_rejected_block_decodes_each_line_once(tmp_path, monkeypatch):
      "label must be masked or unmasked, got 'unknown'"),
     ({"box": [1, 2, 3, 4], "label": ["masked"], "conf": 0.5},
      "label must be masked or unmasked, got ['masked']"),
-    ({"box": [1, 2, 3, 4], "label": "masked", "conf": True}, "conf must be a number"),
-    ({"box": [1, 2, 3, 4], "label": "masked", "conf": "0.5"}, "conf must be a number"),
-    ({"box": [1, 2, 3, 4], "label": "masked", "conf": 1.5}, "confidence must be in [0, 1], got 1.5"),
-    ({"box": [1, 2, 3, 4], "label": "masked", "conf": -1}, "confidence must be in [0, 1], got -1.0"),
+    ({"box": [1, 2, 3, 4], "label": "masked", "conf": True},
+     "conf must be a finite number in [0, 1], got True"),
+    ({"box": [1, 2, 3, 4], "label": "masked", "conf": "0.5"},
+     "conf must be a finite number in [0, 1], got '0.5'"),
+    ({"box": [1, 2, 3, 4], "label": "masked", "conf": 1.5},
+     "conf must be a finite number in [0, 1], got 1.5"),
+    ({"box": [1, 2, 3, 4], "label": "masked", "conf": -1},
+     "conf must be a finite number in [0, 1], got -1"),
     ({"box": [1, 2, 3, 4], "label": "masked", "conf": 10**400},
-     "int too large to convert to float"),
+     f"conf must be a finite number in [0, 1], got {reprlib.repr(10**400)}"),
 ], ids=["not-an-object", "no-box", "no-label", "no-conf", "bad-box", "unknown-label",
         "list-label", "bool-conf", "string-conf", "conf-above-1", "conf-below-0", "huge-conf"])
 def test_parse_detection_messages_are_the_loaders(tmp_path, det, message):

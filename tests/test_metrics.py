@@ -412,6 +412,21 @@ class TestEvalConfig:
         with pytest.raises(ValueError):
             EvalConfig(min_faces_per_image=-1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"min_faces_per_image": 2.5}, "min_faces_per_image must be an integer >= 0, got 2.5"),
+        ({"min_faces_per_image": True}, "min_faces_per_image must be an integer >= 0, got True"),
+        ({"min_faces_per_image": -1}, "min_faces_per_image must be an integer >= 0, got -1"),
+        ({"iou_thr": True}, "iou_thr must be a finite number in (0, 1], got True"),
+        ({"iou_thr": 0.0}, "iou_thr must be a finite number in (0, 1], got 0.0"),
+        ({"iou_thr": 10**400}, "iou_thr must be a finite number in (0, 1], got "
+                               "100000000000000000...0000000000000000000"),
+    ], ids=["fractional-min-faces", "bool-min-faces", "negative-min-faces", "bool-iou",
+            "zero-iou", "huge-iou"])
+    def test_validation_names_the_field_and_its_domain(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            EvalConfig(**kwargs)
+        assert str(exc.value) == message
+
 
 @st.composite
 def scenes_with_an_unannotated_image(draw):
