@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import check_number
+from .errors import allocating_grid, check_grid, check_number
 from .fusion import level_shape, level_stride
 from .geometry import LABEL_CODES, Annotation, FaceLabel, face_arrays, iou_matrix
 
@@ -45,20 +45,8 @@ class AnchorSet:
         return self.boxes.shape[0]
 
 
-def generate_anchors(
-    image_w: int,
-    image_h: int,
-    levels: Sequence[int] = DEFAULT_LEVELS,
-    scales: Mapping[int, Sequence[float]] | Sequence[float] | None = None,
-    ratios: Sequence[float] = DEFAULT_RATIOS,
-) -> AnchorSet:
-    """Tile anchors over every feature-map cell of the requested pyramid levels.
-
-    Each level tiles the cells of its fusion.level_shape grid, fusion.level_stride
-    apart; every cell gets one anchor per (scale, ratio) pair, centered on the
-    cell. A ratio r (width:height) produces width = size * sqrt(r) and
-    height = size / sqrt(r), preserving the anchor area.
-    """
+def _level_grids(image_w, image_h, levels, scales, ratios) -> list:
+    """generate_anchors' checks; per level, (level, (grid_h, grid_w), (A, 2) sizes as (w, h), name)."""
     check_number(image_w, "image_w", integer=True, lo=1)
     check_number(image_h, "image_h", integer=True, lo=1)
     levels = list(levels)
@@ -71,23 +59,52 @@ def generate_anchors(
     ratios = [float(check_number(r, "aspect ratio", lo=0, lo_open=True)) for r in ratios]
     if not ratios:
         raise ValueError("at least one aspect ratio is required")
-
-    all_boxes = []
-    all_levels = []
+    grids = []
     for level in levels:
         level_scales = [float(check_number(s, f"scale for level {level}", lo=0, lo_open=True))
                         for s in scales.get(level, ())]
         if not level_scales:
             raise ValueError(f"at least one scale is required for level {level}")
-        grid_h, grid_w = level_shape(image_w, image_h, level)
+        name = f"pyramid level {level} of a {image_w} x {image_h} frame"
+        shape = check_grid(*level_shape(image_w, image_h, level), name)
         sizes = np.array(
             [(s * math.sqrt(r), s / math.sqrt(r)) for s in level_scales for r in ratios],
             dtype=np.float64,
-        )  # (A, 2) of (w, h)
-        # (cells, A, 2): the cells row-major, each holding its A anchors
-        cells = np.stack(np.meshgrid(np.arange(grid_w), np.arange(grid_h)), axis=-1).reshape(-1, 1, 2)
-        centres, sizes = np.broadcast_arrays((cells + 0.5) * level_stride(level), sizes)
-        boxes = _corners(centres.reshape(-1, 2), sizes.reshape(-1, 2))
+        )
+        grids.append((level, shape, sizes, name))
+    return grids
+
+
+def anchor_count(image_w: int, image_h: int, levels=DEFAULT_LEVELS, scales=None, ratios=DEFAULT_RATIOS) -> int:
+    """How many anchors generate_anchors tiles for the same arguments, after its checks; builds none."""
+    grids = _level_grids(image_w, image_h, levels, scales, ratios)
+    return sum(grid_h * grid_w * len(sizes) for _, (grid_h, grid_w), sizes, _ in grids)
+
+
+def generate_anchors(
+    image_w: int,
+    image_h: int,
+    levels: Sequence[int] = DEFAULT_LEVELS,
+    scales: Mapping[int, Sequence[float]] | Sequence[float] | None = None,
+    ratios: Sequence[float] = DEFAULT_RATIOS,
+) -> AnchorSet:
+    """Tile anchors over every feature-map cell of the requested pyramid levels.
+
+    Each level tiles the cells of its fusion.level_shape grid, fusion.level_stride
+    apart; every cell gets one anchor per (scale, ratio) pair, centered on the
+    cell. A ratio r (width:height) produces width = size * sqrt(r) and
+    height = size / sqrt(r), preserving the anchor area. Every argument is
+    checked before anything is allocated; a level whose anchors do not fit in
+    memory raises ValueError naming the level.
+    """
+    all_boxes = []
+    all_levels = []
+    for level, (grid_h, grid_w), sizes, name in _level_grids(image_w, image_h, levels, scales, ratios):
+        with allocating_grid(grid_h, grid_w, name):
+            # (cells, A, 2): the cells row-major, each holding its A anchors
+            cells = np.stack(np.meshgrid(np.arange(grid_w), np.arange(grid_h)), axis=-1).reshape(-1, 1, 2)
+            centres, sizes = np.broadcast_arrays((cells + 0.5) * level_stride(level), sizes)
+            boxes = _corners(centres.reshape(-1, 2), sizes.reshape(-1, 2))
         all_boxes.append(boxes)
         all_levels.append(np.full(boxes.shape[0], level, dtype=np.int64))
     return AnchorSet(np.concatenate(all_boxes), np.concatenate(all_levels))
@@ -273,6 +290,24 @@ class LossBreakdown:
         return self.objectness + self.classification + self.box
 
 
+def check_predictions(
+    n: int, objectness_probs: np.ndarray, class_probs: np.ndarray, box_offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The predictions as float64 arrays (n,), (n,) and (n, 4), if they cover n anchors and are finite."""
+    p_obj = np.asarray(objectness_probs, dtype=np.float64).reshape(-1)
+    p_cls = np.asarray(class_probs, dtype=np.float64).reshape(-1)
+    t = np.asarray(box_offsets, dtype=np.float64).reshape(-1, 4)
+    if p_obj.shape[0] != n or p_cls.shape[0] != n or t.shape[0] != n:
+        raise ValueError(
+            f"predictions must cover all {n} anchors, got "
+            f"{p_obj.shape[0]}/{p_cls.shape[0]}/{t.shape[0]}"
+        )
+    for name, values in (("objectness", p_obj), ("class", p_cls), ("box", t)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} predictions must be finite")
+    return p_obj, p_cls, t
+
+
 def multitask_loss(
     objectness_probs: np.ndarray,
     class_probs: np.ndarray,
@@ -286,19 +321,7 @@ def multitask_loss(
     classification term and the smooth-L1 box term (summed over the 4 offsets)
     gate on positive anchors only. Ignored anchors contribute nothing.
     """
-    n = len(match)
-    p_obj = np.asarray(objectness_probs, dtype=np.float64).reshape(-1)
-    p_cls = np.asarray(class_probs, dtype=np.float64).reshape(-1)
-    t = np.asarray(box_offsets, dtype=np.float64).reshape(-1, 4)
-    if p_obj.shape[0] != n or p_cls.shape[0] != n or t.shape[0] != n:
-        raise ValueError(
-            f"predictions must cover all {n} anchors, got "
-            f"{p_obj.shape[0]}/{p_cls.shape[0]}/{t.shape[0]}"
-        )
-    for name, values in (("objectness", p_obj), ("class", p_cls), ("box", t)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} predictions must be finite")
-
+    p_obj, p_cls, t = check_predictions(len(match), objectness_probs, class_probs, box_offsets)
     scored = ~match.ignore_mask
     objectness = float(
         np.sum(binary_cross_entropy(p_obj[scored], match.objectness_target[scored]))

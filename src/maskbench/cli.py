@@ -381,9 +381,9 @@ def _loss_row(fixture) -> tuple:
     elif scales is not None:
         scales = numbers(scales, "anchors.scales")
     ratios = numbers(spec.get("ratios", list(anchors_mod.DEFAULT_RATIOS)), "anchors.ratios")
-    anchor_set = anchors_mod.generate_anchors(
-        check_number(get(image, "width"), "image.width", integer=True),
-        check_number(get(image, "height"), "image.height", integer=True), levels, scales, ratios)
+    frame = (check_number(get(image, "width"), "image.width", integer=True),
+             check_number(get(image, "height"), "image.height", integer=True))
+    n_anchors = anchors_mod.anchor_count(*frame, levels, scales, ratios)
     matching = get(fixture, "matching", {})
     thresholds = inspect.signature(anchors_mod.match_anchors).parameters
     pos_iou = number(matching, "pos_iou", thresholds["pos_iou"].default, "matching.pos_iou")
@@ -403,6 +403,9 @@ def _loss_row(fixture) -> tuple:
     gt_raw = check(get(fixture, "ground_truth"), "ground_truth", list, "a list")
     # not clamped to the image: a fixture's ground truth is taken as given
     gts = [parse_annotation(g, f"ground_truth[{i}]") for i, g in enumerate(gt_raw)]
+    # before the anchors are built: the fixture's predictions bound what is allocated
+    anchors_mod.check_predictions(n_anchors, p_obj, p_cls, t)
+    anchor_set = anchors_mod.generate_anchors(*frame, levels, scales, ratios)
     match = anchors_mod.match_anchors(anchor_set, gts, pos_iou=pos_iou, neg_iou=neg_iou)
     breakdown = anchors_mod.multitask_loss(p_obj, p_cls, t, match, config)
     return (len(match), match.n_positive, int(np.count_nonzero(match.negative_mask)),

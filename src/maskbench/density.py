@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, check_grid, check_number
+from .errors import DataFormatError, allocating_grid, check_number
 
 _NFMD_MAGIC = b"NFMD"
 _NFMD_HEADER = struct.Struct("<III")
@@ -63,13 +63,9 @@ def check_frame_sides(width, height, names=("width", "height"), least: int = 1) 
 
 
 def map_shape(height: int, width: int, downscale: int) -> tuple[int, int]:
-    """(rows, columns) of a height x width frame's map at 1/downscale: each side rounded up.
-
-    Raises ValueError for a map of more than MAX_GRID_CELLS cells.
-    """
+    """(rows, columns) of a height x width frame's map at 1/downscale: each side rounded up."""
     check_downscale(downscale)
-    return check_grid(-(-height // downscale), -(-width // downscale),
-                      f"a {width} x {height} frame at downscale {downscale}")
+    return -(-height // downscale), -(-width // downscale)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,11 +259,14 @@ def render_density(
     come from one array pass per chunk of faces; the outer products are
     added in input order, so the result is bit-reproducible. An empty point
     set yields an all-zero map. Raises ValueError for a downscale that breaks
-    check_downscale's rule, for a map above MAX_GRID_CELLS cells, or when a
+    check_downscale's rule, for a map that does not fit in memory (refused
+    before it is allocated when it is above MAX_GRID_CELLS cells), or when a
     sigma or a truncation radius overflows.
     """
     h, w = pts.image_height, pts.image_width
-    values = np.zeros(map_shape(h, w, downscale), dtype=np.float64)
+    shape = map_shape(h, w, downscale)
+    with allocating_grid(*shape, f"a {w} x {h} frame at downscale {downscale}"):
+        values = np.zeros(shape, dtype=np.float64)
     n = len(pts)
     if n == 0:
         return DensityMap(values, downscale)

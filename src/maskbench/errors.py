@@ -1,14 +1,15 @@
 """The shared exception type, the rule for every input number, and the grid bound."""
 
-import math
+import contextlib
 import reprlib
 import sys
 
 import numpy as np
 
-# the most cells one density map or pyramid-level grid may hold: 128 MiB of float64.
-# Grid sides come from input, so they are bounded before anything is allocated.
-MAX_GRID_CELLS = 2**24
+# the most cells a density map or pyramid-level grid can hold: 2**53 float64 cells are
+# 64 PiB, the whole user address space of a 64-bit machine with 57-bit virtual addresses,
+# so no larger grid can ever be allocated. Grid sides come from input.
+MAX_GRID_CELLS = 2**53
 
 _FLOAT_MAX = sys.float_info.max
 _INTEGERS = (int, np.integer)
@@ -46,9 +47,18 @@ def _bound(b) -> str:
     return f"2**{b.bit_length() - 1}" if isinstance(b, int) and b >= 2**16 and not b & (b - 1) else str(b)
 
 
-def check_grid(rows, cols, what: str) -> tuple[int, int]:
-    """(ceil(rows), ceil(cols)), unless what needs more than MAX_GRID_CELLS cells; a side may be inf."""
-    if rows <= MAX_GRID_CELLS and cols <= MAX_GRID_CELLS and (  # first, as ceil refuses inf
-            math.ceil(rows) * math.ceil(cols) <= MAX_GRID_CELLS):
-        return math.ceil(rows), math.ceil(cols)
+def check_grid(rows: int, cols: int, what: str) -> tuple[int, int]:
+    """(rows, cols), unless what needs more than MAX_GRID_CELLS cells, which no machine can allocate."""
+    if rows * cols <= MAX_GRID_CELLS:
+        return rows, cols
     raise ValueError(f"{what} needs a grid of more than {_bound(MAX_GRID_CELLS)} cells")
+
+
+@contextlib.contextmanager
+def allocating_grid(rows: int, cols: int, what: str):
+    """Refuse the grid by check_grid's rule; then a MemoryError inside names what, as a ValueError."""
+    check_grid(rows, cols, what)
+    try:
+        yield
+    except MemoryError as exc:
+        raise ValueError(f"{what} needs a {rows} x {cols} grid, more than memory holds") from exc

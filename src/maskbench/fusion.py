@@ -25,12 +25,13 @@ transposed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import check_grid, check_number
+from .errors import check_number
 
 # per-level linear map applied after each fusion; None means identity
 ConvFn = Callable[[int, np.ndarray], np.ndarray] | None
@@ -72,10 +73,12 @@ def level_stride(level: int) -> float:
 
 
 def level_shape(image_w: int, image_h: int, level: int) -> tuple[int, int]:
-    """(height, width) of the level's grid: ceil(image_dim / stride), of at most MAX_GRID_CELLS cells."""
-    stride = level_stride(level)
-    return check_grid(image_h / stride, image_w / stride,
-                      f"pyramid level {level} of a {image_w} x {image_h} frame")
+    """(height, width) of the level's grid: ceil(image_dim / stride), in exact integers.
+
+    The stride is a power of two, num / den, so no side overflows to infinity.
+    """
+    num, den = level_stride(level).as_integer_ratio()
+    return -(-operator.index(image_h) * den // num), -(-operator.index(image_w) * den // num)
 
 
 @dataclass

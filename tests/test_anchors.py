@@ -404,8 +404,8 @@ def test_anchor_frame_sides_are_integers(side):
 
 @pytest.mark.parametrize("w, h, level", [(16, 16, -40), (16, 16, -1074)])
 def test_a_level_grid_above_the_bound_is_refused_before_anything_is_allocated(w, h, level):
-    # -40 asked for 2**44 cells a side and -1074 overflowed ceil; a grid that fits in memory
-    # at the parent is left to test_cli, which runs it under a bounded address space
+    # -40 asked for 2**44 cells a side and -1074 overflowed ceil; a grid below the bound that
+    # does not fit in memory is left to test_errors, which runs it under a bounded address space
     with pytest.raises(ValueError) as exc:
         generate_anchors(w, h, levels=[level], scales=[8.0])
-    assert str(exc.value) == f"pyramid level {level} of a {w} x {h} frame needs a grid of more than 2**24 cells"
+    assert str(exc.value) == f"pyramid level {level} of a {w} x {h} frame needs a grid of more than 2**53 cells"

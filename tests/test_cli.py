@@ -810,7 +810,8 @@ def test_map_too_large_to_allocate_is_a_data_error(command, tmp_path):
 
 def test_a_frame_whose_anchor_grid_would_not_fit_is_refused_before_it_is_allocated(tmp_path):
     # a 2**31 x 32 frame has 2**30 cells at level 3, which numpy was asked to allocate; under
-    # a 1-GiB address space that failed with numpy's "Unable to allocate", which names no field
+    # a 1-GiB address space that failed with numpy's "Unable to allocate", which names no field.
+    # loss-eval compares the fixture's 48 predictions with the anchor count before it builds any.
     path = TestLossEvalCli.fixture(tmp_path)
     payload = json.loads(path.read_text())
     payload["image"]["width"] = 2**31
@@ -824,8 +825,7 @@ def test_a_frame_whose_anchor_grid_would_not_fit_is_refused_before_it_is_allocat
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
                           preexec_fn=limit)
     assert (done.returncode, done.stdout, done.stderr) == (
-        2, "", f"error: {path}: pyramid level 3 of a 2147483648 x 32 frame needs a grid of more "
-               "than 2**24 cells\n")
+        2, "", f"error: {path}: predictions must cover all 3221225472 anchors, got 48/48/48\n")
 
 
 def test_importing_the_cli_leaves_the_anchor_and_fusion_code_out():

@@ -681,17 +681,16 @@ class TestDownscaleRule:
         assert read_density(tmp_path / "m.nfmd").downscale == 2**32 - 1
 
     @pytest.mark.parametrize("h, w, ds, shape", [(64, 64, 8, (8, 8)), (65, 63, 8, (9, 8)),
-                                                 (1, 1, 13, (1, 1)), (2**53 - 1, 3, 2**30, (2**23, 1))])
+                                                 (1, 1, 13, (1, 1)), (2**53 - 1, 3, 2, (2**52, 2))])
     def test_map_shape_rounds_each_side_up(self, h, w, ds, shape):
         assert density.map_shape(h, w, ds) == shape
 
-    @pytest.mark.parametrize("h, w, ds", [(2**53 - 1, 3, 2), (4097, 4096, 1), (10**9, 10**9, 8)])
-    def test_map_shape_refuses_a_map_above_the_grid_bound(self, h, w, ds):
-        # 2**24 cells: a 4096 x 4096 frame at downscale 1 is the largest square map
-        assert density.map_shape(4096, 4096, 1) == (4096, 4096)
+    @pytest.mark.parametrize("h, w, ds", [(2**27, 2**27, 1), (10**9, 10**9, 8), (2**53 - 1, 2**52, 2**25)])
+    def test_render_refuses_a_map_above_the_grid_bound_before_it_allocates(self, h, w, ds):
+        # more than 2**53 cells, which no address space holds
         with pytest.raises(ValueError) as exc:
-            density.map_shape(h, w, ds)
-        assert str(exc.value) == f"a {w} x {h} frame at downscale {ds} needs a grid of more than 2**24 cells"
+            render_density(pts([(1, 1)], w, h), downscale=ds)
+        assert str(exc.value) == f"a {w} x {h} frame at downscale {ds} needs a grid of more than 2**53 cells"
 
     def test_zero_downscale_in_a_file_names_it(self, tmp_path):
         import struct

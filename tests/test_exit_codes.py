@@ -274,6 +274,21 @@ def test_damaged_density_map_exits_two_naming_it(tmp_path, damage, victim):
     assert err.startswith(f"error: {maps / victim}: "), err
 
 
+@pytest.mark.parametrize("command", ["eval-count", "eval-ratio", "report-video"])
+@pytest.mark.parametrize("width", [2**31, 2**52])
+def test_a_frame_its_map_does_not_fit_exits_two_naming_the_map(tmp_path, command, width):
+    # the map is read whole; the frame's map shape is only compared with it, never allocated
+    paths = write_inputs(tmp_path, "annotations", ANNOTATIONS)
+    maps = tmp_path / "maps"
+    argv = ["gen-density", "--annotations", str(paths["annotations"]), "--out", str(maps),
+            "--downscale", "4"]
+    assert run(argv) == (0, "")
+    paths = write_inputs(tmp_path, "annotations", mutated(ANNOTATIONS, (0, "width"), width))
+    code, err = run([command, "--annotations", str(paths["annotations"]), "--density-dir", str(maps)])
+    assert (code, err) == (2, f"error: {maps / 'img0.total.nfmd'}: 12x16 map does not fit the "
+                              f"48x{width} image at downscale 4 (want 12x{width // 4})\n")
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--sigma-default", "inf", "sigma_default must be a finite number > 0, got inf"),
     ("--truncation", "inf", "truncation_radius must be a finite number > 0, got inf"),
@@ -448,9 +463,9 @@ def test_mistyped_loss_fixture_value_exits_two_naming_its_field(tmp_path, path, 
     (("matching", "neg_iou"), -0.5, "neg_iou must be a finite number in [0, 1], got -0.5"),
     # a level whose grid would not fit in memory, or whose stride is subnormal
     (("anchors",), {"levels": [-1074], "scales": {"-1074": [8]}},
-     "pyramid level -1074 of a 16 x 16 frame needs a grid of more than 2**24 cells"),
+     "pyramid level -1074 of a 16 x 16 frame needs a grid of more than 2**53 cells"),
     (("anchors",), {"levels": [-40], "scales": {"-40": [8]}},
-     "pyramid level -40 of a 16 x 16 frame needs a grid of more than 2**24 cells"),
+     "pyramid level -40 of a 16 x 16 frame needs a grid of more than 2**53 cells"),
     # ints beyond float range
     (("image", "width"), 10**400, f"image.width must be an integer, got {reprlib.repr(10**400)}"),
     (("matching", "pos_iou"), 10**400,
