@@ -363,9 +363,10 @@ def _loss_row(fixture) -> tuple:
         # its domain is checked where it is used, as are those of list values
         return float(check_number(get(obj, key, default), name))
 
-    def numbers(value, name, what="numbers", integer=False):
-        return [check_number(v, f"{name}[{i}]", integer=integer)
-                for i, v in enumerate(check(value, name, list, f"a list of {what}"))]
+    def numbers(value, name, what="numbers", integer=False, length=None):
+        if length not in (None, len(check(value, name, list, f"a list of {what}"))):
+            raise ValueError(f"{name} must be a list of {length} {what}, got {reprlib.repr(value)}")
+        return [check_number(v, f"{name}[{i}]", integer=integer) for i, v in enumerate(value)]
 
     def scales_level(key):
         try:
@@ -392,7 +393,8 @@ def _loss_row(fixture) -> tuple:
     p_obj = np.array(numbers(get(preds, "objectness"), "predictions.objectness"), dtype=np.float64)
     p_cls = np.array(numbers(get(preds, "class"), "predictions.class"), dtype=np.float64)
     boxes = check(get(preds, "box"), "predictions.box", list, "a list of number lists")
-    t = np.array([numbers(b, f"predictions.box[{i}]") for i, b in enumerate(boxes)], dtype=np.float64)
+    t = np.array([numbers(b, f"predictions.box[{i}]", length=4) for i, b in enumerate(boxes)],
+                 dtype=np.float64)
     loss, default = get(fixture, "loss", {}), anchors_mod.LossConfig()
     config = anchors_mod.LossConfig(
         alpha=number(loss, "alpha", default.alpha, "loss.alpha"),

@@ -35,7 +35,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .density import DensityMap, KernelSpec, PointSet, check_downscale, check_frame_sides, render_density
+from .density import (DensityMap, KernelSpec, PointSet, check_downscale, check_frame_sides,
+                      render_density, write_density)
 from .errors import DataFormatError, check_number
 from .geometry import (
     FACE_LABELS,
@@ -98,7 +99,7 @@ class ImageRecord(_FaceRecord):
     """One annotated frame.
 
     Built from Annotation objects, of which it keeps only the arrays, or by the
-    loader from arrays; the annotations tuple is rebuilt on every access.
+    loaders and synth_scene from arrays; the annotations tuple is rebuilt on every access.
     """
 
     __slots__ = ("image_id", "meta", "width", "height", "boxes", "labels")
@@ -150,7 +151,7 @@ class DetectionRecord(_FaceRecord):
     """One frame's detector output; conf is its (N,) float64 confidence array.
 
     Built from Detection objects, of which it keeps only the arrays, or by the
-    loader from arrays; the detections tuple is rebuilt on every access.
+    loaders and synth_scene from arrays; the detections tuple is rebuilt on every access.
     """
 
     __slots__ = ("image_id", "meta", "boxes", "labels", "conf")
@@ -422,10 +423,18 @@ def _block_faces(raw: list, codes: Mapping[str, int]):
     return boxes, np.array([codes[lab] for lab in labels], dtype=np.int8)
 
 
+def _clamp(a: np.ndarray, lo, hi) -> np.ndarray:
+    """min(max(v, lo), hi) for each v of a, as Python's min and max give it (NaN and -0.0 kept)."""
+    a = np.where(lo > a, lo, a)
+    return np.where(hi < a, hi, a)
+
+
 def _check_boxes(boxes: np.ndarray) -> None:
-    """Raise unless every box has right > left and bottom > top (as BBox)."""
-    if not ((boxes[:, 2] > boxes[:, 0]).all() and (boxes[:, 3] > boxes[:, 1]).all()):
-        raise ValueError("a box is empty")
+    """Raise unless every box has right > left and bottom > top, with BBox's message."""
+    empty = ~((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))
+    if empty.any():
+        coords = tuple(boxes[empty][0].tolist())
+        raise ValueError(f"box must have positive width and height, got {coords}")
 
 
 def _split(counts: list[int], *arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
@@ -478,10 +487,8 @@ def _annotation_block(lines: list[tuple[str, tuple]]) -> list[ImageRecord]:
     counts = [len(h[4]) for h in heads]
     boxes, labels = _block_faces([f for h in heads for f in h[4]], _CODES)
     dims = np.array([h[2:4] for h in heads], dtype=np.float64).reshape(-1, 2)
-    # min(max(v, 0.0), bound) per coordinate, as _parse_box (NaN and -0.0 kept)
-    bound = np.repeat(dims[:, [0, 1, 0, 1]], counts, axis=0)
-    boxes = np.where(0.0 > boxes, 0.0, boxes)
-    boxes = np.where(bound < boxes, bound, boxes)
+    # each coordinate clamped into its frame, as _parse_box does
+    boxes = _clamp(boxes, 0.0, np.repeat(dims[:, [0, 1, 0, 1]], counts, axis=0))
     _check_boxes(boxes)
 
     sizes = boxes[:, 2:] - boxes[:, :2]
@@ -708,6 +715,7 @@ class SynthParams:
     kernel: KernelSpec = KernelSpec()
 
     def __post_init__(self) -> None:
+        check_number(self.seed, "seed", integer=True, lo=0)
         check_number(self.n_images, "n_images", integer=True, lo=0)
         check_number(self.faces_min, "faces_min", integer=True, lo=0)
         check_number(self.faces_max, "faces_max", integer=True, lo=self.faces_min)
@@ -722,15 +730,6 @@ class SynthParams:
         check_number(self.n_videos, "n_videos", integer=True, lo=1)
         check_downscale(self.density_downscale, "density_downscale")
 
-    @property
-    def is_noiseless(self) -> bool:
-        return (
-            self.jitter_sigma == 0.0
-            and self.drop_rate == 0.0
-            and self.flip_rate == 0.0
-            and self.false_positive_rate == 0.0
-        )
-
 
 @dataclass(frozen=True)
 class SynthScene:
@@ -741,7 +740,7 @@ class SynthScene:
     density: dict[str, dict[str, DensityMap]] | None  # image_id -> subset -> map
 
 
-def _synth_box(rng: np.random.Generator, params: SynthParams) -> BBox:
+def _synth_box(rng: np.random.Generator, params: SynthParams) -> tuple[float, float, float, float]:
     size = math.exp(
         rng.uniform(math.log(params.face_size_min), math.log(params.face_size_max))
     )
@@ -750,21 +749,18 @@ def _synth_box(rng: np.random.Generator, params: SynthParams) -> BBox:
     h = min(size / math.sqrt(aspect), 0.95 * params.image_height)
     cx = rng.uniform(w / 2.0, params.image_width - w / 2.0)
     cy = rng.uniform(h / 2.0, params.image_height - h / 2.0)
-    return BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
 
 
-def _jitter_box(box: BBox, noise: np.ndarray, sigma: float, w: int, h: int) -> BBox:
-    l = min(max(box.left + sigma * noise[0], 0.0), float(w))
-    t = min(max(box.top + sigma * noise[1], 0.0), float(h))
-    r = min(max(box.right + sigma * noise[2], 0.0), float(w))
-    b = min(max(box.bottom + sigma * noise[3], 0.0), float(h))
-    if r - l < 0.5:  # keep the box valid after heavy jitter
-        c = min(max((l + r) / 2.0, 0.25), w - 0.25)
-        l, r = c - 0.25, c + 0.25
-    if b - t < 0.5:
-        c = min(max((t + b) / 2.0, 0.25), h - 0.25)
-        t, b = c - 0.25, c + 0.25
-    return BBox(l, t, r, b)
+def _jitter_box(boxes: np.ndarray, noise: np.ndarray, sigma: float, w: int, h: int) -> np.ndarray:
+    """(N, 4) boxes moved by sigma * noise and clamped into the w x h frame."""
+    out = _clamp(boxes + sigma * noise, 0.0, np.array([w, h, w, h], dtype=np.float64))
+    for lo, hi, side in ((0, 2, w), (1, 3, h)):
+        narrow = out[:, hi] - out[:, lo] < 0.5  # keep the box valid after heavy jitter
+        c = _clamp((out[narrow, lo] + out[narrow, hi]) / 2.0, 0.25, side - 0.25)
+        out[narrow, lo] = c - 0.25
+        out[narrow, hi] = c + 0.25
+    return out
 
 
 def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene:
@@ -774,6 +770,9 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
     confidence 1.0 and the density predictions equal the ground-truth maps,
     which makes the generator an exact oracle for every evaluation pipeline.
     """
+    masked, unmasked, unknown = (_CODES[k] for k in ("masked", "unmasked", "unknown"))
+    noiseless = not (params.jitter_sigma or params.drop_rate or params.flip_rate
+                     or params.false_positive_rate)
     rng = np.random.default_rng(params.seed)
     images = []
     det_records = []
@@ -788,50 +787,47 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
         )
         image_id = f"img{i:05d}"
         n_faces = int(rng.integers(params.faces_min, params.faces_max + 1))
-        annotations = []
+        boxes, labels = [], []
         for _ in range(n_faces):
-            box = _synth_box(rng, params)
+            boxes.append(_synth_box(rng, params))
             if rng.random() < params.unknown_probability:
-                label = FaceLabel.UNKNOWN
+                labels.append(unknown)
             elif rng.random() < params.masked_probability:
-                label = FaceLabel.MASKED
+                labels.append(masked)
             else:
-                label = FaceLabel.UNMASKED
-            annotations.append(Annotation(box, label))
-        rec = ImageRecord(
-            image_id, meta, params.image_width, params.image_height, tuple(annotations)
-        )
+                labels.append(unmasked)
+        boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+        labels = np.array(labels, dtype=np.int8)
+        _check_boxes(boxes)
+        rec = ImageRecord(image_id, meta, params.image_width, params.image_height,
+                          boxes=boxes, labels=labels)
         images.append(rec)
 
-        dets = []
-        for a in annotations:
-            if a.label is FaceLabel.UNKNOWN:
-                continue
-            u_drop = rng.random()
-            u_flip = rng.random()
-            noise = rng.standard_normal(4)
-            conf_draw = rng.normal(*_TP_CONFIDENCE)
-            if u_drop < params.drop_rate:
-                continue
-            label = a.label
-            if u_flip < params.flip_rate:
-                label = (
-                    FaceLabel.UNMASKED if label is FaceLabel.MASKED else FaceLabel.MASKED
-                )
-            box = _jitter_box(
-                a.box, noise, params.jitter_sigma, params.image_width, params.image_height
-            )
-            conf = 1.0 if params.is_noiseless else min(max(conf_draw, 0.0), 1.0)
-            dets.append(Detection(box, label, conf))
-        if params.false_positive_rate > 0.0:
-            for _ in range(int(rng.poisson(params.false_positive_rate))):
-                box = _synth_box(rng, params)
-                label = FaceLabel.MASKED if rng.random() < 0.5 else FaceLabel.UNMASKED
-                conf = min(max(rng.normal(*_FP_CONFIDENCE), 0.0), 1.0)
-                dets.append(Detection(box, label, conf))
+        # per known face, in order: u_drop, u_flip, the 4 jitter draws, the confidence draw
+        known = labels != unknown
+        draws = np.array(
+            [[rng.random(), rng.random(), *rng.standard_normal(4), rng.normal(*_TP_CONFIDENCE)]
+             for _ in range(np.count_nonzero(known))], dtype=np.float64).reshape(-1, 7)
+        kept = draws[:, 0] >= params.drop_rate
+        draws = draws[kept]
+        tp_labels = labels[known][kept]
+        flip = draws[:, 1] < params.flip_rate
+        tp_labels[flip] = np.where(tp_labels[flip] == masked, unmasked, masked)
+        tp_boxes = _jitter_box(boxes[known][kept], draws[:, 2:6], params.jitter_sigma,
+                               params.image_width, params.image_height)
+        # per false positive, in order: its box, its label draw, its confidence draw
+        n_fp = int(rng.poisson(params.false_positive_rate)) if params.false_positive_rate > 0.0 else 0
+        fps = np.array([[*_synth_box(rng, params), rng.random(), rng.normal(*_FP_CONFIDENCE)]
+                        for _ in range(n_fp)], dtype=np.float64).reshape(-1, 6)
+        det_boxes = np.concatenate([tp_boxes, fps[:, :4]])
+        det_labels = np.concatenate([tp_labels, np.where(fps[:, 4] < 0.5, masked, unmasked)])
+        conf = np.concatenate([draws[:, 6], fps[:, 5]])
+        conf = np.ones_like(conf) if noiseless else _clamp(conf, 0.0, 1.0)
+        _check_boxes(det_boxes)
         # detector output carries no covid period (the detections schema has none)
         det_meta = ImageMeta(meta.video_id, meta.condition)
-        det_records.append(DetectionRecord(image_id, det_meta, tuple(dets)))
+        det_records.append(DetectionRecord(image_id, det_meta, boxes=det_boxes,
+                                           labels=det_labels.astype(np.int8), conf=conf))
 
         if density is not None:
             maps = {}
@@ -850,8 +846,6 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
 
 def write_synth_scene(scene: SynthScene, out_dir) -> None:
     """Write a scene as annotations.jsonl, detections.jsonl, and density/*.nfmd."""
-    from .density import write_density
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_annotations(scene.manifest, out / "annotations.jsonl")

@@ -387,8 +387,10 @@ def run_gradient_check(
     by max(|analytic|, |numeric|, 1e-3); the floor keeps finite-difference
     round-off from dominating near-zero gradients. Raw weights are drawn from
     [0.2, 2.0] so the non-negativity clamp stays inactive (the clamp boundary
-    is not differentiable). trials, max_size and max_channels must be integers >= 1.
+    is not differentiable). seed must be an integer >= 0, and trials, max_size
+    and max_channels integers >= 1.
     """
+    check_number(seed, "seed", integer=True, lo=0)
     for name, value in (("trials", trials), ("max_size", max_size), ("max_channels", max_channels)):
         check_number(value, name, integer=True, lo=1)
     rng = np.random.default_rng(seed)

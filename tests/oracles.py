@@ -5,9 +5,10 @@ the vectorized implementations under test: IoU is recomputed inline, matching
 decisions are enumerated one detection at a time, the precision envelope is
 an explicit suffix scan, gradients come from bump-and-reevaluate central
 differences over the public forward pass, the JSONL loaders check one line
-and one face at a time into value objects, the adaptive kernel sigmas
-come from scipy's k-d tree, and density maps are drawn one face at a time,
-either from two block-summed 1-D profiles or at full resolution and then
+and one face at a time into value objects, the synthetic scene generator
+builds one value object per face, the adaptive kernel sigmas come from
+scipy's k-d tree, and density maps are drawn one face at a time, either
+from two block-summed 1-D profiles or at full resolution and then
 block-summed.
 """
 
@@ -29,6 +30,7 @@ from maskbench.density import (
     PointSet,
     adaptive_sigmas,
     downsample_sum_preserving,
+    render_density,
 )
 from maskbench.errors import DataFormatError
 from maskbench.fusion import FeatureLevel, FusionWeights, bifpn_fuse
@@ -582,3 +584,121 @@ def load_detections_objects(path):
                 raise DataFormatError(f"{dwhere}: {exc}") from exc
         records.append(DetectionRecord(image_id, ImageMeta(video_id, condition), tuple(dets)))
     return records
+
+
+# ---------------------------------------------------------------------------
+# value-object synthetic scenes
+
+
+def _synth_box(rng: np.random.Generator, params) -> BBox:
+    size = math.exp(
+        rng.uniform(math.log(params.face_size_min), math.log(params.face_size_max))
+    )
+    aspect = math.exp(rng.uniform(math.log(0.75), math.log(4.0 / 3.0)))
+    w = min(size * math.sqrt(aspect), 0.95 * params.image_width)
+    h = min(size / math.sqrt(aspect), 0.95 * params.image_height)
+    cx = rng.uniform(w / 2.0, params.image_width - w / 2.0)
+    cy = rng.uniform(h / 2.0, params.image_height - h / 2.0)
+    return BBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+
+
+def _jitter_box(box: BBox, noise: np.ndarray, sigma: float, w: int, h: int) -> BBox:
+    l = min(max(box.left + sigma * noise[0], 0.0), float(w))
+    t = min(max(box.top + sigma * noise[1], 0.0), float(h))
+    r = min(max(box.right + sigma * noise[2], 0.0), float(w))
+    b = min(max(box.bottom + sigma * noise[3], 0.0), float(h))
+    if r - l < 0.5:  # keep the box valid after heavy jitter
+        c = min(max((l + r) / 2.0, 0.25), w - 0.25)
+        l, r = c - 0.25, c + 0.25
+    if b - t < 0.5:
+        c = min(max((t + b) / 2.0, 0.25), h - 0.25)
+        t, b = c - 0.25, c + 0.25
+    return BBox(l, t, r, b)
+
+
+def synth_scene_objects(params, include_density: bool = True):
+    """synth_scene one face at a time through value objects: its reference."""
+    from maskbench.dataset import (
+        _FP_CONFIDENCE,
+        _TP_CONFIDENCE,
+        DatasetManifest,
+        DetectionRecord,
+        ImageRecord,
+        SynthScene,
+        subset_points,
+    )
+
+    rng = np.random.default_rng(params.seed)
+    noiseless = (params.jitter_sigma, params.drop_rate, params.flip_rate,
+                 params.false_positive_rate) == (0.0, 0.0, 0.0, 0.0)
+    images = []
+    det_records = []
+    density = {} if include_density else None
+
+    for i in range(params.n_images):
+        video_idx = i % params.n_videos
+        meta = ImageMeta(
+            f"video{video_idx:02d}",
+            Condition.DAYTIME if video_idx % 2 == 0 else Condition.NIGHTTIME,
+            CovidPeriod.BEFORE if video_idx < params.n_videos // 2 else CovidPeriod.DURING,
+        )
+        image_id = f"img{i:05d}"
+        n_faces = int(rng.integers(params.faces_min, params.faces_max + 1))
+        annotations = []
+        for _ in range(n_faces):
+            box = _synth_box(rng, params)
+            if rng.random() < params.unknown_probability:
+                label = FaceLabel.UNKNOWN
+            elif rng.random() < params.masked_probability:
+                label = FaceLabel.MASKED
+            else:
+                label = FaceLabel.UNMASKED
+            annotations.append(Annotation(box, label))
+        rec = ImageRecord(
+            image_id, meta, params.image_width, params.image_height, tuple(annotations)
+        )
+        images.append(rec)
+
+        dets = []
+        for a in annotations:
+            if a.label is FaceLabel.UNKNOWN:
+                continue
+            u_drop = rng.random()
+            u_flip = rng.random()
+            noise = rng.standard_normal(4)
+            conf_draw = rng.normal(*_TP_CONFIDENCE)
+            if u_drop < params.drop_rate:
+                continue
+            label = a.label
+            if u_flip < params.flip_rate:
+                label = (
+                    FaceLabel.UNMASKED if label is FaceLabel.MASKED else FaceLabel.MASKED
+                )
+            box = _jitter_box(
+                a.box, noise, params.jitter_sigma, params.image_width, params.image_height
+            )
+            conf = 1.0 if noiseless else min(max(conf_draw, 0.0), 1.0)
+            dets.append(Detection(box, label, conf))
+        if params.false_positive_rate > 0.0:
+            for _ in range(int(rng.poisson(params.false_positive_rate))):
+                box = _synth_box(rng, params)
+                label = FaceLabel.MASKED if rng.random() < 0.5 else FaceLabel.UNMASKED
+                conf = min(max(rng.normal(*_FP_CONFIDENCE), 0.0), 1.0)
+                dets.append(Detection(box, label, conf))
+        # detector output carries no covid period (the detections schema has none)
+        det_meta = ImageMeta(meta.video_id, meta.condition)
+        det_records.append(DetectionRecord(image_id, det_meta, tuple(dets)))
+
+        if density is not None:
+            maps = {}
+            for name in ("total", "unmasked"):
+                pts = subset_points(rec, name)
+                gt = render_density(pts, params.kernel, params.density_downscale)
+                noise_field = rng.uniform(-1.0, 1.0, gt.values.shape)
+                pred = gt.values * (1.0 + params.density_noise * noise_field)
+                maps[name] = DensityMap(pred, gt.downscale)
+            density[image_id] = maps
+
+    return SynthScene(
+        DatasetManifest(tuple(images)), tuple(det_records), density
+    )

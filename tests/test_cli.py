@@ -520,10 +520,12 @@ class TestLossEvalCli:
             lambda p: p["ground_truth"][0].update(box=[True, "1", 24, 24]),
             lambda p: p["ground_truth"][0].update(box=[8, True, 24, 24]),
             lambda p: p["ground_truth"][0].update(box=[8, 8, "24", 24]),
+            lambda p: p["predictions"].update(box=[[0.0] * 3] * 64),
+            lambda p: p["predictions"].update(box=[[0.0] * 4] * 47 + [[0.0] * 3]),
         ],
         ids=["scalar-scales", "level-without-scales", "non-object-gt", "null-coordinate",
              "list-label", "non-object-image", "list-matching", "bool-and-string-coordinates",
-             "bool-coordinate", "numeric-string-coordinate"],
+             "bool-coordinate", "numeric-string-coordinate", "box-rows-of-3", "ragged-box-rows"],
     )
     def test_mistyped_fixture_field_is_data_error(self, tmp_path, capsys, edit):
         path = self.fixture(tmp_path)
@@ -532,6 +534,19 @@ class TestLossEvalCli:
         path.write_text(json.dumps(payload))
         assert main(["loss-eval", "--fixture", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, bad", [([[0.0] * 3] * 64, 0),
+                                           ([[0.0] * 4] * 47 + [[0.0] * 5], 47)],
+                             ids=["rows-of-3-as-many-numbers-as-48-rows-of-4", "one-row-of-5"])
+    def test_box_row_of_other_than_4_numbers_is_data_error(self, tmp_path, capsys, rows, bad):
+        # 64 rows of 3 used to be read as 48 rows of 4 and give a report
+        path = self.fixture(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["predictions"]["box"] = rows
+        path.write_text(json.dumps(payload))
+        assert main(["loss-eval", "--fixture", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: predictions.box[{bad}] must be a list of 4 numbers, got {rows[bad]}\n")
 
     @pytest.mark.parametrize(
         "old, new",

@@ -409,6 +409,16 @@ def test_non_finite_numeric_flag_exits_two_naming_it(tmp_path, argv, message):
     assert run(argv + out) == (2, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**1100], ids=["negative", "beyond-float-range"])
+@pytest.mark.parametrize("argv", [_SYNTH, _GRADCHECK], ids=["synth", "gradcheck"])
+def test_seed_outside_its_domain_exits_two_naming_it(tmp_path, argv, seed):
+    # numpy's own "expected non-negative integer" used to be the message; it takes 2**1100
+    out = tmp_path / "out"
+    want = f"error: seed must be an integer >= 0, got {reprlib.repr(seed)}\n"
+    assert run(argv + ["--seed", str(seed), "--out", str(out)]) == (2, want)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("path, value, message", [
     (("loss", "normalize"), "false", "loss.normalize must be true or false, got 'false'"),
     (("loss", "normalize"), 1, "loss.normalize must be true or false, got 1"),

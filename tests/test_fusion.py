@@ -302,6 +302,13 @@ class TestFusionGradients:
         with pytest.raises(ValueError, match="trials"):
             run_gradient_check(seed=123, trials=trials)
 
+    @pytest.mark.parametrize("seed", [-1, 2**1100, True, 1.0, None],
+                             ids=["negative", "beyond-float-range", "bool", "float", "none"])
+    def test_packaged_checker_needs_a_seed_of_its_domain(self, seed):
+        with pytest.raises(ValueError) as exc:
+            run_gradient_check(seed=seed, trials=1)
+        assert str(exc.value).startswith("seed must be an integer >= 0, got ")
+
     def test_packaged_fd_helper_matches_oracle(self):
         rng = np.random.default_rng(8)
         levels = [3, 4]
