@@ -28,7 +28,7 @@ import json
 import math
 import reprlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .density import (DensityMap, KernelSpec, PointSet, check_downscale, check_frame_sides,
-                      render_density, write_density)
+                      map_shape, render_density, write_density)
 from .errors import DataFormatError, check_number
 from .geometry import (
     FACE_LABELS,
@@ -59,14 +59,28 @@ class _FaceRecord:
     """A frame's faces as read-only arrays; their value objects are built on each access.
 
     boxes is (N, 4) float64 (left, top, right, bottom) and labels (N,) int8
-    indices into FACE_LABELS. Records are immutable and compare by value: every
-    slot is a compared field.
+    indices into FACE_LABELS, made from the faces value objects unless given. Records
+    are frozen dataclasses that compare by value: every slot is a compared field.
     """
 
     __slots__ = ()
+    _ARRAYS = ("boxes", "labels")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
+    def __post_init__(self, faces) -> None:
+        if self.boxes is None:
+            for name, a in zip(self._ARRAYS, face_arrays(faces)):
+                object.__setattr__(self, name, a)
+        for name in self._ARRAYS:  # copied if writable: a record never changes its caller's array
+            a = getattr(self, name)
+            if a.flags.writeable:
+                a = a.copy()
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
+
+    def __reduce__(self):  # through the constructor, so pickle and copy give read-only arrays
+        arrays = {f: getattr(self, f) for f in self._ARRAYS}
+        head = tuple(getattr(self, f) for f in self.__slots__ if f not in arrays)
+        return _rebuild, (type(self), head, arrays)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -82,48 +96,23 @@ class _FaceRecord:
     def __hash__(self) -> int:
         return hash((self.image_id, self.meta, len(self)))
 
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({shown})"
+
+def _rebuild(cls, head: tuple, arrays: dict) -> _FaceRecord:
+    return cls(*head, **arrays)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """a if it is read-only, else a read-only copy: a record never changes its caller's array."""
-    if a.flags.writeable:
-        a = a.copy()
-        a.flags.writeable = False
-    return a
-
-
+@dataclass(frozen=True, eq=False, slots=True)
 class ImageRecord(_FaceRecord):
-    """One annotated frame.
+    """One annotated frame; its faces are Annotation objects."""
 
-    Built from Annotation objects, of which it keeps only the arrays, or by the
-    loaders and synth_scene from arrays; the annotations tuple is rebuilt on every access.
-    """
-
-    __slots__ = ("image_id", "meta", "width", "height", "boxes", "labels")
-
-    def __init__(
-        self,
-        image_id: str,
-        meta: ImageMeta,
-        width: int,
-        height: int,
-        annotations: Iterable[Annotation] = (),
-        *,
-        boxes: np.ndarray | None = None,
-        labels: np.ndarray | None = None,
-    ) -> None:
-        if boxes is None:
-            boxes, labels, _ = face_arrays(annotations)
-        init = object.__setattr__
-        init(self, "image_id", image_id)
-        init(self, "meta", meta)
-        init(self, "width", width)
-        init(self, "height", height)
-        init(self, "boxes", _readonly(boxes))
-        init(self, "labels", _readonly(labels))
+    image_id: str
+    meta: ImageMeta
+    width: int
+    height: int
+    faces: InitVar[Iterable[Annotation]] = ()
+    _: KW_ONLY
+    boxes: np.ndarray = None
+    labels: np.ndarray = None
 
     @property
     def annotations(self) -> tuple[Annotation, ...]:
@@ -147,33 +136,19 @@ class DatasetManifest:
         return len(self.images)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class DetectionRecord(_FaceRecord):
-    """One frame's detector output; conf is its (N,) float64 confidence array.
+    """One frame's detector output; its faces are Detection objects, conf (N,) float64."""
 
-    Built from Detection objects, of which it keeps only the arrays, or by the
-    loaders and synth_scene from arrays; the detections tuple is rebuilt on every access.
-    """
+    _ARRAYS = ("boxes", "labels", "conf")
 
-    __slots__ = ("image_id", "meta", "boxes", "labels", "conf")
-
-    def __init__(
-        self,
-        image_id: str,
-        meta: ImageMeta,
-        detections: Iterable[Detection] = (),
-        *,
-        boxes: np.ndarray | None = None,
-        labels: np.ndarray | None = None,
-        conf: np.ndarray | None = None,
-    ) -> None:
-        if boxes is None:
-            boxes, labels, conf = face_arrays(detections)
-        init = object.__setattr__
-        init(self, "image_id", image_id)
-        init(self, "meta", meta)
-        init(self, "boxes", _readonly(boxes))
-        init(self, "labels", _readonly(labels))
-        init(self, "conf", _readonly(conf))
+    image_id: str
+    meta: ImageMeta
+    faces: InitVar[Iterable[Detection]] = ()
+    _: KW_ONLY
+    boxes: np.ndarray = None
+    labels: np.ndarray = None
+    conf: np.ndarray = None
 
     @property
     def detections(self) -> tuple[Detection, ...]:
@@ -181,6 +156,9 @@ class DetectionRecord(_FaceRecord):
 
     def __iter__(self) -> Iterator[Detection]:  # the Detections of rec.detections
         return iter(self.detections)
+
+
+del ImageRecord.faces, DetectionRecord.faces  # an InitVar default left as a class attribute
 
 
 # the face subsets a density map can draw
@@ -753,14 +731,37 @@ def _synth_box(rng: np.random.Generator, params: SynthParams) -> tuple[float, fl
 
 
 def _jitter_box(boxes: np.ndarray, noise: np.ndarray, sigma: float, w: int, h: int) -> np.ndarray:
-    """(N, 4) boxes moved by sigma * noise and clamped into the w x h frame."""
-    out = _clamp(boxes + sigma * noise, 0.0, np.array([w, h, w, h], dtype=np.float64))
+    """(N, 4) boxes moved by sigma * noise and clamped into the w x h frame.
+
+    A side under half a pixel becomes c - 0.25 to c + 0.25 about its clamped
+    centre c. Where floats are 0.5 or more apart near c, both round back to c,
+    and the side becomes the floats next to c instead, kept inside the frame.
+    """
+    with np.errstate(over="ignore"):  # an infinite move is clamped like any other
+        out = _clamp(boxes + sigma * noise, 0.0, np.array([w, h, w, h], dtype=np.float64))
     for lo, hi, side in ((0, 2, w), (1, 3, h)):
         narrow = out[:, hi] - out[:, lo] < 0.5  # keep the box valid after heavy jitter
         c = _clamp((out[narrow, lo] + out[narrow, hi]) / 2.0, 0.25, side - 0.25)
-        out[narrow, lo] = c - 0.25
-        out[narrow, hi] = c + 0.25
+        left, right = c - 0.25, c + 0.25
+        flat = left >= right
+        left[flat] = np.nextafter(c[flat], -np.inf)
+        right[flat] = np.minimum(np.nextafter(c[flat], np.inf), side)
+        out[narrow, lo] = left
+        out[narrow, hi] = right
     return out
+
+
+def _skip_doubles(rng: np.random.Generator, n: int) -> None:
+    """Advance rng as n float64 draws would, without making them.
+
+    A double takes one 64-bit step. advance() also drops the 32-bit half that
+    integers() can leave buffered, which no double uses, so it is put back.
+    """
+    before = rng.bit_generator.state
+    rng.bit_generator.advance(n)
+    state = rng.bit_generator.state
+    state.update(has_uint32=before["has_uint32"], uinteger=before["uinteger"])
+    rng.bit_generator.state = state
 
 
 def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene:
@@ -838,6 +839,9 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
                 pred = gt.values * (1.0 + params.density_noise * noise_field)
                 maps[name] = DensityMap(pred, gt.downscale)
             density[image_id] = maps
+        else:  # pass over the maps' noise draws: the faces do not depend on include_density
+            rows, cols = map_shape(params.image_height, params.image_width, params.density_downscale)
+            _skip_doubles(rng, 2 * rows * cols)
 
     return SynthScene(
         DatasetManifest(tuple(images)), tuple(det_records), density

@@ -30,6 +30,7 @@ from maskbench.density import (
     PointSet,
     adaptive_sigmas,
     downsample_sum_preserving,
+    map_shape,
     render_density,
 )
 from maskbench.errors import DataFormatError
@@ -689,12 +690,14 @@ def synth_scene_objects(params, include_density: bool = True):
         det_meta = ImageMeta(meta.video_id, meta.condition)
         det_records.append(DetectionRecord(image_id, det_meta, tuple(dets)))
 
+        # the maps' noise is drawn with or without maps, so the faces do not depend on them
+        shape = map_shape(params.image_height, params.image_width, params.density_downscale)
+        noise_fields = {name: rng.uniform(-1.0, 1.0, shape) for name in ("total", "unmasked")}
         if density is not None:
             maps = {}
-            for name in ("total", "unmasked"):
+            for name, noise_field in noise_fields.items():
                 pts = subset_points(rec, name)
                 gt = render_density(pts, params.kernel, params.density_downscale)
-                noise_field = rng.uniform(-1.0, 1.0, gt.values.shape)
                 pred = gt.values * (1.0 + params.density_noise * noise_field)
                 maps[name] = DensityMap(pred, gt.downscale)
             density[image_id] = maps

@@ -123,6 +123,10 @@ class TestSynthCli:
     def test_no_density_flag(self, tmp_path):
         assert main(synth_args(tmp_path / "c", extra=["--no-density"])) == 0
         assert not (tmp_path / "c" / "density").exists()
+        # the same scene as a run that writes the maps
+        assert main(synth_args(tmp_path / "d")) == 0
+        for name in ("annotations.jsonl", "detections.jsonl"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
 
     def test_infeasible_params_data_error(self, tmp_path):
         assert main(
@@ -895,6 +899,29 @@ def test_synth_writes_the_largest_frame_its_loaders_accept(tmp_path):
     out = tmp_path / "scene"
     assert main(["synth", "--seed", "1", "--images", "2", "--no-density",
                  "--width", str(2**53 - 1), "--height", "64", "--out", str(out)]) == 0
+    annotations = str(out / "annotations.jsonl")
+    assert main(["stats", "--train", annotations, "--test", annotations,
+                 "--out", str(tmp_path / "stats")]) == 0
+
+
+def test_synth_clamps_a_jitter_that_overflows_without_a_warning(tmp_path, capsys):
+    out = tmp_path / "scene"
+    assert main(["synth", "--seed", "1", "--images", "2", "--no-density",
+                 "--jitter-sigma", "1e308", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    boxes = np.concatenate([rec.boxes for rec in load_detections(out / "detections.jsonl")])
+    assert len(boxes) and ((boxes >= 0.0) & (boxes <= 256.0)).all()
+
+
+def test_synth_keeps_jittered_boxes_valid_where_floats_are_half_a_pixel_apart(tmp_path):
+    # on a 2**52 px wide frame c - 0.25 and c + 0.25 can both round to c
+    out = tmp_path / "scene"
+    assert main(["synth", "--seed", "1", "--images", "2", "--no-density",
+                 "--width", str(2**52), "--height", "8", "--jitter-sigma", "1e15",
+                 "--face-size-max", "100", "--out", str(out)]) == 0
+    boxes = np.concatenate([rec.boxes for rec in load_detections(out / "detections.jsonl")])
+    assert (boxes[:, 2:] > boxes[:, :2]).all() and (boxes >= 0.0).all()
+    assert (boxes[:, [2, 3]] <= (2**52, 8)).all()
     annotations = str(out / "annotations.jsonl")
     assert main(["stats", "--train", annotations, "--test", annotations,
                  "--out", str(tmp_path / "stats")]) == 0

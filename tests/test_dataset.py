@@ -1,10 +1,13 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from maskbench.dataset import (
     DatasetManifest,
+    DetectionRecord,
     ImageRecord,
     SmallFaceWarning,
     SynthParams,
@@ -23,7 +26,7 @@ from maskbench.dataset import (
 )
 from maskbench.density import integrate_count
 from maskbench.errors import DataFormatError
-from maskbench.geometry import Annotation, BBox, FaceLabel
+from maskbench.geometry import Annotation, BBox, Detection, FaceLabel
 from maskbench.ratio import Condition, CovidPeriod, ImageMeta
 from oracles import dataset_stats_loops
 
@@ -240,6 +243,96 @@ def test_records_leave_the_callers_arrays_writable():
     assert not (rec.boxes.flags.writeable or det.conf.flags.writeable)
     # a read-only array is kept as it is, not copied
     assert ImageRecord("a", meta, 9, 9, boxes=rec.boxes, labels=rec.labels).boxes is rec.boxes
+
+
+def _made_record(kind: str, form: str, tmp_path):
+    """An ImageRecord or DetectionRecord built from arrays, from value objects, empty, or loaded."""
+    meta = ImageMeta("v1", Condition.DAYTIME, CovidPeriod.DURING if kind == "image" else None)
+    boxes = np.array([[1.0, 2.0, 3.5, 4.0], [0.0, 0.0, 12.0, 9.0]])
+    labels, conf = np.array([0, 1], np.int8), np.array([0.5, 1.0])
+    names = ["masked", "unmasked"]
+    if form == "loaded":
+        path = tmp_path / f"{kind}.jsonl"
+        faces = [{"box": box, "label": name} for box, name in zip(boxes.tolist(), names)]
+        if kind == "image":
+            write_jsonl(path, [image_record("a"), image_record("b", faces=faces)])
+            return load_annotations(path).images[1]
+        dets = [dict(face, conf=c) for face, c in zip(faces, conf.tolist())]
+        write_jsonl(path, [{"image_id": "b", "video_id": "v1", "condition": "DT", "detections": dets}])
+        return load_detections(path)[0]
+    objects = [(BBox(*box), FaceLabel(name)) for box, name in zip(boxes.tolist(), names)]
+    if kind == "image":
+        given = {"arrays": dict(boxes=boxes, labels=labels), "empty": {},
+                 "objects": dict(faces=[Annotation(box, label) for box, label in objects])}[form]
+        return ImageRecord("a", meta, 40, 30, **given)
+    given = {"arrays": dict(boxes=boxes, labels=labels, conf=conf), "empty": {},
+             "objects": dict(faces=[Detection(box, label, c)
+                                    for (box, label), c in zip(objects, conf.tolist())])}[form]
+    return DetectionRecord("a", meta, **given)
+
+
+def _arrays(rec) -> list[np.ndarray]:
+    return [getattr(rec, f) for f in ("boxes", "labels", "conf") if hasattr(rec, f)]
+
+
+def _copies(x) -> dict:
+    return {"pickle": pickle.loads(pickle.dumps(x)), "copy": copy.copy(x),
+            "deepcopy": copy.deepcopy(x)}
+
+
+@pytest.mark.parametrize("form", ["arrays", "objects", "empty", "loaded"])
+@pytest.mark.parametrize("kind", ["image", "detection"])
+def test_records_pickle_and_copy_with_read_only_arrays(kind, form, tmp_path):
+    rec = _made_record(kind, form, tmp_path)
+    assert len(rec) == (0 if form == "empty" else 2)
+    for how, got in _copies(rec).items():
+        assert type(got) is type(rec) and got == rec and hash(got) == hash(rec), how
+        assert [a.dtype for a in _arrays(got)] == [a.dtype for a in _arrays(rec)], how
+        assert not any(a.flags.writeable for a in _arrays(got)), how
+
+
+def test_manifests_detection_lists_and_scenes_pickle(tmp_path):
+    params = SynthParams(seed=7, n_images=3, faces_max=10, unknown_probability=0.2,
+                         jitter_sigma=1.0, false_positive_rate=1.0, density_noise=0.1)
+    scene = synth_scene(params)
+    write_synth_scene(scene, tmp_path)
+    manifest = load_annotations(tmp_path / "annotations.jsonl")
+    detections = load_detections(tmp_path / "detections.jsonl")
+    for x in (manifest, detections):
+        got = pickle.loads(pickle.dumps(x))
+        assert got == x
+        records = got.images if isinstance(got, DatasetManifest) else got
+        assert not any(a.flags.writeable for rec in records for a in _arrays(rec))
+    got = pickle.loads(pickle.dumps(scene))
+    assert got.manifest == scene.manifest == manifest
+    assert got.detections == scene.detections and list(got.detections) == detections
+    assert not any(a.flags.writeable for rec in (*got.manifest.images, *got.detections)
+                   for a in _arrays(rec))
+    assert got.density.keys() == scene.density.keys()
+    for image_id, maps in scene.density.items():
+        for name, dmap in maps.items():
+            assert np.array_equal(got.density[image_id][name].values, dmap.values)
+
+
+def test_record_repr_and_frozen_fields(tmp_path):
+    rec = _made_record("detection", "arrays", tmp_path)
+    assert repr(rec) == (
+        "DetectionRecord(image_id='a', meta=ImageMeta(video_id='v1', "
+        "condition=<Condition.DAYTIME: 'DT'>, covid_period=None), "
+        "boxes=array([[ 1. ,  2. ,  3.5,  4. ],\n       [ 0. ,  0. , 12. ,  9. ]]), "
+        "labels=array([0, 1], dtype=int8), conf=array([0.5, 1. ]))"
+    )
+    for kind in ("image", "detection"):
+        rec = _made_record(kind, "arrays", tmp_path)
+        # faces is a constructor parameter only; rec.annotations and rec.detections give them
+        assert not hasattr(rec, "__dict__") and not hasattr(rec, "faces")
+        for name in rec.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+        # a name that is no field is refused too, with TypeError on Python 3.11: a frozen
+        # dataclass with slots calls super() on the class that slots=True replaced
+        with pytest.raises((AttributeError, TypeError)):
+            rec.other = 1
 
 
 def manifest_with(counts):

@@ -1,5 +1,6 @@
 """synth_scene against its value-object reference, field by field and byte by byte."""
 
+import dataclasses
 import reprlib
 
 import numpy as np
@@ -67,6 +68,15 @@ def test_synth_scene_equals_its_value_object_reference(fields, include_density):
     params = SynthParams(**{"n_images": 6, "faces_max": 20, **fields})
     assert_same_scene(synth_scene(params, include_density),
                       synth_scene_objects(params, include_density))
+
+
+@pytest.mark.parametrize("fields", CASES.values(), ids=CASES.keys())
+def test_scene_without_density_has_the_same_records(fields):
+    # the maps' noise draws are passed over, not left out, so the faces stay the same
+    params = SynthParams(**{"n_images": 6, "faces_max": 20, **fields})
+    with_maps = synth_scene(params)
+    assert_same_scene(synth_scene(params, include_density=False),
+                      dataclasses.replace(with_maps, density=None))
 
 
 def test_heavy_jitter_scene_takes_the_narrow_box_branch():

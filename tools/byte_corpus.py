@@ -70,6 +70,16 @@ def runs() -> list[tuple[str, list[str]]]:
     """(name, mrb argv) of every run, in order; {run} stands for the run's directory."""
     out = [(f"synth-{s}", ["synth", *flags, "--out", f"scenes/{s}"]) for s, flags in SCENES.items()]
     out += [("synth-negative-seed", ["synth", "--seed", "-1", "--out", "{run}/scene"])]
+    # the scene of synth-s7 without its maps; a jitter that overflows; boxes squeezed
+    # where floats are half a pixel apart
+    out += [(name, ["synth", *flags, "--out", "{run}/scene"]) for name, flags in (
+        ("synth-s7-no-density", ["--seed", "7", "--no-density"]),
+        ("synth-jitter-overflow", ["--seed", "1", "--images", "2", "--no-density",
+                                   "--jitter-sigma", "1e308"]),
+        ("synth-wide-frame", ["--seed", "1", "--images", "2", "--no-density",
+                              "--width", "4503599627370496", "--height", "8",
+                              "--jitter-sigma", "1e15", "--face-size-max", "100"]),
+    )]
     report = []
     for s in SCENES:
         ann, det, dens = (f"scenes/{s}/annotations.jsonl", f"scenes/{s}/detections.jsonl",
