@@ -300,6 +300,28 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 # one decoder for every line: json.loads with a hook would build one per call
 _KEY_CHECK = json.JSONDecoder(object_pairs_hook=unique_keys)
+_PLAIN = json.JSONDecoder()
+
+
+def _decode_counted(text: str):
+    """text's JSON object, decoded without the key hook, or None where the hook must decide.
+
+    Every ':' of JSON text separates a name from its value or lies in a string, so
+    text.count(":") is at least the number of keys of the object plus those of the
+    objects in its lists of objects, and equals it only if no key of these repeats,
+    no other object has a pair and no string holds a ':'.
+    """
+    try:
+        obj = _PLAIN.decode(text)
+    except (ValueError, RecursionError):
+        return None
+    if type(obj) is not dict:
+        return None
+    keys = len(obj)
+    for value in obj.values():
+        if type(value) is list and set(map(type, value)) == {dict}:
+            keys += sum(map(len, value))
+    return obj if text.count(":") == keys else None
 
 
 def _decode(path, lineno: int | None, text: str):
@@ -312,7 +334,8 @@ def _decode(path, lineno: int | None, text: str):
     try:
         if text.startswith("\ufeff"):  # json.loads refuses it; JSONDecoder.decode does not
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _KEY_CHECK.decode(text)
+        obj = _decode_counted(text)
+        return _KEY_CHECK.decode(text) if obj is None else obj
     except json.JSONDecodeError as exc:  # the column is in the prefix: drop a dangling "at"
         # an error past a final line feed, which json puts on one more line, stays on the last
         line = (lineno or 1) + min(exc.lineno, text.rstrip("\n").count("\n") + 1) - 1
@@ -391,14 +414,15 @@ def _block_faces(raw: list, codes: Mapping[str, int]):
     if set(map(type, boxes)) - {list} or set(map(len, boxes)) - {4}:
         raise ValueError("a box is not a list of 4")
     # type(), not isinstance: bool is an int, and np.array would take "1" as 1
-    if set(map(type, chain.from_iterable(boxes))) - {int, float}:
+    flat = list(chain.from_iterable(boxes))
+    if set(map(type, flat)) - {int, float}:
         raise ValueError("a box holds a non-number")
     if not set(labels) <= codes.keys():
         raise ValueError("a label is unknown")
-    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    boxes = np.array(flat, dtype=np.float64).reshape(-1, 4)
     if not np.isfinite(boxes).all():  # checked before an annotation's clamp, which would hide inf
         raise ValueError("a box is non-finite")
-    return boxes, np.array([codes[lab] for lab in labels], dtype=np.int8)
+    return boxes, np.fromiter(map(codes.__getitem__, labels), np.int8, len(labels))
 
 
 def _clamp(a: np.ndarray, lo, hi) -> np.ndarray:

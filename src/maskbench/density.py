@@ -111,12 +111,16 @@ class PointSet:
         return len(self.points)
 
 
-@dataclass
+@dataclass(eq=False)
 class DensityMap:
-    """A (height, width) grid of face density at 1/downscale of image resolution."""
+    """A (height, width) grid of face density at 1/downscale of image resolution.
+
+    Maps are equal when their downscales and values are; they are mutable, so unhashable.
+    """
 
     values: np.ndarray
     downscale: int = 1
+    __hash__ = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -127,6 +131,11 @@ class DensityMap:
             raise ValueError("density values must be finite")
         if np.any(self.values < 0.0):
             raise ValueError("density values must be non-negative")
+
+    def __eq__(self, other):
+        if not isinstance(other, DensityMap):
+            return NotImplemented
+        return self.downscale == other.downscale and np.array_equal(self.values, other.values)
 
     @property
     def height(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -170,12 +171,90 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (N, 4) and (M, 4) arrays of ltrb boxes."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    return _iou(a.T[:, :, None], b.T[:, None, :])
+
+
+def pair_iou(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """IoU of boxes a[i[k]] and b[j[k]] for each k: the iou_matrix cell of each pair, bit for bit."""
+    return _iou(np.take(a, i, axis=0).T, np.take(b, j, axis=0).T)
+
+
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of boxes whose ltrb coordinates run along the first axis of a and b, broadcast.
+
+    The one home of the IoU float expression. min, max, + and * commute, so a pair's
+    value does not depend on which box comes first.
+    """
+    iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out
+
+
+# overlap_pairs gives at most _PAIR_BLOCK pairs at a time (or the pairs of one box),
+# so the arrays of a chunk and its IoUs take a few MiB however many boxes overlap
+_PAIR_BLOCK = 1 << 15
+
+
+def overlap_pairs(a: np.ndarray, group_a: np.ndarray, b: np.ndarray | None = None,
+                  group_b: np.ndarray | None = None):
+    """(count, chunks): how many box pairs a[i], b[j] of equal group have x-extents
+    that overlap with positive width (a.left < b.right and b.left < a.right), and an
+    iterator of (i, j) index arrays over them, at most _PAIR_BLOCK pairs at a time or
+    the pairs of one box.
+
+    Every other pair has IoU 0. With b None, the pairs are those of a with itself,
+    i != j, each once in one of its two orders. Boxes need positive width.
+
+    One stable sort and a sweep: every right edge, then every left edge of a, then of
+    b, sorted by group and position, so that where positions tie, rights come before
+    a's lefts before b's lefts. A box of a pairs with the boxes of b whose left edges
+    lie in [its left, its right), and a box of b with the boxes of a whose left edges
+    lie in (its left, its right), so a pair with equal left edges is found once.
+    """
+    sets = [a] if b is None else [a, b]
+    groups = [group_a] if b is None else [group_a, group_b]
+    n = sum(len(s) for s in sets)
+    order = np.lexsort((np.concatenate([s[:, 2] for s in sets] + [s[:, 0] for s in sets]),
+                        np.concatenate(groups * 2)))
+    # per set: how many of its left edges sort before each edge, and its boxes in
+    # left-edge order
+    before, by_left, offset = [], [], n
+    for s in sets:
+        is_left = (order >= offset) & (order < offset + len(s))
+        count = np.empty(2 * n, dtype=np.intp)
+        count[order] = np.cumsum(is_left) - is_left
+        before.append(count)
+        by_left.append(order[is_left] - offset)
+        offset += len(s)
+    if b is None:
+        sweeps = [(before[0][n:] + 1, before[0][:n], by_left[0], False)]
+    else:
+        na = len(a)
+        sweeps = [(before[1][n:n + na], before[1][:na], by_left[1], False),
+                  (before[0][n + na:], before[0][na:n], by_left[0], True)]
+    # each box's partners are partner[start:stop]; a box of no width has none
+    sweeps = [(start, np.maximum(stop - start, 0), partner, swap)
+              for start, stop, partner, swap in sweeps]
+    return sum(int(c.sum()) for _, c, _, _ in sweeps), _chunks(sweeps)
+
+
+def _chunks(sweeps):
+    """Yield the (i, j) pairs of overlap_pairs' sweeps, _PAIR_BLOCK at most or one box's."""
+    for start, counts, partner, swap in sweeps:
+        ends = np.cumsum(counts)
+        bounds = ends.tolist()
+        k = 0
+        while k < len(bounds):
+            base = bounds[k - 1] if k else 0
+            k1 = max(bisect.bisect_right(bounds, base + _PAIR_BLOCK), k + 1)
+            n = counts[k:k1]
+            own = np.repeat(np.arange(k, k1), n)
+            other = partner[np.arange(base, bounds[k1 - 1])
+                            + np.repeat(start[k:k1] - ends[k:k1] + n, n)]
+            if own.size:
+                yield (other, own) if swap else (own, other)
+            k = k1

@@ -16,9 +16,11 @@ from .geometry import (
     FaceLabel,
     SizeBucket,
     face_arrays,
-    iou_matrix,
+    overlap_pairs,
+    pair_iou,
     size_buckets,
 )
+from .geometry import iou_matrix  # noqa: F401  (unused; perfbench's tracer counts its calls)
 from .ratio import RatioReport, check_thresholds
 
 
@@ -64,7 +66,11 @@ def average_precision(
 
     Faces are a record or value objects (see face_arrays); scope and ignore are
     masks over label and size-bucket codes. As in COCOeval, each image is matched
-    on its own, from one iou_matrix (bit-identical to the scalar iou), and one stable
+    on its own: all images at once, from the IoUs of the pairs of a detection and
+    a face of its image that overlap (geometry.overlap_pairs; pair_iou is iou's
+    float expression, so every decision is bit-identical). A detection whose
+    candidate faces (IoU >= cfg.iou_thr) no other detection of its image wants
+    takes its best one at once; the others go through _match_image. One stable
     sort of all confidences (image order, then row order) ranks the outcomes.
     """
     if label is FaceLabel.UNKNOWN:
@@ -75,39 +81,70 @@ def average_precision(
     # in_bucket[c]: whether a face of the class in size bucket c is in scope
     in_bucket = np.array([b in (BUCKETS if bucket is None else (bucket,)) for b in SIZE_BUCKETS])
 
-    faces, n_pos = {}, 0  # per image: its in-scope and ignore faces, and which are in scope
-    for image_id, annos in annotations.items():
-        boxes, labels, _ = face_arrays(annos)
-        own = labels == code
-        scope = own & in_bucket[size_buckets(boxes)]
-        ignore = (own & ~scope) | (labels == unknown)
-        n_pos += int(np.count_nonzero(scope))
-        kept = scope | ignore
-        if kept.any():
-            faces[image_id] = boxes[kept], scope[kept]
+    # every image's in-scope and ignore faces, image by image, and the index of their image
+    boxes, labels, image = _stack(annotations.values(), range(len(annotations)), 2)
+    own = labels == code
+    scope = own & in_bucket[size_buckets(boxes)]
+    n_pos = int(np.count_nonzero(scope))
     if n_pos == 0:
         return None
+    kept = own | (labels == unknown)  # scope, and the ignore regions
+    faces, face_image, scope = boxes[kept], image[kept], scope[kept]
 
-    # the class's detections and their outcomes in image order, then row order
-    confs, outcomes = [np.zeros(0)], [np.zeros(0, dtype=np.int8)]
-    for image_id, dets in detections.items():
-        boxes, labels, conf = face_arrays(dets)
-        own = labels == code
-        confs.append(conf[own])
-        outcomes.append(np.full(len(confs[-1]), _FP, dtype=np.int8))  # when no face can match
-        if own.any() and image_id in faces:
-            gt_boxes, scope = faces[image_id]
-            ious = iou_matrix(boxes[own], gt_boxes)
-            best_ignore = ious[:, ~scope].max(axis=1, initial=-1.0)
-            outcomes[-1] = _match_image(confs[-1], ious[:, scope], best_ignore, cfg.iou_thr)
+    # the class's detections, image by image; an image without an annotation entry is -1
+    index = {image_id: k for k, image_id in enumerate(annotations)}
+    boxes, labels, conf, image = _stack(
+        detections.values(), (index.get(image_id, -1) for image_id in detections), 3)
+    own = labels == code
+    boxes, conf, image = boxes[own], conf[own], image[own]
 
-    ranked = np.concatenate(outcomes)[np.argsort(-np.concatenate(confs), kind="stable")]
+    best_ignore = np.full(len(conf), -1.0)
+    firsts, laters, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    for i, j in overlap_pairs(boxes, image, faces, face_image)[1]:
+        ious = pair_iou(boxes, faces, i, j)
+        np.maximum.at(best_ignore, i[~scope[j]], ious[~scope[j]])
+        candidate = scope[j] & (ious >= cfg.iou_thr)
+        firsts.append(i[candidate])
+        laters.append(j[candidate])
+        values.append(ious[candidate])
+    i, j, ious = np.concatenate(firsts), np.concatenate(laters), np.concatenate(values)
+
+    outcomes = np.where(best_ignore >= cfg.iou_thr, _DISCARDED, _FP).astype(np.int8)
+    # detections that want a face some other detection wants are matched greedily
+    contested = np.zeros(len(conf), dtype=bool)
+    contested[i[np.bincount(j, minlength=len(faces))[j] > 1]] = True
+    for k in sorted(set(image[contested].tolist())):
+        rows = np.flatnonzero(contested & (image == k))
+        cols = np.flatnonzero(scope & (face_image == k))
+        pairs = contested[i] & (image[i] == k)
+        scope_ious = np.zeros((len(rows), len(cols)))
+        scope_ious[np.searchsorted(rows, i[pairs]), np.searchsorted(cols, j[pairs])] = ious[pairs]
+        outcomes[rows] = _match_image(conf[rows], scope_ious, best_ignore[rows], cfg.iou_thr)
+    # the rest take their best candidate, which no other detection wants
+    best = np.full(len(conf), -1.0)
+    np.maximum.at(best, i[~contested[i]], ious[~contested[i]])
+    outcomes[(best >= cfg.iou_thr) & (best >= best_ignore)] = _TP
+
+    ranked = outcomes[np.argsort(-conf, kind="stable")]
     ctp, cfp = np.cumsum(ranked == _TP), np.cumsum(ranked == _FP)
     keep = (ctp + cfp) > 0  # drop the discarded ranks before the first counted one
     ctp, cfp = ctp[keep], cfp[keep]
     envelope = np.maximum.accumulate((ctp / (ctp + cfp))[::-1])[::-1]
     deltas = np.diff(np.concatenate(([0.0], ctp / n_pos)))
     return float(np.sum(deltas * envelope))
+
+
+# the empty boxes, labels and confidences that _stack starts each column from
+_EMPTY = (np.zeros((0, 4)), np.zeros(0, np.int8), np.zeros(0))
+
+
+def _stack(records, images, columns: int) -> tuple[np.ndarray, ...]:
+    """The first `columns` arrays of face_arrays (boxes, labels, conf) over all records,
+    row after row, then each row's entry of images, which holds one per record."""
+    arrays = [face_arrays(r) for r in records]
+    image = np.repeat(np.fromiter(images, np.intp, len(arrays)), [len(a[1]) for a in arrays])
+    return *(np.concatenate([empty, *(a[k] for a in arrays)])
+             for k, empty in enumerate(_EMPTY[:columns])), image
 
 
 def _match_image(conf, scope_ious, best_ignore, iou_thr: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import Iterable, TypeVar
 import numpy as np
 
 from .errors import check_number
-from .geometry import LABEL_CODES, FaceLabel, face_arrays, iou_matrix
+from .geometry import LABEL_CODES, FaceLabel, face_arrays, overlap_pairs, pair_iou
 from .geometry import iou  # noqa: F401  (unused; perfbench's tracer wraps ratio.iou)
 
 
@@ -70,8 +70,13 @@ class RatioReport:
 
 _MASKED, _UNMASKED = LABEL_CODES[FaceLabel.MASKED], LABEL_CODES[FaceLabel.UNMASKED]
 
-# candidates settled per step of nms; caps its IoU temporaries at this many rows
-_NMS_BLOCK = 64
+# candidates settled per step of nms: a crowded frame at once (the benchmark's frames
+# hold 370-430, and 2,000 scattered boxes settle in two blocks). A block of more than
+# _NMS_PAIRS overlapping pairs (a pile) is cut to 64 boxes, whose at most 2,016 pairs
+# always fit, so that the pile's first kept box drops the rest of it before their pairs
+# are made
+_NMS_BLOCK = 1024
+_NMS_PAIRS = 1 << 15
 
 
 def check_thresholds(iou_thr: float | None = None, conf_thr: float | None = None) -> None:
@@ -91,35 +96,72 @@ def nms(dets, iou_thr: float = 0.4):
 
     dets is a sequence of Detection, whose kept objects are returned as a list, or
     a detection record (see face_arrays), whose kept rows are returned as a record
-    of the same image_id and meta, sliced from its arrays. Each class
-    is settled in confidence order, _NMS_BLOCK at a time: one iou_matrix settles a
-    block among itself, visiting only rows that overlap a later one; a second drops
-    every later candidate that a kept box overlaps at iou_thr or more. iou_matrix
-    evaluates the scalar iou's float expression, so every keep/drop decision is
+    of the same image_id and meta, sliced from its arrays. The candidates are settled
+    in confidence order, a block at a time, from the IoUs of the box pairs of a class
+    that overlap (geometry.overlap_pairs): a block settles among itself, then its kept
+    boxes drop every later candidate of their class that they overlap at iou_thr or
+    more. pair_iou is iou's float expression, so every keep/drop decision is
     bit-identical to comparing one pair at a time.
     """
     check_thresholds(iou_thr)
     boxes, labels, conf = face_arrays(dets)
-    masked = labels == _MASKED
     keep = np.zeros(len(dets), dtype=bool)
-    for in_class in (masked, ~masked):
-        idx = np.flatnonzero(in_class)
-        idx = idx[np.argsort(-conf[idx], kind="stable")]
-        while idx.size:
-            block, rest = idx[:_NMS_BLOCK], idx[_NMS_BLOCK:]
-            over = np.triu(iou_matrix(boxes[block], boxes[block]) >= iou_thr, 1)
-            alive = np.ones(len(block), dtype=bool)
-            for i in np.flatnonzero(over.any(axis=1)).tolist():
-                if alive[i]:
-                    alive &= ~over[i]
-            kept = block[alive]
-            keep[kept] = True
-            idx = rest[~(iou_matrix(boxes[kept], boxes[rest]) >= iou_thr).any(axis=0)]
+    idx = np.argsort(-conf, kind="stable")  # one order for both classes: no pair mixes them
+    size = _NMS_BLOCK
+    while idx.size:
+        block, rest = idx[:size], idx[size:]
+        alive = _settle(boxes[block], labels[block], iou_thr)
+        if alive is None:
+            size = max(size // 16, 1)
+            continue
+        size = _NMS_BLOCK
+        kept = block[alive]
+        keep[kept] = True
+        if rest.size:
+            rest = rest[~_covered(boxes[kept], labels[kept], boxes[rest], labels[rest], iou_thr)]
+        idx = rest
     rows = np.flatnonzero(keep)
     if hasattr(dets, "labels"):
         return type(dets)(dets.image_id, dets.meta,
                           boxes=boxes[rows], labels=labels[rows], conf=conf[rows])
     return [dets[i] for i in rows]
+
+
+def _settle(boxes: np.ndarray, labels: np.ndarray, iou_thr: float) -> np.ndarray | None:
+    """Which of boxes, in rank order, greedy NMS keeps among themselves; None if more
+    than _NMS_PAIRS pairs of them overlap."""
+    count, chunks = overlap_pairs(boxes, labels)
+    if count > _NMS_PAIRS:
+        return None
+    firsts, laters = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for i, j in chunks:
+        over = pair_iou(boxes, boxes, i, j) >= iou_thr
+        firsts.append(np.minimum(i[over], j[over]))
+        laters.append(np.maximum(i[over], j[over]))
+    first, later = np.concatenate(firsts), np.concatenate(laters)
+    alive = np.ones(len(boxes), dtype=bool)
+    # a box that no earlier box overlaps at iou_thr is kept, and drops every later one it does
+    suppressed = np.zeros(len(boxes), dtype=bool)
+    suppressed[later] = True
+    alive[later[~suppressed[first]]] = False
+    # the rest are settled pair by pair, by rank of the earlier box
+    rest = np.flatnonzero(suppressed[first] & alive[first])
+    if rest.size:
+        rest = rest[np.argsort(first[rest], kind="stable")]
+        dead = set(np.flatnonzero(~alive).tolist())
+        for i, j in zip(first[rest].tolist(), later[rest].tolist()):
+            if i not in dead:
+                dead.add(j)
+        alive[list(dead)] = False
+    return alive
+
+
+def _covered(kept, kept_labels, rest, rest_labels, iou_thr: float) -> np.ndarray:
+    """Which boxes of rest overlap a kept box of their class at iou_thr or more."""
+    out = np.zeros(len(rest), dtype=bool)
+    for i, j in overlap_pairs(kept, kept_labels, rest, rest_labels)[1]:
+        out[j[pair_iou(kept, rest, i, j) >= iou_thr]] = True
+    return out
 
 
 def _label_counts(labels: np.ndarray) -> RatioReport:

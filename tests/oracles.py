@@ -2,10 +2,11 @@
 
 Everything here is deliberately written as plain scalar loops, separate from
 the vectorized implementations under test: IoU is recomputed inline, matching
-decisions are enumerated one detection at a time, the precision envelope is
-an explicit suffix scan, gradients come from bump-and-reevaluate central
-differences over the public forward pass, the JSONL loaders check one line
-and one face at a time into value objects, the synthetic scene generator
+decisions are enumerated one detection at a time, NMS and AP also keep their
+earlier dense forms (an IoU matrix per block and per image), the precision
+envelope is an explicit suffix scan, gradients come from bump-and-reevaluate
+central differences over the public forward pass, the JSONL loaders check one
+line and one face at a time into value objects, the synthetic scene generator
 builds one value object per face, the adaptive kernel sigmas come from
 scipy's k-d tree, and density maps are drawn one face at a time, either
 from two block-summed 1-D profiles or at full resolution and then
@@ -35,7 +36,19 @@ from maskbench.density import (
 )
 from maskbench.errors import DataFormatError
 from maskbench.fusion import FeatureLevel, FusionWeights, bifpn_fuse
-from maskbench.geometry import Annotation, BBox, Detection, FaceLabel, SizeBucket
+from maskbench.geometry import (
+    LABEL_CODES,
+    SIZE_BUCKETS,
+    Annotation,
+    BBox,
+    Detection,
+    FaceLabel,
+    SizeBucket,
+    face_arrays,
+    iou_matrix,
+    size_buckets,
+)
+from maskbench.metrics import _FP, _TP, BUCKETS, EvalConfig, _match_image
 from maskbench.ratio import Condition, CovidPeriod, ImageMeta
 
 
@@ -251,6 +264,85 @@ def nms_scalar(dets: list[Detection], iou_thr: float) -> list[Detection]:
             kept.append(i)
     kept.sort()
     return [dets[i] for i in kept]
+
+
+# candidates settled per step of nms_dense_blocks
+_DENSE_NMS_BLOCK = 64
+
+
+def nms_dense_blocks(dets, iou_thr: float):
+    """ratio.nms from dense IoU matrices: each class, by confidence, 64 at a time.
+
+    One iou_matrix settles a block among itself, visiting only rows that overlap a
+    later one; a second drops every later candidate that a kept box overlaps at
+    iou_thr or more. Returns what nms returns for a record or a sequence.
+    """
+    boxes, labels, conf = face_arrays(dets)
+    masked = labels == LABEL_CODES[FaceLabel.MASKED]
+    keep = np.zeros(len(dets), dtype=bool)
+    for in_class in (masked, ~masked):
+        idx = np.flatnonzero(in_class)
+        idx = idx[np.argsort(-conf[idx], kind="stable")]
+        while idx.size:
+            block, rest = idx[:_DENSE_NMS_BLOCK], idx[_DENSE_NMS_BLOCK:]
+            over = np.triu(iou_matrix(boxes[block], boxes[block]) >= iou_thr, 1)
+            alive = np.ones(len(block), dtype=bool)
+            for i in np.flatnonzero(over.any(axis=1)).tolist():
+                if alive[i]:
+                    alive &= ~over[i]
+            kept = block[alive]
+            keep[kept] = True
+            idx = rest[~(iou_matrix(boxes[kept], boxes[rest]) >= iou_thr).any(axis=0)]
+    rows = np.flatnonzero(keep)
+    if hasattr(dets, "labels"):
+        return type(dets)(dets.image_id, dets.meta,
+                          boxes=boxes[rows], labels=labels[rows], conf=conf[rows])
+    return [dets[i] for i in rows]
+
+
+def average_precision_per_image(detections, annotations, label, bucket=None,
+                                cfg=EvalConfig()) -> float | None:
+    """metrics.average_precision matched image by image, from one dense IoU matrix each.
+
+    Each image's detections of the class go through metrics._match_image against
+    every in-scope face of the image, with the row maximum of their IoUs with its
+    ignore regions; one stable sort of all confidences ranks the outcomes.
+    """
+    code, unknown = LABEL_CODES[label], LABEL_CODES[FaceLabel.UNKNOWN]
+    in_bucket = np.array([b in (BUCKETS if bucket is None else (bucket,)) for b in SIZE_BUCKETS])
+
+    faces, n_pos = {}, 0
+    for image_id, annos in annotations.items():
+        boxes, labels, _ = face_arrays(annos)
+        own = labels == code
+        scope = own & in_bucket[size_buckets(boxes)]
+        ignore = (own & ~scope) | (labels == unknown)
+        n_pos += int(np.count_nonzero(scope))
+        kept = scope | ignore
+        if kept.any():
+            faces[image_id] = boxes[kept], scope[kept]
+    if n_pos == 0:
+        return None
+
+    confs, outcomes = [np.zeros(0)], [np.zeros(0, dtype=np.int8)]
+    for image_id, dets in detections.items():
+        boxes, labels, conf = face_arrays(dets)
+        own = labels == code
+        confs.append(conf[own])
+        outcomes.append(np.full(len(confs[-1]), _FP, dtype=np.int8))
+        if own.any() and image_id in faces:
+            gt_boxes, scope = faces[image_id]
+            ious = iou_matrix(boxes[own], gt_boxes)
+            best_ignore = ious[:, ~scope].max(axis=1, initial=-1.0)
+            outcomes[-1] = _match_image(confs[-1], ious[:, scope], best_ignore, cfg.iou_thr)
+
+    ranked = np.concatenate(outcomes)[np.argsort(-np.concatenate(confs), kind="stable")]
+    ctp, cfp = np.cumsum(ranked == _TP), np.cumsum(ranked == _FP)
+    keep = (ctp + cfp) > 0
+    ctp, cfp = ctp[keep], cfp[keep]
+    envelope = np.maximum.accumulate((ctp / (ctp + cfp))[::-1])[::-1]
+    deltas = np.diff(np.concatenate(([0.0], ctp / n_pos)))
+    return float(np.sum(deltas * envelope))
 
 
 def render_density_loop(

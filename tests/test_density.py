@@ -778,3 +778,20 @@ class TestNfmdFormat:
         (tmp_path / "neg.nfmd").write_bytes(b"NFMD" + struct.pack("<III", 2, 2, 1) + payload)
         with pytest.raises(DataFormatError):
             read_density(tmp_path / "neg.nfmd")
+
+
+def test_maps_and_scenes_compare_by_value():
+    values = np.arange(6.0).reshape(2, 3)
+    m = density.DensityMap(values, 4)
+    assert m == density.DensityMap(values.copy(), 4)
+    other = values.copy()
+    other[1, 2] += 1.0
+    assert m != density.DensityMap(other, 4)
+    assert m != density.DensityMap(values, 2)
+    assert m != density.DensityMap(values[:, :2], 4)
+    assert m.__eq__(values) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(m)
+    params = SynthParams(seed=1, n_images=3, faces_max=5)
+    assert synth_scene(params) == synth_scene(params)
+    assert synth_scene(params) != synth_scene(SynthParams(seed=2, n_images=3, faces_max=5))

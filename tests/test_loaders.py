@@ -11,6 +11,7 @@ and documents longer than one block with the mutation past the first block.
 import contextlib
 import copy
 import io
+import json
 import reprlib
 import warnings
 
@@ -493,3 +494,41 @@ def test_parse_detection_messages_are_the_loaders(tmp_path, det, message):
 def test_parse_detection_builds_the_detection():
     det = dataset.parse_detection({"box": [-3, 2, 1e6, 4.5], "label": "unmasked", "conf": 1}, "w")
     assert det == Detection(BBox(-3.0, 2.0, 1e6, 4.5), FaceLabel.UNMASKED, 1.0)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("old, new, key", [
+    ('"image_id": "img1"', '"image_id": "cam:01"', None),
+    ('"video_id": "v1"', '"video_id": "v\\u003a1"', None),
+    ('"video_id": ', '"x": "a:b", "y": {}, "z": [{}, {"k": "1:2"}], "video_id": ', None),
+    ('"video_id": ', '"x": {"a": 1, "a": 2}, "video_id": ', "a"),
+    ('"video_id": ', '"x": [{"a": 1, "a": 2}], "video_id": ', "a"),
+    ('"video_id": ', '"x": [{"a": 1}, 2, {"b": {"c": 1, "c": "1:2"}}], "video_id": ', "c"),
+    ('"label": "unmasked"', '"label": "unmasked", "label": "unmasked"', "label"),
+    ('"label": "unmasked"', '"label": "unmasked", "x": {"b": 1, "b": 1}', "b"),
+    ('"video_id": "v1"', '"video_id": "v\\u003a1", "video_id": "v"', "video_id"),
+], ids=["colon-in-image-id", "escaped-colon", "colons-in-strings-and-objects",
+        "unknown-object", "unknown-list", "unknown-list-deep", "face", "object-in-face",
+        "escaped-colon-repeat"])
+def test_the_key_count_gives_the_hooks_record_or_error(tmp_path, kind, old, new, key):
+    # a line's keys are counted against its ':'s; any line the count cannot clear takes the
+    # repeated-key hook, so every line loads or fails as with the hook alone
+    lines = [dumps(line) for line in SHORT[kind]]
+    assert old in lines[1]
+    lines[1] = lines[1].replace(old, new, 1)
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert_equivalent(kind, path)
+    if key is None:
+        LOADERS[kind][0](path)
+    else:
+        with pytest.raises(DataFormatError, match=f"^{path}:2: repeated key {key!r}$"):
+            LOADERS[kind][0](path)
+
+
+def test_the_key_count_keeps_the_plain_decoders_object_only_when_it_proves_no_repeat():
+    plain = '{"image_id": "a", "faces": [{"box": [1, 2, 3, 4], "label": "masked"}]}'
+    assert dataset._decode_counted(plain) == json.loads(plain)
+    for text in ('{"image_id": "a:b"}', '{"a": 1, "a": 1}', '{"a": {"b": 1}}', '[{"a": 1}]',
+                 '{"a": [{"b": 1}, "c:"]}', '{"a": 1} x', '{"a": 1'):
+        assert dataset._decode_counted(text) is None, text

@@ -35,7 +35,14 @@ SCENES = {
     # heavy jitter on 8 x 8 frames squeezes thousands of boxes below half a pixel
     "jitter-8x8": ["--seed", "2", "--width", "8", "--height", "8", "--jitter-sigma", "40",
                    "--face-size-min", "1", "--face-size-max", "3"],
+    # crowded candidates: many false positives and jittered copies on small frames
+    "crowd-96x64": ["--seed", "5", "--images", "30", "--width", "96", "--height", "64",
+                    "--faces-min", "10", "--faces-max", "40", "--face-size-min", "4",
+                    "--face-size-max", "24", "--jitter-sigma", "6", "--fp-rate", "40",
+                    "--unknown-prob", "0.1", "--density-downscale", "4"],
 }
+# the scenes whose detections pile up, run at every listed NMS and match threshold
+CROWDED = ("jitter-8x8", "crowd-96x64")
 
 # the loss fixture of README, whose one prediction is too few for its 48 anchors
 README_FIXTURE = {
@@ -106,6 +113,18 @@ def runs() -> list[tuple[str, list[str]]]:
                                       "--subsets", "total,masked,unmasked", "--downscale", "4"]),
             (f"stats-dir-{s}", ["stats", "--train", ann, "--test", ann, "--out", "{run}/stats"]),
         ]
+    for s in CROWDED:
+        dets = ["--annotations", f"scenes/{s}/annotations.jsonl",
+                "--detections", f"scenes/{s}/detections.jsonl"]
+        for nms in ("0.3", "0.4", "0.7", "1"):
+            on_nms = [*dets, "--nms-iou", nms]
+            report += [(f"eval-det-nms{nms}-thr{thr}-{s}", ["eval-det", *on_nms, "--iou-thr", thr])
+                       for thr in ("0.2", "1")]
+            report += [
+                (f"eval-ratio-nms{nms}-{s}", ["eval-ratio", *on_nms, "--by-condition",
+                                              "--min-faces", "1"]),
+                (f"report-video-nms{nms}-{s}", ["report-video", *on_nms]),
+            ]
     report += [
         ("gradcheck-pass", ["gradcheck", "--trials", "3"]),
         ("gradcheck-fail", ["gradcheck", "--trials", "3", "--tolerance", "1e-30"]),
