@@ -183,8 +183,15 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of boxes whose ltrb coordinates run along the first axis of a and b, broadcast.
 
     The one home of the IoU float expression. min, max, + and * commute, so a pair's
-    value does not depend on which box comes first.
+    value does not depend on which box comes first. A pair whose largest coordinate
+    magnitude reaches 2**510 is first scaled by the power of two that brings it into
+    [2**509, 2**510), so no side, area or union overflows; the ratio cancels the exact
+    scaling, and every other pair is computed as it is.
     """
+    if max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) >= 2.0**510:
+        top = np.maximum(np.abs(a).max(axis=0), np.abs(b).max(axis=0))
+        shift = np.where(top >= 2.0**510, 510 - np.frexp(top)[1], 0)
+        a, b = np.ldexp(a, shift), np.ldexp(b, shift)
     iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
     ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
@@ -192,6 +199,36 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out
+
+
+# x-sweep pairs per box above which iou_pairs counts the y sweep too: a crowded 1280x720
+# frame gives at most about 7, a column of n boxes n / 2
+_Y_COUNT_ABOVE = 16
+
+
+def iou_pairs(a: np.ndarray, group_a: np.ndarray, iou_thr: float, b: np.ndarray | None = None,
+              group_b: np.ndarray | None = None, limit: int | None = None):
+    """(i, j, iou) arrays of the box pairs a[i], b[j] of equal group whose IoU is iou_thr or
+    more, or None when more than limit pairs overlap; with b None, a's pairs, each once.
+
+    The pairs of overlap_pairs are scored by pair_iou a chunk at a time. Where the x sweep
+    finds more than _Y_COUNT_ABOVE pairs per box, the boxes with their axes swapped (a y
+    sweep) are counted too, and the sweep with fewer pairs makes the chunks, so a column
+    of boxes costs what a row does. limit compares with the count of the sweep used.
+    """
+    count, chunks = overlap_pairs(a, group_a, b, group_b)
+    if count > _Y_COUNT_ABOVE * (len(a) + (0 if b is None else len(b))):
+        y = [None if s is None else s[:, [1, 0, 3, 2]] for s in (a, b)]  # ltrb as tlbr
+        count, chunks = min((count, chunks), overlap_pairs(y[0], group_a, y[1], group_b),
+                            key=lambda sweep: sweep[0])
+    if limit is not None and count > limit:
+        return None
+    found = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+    for i, j in chunks:
+        ious = pair_iou(a, a if b is None else b, i, j)
+        over = ious >= iou_thr
+        found.append((i[over], j[over], ious[over]))
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
 # overlap_pairs gives at most _PAIR_BLOCK pairs at a time (or the pairs of one box),

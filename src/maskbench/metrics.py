@@ -16,8 +16,7 @@ from .geometry import (
     FaceLabel,
     SizeBucket,
     face_arrays,
-    overlap_pairs,
-    pair_iou,
+    iou_pairs,
     size_buckets,
 )
 from .geometry import iou_matrix  # noqa: F401  (unused; perfbench's tracer counts its calls)
@@ -66,12 +65,12 @@ def average_precision(
 
     Faces are a record or value objects (see face_arrays); scope and ignore are
     masks over label and size-bucket codes. As in COCOeval, each image is matched
-    on its own: all images at once, from the IoUs of the pairs of a detection and
-    a face of its image that overlap (geometry.overlap_pairs; pair_iou is iou's
+    on its own: all images at once, from the pairs of a detection and a face of its
+    image whose IoU reaches cfg.iou_thr (geometry.iou_pairs; the IoUs are iou's
     float expression, so every decision is bit-identical). A detection whose
-    candidate faces (IoU >= cfg.iou_thr) no other detection of its image wants
-    takes its best one at once; the others go through _match_image. One stable
-    sort of all confidences (image order, then row order) ranks the outcomes.
+    candidate faces no other detection of its image wants takes its best one at
+    once; the others go through _match_image. One stable sort of all confidences
+    (image order, then row order) ranks the outcomes.
     """
     if label is FaceLabel.UNKNOWN:
         raise ValueError("AP is defined for the masked/unmasked classes only")
@@ -98,16 +97,12 @@ def average_precision(
     own = labels == code
     boxes, conf, image = boxes[own], conf[own], image[own]
 
+    # best_ignore meets only iou_thr and IoUs >= iou_thr, so one under iou_thr acts as -1.0
+    i, j, ious = iou_pairs(boxes, image, cfg.iou_thr, faces, face_image)
+    ignore = ~scope[j]
     best_ignore = np.full(len(conf), -1.0)
-    firsts, laters, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-    for i, j in overlap_pairs(boxes, image, faces, face_image)[1]:
-        ious = pair_iou(boxes, faces, i, j)
-        np.maximum.at(best_ignore, i[~scope[j]], ious[~scope[j]])
-        candidate = scope[j] & (ious >= cfg.iou_thr)
-        firsts.append(i[candidate])
-        laters.append(j[candidate])
-        values.append(ious[candidate])
-    i, j, ious = np.concatenate(firsts), np.concatenate(laters), np.concatenate(values)
+    np.maximum.at(best_ignore, i[ignore], ious[ignore])
+    i, j, ious = i[~ignore], j[~ignore], ious[~ignore]
 
     outcomes = np.where(best_ignore >= cfg.iou_thr, _DISCARDED, _FP).astype(np.int8)
     # detections that want a face some other detection wants are matched greedily

@@ -10,7 +10,7 @@ from typing import Iterable, TypeVar
 import numpy as np
 
 from .errors import check_number
-from .geometry import LABEL_CODES, FaceLabel, face_arrays, overlap_pairs, pair_iou
+from .geometry import LABEL_CODES, FaceLabel, face_arrays, iou_pairs
 from .geometry import iou  # noqa: F401  (unused; perfbench's tracer wraps ratio.iou)
 
 
@@ -97,11 +97,11 @@ def nms(dets, iou_thr: float = 0.4):
     dets is a sequence of Detection, whose kept objects are returned as a list, or
     a detection record (see face_arrays), whose kept rows are returned as a record
     of the same image_id and meta, sliced from its arrays. The candidates are settled
-    in confidence order, a block at a time, from the IoUs of the box pairs of a class
-    that overlap (geometry.overlap_pairs): a block settles among itself, then its kept
-    boxes drop every later candidate of their class that they overlap at iou_thr or
-    more. pair_iou is iou's float expression, so every keep/drop decision is
-    bit-identical to comparing one pair at a time.
+    in confidence order, a block at a time, from the box pairs of a class that reach
+    iou_thr (geometry.iou_pairs): a block settles among itself, then its kept boxes
+    drop every later candidate of their class that they reach. The pairs' IoUs are
+    iou's float expression, so every keep/drop decision is bit-identical to comparing
+    one pair at a time.
     """
     check_thresholds(iou_thr)
     boxes, labels, conf = face_arrays(dets)
@@ -118,7 +118,8 @@ def nms(dets, iou_thr: float = 0.4):
         kept = block[alive]
         keep[kept] = True
         if rest.size:
-            rest = rest[~_covered(boxes[kept], labels[kept], boxes[rest], labels[rest], iou_thr)]
+            rest = np.delete(rest, iou_pairs(boxes[kept], labels[kept], iou_thr,
+                                             boxes[rest], labels[rest])[1])
         idx = rest
     rows = np.flatnonzero(keep)
     if hasattr(dets, "labels"):
@@ -130,15 +131,10 @@ def nms(dets, iou_thr: float = 0.4):
 def _settle(boxes: np.ndarray, labels: np.ndarray, iou_thr: float) -> np.ndarray | None:
     """Which of boxes, in rank order, greedy NMS keeps among themselves; None if more
     than _NMS_PAIRS pairs of them overlap."""
-    count, chunks = overlap_pairs(boxes, labels)
-    if count > _NMS_PAIRS:
+    pairs = iou_pairs(boxes, labels, iou_thr, limit=_NMS_PAIRS)
+    if pairs is None:
         return None
-    firsts, laters = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    for i, j in chunks:
-        over = pair_iou(boxes, boxes, i, j) >= iou_thr
-        firsts.append(np.minimum(i[over], j[over]))
-        laters.append(np.maximum(i[over], j[over]))
-    first, later = np.concatenate(firsts), np.concatenate(laters)
+    first, later = np.minimum(pairs[0], pairs[1]), np.maximum(pairs[0], pairs[1])
     alive = np.ones(len(boxes), dtype=bool)
     # a box that no earlier box overlaps at iou_thr is kept, and drops every later one it does
     suppressed = np.zeros(len(boxes), dtype=bool)
@@ -154,14 +150,6 @@ def _settle(boxes: np.ndarray, labels: np.ndarray, iou_thr: float) -> np.ndarray
                 dead.add(j)
         alive[list(dead)] = False
     return alive
-
-
-def _covered(kept, kept_labels, rest, rest_labels, iou_thr: float) -> np.ndarray:
-    """Which boxes of rest overlap a kept box of their class at iou_thr or more."""
-    out = np.zeros(len(rest), dtype=bool)
-    for i, j in overlap_pairs(kept, kept_labels, rest, rest_labels)[1]:
-        out[j[pair_iou(kept, rest, i, j) >= iou_thr]] = True
-    return out
 
 
 def _label_counts(labels: np.ndarray) -> RatioReport:

@@ -3,21 +3,36 @@
 Usage::
 
     PYTHONPATH=src python3 tools/byte_corpus.py OUT
+    PYTHONPATH=src python3 tools/byte_corpus.py OUT --digest tools/byte_corpus.sha256
+    PYTHONPATH=src python3 tools/byte_corpus.py OUT --check tools/byte_corpus.sha256
 
-OUT must not exist. Each command runs in a fresh process (``python -m
-maskbench.cli``) with OUT as its working directory and relative paths, against
-whichever maskbench is importable, so the messages hold no machine path. Run k
-writes OUT/<k>-<name>/{stdout,stderr,exit_code} plus any file or directory it
-was told to write (``--out``, ``--scatter``); the synth runs write the scenes
-that the later runs read. Build one tree from each of two source trees and
-compare them with ``diff -r``: an empty diff means every file, stdout, stderr
-and exit code is the same.
+Each command runs in a fresh process (``python -m maskbench.cli``) with OUT as
+its working directory and relative paths, against whichever maskbench is
+importable, so the messages hold no machine path. Run k writes
+OUT/<k>-<name>/{stdout,stderr,exit_code} plus any file or directory it was told
+to write (``--out``, ``--scatter``); the synth runs write the scenes that the
+later runs read, and OUT/scenes also holds two scenes written here. Build one
+tree from each of two source trees and compare them with ``diff -r``: an empty
+diff means every file, stdout, stderr and exit code is the same.
+
+OUT must not exist, except with ``--digest`` or ``--check``, which read an
+existing OUT as it is. The digest has a header line naming the Python and numpy
+versions, then one line per unit: each run's directory, the loss fixtures, and
+each scene and map tree that runs share, with a SHA-256 over the unit's sorted
+relative file paths and bytes. ``--digest FILE`` writes it. ``--check FILE``
+compares with it: exit 0 when every unit matches, 1 naming each unit that
+differs, is missing or is new, and 2 without comparing when the versions differ,
+since another numpy may print other float bytes.
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+import importlib.metadata
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +86,31 @@ def fixtures() -> dict[str, dict]:
     rows_of_3["predictions"]["box"] = [[0.0] * 3] * 64
     out["box-rows-of-3"] = rows_of_3
     return out
+
+
+def hand_scenes() -> dict[str, tuple[dict, dict]]:
+    """Scenes of one frame written here, as (annotations line, detections line): two
+    identical detections with sides of 1e200, whose areas overflow float64, and a column
+    of faces and candidates that share their x-extents, so that nearly every pair
+    overlaps along x and only neighbours along y."""
+    meta = {"image_id": "f0", "video_id": "v", "condition": "DT"}
+    huge = ({**meta, "period": "during", "width": 1280, "height": 720,
+             "faces": [{"box": [100.0, 50.0, 132.0, 90.0], "label": "masked"}]},
+            {**meta, "detections": [{"box": [0.0, 0.0, 1e200, 1e200], "label": "masked",
+                                     "conf": conf} for conf in (0.9, 0.8)]})
+    faces, dets = [], []
+    for k in range(600):
+        side, label = 16.0 + k % 9, ("masked", "unmasked", "masked", "unknown")[k % 4]
+        faces.append({"box": [20.0, 12.0 * k, 20.0 + side, 12.0 * k + side], "label": label})
+        # a candidate near the face, its class flipped for every seventh, and a weaker copy
+        guess = "unmasked" if (label == "unmasked") != (k % 7 == 0) else "masked"
+        for dy, conf in ((k % 3, 0.95 - 0.0007 * k), (k % 3 + 3, 0.5 - 0.0003 * k)):
+            left, top = 20.0 + k % 2, 12.0 * k + dy
+            dets.append({"box": [left, top, left + side, top + side], "label": guess,
+                         "conf": round(conf, 4)})
+    column = ({**meta, "period": "before", "width": 64, "height": 7250, "faces": faces},
+              {**meta, "detections": dets})
+    return {"huge-boxes": huge, "column": column}
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -135,18 +175,31 @@ def runs() -> list[tuple[str, list[str]]]:
     # every report command in both formats, after the gen-density runs it reads
     out += [(f"{name}-{fmt}", [*argv, "--format", fmt]) for name, argv in report
             for fmt in ("csv", "json")]
+    # runs added later come last, so that every earlier run keeps its number
+    hand = []
+    for s in hand_scenes():
+        dets = ["--annotations", f"scenes/{s}/annotations.jsonl",
+                "--detections", f"scenes/{s}/detections.jsonl"]
+        hand += [(f"eval-det-{s}", ["eval-det", *dets]),
+                 (f"eval-det-nms0.4-{s}", ["eval-det", *dets, "--nms-iou", "0.4"]),
+                 (f"eval-ratio-nms0.4-{s}", ["eval-ratio", *dets, "--nms-iou", "0.4",
+                                             "--min-faces", "0"]),
+                 (f"report-video-nms0.4-{s}", ["report-video", *dets, "--nms-iou", "0.4"])]
+    out += [(f"{name}-{fmt}", [*argv, "--format", fmt]) for name, argv in hand
+            for fmt in ("csv", "json")]
     return out
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 1
-    root = Path(argv[0])
+def build(root: Path) -> None:
+    """Write the inputs into root, which must not exist, and run every command there."""
     root.mkdir(parents=True)
     (root / "fixtures").mkdir()
     for name, fixture in fixtures().items():
         (root / "fixtures" / f"{name}.json").write_text(json.dumps(fixture))
+    for name, lines in hand_scenes().items():
+        (root / "scenes" / name).mkdir(parents=True)
+        for kind, line in zip(("annotations", "detections"), lines):
+            (root / "scenes" / name / f"{kind}.jsonl").write_text(json.dumps(line) + "\n")
     # the runs start in root, so a relative PYTHONPATH entry is made absolute first
     paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in paths if p)}
@@ -160,7 +213,51 @@ def main(argv: list[str]) -> int:
         (root / run / "stderr").write_bytes(proc.stderr)
         (root / run / "exit_code").write_text(f"{proc.returncode}\n")
         print(f"{run}: exit {proc.returncode}", flush=True)
-    return 0
+
+
+def digest(root: Path) -> list[str]:
+    """The version header, then "<sha256>  <unit>" for each unit of root (see the module doc)."""
+    units = []
+    for top in sorted(root.iterdir()):
+        units += sorted(top.iterdir()) if top.name in ("scenes", "gen") else [top]
+    lines = [f"# python {platform.python_version()}, numpy {importlib.metadata.version('numpy')}"]
+    for unit in units:
+        sha = hashlib.sha256()
+        for path in sorted(p.relative_to(unit).as_posix() for p in unit.rglob("*") if p.is_file()):
+            data = (unit / path).read_bytes()
+            sha.update(f"{path}\0{len(data)}\0".encode() + data)
+        lines.append(f"{sha.hexdigest()}  {unit.relative_to(root).as_posix()}")
+    return lines
+
+
+def check(lines: list[str], file: Path) -> int:
+    """0 if lines equal the digest in file, 1 naming each unit that differs, 2 if the
+    versions differ."""
+    want = file.read_text().splitlines() or [""]
+    if want[0] != lines[0]:
+        print(f"versions differ: {file} has {want[0].lstrip('# ') or 'no header'}; this run "
+              f"has {lines[0].lstrip('# ')}; nothing compared")
+        return 2
+    got, want = (dict(line.split("  ", 1)[::-1] for line in side[1:]) for side in (lines, want))
+    bad = [f"{'missing' if unit not in got else 'new' if unit not in want else 'differs'}: {unit}"
+           for unit in sorted(got.keys() | want.keys()) if got.get(unit) != want.get(unit)]
+    print("\n".join(bad) or f"all {len(got)} units match {file}")
+    return 1 if bad else 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, metavar="OUT")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--digest", type=Path, metavar="FILE", help="write OUT's digest to FILE")
+    mode.add_argument("--check", type=Path, metavar="FILE", help="compare OUT's digest with FILE")
+    args = parser.parse_args(argv)
+    if not (args.out.exists() and (args.digest or args.check)):
+        build(args.out)
+    lines = digest(args.out)
+    if args.digest:
+        args.digest.write_text("\n".join(lines) + "\n")
+    return check(lines, args.check) if args.check else 0
 
 
 if __name__ == "__main__":
