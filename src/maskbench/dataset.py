@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import reprlib
 import warnings
 from dataclasses import KW_ONLY, InitVar, dataclass
@@ -174,11 +175,16 @@ def check_density_subset(subset: str) -> None:
 def density_path(root, image_id: str, subset: str) -> Path:
     """The file of one image's map of one subset: <root>/<image_id>.<subset>.nfmd.
 
-    An image_id holding '/' or '\\' could name a file outside root: DataFormatError.
+    An image_id holding '/' or '\\' could name a file outside root, and no file name
+    holds a NUL: DataFormatError.
     """
     if "/" in image_id or "\\" in image_id:
         raise DataFormatError(
             f"image_id {image_id!r} holds a path separator, so it cannot name a density map file"
+        )
+    if "\0" in image_id:
+        raise DataFormatError(
+            f"image_id {image_id!r} holds a NUL character, so it cannot name a density map file"
         )
     return Path(root) / f"{image_id}.{subset}.nfmd"
 
@@ -264,28 +270,20 @@ _LOAD_BLOCK_CHARS = 65536
 def _blocks(path) -> Iterator[list[tuple[int, str]]]:
     """The file's non-blank (line number, text) lines, in blocks; only a line feed ends a line.
 
-    A block ends with the line that brings its text to _LOAD_BLOCK_CHARS. A
-    read error (invalid UTF-8, say) is raised after the lines read before it
-    are yielded, so they are checked first, as when reading line by line.
+    A block ends with the line that brings its text to _LOAD_BLOCK_CHARS. A byte that is
+    not UTF-8 reads as a surrogate, for _decode to refuse at its line, in file order.
     """
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
-        numbered = enumerate(f, start=1)
-        while True:
-            block, size = [], 0
-            try:
-                for lineno, line in numbered:
-                    if line.strip():
-                        block.append((lineno, line))
-                        size += len(line)
-                        if size >= _LOAD_BLOCK_CHARS:
-                            break
-            except ValueError:
-                if block:
+    block, size = [], 0
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                block.append((lineno, line))
+                size += len(line)
+                if size >= _LOAD_BLOCK_CHARS:
                     yield block
-                raise
-            if not block:
-                return
-            yield block
+                    block, size = [], 0
+    if block:
+        yield block
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -301,6 +299,7 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 # one decoder for every line: json.loads with a hook would build one per call
 _KEY_CHECK = json.JSONDecoder(object_pairs_hook=unique_keys)
 _PLAIN = json.JSONDecoder()
+_SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode
 
 
 def _decode_counted(text: str):
@@ -327,10 +326,15 @@ def _decode_counted(text: str):
 def _decode(path, lineno: int | None, text: str):
     """The JSON value of text: line lineno of path, or all of path if lineno is None.
 
-    A syntax error is at path:line:column. A repeated key at any depth, or nesting
-    too deep to decode, is at path:lineno, or at path for a whole file.
+    A byte that is not UTF-8 (a surrogate, as errors="surrogateescape" reads it) or a
+    syntax error is at path:line:column. A repeated key at any depth, or nesting too
+    deep to decode, is at path:lineno, or at path for a whole file.
     """
     where = path if lineno is None else f"{path}:{lineno}"
+    if not text.isascii() and (bad := _SURROGATE.search(text)):  # isascii takes O(1)
+        at = bad.start()
+        line, col = (lineno or 1) + text.count("\n", 0, at), at - text.rfind("\n", 0, at)
+        raise DataFormatError(f"{path}:{line}:{col}: invalid UTF-8")
     try:
         if text.startswith("\ufeff"):  # json.loads refuses it; JSONDecoder.decode does not
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -347,6 +351,17 @@ def _decode(path, lineno: int | None, text: str):
         raise DataFormatError(f"{where}: {exc}") from exc
 
 
+def _require_id(obj: dict, key: str, where: str) -> str:
+    """obj[key], a non-empty string that UTF-8 can encode (JSON's "\\ud800" decodes to one
+    that it cannot, which no report could write)."""
+    value = _require(obj, key, where)
+    if not isinstance(value, str) or not value:
+        raise DataFormatError(f"{where}: {key} must be a non-empty string")
+    if not value.isascii() and _SURROGATE.search(value):
+        raise DataFormatError(f"{where}: {key} {value!r} cannot be written as UTF-8")
+    return value
+
+
 def _parse_header(obj, where: str, seen: set[str]) -> tuple[str, str, Condition]:
     """Check that a line is an object with the image_id, video_id and condition of both formats.
 
@@ -354,14 +369,10 @@ def _parse_header(obj, where: str, seen: set[str]) -> tuple[str, str, Condition]
     """
     if not isinstance(obj, dict):
         raise DataFormatError(f"{where}: expected a JSON object")
-    image_id = _require(obj, "image_id", where)
-    if not isinstance(image_id, str) or not image_id:
-        raise DataFormatError(f"{where}: image_id must be a non-empty string")
+    image_id = _require_id(obj, "image_id", where)
     if image_id in seen:
         raise DataFormatError(f"{where}: duplicate image_id {image_id!r}")
-    video_id = _require(obj, "video_id", where)
-    if not isinstance(video_id, str) or not video_id:
-        raise DataFormatError(f"{where}: video_id must be a non-empty string")
+    video_id = _require_id(obj, "video_id", where)
     condition = _require(obj, "condition", where)
     if not isinstance(condition, str) or condition not in _CONDITIONS:
         raise DataFormatError(f"{where}: condition must be 'DT' or 'NT'")

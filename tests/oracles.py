@@ -562,11 +562,16 @@ def _no_repeats(pairs):
 
 
 def _json_lines(path):
-    # only \n ends a line; a bare \r is JSON whitespace
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
+    # only \n ends a line; a bare \r is JSON whitespace. A byte that is not UTF-8
+    # reads as a surrogate, which UTF-8 cannot encode
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DataFormatError(f"{path}:{lineno}:{exc.start + 1}: invalid UTF-8") from exc
             try:
                 obj = json.loads(line, object_pairs_hook=_no_repeats)
             except json.JSONDecodeError as exc:

@@ -30,6 +30,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from maskbench import cli
 from maskbench.cli import build_parser, main
 
 ANNOTATIONS = [
@@ -581,3 +582,98 @@ def test_every_numeric_flag_exits_zero_or_two(tmp_path):
                 argv = route + [f"{option}={value}"]
                 code, err = run(argv)
                 assert code in (0, 2), (argv, err)
+
+
+# ---------------------------------------------------------------------------
+# text that is not UTF-8, and ids that no report or map file can hold
+
+_NOT_UTF8 = {
+    # the byte is in the same read as line 1's error, which wins
+    "after-an-error": (b'{"image_id": "", "video_id": "v"}\n{"image_id": "\xff"}\n',
+                       ":1: image_id must be a non-empty string"),
+    "only-line": (b'{"image_id": "\xff"}\n', ":1:15: invalid UTF-8"),
+}
+_REPORT = ["--out", "{root}/report.csv"]
+_DENSITY_ROUTE = [
+    ["gen-density", "--annotations", "{annotations}", "--out", "{root}/maps"],
+    ["eval-count", "--annotations", "{annotations}", "--density-dir", "{root}/maps", *_REPORT],
+    ["eval-ratio", "--annotations", "{annotations}", "--density-dir", "{root}/maps",
+     "--scatter", "{root}/scatter.csv", *_REPORT],
+    ["report-video", "--annotations", "{annotations}", "--density-dir", "{root}/maps", *_REPORT],
+]
+
+
+def left_behind(root):
+    return {"report.csv", "maps", "scatter.csv"} & {p.name for p in root.iterdir()}
+
+
+def assert_exits_two_leaving_nothing(root, paths, target, line, argv, want):
+    """argv exits 2 with error: want, in the located form at line (if given), and
+    leaves no report, map directory or scatter file in root."""
+    argv = [a.replace("{root}", str(root)) for a in argv]
+    check_exit(paths, target, None if line is None else (line - 1,), argv)
+    assert run([a.format(**paths) for a in argv]) == (2, f"error: {want}\n"), argv
+    assert not left_behind(root), argv
+
+
+@pytest.mark.parametrize("target", ["annotations", "detections"])
+@pytest.mark.parametrize("case", sorted(_NOT_UTF8))
+def test_a_byte_that_is_not_utf8_exits_two_at_its_line(tmp_path, target, case):
+    data, want = _NOT_UTF8[case]
+    paths = write_inputs(tmp_path, target, TARGETS[target][0])
+    paths[target].write_bytes(data)
+    for command in TARGETS[target][2]:
+        assert_exits_two_leaving_nothing(tmp_path, paths, target, 1, [*command, *_REPORT],
+                                         f"{paths[target]}{want}")
+
+
+@pytest.mark.parametrize("indent", [None, 1], ids=["one-line", "indented"])
+def test_a_byte_that_is_not_utf8_in_a_loss_fixture_exits_two_at_its_line(tmp_path, indent):
+    text = json.dumps(FIXTURE, indent=indent)
+    before = text[: text.index('"unknown"') + len('"unkn')].split("\n")
+    paths = write_inputs(tmp_path, "fixture", FIXTURE)
+    paths["fixture"].write_bytes(text.replace('"unknown"', '"unkn\udcffown"').encode(
+        "utf-8", "surrogateescape"))
+    for command in TARGETS["fixture"][2]:
+        assert_exits_two_leaving_nothing(
+            tmp_path, paths, "fixture", None, [*command, *_REPORT],
+            f"{paths['fixture']}:{len(before)}:{len(before[-1]) + 1}: invalid UTF-8")
+
+
+@pytest.mark.parametrize("key", ["image_id", "video_id"])
+@pytest.mark.parametrize("files", [("annotations", "detections"), ("detections",)],
+                         ids=["both-files", "detections-only"])
+def test_an_id_that_utf8_cannot_encode_exits_two_at_its_line(tmp_path, key, files):
+    # JSON's "\ud800" decodes to a lone surrogate, which no report or map name can hold
+    docs = {"annotations": copy.deepcopy(ANNOTATIONS), "detections": copy.deepcopy(DETECTIONS)}
+    for name in files:
+        docs[name][1][key] = "i\ud800"
+    paths = write_inputs(tmp_path, "annotations", docs["annotations"])
+    paths["detections"].write_text("\n".join(dumps(r) for r in docs["detections"]) + "\n")
+    commands = [[*c, *_REPORT] for c in TARGETS["detections"][2]]
+    for command in commands + (_DENSITY_ROUTE if len(files) == 2 else []):
+        assert_exits_two_leaving_nothing(
+            tmp_path, paths, files[0], 2, command,
+            f"{paths[files[0]]}:2: {key} 'i\\ud800' cannot be written as UTF-8")
+
+
+def test_an_image_id_holding_nul_names_no_density_map(tmp_path, monkeypatch):
+    def render(*_):
+        raise AssertionError("rendered a map")
+
+    monkeypatch.setattr(cli, "render_density", render)
+    ann, det = copy.deepcopy(ANNOTATIONS), copy.deepcopy(DETECTIONS)
+    ann[0]["image_id"] = det[0]["image_id"] = "i\x00x"
+    paths = write_inputs(tmp_path, "annotations", ann)
+    paths["detections"].write_text("\n".join(dumps(r) for r in det) + "\n")
+    # the detection route names no file after an image
+    for command in TARGETS["annotations"][2]:
+        check_exit(paths, "annotations", (0,), command)
+        assert run([a.format(**paths) for a in command]) == (0, "")
+    # the density route refuses it before it renders, reads or writes anything; the
+    # message has the unlocated form of the path-separator one
+    for command in _DENSITY_ROUTE:
+        argv = [a.format(root=tmp_path, **paths) for a in command]
+        assert run(argv) == (2, "error: image_id 'i\\x00x' holds a NUL character, so it "
+                                "cannot name a density map file\n"), argv
+        assert not left_behind(tmp_path), argv

@@ -332,6 +332,51 @@ def test_read_error_comes_after_the_lines_before_it(tmp_path, kind):
     assert_equivalent(kind, path)
 
 
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("data, want", [
+    # the bad byte is in the same 8 KiB read as line 1's error, which wins
+    (b'{"image_id": "", "video_id": "v"}\n{"image_id": "\xff"}\n',
+     ":1: image_id must be a non-empty string"),
+    (b'{"image_id": "\xff"}\n', ":1:15: invalid UTF-8"),
+    # the column counts characters, as a JSON syntax error's does
+    (b'\n{"image_id": "\xc3\xa9\xff"}', ":2:16: invalid UTF-8"),
+    # a sequence cut short by the end of the file
+    (b'{"image_id": "\xe2\x82', ":1:15: invalid UTF-8"),
+    # a lone surrogate written as UTF-8 bytes is not UTF-8 either
+    (b'{"image_id": "\xed\xa0\x80"}\n', ":1:15: invalid UTF-8"),
+], ids=["after-an-error", "only-line", "after-a-character", "cut-short", "encoded-surrogate"])
+def test_a_byte_that_is_not_utf8_is_a_data_error_at_its_line(tmp_path, kind, data, want):
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(data)
+    assert_equivalent(kind, path)
+    with pytest.raises(DataFormatError) as err:
+        LOADERS[kind][0](path)
+    assert str(err.value) == f"{path}{want}"
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_a_byte_that_is_not_utf8_comes_after_the_warnings_before_it(tmp_path, kind):
+    # the long document's first six lines hold small faces, which warn before line 7's byte
+    lines = [dumps(line).encode() for line in long_doc(kind)[:6]]
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(b"\n".join([*lines, b'{"image_id": "\xff"}']))
+    assert_equivalent(kind, path)
+    got, caught = outcome(LOADERS[kind][0], path)
+    assert got == ("DataFormatError", f"{path}:7:15: invalid UTF-8")
+    assert (kind == "annotations") == bool(caught)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_a_line_of_no_break_spaces_is_blank(tmp_path, kind):
+    # str.strip decides what is blank, so U+00A0 alone is skipped and line numbers hold
+    lines = [dumps(line) for line in long_doc(kind, 0.05)]
+    plain, path = tmp_path / "plain.jsonl", tmp_path / "in.jsonl"
+    plain.write_text("\n".join(["", *lines]) + "\n", encoding="utf-8")
+    path.write_text("\n".join(["\u00a0\u00a0", *lines]) + "\n", encoding="utf-8")
+    assert_equivalent(kind, path)
+    assert_same_as(kind, path, plain)
+
+
 def test_records_are_read_only_and_compare_by_value(tmp_path):
     path = tmp_path / "a.jsonl"
     write_jsonl(path, long_doc("annotations", 0.05))

@@ -113,6 +113,33 @@ def hand_scenes() -> dict[str, tuple[dict, dict]]:
     return {"huge-boxes": huge, "column": column}
 
 
+def hostile_scenes() -> dict[str, dict[str, bytes]]:
+    """Input files written here byte for byte, by scene: text that is not UTF-8 (after an
+    error on an earlier line, alone on its line, and in a loss fixture), ids that UTF-8
+    cannot encode (JSON's "\\ud800") and an image_id holding NUL."""
+    frame = {"image_id": "f0", "video_id": "v", "condition": "DT"}
+    ann = {**frame, "period": "during", "width": 64, "height": 48,
+           "faces": [{"box": [4, 4, 20, 22], "label": "masked"}]}
+    det = {**frame, "detections": [{"box": [5, 4, 21, 22], "label": "masked", "conf": 0.9}]}
+
+    def lines(*objs) -> bytes:
+        return "".join(json.dumps(o) + "\n" for o in objs).encode()
+
+    not_utf8 = b'{"image_id": "\xff"}\n'
+    fixture = json.dumps(README_FIXTURE).encode().replace(b'"masked"', b'"mask\xffed"')
+    return {
+        "not-utf8-after-error": {"annotations.jsonl": lines({"image_id": "", "video_id": "v"})
+                                 + not_utf8, "detections.jsonl": lines(det)},
+        "not-utf8": {"annotations.jsonl": not_utf8, "detections.jsonl": not_utf8,
+                     "fixture.json": fixture},
+        "surrogate-video-id": {"annotations.jsonl": lines({**ann, "video_id": "\ud800"}),
+                               "detections.jsonl": lines({**det, "video_id": "\ud800"})},
+        "surrogate-image-id": {"annotations.jsonl": lines({**ann, "image_id": "i\ud800"})},
+        "nul-image-id": {"annotations.jsonl": lines({**ann, "image_id": "i\x00x"}),
+                         "detections.jsonl": lines({**det, "image_id": "i\x00x"})},
+    }
+
+
 def runs() -> list[tuple[str, list[str]]]:
     """(name, mrb argv) of every run, in order; {run} stands for the run's directory."""
     out = [(f"synth-{s}", ["synth", *flags, "--out", f"scenes/{s}"]) for s, flags in SCENES.items()]
@@ -187,11 +214,46 @@ def runs() -> list[tuple[str, list[str]]]:
                  (f"report-video-nms0.4-{s}", ["report-video", *dets, "--nms-iou", "0.4"])]
     out += [(f"{name}-{fmt}", [*argv, "--format", fmt]) for name, argv in hand
             for fmt in ("csv", "json")]
+    # each failing run is told to write a report or maps into its directory, which stays empty
+    ann, det = "scenes/{}/annotations.jsonl".format, "scenes/{}/detections.jsonl".format
+    report, maps = ["--out", "{run}/report.csv"], ["--out", "{run}/maps"]
+    out += [
+        ("stats-not-utf8-after-error", ["stats", "--train", ann("not-utf8-after-error"),
+                                        "--test", ann("not-utf8-after-error"), *report]),
+        ("report-video-not-utf8-after-error", ["report-video", "--annotations",
+                                               ann("not-utf8-after-error"), "--detections",
+                                               det("not-utf8-after-error"), *report]),
+        ("stats-not-utf8", ["stats", "--train", ann("not-utf8"), "--test", ann("not-utf8"),
+                            *report]),
+        ("eval-det-not-utf8-detections", ["eval-det", "--annotations", ann("huge-boxes"),
+                                          "--detections", det("not-utf8"), *report]),
+        ("loss-eval-not-utf8", ["loss-eval", "--fixture", "scenes/not-utf8/fixture.json",
+                                *report]),
+        ("report-video-surrogate-video-id", ["report-video", "--annotations",
+                                             ann("surrogate-video-id"), "--detections",
+                                             det("surrogate-video-id"), *report]),
+        ("eval-det-surrogate-video-id-detections", ["eval-det", "--annotations",
+                                                    ann("huge-boxes"), "--detections",
+                                                    det("surrogate-video-id"), *report]),
+        ("gen-density-surrogate-image-id", ["gen-density", "--annotations",
+                                            ann("surrogate-image-id"), *maps]),
+        ("eval-count-surrogate-image-id", ["eval-count", "--annotations",
+                                           ann("surrogate-image-id"), "--density-dir",
+                                           "{run}/maps", *report]),
+        ("gen-density-nul-image-id", ["gen-density", "--annotations", ann("nul-image-id"),
+                                      *maps]),
+        ("eval-count-nul-image-id", ["eval-count", "--annotations", ann("nul-image-id"),
+                                     "--density-dir", "{run}/maps", *report]),
+        # the detection route names no file after an image, so it accepts the id
+        ("report-video-nul-image-id", ["report-video", "--annotations", ann("nul-image-id"),
+                                       "--detections", det("nul-image-id")]),
+    ]
     return out
 
 
-def build(root: Path) -> None:
-    """Write the inputs into root, which must not exist, and run every command there."""
+def build(root: Path, only: set[str] | None = None) -> None:
+    """Write the inputs into root, which must not exist, and run every command there, or
+    only the runs whose directory name (<k>-<name>) is in only."""
     root.mkdir(parents=True)
     (root / "fixtures").mkdir()
     for name, fixture in fixtures().items():
@@ -200,11 +262,17 @@ def build(root: Path) -> None:
         (root / "scenes" / name).mkdir(parents=True)
         for kind, line in zip(("annotations", "detections"), lines):
             (root / "scenes" / name / f"{kind}.jsonl").write_text(json.dumps(line) + "\n")
+    for name, files in hostile_scenes().items():
+        (root / "scenes" / name).mkdir(parents=True)
+        for file, data in files.items():
+            (root / "scenes" / name / file).write_bytes(data)
     # the runs start in root, so a relative PYTHONPATH entry is made absolute first
     paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in paths if p)}
     for k, (name, args) in enumerate(runs()):
         run = f"{k:03d}-{name}"
+        if only is not None and run not in only:
+            continue
         (root / run).mkdir()
         proc = subprocess.run([sys.executable, "-m", "maskbench.cli",
                                *(a.format(run=run) for a in args)],
