@@ -38,7 +38,7 @@ import numpy as np
 
 from .density import (DensityMap, KernelSpec, PointSet, check_downscale, check_frame_sides,
                       map_shape, render_density, write_density)
-from .errors import DataFormatError, check_number
+from .errors import DataFormatError, allocating_grid, check_number
 from .geometry import (
     FACE_LABELS,
     Annotation,
@@ -386,9 +386,10 @@ def _load(path, read_header, read_block, check_face) -> list:
     in seen, and returns it with the line's raw faces last. A rejected header ends
     its block, whose lines before it are read first. read_block(lines) checks the
     faces of (where, header) lines as arrays and returns their records, warning
-    about small faces last. If it raises, check_face(where, head, i, face) checks
-    each face in turn, so that the first error comes after the warnings before it;
-    should none fail, read_block's error is raised.
+    about small faces last. If it raises, check_face(where, head, i, face) parses
+    each face in turn to find the first bad one; read_block then reads the faces
+    before it, so that its error comes after their warnings. Should none fail,
+    read_block's error is raised.
     """
     records = []
     seen: set[str] = set()
@@ -406,9 +407,13 @@ def _load(path, read_header, read_block, check_face) -> list:
         try:
             records.extend(read_block(lines))
         except Exception:
-            for where, head in lines:
+            for k, (where, head) in enumerate(lines):
                 for i, face in enumerate(head[-1]):
-                    check_face(where, head, i, face)
+                    try:
+                        check_face(where, head, i, face)
+                    except Exception:
+                        read_block([*lines[:k], (where, (*head[:-1], head[-1][:i]))])
+                        raise
             raise
         if rejected is not None:
             raise rejected
@@ -459,7 +464,7 @@ def _split(counts: list[int], *arrays: np.ndarray) -> list[tuple[np.ndarray, ...
 
 
 def _warn_small(fwhere: str, image_id: str, width: float, height: float) -> None:
-    # stacklevel 5 names load_annotations' caller: this, a checker, _load, load_annotations
+    # stacklevel 5 names load_annotations' caller: this, _annotation_block, _load, load_annotations
     warnings.warn(
         f"{fwhere} ({image_id}): face {width:g}x{height:g} px is "
         "below the 10x10 annotation protocol minimum",
@@ -484,15 +489,6 @@ def _annotation_header(obj, where: str, seen: set[str]):
     if not isinstance(faces, list):
         raise DataFormatError(f"{where}: faces must be a list")
     return image_id, ImageMeta(video_id, condition, _PERIODS[period]), width, height, faces
-
-
-def _annotation_face(where: str, head: tuple, i: int, face) -> None:
-    """Check face i of an annotations line, clamped to its frame; warn if it is small."""
-    image_id, _, width, height, _ = head
-    fwhere = f"{where}: face {i}"
-    box = parse_annotation(face, fwhere, width, height).box
-    if box.width < 10.0 or box.height < 10.0:
-        _warn_small(fwhere, image_id, box.width, box.height)
 
 
 def _annotation_block(lines: list[tuple[str, tuple]]) -> list[ImageRecord]:
@@ -529,7 +525,8 @@ def load_annotations(path) -> DatasetManifest:
     warn.
     """
     return DatasetManifest(
-        tuple(_load(path, _annotation_header, _annotation_block, _annotation_face))
+        tuple(_load(path, _annotation_header, _annotation_block, lambda where, head, i, face:
+                    parse_annotation(face, f"{where}: face {i}", *head[2:4])))
     )
 
 
@@ -737,7 +734,8 @@ class SynthParams:
         for name in ("masked_probability", "unknown_probability", "drop_rate", "flip_rate", "density_noise"):
             check_number(getattr(self, name), name, lo=0, hi=1)
         check_number(self.jitter_sigma, "jitter_sigma", lo=0)
-        check_number(self.false_positive_rate, "false_positive_rate", lo=0)
+        # numpy's Poisson sampler refuses a rate above about 9.2e18
+        check_number(self.false_positive_rate, "false_positive_rate", lo=0, hi=2**53)
         check_number(self.face_size_min, "face_size_min", lo=0, lo_open=True)
         check_number(self.face_size_max, "face_size_max", lo=self.face_size_min)
         check_number(self.n_videos, "n_videos", integer=True, lo=1)
@@ -810,6 +808,8 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
     noiseless = not (params.jitter_sigma or params.drop_rate or params.flip_rate
                      or params.false_positive_rate)
     rng = np.random.default_rng(params.seed)
+    frame = (f"a {params.image_width} x {params.image_height} frame at downscale "
+             f"{params.density_downscale}")  # as render_density names it
     images = []
     det_records = []
     density: dict[str, dict[str, DensityMap]] | None = {} if include_density else None
@@ -870,9 +870,10 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
             for name in ("total", "unmasked"):
                 pts = subset_points(rec, name)
                 gt = render_density(pts, params.kernel, params.density_downscale)
-                noise_field = rng.uniform(-1.0, 1.0, gt.values.shape)
-                pred = gt.values * (1.0 + params.density_noise * noise_field)
-                maps[name] = DensityMap(pred, gt.downscale)
+                with allocating_grid(*gt.values.shape, frame):
+                    noise_field = rng.uniform(-1.0, 1.0, gt.values.shape)
+                    pred = gt.values * (1.0 + params.density_noise * noise_field)
+                    maps[name] = DensityMap(pred, gt.downscale)
             density[image_id] = maps
         else:  # pass over the maps' noise draws: the faces do not depend on include_density
             rows, cols = map_shape(params.image_height, params.image_width, params.density_downscale)

@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import check_number
+from .errors import allocating_grid, check_number
 
 # per-level linear map applied after each fusion; None means identity
 ConvFn = Callable[[int, np.ndarray], np.ndarray] | None
@@ -349,7 +349,8 @@ def finite_difference_gradients(
     """Central-difference gradients of <upstream, outputs> over the raw weights.
 
     Numerical cross-check for fusion_weight_gradients; two forward passes per
-    weight.
+    weight. A step too small for float64 to difference gives gradients that are
+    NaN or infinite, without numpy's warnings.
     """
     check_number(step, "step", lo=0, lo_open=True)
 
@@ -361,16 +362,21 @@ def finite_difference_gradients(
         )
 
     grads = {}
-    for name, raw in weights.raw.items():
-        g = np.zeros_like(raw)
-        for j in range(raw.shape[0]):
-            for sign in (+1.0, -1.0):
-                shifted = {k: v.copy() for k, v in weights.raw.items()}
-                shifted[name][j] += sign * step
-                val = objective(FusionWeights(shifted, weights.epsilon))
-                g[j] += sign * val / (2.0 * step)
-        grads[name] = g
+    with np.errstate(all="ignore"):
+        for name, raw in weights.raw.items():
+            g = np.zeros_like(raw)
+            for j in range(raw.shape[0]):
+                for sign in (+1.0, -1.0):
+                    shifted = {k: v.copy() for k, v in weights.raw.items()}
+                    shifted[name][j] += sign * step
+                    val = objective(FusionWeights(shifted, weights.epsilon))
+                    g[j] += sign * val / (2.0 * step)
+            grads[name] = g
     return grads
+
+
+# the least raw weight run_gradient_check draws
+_RAW_LOW = 0.2
 
 
 def run_gradient_check(
@@ -388,11 +394,15 @@ def run_gradient_check(
     round-off from dominating near-zero gradients. Raw weights are drawn from
     [0.2, 2.0] so the non-negativity clamp stays inactive (the clamp boundary
     is not differentiable). seed must be an integer >= 0, and trials, max_size
-    and max_channels integers >= 1.
+    and max_channels integers >= 1, and step a number in (0, 0.2): a larger
+    shift would cross the clamp. A relative error that is not finite, as a step
+    too small for float64 gives, raises ValueError naming step.
     """
     check_number(seed, "seed", integer=True, lo=0)
     for name, value in (("trials", trials), ("max_size", max_size), ("max_channels", max_channels)):
         check_number(value, name, integer=True, lo=1)
+    check_number(step, "step", lo=0, lo_open=True)
+    check_number(step, "step", hi=_RAW_LOW, hi_open=True)
     rng = np.random.default_rng(seed)
     levels = (3, 4, 5)
     worst = 0.0
@@ -400,25 +410,31 @@ def run_gradient_check(
         image_w = int(rng.integers(8, max_size * 8 + 1))
         image_h = int(rng.integers(8, max_size * 8 + 1))
         channels = int(rng.integers(1, max_channels + 1))
-        m_in = {
-            level: FeatureLevel(
-                level, rng.standard_normal((channels, *level_shape(image_w, image_h, level)))
+        h, w = level_shape(image_w, image_h, levels[0])  # the largest level
+        with allocating_grid(channels, h * w, f"pyramid level {levels[0]} of a {image_w} x "
+                                              f"{image_h} frame in {channels} channels"):
+            m_in = {
+                level: FeatureLevel(
+                    level, rng.standard_normal((channels, *level_shape(image_w, image_h, level)))
+                )
+                for level in levels
+            }
+            weights = FusionWeights(
+                {name: rng.uniform(_RAW_LOW, 2.0, k) for name, k in node_arity(levels).items()},
+                epsilon,
             )
-            for level in levels
-        }
-        weights = FusionWeights(
-            {name: rng.uniform(0.2, 2.0, k) for name, k in node_arity(levels).items()},
-            epsilon,
-        )
-        upstream = {
-            level: rng.standard_normal(m_in[level].values.shape) for level in levels
-        }
-        analytic = fusion_weight_gradients(m_in, weights, None, upstream)
-        numeric = finite_difference_gradients(m_in, weights, None, upstream, step)
+            upstream = {
+                level: rng.standard_normal(m_in[level].values.shape) for level in levels
+            }
+            analytic = fusion_weight_gradients(m_in, weights, None, upstream)
+            numeric = finite_difference_gradients(m_in, weights, None, upstream, step)
         for name in analytic:
-            for a, f in zip(analytic[name], numeric[name]):
+            for a, f in zip(analytic[name].tolist(), numeric[name].tolist()):
                 rel = abs(a - f) / max(abs(a), abs(f), 1e-3)
-                worst = max(worst, float(rel))
+                if not math.isfinite(rel):  # max() would drop a NaN
+                    raise ValueError(f"step {step!r} gives a gradient whose relative error "
+                                     f"is not finite: {rel}")
+                worst = max(worst, rel)
     return worst
 
 

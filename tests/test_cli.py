@@ -847,6 +847,31 @@ def test_a_frame_whose_anchor_grid_would_not_fit_is_refused_before_it_is_allocat
         2, "", f"error: {path}: predictions must cover all 3221225472 anchors, got 48/48/48\n")
 
 
+@pytest.mark.parametrize("limit, argv, want", [
+    # the 584-MiB ground-truth map fits, its noise field does not
+    (2**30, ["synth", "--seed", "1", "--images", "1", "--width", "70000", "--height", "70000",
+             "--faces-min", "1", "--faces-max", "1", "--out", "{out}"],
+     "a 70000 x 70000 frame at downscale 8 needs a 8750 x 8750 grid"),
+    (2**30, ["gradcheck", "--trials", "1", "--max-size", "100000"],
+     "pyramid level 3 of a 680501 x 509572 frame in 3 channels needs a 3 x 5418257911 grid"),
+    (2**29, ["gradcheck", "--trials", "1", "--max-size", "1", "--max-channels", "100000000"],
+     "pyramid level 3 of a 8 x 8 frame in 85062423 channels needs a 85062423 x 1 grid"),
+], ids=["synth-noise", "gradcheck-size", "gradcheck-channels"])
+def test_an_array_beyond_memory_is_a_data_error_naming_its_grid(tmp_path, limit, argv, want):
+    # numpy's "Unable to allocate 584. MiB for an array with shape (8750, 8750)" named no input
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "maskbench.cli",
+                           *(a.format(out=tmp_path / "out") for a in argv)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          preexec_fn=limit_memory)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: {want}, more than memory holds\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_importing_the_cli_leaves_the_anchor_and_fusion_code_out():
     # only loss-eval and gradcheck need them; both import them when they run
     src = str(Path(cli.__file__).parents[1])

@@ -77,6 +77,20 @@ class TestLoadAnnotations:
             manifest = load_annotations(path)
         assert len(manifest.images[0].annotations) == 1
 
+    def test_small_faces_before_the_first_bad_face_warn_before_its_error(self, tmp_path):
+        # the faces before the bad one are read again as arrays, so only they warn, in order
+        path = tmp_path / "a.jsonl"
+        small, bad = {"box": [0, 0, 9, 9], "label": "masked"}, {"box": [0, 0, 9, 9], "label": "hat"}
+        write_jsonl(path, [image_record("a", faces=[small]),
+                           image_record("b", faces=[image_record()["faces"][0], small, bad, small])])
+        with pytest.warns(SmallFaceWarning) as caught, pytest.raises(DataFormatError) as exc:
+            load_annotations(path)
+        assert str(exc.value) == (f"{path}:2: face 2: label must be masked/unmasked/unknown, "
+                                  "got 'hat'")
+        assert [str(w.message).split(" (")[0] for w in caught] == [f"{path}:1: face 0",
+                                                                   f"{path}:2: face 1"]
+        assert {w.filename for w in caught} == {__file__}
+
     def test_invalid_json_names_position(self, tmp_path):
         path = tmp_path / "a.jsonl"
         path.write_text('{"image_id": "a"\n')

@@ -4,8 +4,8 @@ Each example sets one field, at any depth, of a valid annotations file,
 detections file or loss fixture to a hostile value, or drops it, and runs one
 command on it. `main` must return 0 or 2; it must never raise or report a
 usage error. Exit 2 prints one line, `error: <path>[:line[:col]]: ...`, that
-holds none of Python's own texts ("int too large", "cannot convert", "Unable to
-allocate", "not JSON compliant"). An error in a JSONL file names the mutated
+holds none of Python's or numpy's own texts ("int too large", "cannot convert", "Unable to
+allocate", "not JSON compliant", "lam value too large"). An error in a JSONL file names the mutated
 line, unless it is a disagreement between the two files, which names the
 detections file and the image. A JSON object that repeats a key, at any depth, exits 2 naming the
 file and, in JSONL, the line. A loss-fixture value of the wrong type, a
@@ -14,7 +14,8 @@ too large a grid exits 2 naming its field or level. Damaged NFMD maps exit 2 nam
 that is non-finite, or that would overflow a map header, exits 2 naming the
 parameter; an out-of-range --conf-thr, --nms-iou, --iou-thr or --min-faces does
 so before any input is read, on every route. Every int option of every command is run with 0 and -1,
-every float option also with nan and inf, on each route; each run exits 0 or 2.
+every float option also with nan, inf, 1e300 and 5e-324, on each route; each run exits 0 or 2
+without a numpy warning, and exit 2 is one error line, or a failed gradient check's report.
 """
 
 import argparse
@@ -169,8 +170,9 @@ def test_valid_inputs_exit_zero(tmp_path, target):
         assert run([a.format(**paths) for a in command]) == (0, "")
 
 
-# Python's own texts, which name neither a file nor a field
-INTERNAL_TEXTS = ("int too large", "cannot convert", "Unable to allocate", "not JSON compliant")
+# Python's and numpy's own texts, which name neither a file nor a field
+INTERNAL_TEXTS = ("int too large", "cannot convert", "Unable to allocate", "not JSON compliant",
+                  "lam value too large")
 
 
 def check_exit(paths, target, path, command):
@@ -397,7 +399,7 @@ def test_json_error_at_the_end_of_a_line_names_that_line(tmp_path, target):
 
 @pytest.mark.parametrize("argv, message", [
     (_SYNTH + ["--face-size-max", "inf"], "face_size_max must be a finite number >= 12.0, got inf"),
-    (_SYNTH + ["--fp-rate", "nan"], "false_positive_rate must be a finite number >= 0, got nan"),
+    (_SYNTH + ["--fp-rate", "nan"], "false_positive_rate must be a finite number in [0, 2**53], got nan"),
     (_SYNTH + ["--jitter-sigma", "inf"], "jitter_sigma must be a finite number >= 0, got inf"),
     (_GRADCHECK + ["--step", "0"], "step must be a finite number > 0, got 0.0"),
     (_GRADCHECK + ["--step", "nan"], "step must be a finite number > 0, got nan"),
@@ -408,6 +410,22 @@ def test_json_error_at_the_end_of_a_line_names_that_line(tmp_path, target):
 def test_non_finite_numeric_flag_exits_two_naming_it(tmp_path, argv, message):
     out = ["--out", str(tmp_path / "out")]
     assert run(argv + out) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("step", ["5e-324", "1e-320", "1e-310", "1e300"])
+def test_a_step_that_float64_cannot_difference_exits_two_naming_it(tmp_path, step):
+    # a NaN relative error was dropped by the running maximum, so the check passed
+    code, err = run(["gradcheck", "--trials", "3", "--step", step, "--out", str(tmp_path / "out")])
+    assert code == 2 and re.fullmatch(r"error: step [^\n]*\n", err), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_false_positive_rate_beyond_the_poisson_sampler_exits_two_naming_it(tmp_path):
+    # numpy's "lam value too large" named no flag
+    out = tmp_path / "out"
+    assert run(_SYNTH + ["--fp-rate", "1e300", "--out", str(out)]) == (
+        2, "error: false_positive_rate must be a finite number in [0, 2**53], got 1e+300\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**1100], ids=["negative", "beyond-float-range"])
@@ -576,12 +594,16 @@ def test_every_numeric_flag_exits_zero_or_two(tmp_path):
     options = list(_numeric_options(build_parser()))
     assert {c for c, _, _ in options} == set(base)
     for command, option, kind in options:
-        values = ("nan", "inf", "0", "-1") if kind is float else ("0", "-1")
+        values = ("nan", "inf", "0", "-1", "1e300", "5e-324") if kind is float else ("0", "-1")
         for value in values:
             for route in base[command]:
                 argv = route + [f"{option}={value}"]
                 code, err = run(argv)
                 assert code in (0, 2), (argv, err)
+                assert "encountered in" not in err, (argv, err)  # a numpy warning
+                if code == 2 and not (command == "gradcheck" and err == ""):  # a failed check
+                    assert re.fullmatch(r"error: [^\n]+\n", err), (argv, err)
+                    assert not any(text in err for text in INTERNAL_TEXTS), (argv, err)
 
 
 # ---------------------------------------------------------------------------

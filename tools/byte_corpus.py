@@ -11,7 +11,8 @@ its working directory and relative paths, against whichever maskbench is
 importable, so the messages hold no machine path. Run k writes
 OUT/<k>-<name>/{stdout,stderr,exit_code} plus any file or directory it was told
 to write (``--out``, ``--scatter``); the synth runs write the scenes that the
-later runs read, and OUT/scenes also holds two scenes written here. Build one
+later runs read, and OUT/scenes also holds the scenes written here. The runs of
+BEYOND_MEMORY run under its limit of their address space (RLIMIT_AS). Build one
 tree from each of two source trees and compare them with ``diff -r``: an empty
 diff means every file, stdout, stderr and exit code is the same.
 
@@ -28,11 +29,13 @@ since another numpy may print other float bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.metadata
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +61,19 @@ SCENES = {
 }
 # the scenes whose detections pile up, run at every listed NMS and match threshold
 CROWDED = ("jitter-8x8", "crowd-96x64")
+
+# runs whose arrays do not fit an address space of the given size, by name: a map's
+# noise field (the ground-truth map fits), and a pyramid too wide or too deep
+BEYOND_MEMORY = {
+    "synth-noise-beyond-memory": (2**30, ["synth", "--seed", "1", "--images", "1",
+                                          "--width", "70000", "--height", "70000",
+                                          "--faces-min", "1", "--faces-max", "1",
+                                          "--out", "{run}/scene"]),
+    "gradcheck-size-beyond-memory": (2**30, ["gradcheck", "--trials", "1",
+                                             "--max-size", "100000"]),
+    "gradcheck-channels-beyond-memory": (2**29, ["gradcheck", "--trials", "1", "--max-size",
+                                                 "1", "--max-channels", "100000000"]),
+}
 
 # the loss fixture of README, whose one prediction is too few for its 48 anchors
 README_FIXTURE = {
@@ -116,7 +132,8 @@ def hand_scenes() -> dict[str, tuple[dict, dict]]:
 def hostile_scenes() -> dict[str, dict[str, bytes]]:
     """Input files written here byte for byte, by scene: text that is not UTF-8 (after an
     error on an earlier line, alone on its line, and in a loss fixture), ids that UTF-8
-    cannot encode (JSON's "\\ud800") and an image_id holding NUL."""
+    cannot encode (JSON's "\\ud800"), an image_id holding NUL, and a bad face or
+    detection after good ones on its line, and after small faces."""
     frame = {"image_id": "f0", "video_id": "v", "condition": "DT"}
     ann = {**frame, "period": "during", "width": 64, "height": 48,
            "faces": [{"box": [4, 4, 20, 22], "label": "masked"}]}
@@ -125,6 +142,7 @@ def hostile_scenes() -> dict[str, dict[str, bytes]]:
     def lines(*objs) -> bytes:
         return "".join(json.dumps(o) + "\n" for o in objs).encode()
 
+    small = {"box": [30, 30, 36, 38], "label": "unmasked"}
     not_utf8 = b'{"image_id": "\xff"}\n'
     fixture = json.dumps(README_FIXTURE).encode().replace(b'"masked"', b'"mask\xffed"')
     return {
@@ -137,6 +155,13 @@ def hostile_scenes() -> dict[str, dict[str, bytes]]:
         "surrogate-image-id": {"annotations.jsonl": lines({**ann, "image_id": "i\ud800"})},
         "nul-image-id": {"annotations.jsonl": lines({**ann, "image_id": "i\x00x"}),
                          "detections.jsonl": lines({**det, "image_id": "i\x00x"})},
+        "bad-after-small-face": {
+            "annotations.jsonl": lines({**ann, "faces": [small]}, {
+                **ann, "image_id": "f1", "faces": [*ann["faces"], small, {**small, "label": "hat"},
+                                                   small]}),
+            "detections.jsonl": lines(det, {**det, "image_id": "f1", "detections": [
+                *det["detections"], {**det["detections"][0], "conf": 2}]}),
+        },
     }
 
 
@@ -247,7 +272,18 @@ def runs() -> list[tuple[str, list[str]]]:
         # the detection route names no file after an image, so it accepts the id
         ("report-video-nul-image-id", ["report-video", "--annotations", ann("nul-image-id"),
                                        "--detections", det("nul-image-id")]),
+        ("stats-bad-after-small-face", ["stats", "--train", ann("bad-after-small-face"),
+                                        "--test", ann("huge-boxes"), *report]),
+        ("eval-det-bad-after-good-detection", ["eval-det", "--annotations", ann("huge-boxes"),
+                                               "--detections", det("bad-after-small-face"),
+                                               *report]),
+        ("synth-fp-rate-beyond-poisson", ["synth", "--seed", "1", "--images", "2",
+                                          "--fp-rate", "1e300", "--out", "{run}/scene"]),
     ]
+    # steps too small to difference in float64, and one across the weights' clamp
+    out += [(f"gradcheck-step-{step}", ["gradcheck", "--trials", "3", "--step", step, *report])
+            for step in ("5e-324", "1e-320", "1e-310", "1e300")]
+    out += [(name, argv) for name, (_, argv) in BEYOND_MEMORY.items()]
     return out
 
 
@@ -274,9 +310,12 @@ def build(root: Path, only: set[str] | None = None) -> None:
         if only is not None and run not in only:
             continue
         (root / run).mkdir()
+        limit = BEYOND_MEMORY.get(name, (None,))[0]
         proc = subprocess.run([sys.executable, "-m", "maskbench.cli",
                                *(a.format(run=run) for a in args)],
-                              cwd=root, env=env, capture_output=True)
+                              cwd=root, env=env, capture_output=True,
+                              preexec_fn=None if limit is None else functools.partial(
+                                  resource.setrlimit, resource.RLIMIT_AS, (limit, limit)))
         (root / run / "stdout").write_bytes(proc.stdout)
         (root / run / "stderr").write_bytes(proc.stderr)
         (root / run / "exit_code").write_text(f"{proc.returncode}\n")
