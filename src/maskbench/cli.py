@@ -112,20 +112,17 @@ def _dets_by_image(
             else DetectionRecord(rec.image_id, rec.meta) for rec in manifest.images}
 
 
-def _density_reports(manifest: DatasetManifest, density_dir: str) -> dict[str, RatioReport]:
-    root = Path(density_dir)
-    reports = {}
-    for rec in manifest.images:
-        total = integrate_count(_read_subset(root, rec, "total"))
-        unmasked = integrate_count(_read_subset(root, rec, "unmasked"))
-        reports[rec.image_id] = density_ratio(total, unmasked)
-    return reports
+def _map_path(annotations: str, root, image_id: str, subset: str) -> Path:
+    """density_path, refusing an image_id that names no map file at the annotations file."""
+    try:
+        return density_path(root, image_id, subset)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{annotations}: {exc}") from None
 
 
-def _read_subset(root: Path, rec: ImageRecord, subset: str) -> DensityMap:
-    path = density_path(root, rec.image_id, subset)
+def _read_map(path: Path, rec: ImageRecord) -> DensityMap:
     if not path.exists():
-        raise DataFormatError(f"missing density prediction {path}")
+        raise DataFormatError(f"missing density prediction {str(path)!r}")
     dmap = read_density(path)
     want = map_shape(rec.height, rec.width, dmap.downscale)
     if dmap.values.shape != want:
@@ -134,10 +131,6 @@ def _read_subset(root: Path, rec: ImageRecord, subset: str) -> DensityMap:
             f"{rec.width} image at downscale {dmap.downscale} (want {want[0]}x{want[1]})"
         )
     return dmap
-
-
-def _gt_reports(manifest: DatasetManifest) -> dict[str, RatioReport]:
-    return {rec.image_id: annotation_ratio(rec) for rec in manifest.images}
 
 
 def _swap_convention(
@@ -150,12 +143,28 @@ def _swap_convention(
     }
 
 
-def _estimated_reports(args, manifest: DatasetManifest):
-    """Per-image estimates from whichever input the command was given."""
-    if args.detections:
+def _estimated_reports(args, config=lambda: None):
+    """(config(), manifest, estimates, truth) of eval-count, eval-ratio and report-video.
+
+    The flags are checked before any input is read: the detection route's thresholds,
+    then config(), the command's own EvalConfig. The per-image estimates come from
+    --detections, after NMS if --nms-iou is given, or from the maps in --density-dir;
+    the truth is each annotated image's counts.
+    """
+    check_thresholds(args.nms_iou, args.conf_thr)
+    cfg = config()
+    manifest = load_annotations(args.annotations)
+    if args.detections is not None:
         dets = _dets_by_image(manifest, args.detections, args.nms_iou)
-        return {i: detection_ratio(d, args.conf_thr) for i, d in dets.items()}
-    return _density_reports(manifest, args.density_dir)
+        est = {i: detection_ratio(d, args.conf_thr) for i, d in dets.items()}
+    else:
+        def count(rec, subset):
+            path = _map_path(args.annotations, args.density_dir, rec.image_id, subset)
+            return integrate_count(_read_map(path, rec))
+
+        est = {rec.image_id: density_ratio(count(rec, "total"), count(rec, "unmasked"))
+               for rec in manifest.images}
+    return cfg, manifest, est, {rec.image_id: annotation_ratio(rec) for rec in manifest.images}
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +205,7 @@ def _cmd_gen_density(args) -> int:
     out = Path(args.out)
     # every map's path is checked before any map is rendered, and --out is
     # made only once every map has rendered, so a failed run leaves nothing
-    jobs = [(rec, subset, density_path(out, rec.image_id, subset))
+    jobs = [(rec, subset, _map_path(args.annotations, out, rec.image_id, subset))
             for rec in manifest.images for subset in subsets]
     # the rendered maps are kept until all have rendered, for that --out rule: writing
     # each as it renders was no faster (18.5 against 18.4 ms on 8 sparse and crowded 1280x720
@@ -238,21 +247,16 @@ def _stats_row(quantity: str, est: Sequence[float], gt: Sequence[float],
             pearson(est, gt) if n >= 2 else None)
 
 
-def _count_rows(
-    est: Mapping[str, RatioReport], gt: Mapping[str, RatioReport], order: Sequence[str]
-) -> list[tuple]:
+def _count_rows(est: Mapping[str, RatioReport], gt: Mapping[str, RatioReport]) -> list[tuple]:
     attrs = {"masked": "masked_count", "unmasked": "unmasked_count", "total": "total"}
-    return [_stats_row(q, [getattr(est[i], a) for i in order], [getattr(gt[i], a) for i in order])
+    return [_stats_row(q, [getattr(est[i], a) for i in gt], [getattr(gt[i], a) for i in gt])
             for q, a in attrs.items()]
 
 
 def _cmd_eval_count(args) -> int:
-    manifest = load_annotations(args.annotations)
-    est = _density_reports(manifest, args.density_dir)
-    gt = _gt_reports(manifest)
-    order = [rec.image_id for rec in manifest.images]
+    _, _, est, gt = _estimated_reports(args)
     _emit(
-        Table(("quantity", "n_images", "mae", "gamma"), _count_rows(est, gt, order)),
+        Table(("quantity", "n_images", "mae", "gamma"), _count_rows(est, gt)),
         args.out,
         args.format,
     )
@@ -260,17 +264,11 @@ def _cmd_eval_count(args) -> int:
 
 
 def _cmd_eval_ratio(args) -> int:
-    check_thresholds(args.nms_iou, args.conf_thr)
-    cfg = EvalConfig(min_faces_per_image=args.min_faces)
-    manifest = load_annotations(args.annotations)
-    est = _estimated_reports(args, manifest)
-    gt = _gt_reports(manifest)
-    order = [rec.image_id for rec in manifest.images]
-
-    est_conv = _swap_convention(est, args.convention)
-    gt_conv = _swap_convention(gt, args.convention)
-    rows = _count_rows(est, gt, order)
-    pairs = ratio_pairs(est_conv, gt_conv, cfg)
+    cfg, manifest, est, gt = _estimated_reports(
+        args, lambda: EvalConfig(min_faces_per_image=args.min_faces))
+    rows = _count_rows(est, gt)
+    pairs = ratio_pairs(_swap_convention(est, args.convention),
+                        _swap_convention(gt, args.convention), cfg)
     rows.append(_stats_row("ratio", [p[2] for p in pairs], [p[1] for p in pairs]))
 
     if args.by_condition:
@@ -289,10 +287,7 @@ def _cmd_eval_ratio(args) -> int:
 
 
 def _cmd_report_video(args) -> int:
-    check_thresholds(args.nms_iou, args.conf_thr)
-    manifest = load_annotations(args.annotations)
-    est = _estimated_reports(args, manifest)
-    gt = _gt_reports(manifest)
+    _, manifest, est, gt = _estimated_reports(args)
     est = _swap_convention(est, args.convention)
     gt = _swap_convention(gt, args.convention)
     metas = {rec.image_id: rec.meta for rec in manifest.images}
@@ -426,28 +421,42 @@ def build_parser() -> _Parser:
         description="Mask-wearing ratio estimation pipelines: synthetic scenes, "
         "density maps, detection and ratio evaluation.",
     )
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility; has no effect (every command runs in one thread)",
-    )
-    report = _Parser(add_help=False)
-    report.add_argument("--out", default=None, help="output path (default: stdout)")
-    report.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="report format"
-    )
-
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, func, help_, parents=(common,)):
-        p = sub.add_parser(name, help=help_, parents=list(parents),
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    def add(name, func, help_, *flag_sets):
+        """A subcommand with --threads, then each of flag_sets' flags."""
+        p = sub.add_parser(name, help=help_, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=func)
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="accepted for compatibility; has no effect (every command runs in one thread)",
+        )
+        for flags in flag_sets:
+            flags(p)
         return p
 
     kernel, evaluation = KernelSpec(), EvalConfig()
+
+    def report_flags(p):
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
+
+    def map_flags(p):  # eval-count's estimates: density maps only, so no threshold to check
+        p.add_argument("--annotations", required=True)
+        p.add_argument("--density-dir", required=True, help="directory of <image_id>.<subset>.nfmd")
+        p.set_defaults(detections=None, conf_thr=None, nms_iou=None)
+
+    def estimate_flags(p):  # the per-image ratio estimates of eval-ratio and report-video
+        p.add_argument("--annotations", required=True)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--detections", help="detections JSONL (detection path)")
+        src.add_argument("--density-dir", help="NFMD directory (density path)")
+        p.add_argument("--conf-thr", type=float, default=0.5, help="detection confidence threshold")
+        p.add_argument("--nms-iou", type=float, default=None, help="apply NMS at this IoU first")
+        p.add_argument("--convention", choices=("masked", "unmasked"), default="masked",
+                       help="which count forms the ratio numerator")
 
     def kernel_flags(p):
         p.add_argument("--beta", type=float, default=kernel.beta, help="adaptive kernel sigma factor")
@@ -472,7 +481,7 @@ def build_parser() -> _Parser:
     kernel_flags(p)
     p.add_argument("--no-density", action="store_true", help="skip density predictions")
 
-    p = add("stats", _cmd_stats, "dataset statistics tables", parents=(common, report))
+    p = add("stats", _cmd_stats, "dataset statistics tables", report_flags)
     p.add_argument("--train", required=True, help="training annotations JSONL")
     p.add_argument("--test", required=True, help="testing annotations JSONL")
 
@@ -487,38 +496,27 @@ def build_parser() -> _Parser:
                    help="kernel cutoff in sigmas")
     p.add_argument("--downscale", type=int, default=8, help="output resolution divisor")
 
-    p = add("eval-det", _cmd_eval_det, "detection AP per class and size bucket", parents=(common, report))
+    p = add("eval-det", _cmd_eval_det, "detection AP per class and size bucket", report_flags)
     p.add_argument("--annotations", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--iou-thr", type=float, default=evaluation.iou_thr, help="match IoU threshold")
     p.add_argument("--nms-iou", type=float, default=None, help="apply NMS at this IoU first")
 
-    p = add("eval-count", _cmd_eval_count, "counting MAE and correlation from density files", parents=(common, report))
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--density-dir", required=True, help="directory of <image_id>.<subset>.nfmd")
-
-    # the per-image ratio estimates of eval-ratio and report-video
-    estimates = _Parser(add_help=False)
-    estimates.add_argument("--annotations", required=True)
-    src = estimates.add_mutually_exclusive_group(required=True)
-    src.add_argument("--detections", help="detections JSONL (detection path)")
-    src.add_argument("--density-dir", help="NFMD directory (density path)")
-    estimates.add_argument("--conf-thr", type=float, default=0.5, help="detection confidence threshold")
-    estimates.add_argument("--nms-iou", type=float, default=None, help="apply NMS at this IoU first")
-    estimates.add_argument("--convention", choices=("masked", "unmasked"), default="masked",
-                           help="which count forms the ratio numerator")
+    add("eval-count", _cmd_eval_count, "counting MAE and correlation from density files",
+        report_flags, map_flags)
 
     p = add("eval-ratio", _cmd_eval_ratio, "per-image counts and mask-wearing ratio quality",
-            parents=(common, report, estimates))
+            report_flags, estimate_flags)
     p.add_argument("--min-faces", type=int, default=evaluation.min_faces_per_image,
                    help="skip images with fewer gt faces")
     p.add_argument("--by-condition", action="store_true", help="add per-condition ratio rows")
     p.add_argument("--scatter", default=None, help="also write scatter pairs CSV here")
 
     add("report-video", _cmd_report_video, "per-video mean ratio table",
-        parents=(common, report, estimates))
+        report_flags, estimate_flags)
 
-    p = add("gradcheck", _cmd_gradcheck, "verify fusion weight gradients against finite differences", parents=(common, report))
+    p = add("gradcheck", _cmd_gradcheck,
+            "verify fusion weight gradients against finite differences", report_flags)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-size", type=int, default=8, help="max bottom-level grid size")
@@ -527,7 +525,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tolerance", type=float, default=1e-5, help="max allowed relative error")
     p.add_argument("--epsilon", type=float, default=1e-4, help="fusion normalization epsilon")
 
-    p = add("loss-eval", _cmd_loss_eval, "evaluate the multi-task detector loss on a fixture", parents=(common, report))
+    p = add("loss-eval", _cmd_loss_eval, "evaluate the multi-task detector loss on a fixture",
+            report_flags)
     p.add_argument("--fixture", required=True, help="JSON fixture with anchors, gts, predictions")
 
     return parser

@@ -466,7 +466,7 @@ def _split(counts: list[int], *arrays: np.ndarray) -> list[tuple[np.ndarray, ...
 def _warn_small(fwhere: str, image_id: str, width: float, height: float) -> None:
     # stacklevel 5 names load_annotations' caller: this, _annotation_block, _load, load_annotations
     warnings.warn(
-        f"{fwhere} ({image_id}): face {width:g}x{height:g} px is "
+        f"{fwhere} ({image_id!r}): face {width:g}x{height:g} px is "
         "below the 10x10 annotation protocol minimum",
         SmallFaceWarning,
         stacklevel=5,
@@ -751,7 +751,8 @@ class SynthScene:
     density: dict[str, dict[str, DensityMap]] | None  # image_id -> subset -> map
 
 
-def _synth_box(rng: np.random.Generator, params: SynthParams) -> tuple[float, float, float, float]:
+def _synth_box(rng: np.random.Generator, params: SynthParams,
+               image_id: str) -> tuple[float, float, float, float]:
     size = math.exp(
         rng.uniform(math.log(params.face_size_min), math.log(params.face_size_max))
     )
@@ -760,7 +761,17 @@ def _synth_box(rng: np.random.Generator, params: SynthParams) -> tuple[float, fl
     h = min(size / math.sqrt(aspect), 0.95 * params.image_height)
     cx = rng.uniform(w / 2.0, params.image_width - w / 2.0)
     cy = rng.uniform(h / 2.0, params.image_height - h / 2.0)
-    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+    box = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+    if not (box[2] > box[0] and box[3] > box[1]):  # a side below the floats' spacing at its centre
+        raise ValueError(f"face_size_min {params.face_size_min!r} is too small: frame "
+                         f"{image_id!r} drew a box with no width or height, got {box}")
+    return box
+
+
+def _rows(n: int, cols: int, what: str) -> np.ndarray:
+    """An (n, cols) float64 array for n draws, allocated by allocating_grid's rule."""
+    with allocating_grid(n, cols, what):
+        return np.empty((n, cols), dtype=np.float64)
 
 
 def _jitter_box(boxes: np.ndarray, noise: np.ndarray, sigma: float, w: int, h: int) -> np.ndarray:
@@ -822,19 +833,14 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
             CovidPeriod.BEFORE if video_idx < params.n_videos // 2 else CovidPeriod.DURING,
         )
         image_id = f"img{i:05d}"
+        # per face, in order: its box, then its label draws
         n_faces = int(rng.integers(params.faces_min, params.faces_max + 1))
-        boxes, labels = [], []
-        for _ in range(n_faces):
-            boxes.append(_synth_box(rng, params))
-            if rng.random() < params.unknown_probability:
-                labels.append(unknown)
-            elif rng.random() < params.masked_probability:
-                labels.append(masked)
-            else:
-                labels.append(unmasked)
-        boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
-        labels = np.array(labels, dtype=np.int8)
-        _check_boxes(boxes)
+        faces = _rows(n_faces, 5, f"the draw of {n_faces} faces for frame {image_id!r}")
+        for row in faces:
+            row[:] = (*_synth_box(rng, params, image_id),
+                      unknown if rng.random() < params.unknown_probability
+                      else masked if rng.random() < params.masked_probability else unmasked)
+        boxes, labels = faces[:, :4], faces[:, 4].astype(np.int8)
         rec = ImageRecord(image_id, meta, params.image_width, params.image_height,
                           boxes=boxes, labels=labels)
         images.append(rec)
@@ -853,13 +859,13 @@ def synth_scene(params: SynthParams, include_density: bool = True) -> SynthScene
                                params.image_width, params.image_height)
         # per false positive, in order: its box, its label draw, its confidence draw
         n_fp = int(rng.poisson(params.false_positive_rate)) if params.false_positive_rate > 0.0 else 0
-        fps = np.array([[*_synth_box(rng, params), rng.random(), rng.normal(*_FP_CONFIDENCE)]
-                        for _ in range(n_fp)], dtype=np.float64).reshape(-1, 6)
+        fps = _rows(n_fp, 6, f"the draw of {n_fp} false positives for frame {image_id!r}")
+        for row in fps:
+            row[:] = (*_synth_box(rng, params, image_id), rng.random(), rng.normal(*_FP_CONFIDENCE))
         det_boxes = np.concatenate([tp_boxes, fps[:, :4]])
         det_labels = np.concatenate([tp_labels, np.where(fps[:, 4] < 0.5, masked, unmasked)])
         conf = np.concatenate([draws[:, 6], fps[:, 5]])
         conf = np.ones_like(conf) if noiseless else _clamp(conf, 0.0, 1.0)
-        _check_boxes(det_boxes)
         # detector output carries no covid period (the detections schema has none)
         det_meta = ImageMeta(meta.video_id, meta.condition)
         det_records.append(DetectionRecord(image_id, det_meta, boxes=det_boxes,

@@ -636,7 +636,7 @@ def load_annotations_objects(path):
                 )
             if box.width < 10.0 or box.height < 10.0:
                 warnings.warn(
-                    f"{fwhere} ({image_id}): face {box.width:g}x{box.height:g} px is "
+                    f"{fwhere} ({image_id!r}): face {box.width:g}x{box.height:g} px is "
                     "below the 10x10 annotation protocol minimum",
                     SmallFaceWarning,
                     stacklevel=2,

@@ -722,7 +722,7 @@ def test_image_id_with_a_path_separator_names_no_density_map(kind, command, tmp_
     maps.mkdir(parents=True)
     assert main(_density_commands(annotations, str(maps))[command]) == 2
     assert capsys.readouterr().err == (
-        f"error: image_id {image_id!r} holds a path separator, "
+        f"error: {annotations}: image_id {image_id!r} holds a path separator, "
         "so it cannot name a density map file\n"
     )
     assert not list(tmp_path.rglob("*.nfmd"))
@@ -759,11 +759,32 @@ def test_each_small_face_warning_is_one_stderr_line(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main(["stats", "--train", str(path), "--test", str(path)]) == 0
     err = capsys.readouterr().err
-    want = [f"warning: {path}:1: face {i} (im): face {side:g}x{side:g} px is below the "
+    want = [f"warning: {path}:1: face {i} ('im'): face {side:g}x{side:g} px is below the "
             "10x10 annotation protocol minimum"
             for i, side in ((0, 9.0), (2, 8.5), (3, 9.5))]
     assert err.splitlines() == want + want  # --train and --test each load the file
     assert "cli.py" not in err and "SmallFaceWarning" not in err
+
+
+def test_an_image_id_holding_a_line_feed_keeps_each_message_on_one_line(tmp_path, capsys):
+    path = _one_image(tmp_path / "nl.jsonl", "a\nb", sides=(4.0,))
+    missing = str(tmp_path / "maps" / "a\nb.total.nfmd")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["report-video", "--annotations", str(path),
+                     "--density-dir", str(tmp_path / "maps")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {path}:1: face 0 ('a\\nb'): face 4x4 px is below the 10x10 annotation "
+        "protocol minimum",
+        f"error: missing density prediction {missing!r}"]
+
+
+@pytest.mark.parametrize("command", ["eval-ratio", "report-video"])
+def test_an_empty_detections_path_is_a_path(command, tmp_path, capsys):
+    # an empty path is still the detection route, not a density route with no directory
+    annotations = str(_one_image(tmp_path / "a.jsonl", "im"))
+    assert main([command, "--annotations", annotations, "--detections", ""]) == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_synth_flag_defaults_are_the_fields_of_synth_params(tmp_path, monkeypatch):
@@ -892,8 +913,8 @@ def test_gen_density_checks_every_map_path_before_it_makes_out(tmp_path, capsys)
     annotations = _two_images(tmp_path / "a.jsonl", "a/b")
     out = tmp_path / "new" / "deep"
     assert main(["gen-density", "--annotations", str(annotations), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: image_id 'a/b' holds a path separator, so it cannot name a density map file\n")
+    assert capsys.readouterr().err == (f"error: {annotations}: image_id 'a/b' holds a path "
+                                       "separator, so it cannot name a density map file\n")
     assert not (tmp_path / "new").exists()
 
 

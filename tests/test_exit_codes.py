@@ -13,9 +13,11 @@ number outside its field's domain or a pyramid level with no finite stride or
 too large a grid exits 2 naming its field or level. Damaged NFMD maps exit 2 naming the map. A flag
 that is non-finite, or that would overflow a map header, exits 2 naming the
 parameter; an out-of-range --conf-thr, --nms-iou, --iou-thr or --min-faces does
-so before any input is read, on every route. Every int option of every command is run with 0 and -1,
-every float option also with nan, inf, 1e300 and 5e-324, on each route; each run exits 0 or 2
-without a numpy warning, and exit 2 is one error line, or a failed gradient check's report.
+so before any input is read, on every route. A synth draw of more faces or false positives
+than memory holds, or a face size too small for any box, exits 2 at once naming it. Every
+int option of every command is run with 0 and -1, every float option also with nan, inf,
+1e300 and 5e-324, on each route; each run exits 0 or 2 without a numpy warning, and exit 2
+is one error line, or a failed gradient check's report.
 """
 
 import argparse
@@ -24,9 +26,13 @@ import copy
 import io
 import json
 import math
+import os
 import re
 import reprlib
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -428,6 +434,32 @@ def test_a_false_positive_rate_beyond_the_poisson_sampler_exits_two_naming_it(tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, what", [(["--fp-rate", str(2**53)], "false positives"),
+                                         (["--fp-rate", "1e15"], "false positives"),
+                                         (["--faces-max", str(2**53)], "faces")],
+                         ids=["fp-rate-2**53", "fp-rate-1e15", "faces-max-2**53"])
+def test_a_draw_beyond_memory_exits_two_at_once_naming_it(tmp_path, flags, what):
+    # refused before any row is drawn; a fresh process under a timeout, so that a draw
+    # that runs on fails the test instead of hanging it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "maskbench.cli", *_SYNTH, *flags,
+                           "--out", str(tmp_path / "out")], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    want = (rf"error: the draw of \d+ {what} for frame 'img00000' needs a (grid of more than "
+            r"2\*\*53 cells|\d+ x \d grid, more than memory holds)\n")
+    assert done.returncode == 2 and re.fullmatch(want, done.stderr), done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_face_size_too_small_for_any_box_exits_two_naming_it(tmp_path):
+    out = tmp_path / "out"
+    code, err = run(_SYNTH + ["--face-size-min", "5e-324", "--out", str(out)])
+    assert code == 2 and re.fullmatch(r"error: face_size_min 5e-324 is too small: frame "
+                                      r"'img00000' drew a box with no width or height, got "
+                                      r"\([^\n]+\)\n", err), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**1100], ids=["negative", "beyond-float-range"])
 @pytest.mark.parametrize("argv", [_SYNTH, _GRADCHECK], ids=["synth", "gradcheck"])
 def test_seed_outside_its_domain_exits_two_naming_it(tmp_path, argv, seed):
@@ -562,6 +594,16 @@ def test_bad_threshold_exits_two_before_any_input_is_read(tmp_path, command, rou
     assert run(argv) == (2, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("route", sorted(_ESTIMATES))
+def test_eval_ratio_checks_its_thresholds_before_min_faces(tmp_path, route):
+    argv = ["eval-ratio", "--annotations", str(tmp_path / "none.jsonl"), *_ESTIMATES[route],
+            "--nms-iou", "2", "--conf-thr", "-1", "--min-faces", "-1"]
+    argv = [a.format(root=tmp_path, detections=tmp_path / "none.jsonl") for a in argv]
+    assert run(argv) == (2, "error: iou_thr must be a finite number in (0, 1], got 2.0\n")
+    assert run([a for a in argv if a not in ("--nms-iou", "2")]) == (
+        2, "error: conf_thr must be a finite number in [0, 1], got -1.0\n")
+
+
 def _numeric_options(parser):
     """(command, option, type) of every int or float option of every subcommand."""
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -692,10 +734,10 @@ def test_an_image_id_holding_nul_names_no_density_map(tmp_path, monkeypatch):
     for command in TARGETS["annotations"][2]:
         check_exit(paths, "annotations", (0,), command)
         assert run([a.format(**paths) for a in command]) == (0, "")
-    # the density route refuses it before it renders, reads or writes anything; the
-    # message has the unlocated form of the path-separator one
+    # the density route refuses it before it renders, reads or writes anything, at the
+    # annotations file, as it refuses a path separator
     for command in _DENSITY_ROUTE:
         argv = [a.format(root=tmp_path, **paths) for a in command]
-        assert run(argv) == (2, "error: image_id 'i\\x00x' holds a NUL character, so it "
-                                "cannot name a density map file\n"), argv
+        assert run(argv) == (2, f"error: {paths['annotations']}: image_id 'i\\x00x' holds a NUL "
+                                "character, so it cannot name a density map file\n"), argv
         assert not left_behind(tmp_path), argv

@@ -132,8 +132,9 @@ def hand_scenes() -> dict[str, tuple[dict, dict]]:
 def hostile_scenes() -> dict[str, dict[str, bytes]]:
     """Input files written here byte for byte, by scene: text that is not UTF-8 (after an
     error on an earlier line, alone on its line, and in a loss fixture), ids that UTF-8
-    cannot encode (JSON's "\\ud800"), an image_id holding NUL, and a bad face or
-    detection after good ones on its line, and after small faces."""
+    cannot encode (JSON's "\\ud800"), an image_id holding NUL, a bad face or detection
+    after good ones on its line, and after small faces, an image_id holding a line feed
+    on a frame with a small face, and one holding a path separator before a good frame."""
     frame = {"image_id": "f0", "video_id": "v", "condition": "DT"}
     ann = {**frame, "period": "during", "width": 64, "height": 48,
            "faces": [{"box": [4, 4, 20, 22], "label": "masked"}]}
@@ -162,6 +163,9 @@ def hostile_scenes() -> dict[str, dict[str, bytes]]:
             "detections.jsonl": lines(det, {**det, "image_id": "f1", "detections": [
                 *det["detections"], {**det["detections"][0], "conf": 2}]}),
         },
+        "line-feed-image-id": {"annotations.jsonl": lines({**ann, "image_id": "a\nb",
+                                                           "faces": [small]})},
+        "separator-image-id": {"annotations.jsonl": lines({**ann, "image_id": "a/b"}, ann)},
     }
 
 
@@ -284,6 +288,29 @@ def runs() -> list[tuple[str, list[str]]]:
     out += [(f"gradcheck-step-{step}", ["gradcheck", "--trials", "3", "--step", step, *report])
             for step in ("5e-324", "1e-320", "1e-310", "1e300")]
     out += [(name, argv) for name, (_, argv) in BEYOND_MEMORY.items()]
+    # the help of mrb and of each command, at the 80 columns that build sets
+    out += [("help", ["--help"])] + [(f"help-{c}", [c, "--help"]) for c in (
+        "synth", "stats", "gen-density", "eval-det", "eval-count", "eval-ratio", "report-video",
+        "gradcheck", "loss-eval")]
+    # draws beyond memory and a face size too small for any box, ids that would split a
+    # stderr line or name a file outside the map directory, and an empty detections path
+    synth = ["synth", "--seed", "1", "--out", "{run}/scene"]
+    out += [
+        ("synth-fp-rate-2pow53", [*synth, "--images", "2", "--fp-rate", "9007199254740992"]),
+        ("synth-face-size-min-5e-324", [*synth, "--face-size-min", "5e-324"]),
+        ("stats-line-feed-image-id", ["stats", "--train", ann("line-feed-image-id"),
+                                      "--test", ann("line-feed-image-id"), *report]),
+        ("report-video-line-feed-image-id", ["report-video", "--annotations",
+                                             ann("line-feed-image-id"), "--density-dir",
+                                             "{run}/maps", *report]),
+        ("gen-density-separator-image-id", ["gen-density", "--annotations",
+                                            ann("separator-image-id"), *maps]),
+        ("eval-ratio-separator-image-id", ["eval-ratio", "--annotations",
+                                           ann("separator-image-id"), "--density-dir",
+                                           "{run}/maps", *report]),
+        ("eval-ratio-empty-detections-path", ["eval-ratio", "--annotations", ann("huge-boxes"),
+                                              "--detections", "", *report]),
+    ]
     return out
 
 
@@ -304,7 +331,9 @@ def build(root: Path, only: set[str] | None = None) -> None:
             (root / "scenes" / name / file).write_bytes(data)
     # the runs start in root, so a relative PYTHONPATH entry is made absolute first
     paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in paths if p)}
+    # and help text is wrapped at 80 columns whatever the terminal
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in paths if p)}
     for k, (name, args) in enumerate(runs()):
         run = f"{k:03d}-{name}"
         if only is not None and run not in only:
