@@ -31,10 +31,12 @@ import reprlib
 import warnings
 from dataclasses import KW_ONLY, InitVar, dataclass
 from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import orjson
 
 from .density import (DensityMap, KernelSpec, PointSet, check_downscale, check_frame_sides,
                       map_shape, render_density, write_density)
@@ -379,40 +381,66 @@ def _parse_header(obj, where: str, seen: set[str]) -> tuple[str, str, Condition]
     return image_id, video_id, _CONDITIONS[condition]
 
 
-def _load(path, read_header, read_block, check_face) -> list:
-    """Every record of a JSONL file; each line is decoded and its header checked once.
+def _fast_lines(block: list[tuple[int, str]], read_heads, seen: set[str], metas: dict):
+    """A block's (line number, header) lines, each decoded by orjson and checked at once, or None.
 
-    read_header(obj, where, seen) checks a line's header, whose image_id must not be
-    in seen, and returns it with the line's raw faces last. A rejected header ends
-    its block, whose lines before it are read first. read_block(lines) checks the
-    faces of (where, header) lines as arrays and returns their records, warning
-    about small faces last. If it raises, check_face(where, head, i, face) parses
-    each face in turn to find the first bad one; read_block then reads the faces
-    before it, so that its error comes after their warnings. Should none fail,
-    read_block's error is raised.
+    read_heads(objs, seen, metas) gives the block's headers and the keys that its line and
+    face objects must hold, or None or an exception where a header would fail its check.
+    A ':' count equal to those keys rules out an extra or a repeated key and any other
+    object (see _decode_counted). So every value read is a string, an int below 2**53, or
+    a box or conf number, which both decoders round to one float64: orjson refuses a
+    surrogate, a BOM, NaN and numbers beyond float range, and reads an int past 64 bits
+    as a float.
     """
-    records = []
-    seen: set[str] = set()
+    linenos, texts = zip(*block)
+    got = read_heads(list(map(orjson.loads, texts)), seen, metas)
+    if got is None or "".join(texts).count(":") != got[1]:
+        return None
+    return list(zip(linenos, got[0]))
+
+
+def _load(path, read_header, read_block, check_face, read_heads) -> list:
+    """Every record of a JSONL file; a block that _fast_lines declines is read line by line.
+
+    Line by line, each line is decoded and its header checked once. read_header(obj,
+    where, seen) checks a line's header, whose image_id must not be in seen, and
+    returns it with the line's raw faces last. A rejected header ends its block,
+    whose lines before it are read first. read_block(path, lines) checks the faces of
+    (line number, header) lines as arrays and returns their records, warning about
+    small faces last. If it raises, check_face(where, head, i, face) parses each face
+    in turn to find the first bad one; read_block then reads the faces before it, so
+    that its error comes after their warnings. Should none fail, read_block's error is
+    raised. A block that the fast path reads whole has every record and warning that
+    the per-line path would give it.
+    """
+    records, seen, metas = [], set(), {}  # metas: one ImageMeta per distinct key
     for block in _blocks(path):
+        try:  # an error here only declines the block, which the per-line path then decides
+            lines = _fast_lines(block, read_heads, seen, metas)
+            if lines is not None:
+                records.extend(read_block(path, lines))
+                seen.update([head[0] for _, head in lines])
+                continue
+        except Exception:
+            pass
         lines, rejected = [], None
         for lineno, line in block:
-            where = f"{path}:{lineno}"
             try:
-                head = read_header(_decode(path, lineno, line), where, seen)
+                head = read_header(_decode(path, lineno, line), f"{path}:{lineno}", seen)
             except Exception as exc:
                 rejected = exc
                 break
             seen.add(head[0])
-            lines.append((where, head))
+            lines.append((lineno, head))
         try:
-            records.extend(read_block(lines))
+            records.extend(read_block(path, lines))
         except Exception:
-            for k, (where, head) in enumerate(lines):
+            for k, (lineno, head) in enumerate(lines):
                 for i, face in enumerate(head[-1]):
                     try:
-                        check_face(where, head, i, face)
+                        check_face(f"{path}:{lineno}", head, i, face)
                     except Exception:
-                        read_block([*lines[:k], (where, (*head[:-1], head[-1][:i]))])
+                        read_block(path, [*lines[:k], (lineno, (*head[:-1], head[-1][:i]))])
                         raise
             raise
         if rejected is not None:
@@ -420,25 +448,47 @@ def _load(path, read_header, read_block, check_face) -> list:
     return records
 
 
+def _fast_header(ids: tuple, video_ids: tuple, faces: tuple, seen: set[str]) -> bool:
+    """Whether a block's ids are strings, its image_ids non-empty and new, and its faces lists.
+
+    orjson decodes no string that UTF-8 cannot encode, so every id is one _require_id takes;
+    _metas checks the rest of a header.
+    """
+    return ({*map(type, ids + video_ids)} == {str} and all(ids) and len({*ids}) == len(ids)
+            and seen.isdisjoint(ids) and {*map(type, faces)} == {list})
+
+
+def _metas(metas: dict, keys: Iterable[tuple]) -> Iterator[ImageMeta]:
+    """The ImageMeta of each (video_id, condition[, period]) key, one per distinct key in metas.
+
+    An unknown condition or period raises KeyError, and an empty video_id ValueError.
+    """
+    keys = list(keys)
+    for key in {*keys} - metas.keys():
+        metas[key] = ImageMeta(key[0], _CONDITIONS[key[1]], *map(_PERIODS.__getitem__, key[2:]))
+    return map(metas.__getitem__, keys)
+
+
+_BOX, _LABEL, _CONF = itemgetter("box"), itemgetter("label"), itemgetter("conf")
+
+
 def _block_faces(raw: list, codes: Mapping[str, int]):
     """The (N, 4) boxes and (N,) label codes of a block's raw face objects.
 
     Raises on any value that the one-face check might not accept as is.
     """
-    boxes = [f["box"] for f in raw]
-    labels = [f["label"] for f in raw]
-    if set(map(type, boxes)) - {list} or set(map(len, boxes)) - {4}:
+    boxes = list(map(_BOX, raw))
+    if set(map(len, boxes)) - {4}:  # a string or an object of 4 puts strings in flat
         raise ValueError("a box is not a list of 4")
     # type(), not isinstance: bool is an int, and np.array would take "1" as 1
     flat = list(chain.from_iterable(boxes))
     if set(map(type, flat)) - {int, float}:
         raise ValueError("a box holds a non-number")
-    if not set(labels) <= codes.keys():
-        raise ValueError("a label is unknown")
-    boxes = np.array(flat, dtype=np.float64).reshape(-1, 4)
+    boxes = np.fromiter(flat, np.float64, len(flat)).reshape(-1, 4)
     if not np.isfinite(boxes).all():  # checked before an annotation's clamp, which would hide inf
         raise ValueError("a box is non-finite")
-    return boxes, np.fromiter(map(codes.__getitem__, labels), np.int8, len(labels))
+    # a label that names no code raises KeyError, or TypeError if it is unhashable
+    return boxes, np.fromiter(map(codes.__getitem__, map(_LABEL, raw)), np.int8, len(raw))
 
 
 def _clamp(a: np.ndarray, lo, hi) -> np.ndarray:
@@ -460,7 +510,7 @@ def _split(counts: list[int], *arrays: np.ndarray) -> list[tuple[np.ndarray, ...
     for a in arrays:
         a.flags.writeable = False
     ends = list(accumulate(counts))
-    return [tuple(a[start:end] for a in arrays) for start, end in zip([0, *ends], ends)]
+    return list(zip(*([a[start:end] for start, end in zip([0, *ends], ends)] for a in arrays)))
 
 
 def _warn_small(fwhere: str, image_id: str, width: float, height: float) -> None:
@@ -491,10 +541,26 @@ def _annotation_header(obj, where: str, seen: set[str]):
     return image_id, ImageMeta(video_id, condition, _PERIODS[period]), width, height, faces
 
 
-def _annotation_block(lines: list[tuple[str, tuple]]) -> list[ImageRecord]:
+_ANNOTATION_FIELDS = itemgetter("image_id", "video_id", "condition", "period", "width", "height", "faces")
+
+
+def _annotation_heads(objs: list, seen: set[str], metas: dict):
+    """_annotation_header's results for a block's decoded lines and their key count, or None."""
+    ids, video_ids, conditions, periods, widths, heights, faces = zip(*map(_ANNOTATION_FIELDS, objs))
+    sides = widths + heights
+    if not (_fast_header(ids, video_ids, faces, seen)
+            and {*map(type, sides)} == {int} and 0 < min(sides) and max(sides) < 2**53):
+        return None
+    metas_of = _metas(metas, zip(video_ids, conditions, periods))
+    return (list(zip(ids, metas_of, widths, heights, faces)),
+            7 * len(objs) + 2 * sum(map(len, faces)))
+
+
+def _annotation_block(path, lines: list[tuple[int, tuple]]) -> list[ImageRecord]:
     heads = [h for _, h in lines]
-    counts = [len(h[4]) for h in heads]
-    boxes, labels = _block_faces([f for h in heads for f in h[4]], _CODES)
+    faces = [h[4] for h in heads]
+    counts = list(map(len, faces))
+    boxes, labels = _block_faces(list(chain.from_iterable(faces)), _CODES)
     dims = np.array([h[2:4] for h in heads], dtype=np.float64).reshape(-1, 2)
     # each coordinate clamped into its frame, as _parse_box does
     boxes = _clamp(boxes, 0.0, np.repeat(dims[:, [0, 1, 0, 1]], counts, axis=0))
@@ -507,7 +573,7 @@ def _annotation_block(lines: list[tuple[str, tuple]]) -> list[ImageRecord]:
         starts = [end - n for end, n in zip(accumulate(counts), counts)]
         for i in small:
             k = line_of[i]
-            fwhere = f"{lines[k][0]}: face {i - starts[k]}"
+            fwhere = f"{path}:{lines[k][0]}: face {i - starts[k]}"
             _warn_small(fwhere, heads[k][0], *sizes[i].tolist())
     return [
         ImageRecord(image_id, meta, width, height, boxes=b, labels=lab)
@@ -526,7 +592,7 @@ def load_annotations(path) -> DatasetManifest:
     """
     return DatasetManifest(
         tuple(_load(path, _annotation_header, _annotation_block, lambda where, head, i, face:
-                    parse_annotation(face, f"{where}: face {i}", *head[2:4])))
+                    parse_annotation(face, f"{where}: face {i}", *head[2:4]), _annotation_heads))
     )
 
 
@@ -558,16 +624,29 @@ def _detection_header(obj, where: str, seen: set[str]):
     return image_id, ImageMeta(video_id, condition), dets_raw
 
 
-def _detection_block(lines: list[tuple[str, tuple]]) -> list[DetectionRecord]:
+_DETECTION_FIELDS = itemgetter("image_id", "video_id", "condition", "detections")
+
+
+def _detection_heads(objs: list, seen: set[str], metas: dict):
+    """_detection_header's results for a block's decoded lines and their key count, or None."""
+    ids, video_ids, conditions, dets = zip(*map(_DETECTION_FIELDS, objs))
+    if not _fast_header(ids, video_ids, dets, seen):
+        return None
+    return (list(zip(ids, _metas(metas, zip(video_ids, conditions)), dets)),
+            4 * len(objs) + 3 * sum(map(len, dets)))
+
+
+def _detection_block(path, lines: list[tuple[int, tuple]]) -> list[DetectionRecord]:
     heads = [h for _, h in lines]
-    counts = [len(h[2]) for h in heads]
-    raw = [d for h in heads for d in h[2]]
+    dets = [h[2] for h in heads]
+    counts = list(map(len, dets))
+    raw = list(chain.from_iterable(dets))
     boxes, labels = _block_faces(raw, _DETECTION_CODES)
     _check_boxes(boxes)
-    conf = [d["conf"] for d in raw]
+    conf = list(map(_CONF, raw))
     if set(map(type, conf)) - {int, float}:
         raise ValueError("a conf is not a number")
-    conf = np.array(conf, dtype=np.float64)
+    conf = np.fromiter(conf, np.float64, len(conf))
     if not ((conf >= 0.0) & (conf <= 1.0)).all():
         raise ValueError("a conf is outside [0, 1]")
     return [
@@ -579,7 +658,8 @@ def _detection_block(lines: list[tuple[str, tuple]]) -> list[DetectionRecord]:
 def load_detections(path) -> list[DetectionRecord]:
     """Load a detections JSONL file; same error policy as load_annotations."""
     return _load(path, _detection_header, _detection_block,
-                 lambda where, _, i, det: parse_detection(det, f"{where}: detection {i}"))
+                 lambda where, _, i, det: parse_detection(det, f"{where}: detection {i}"),
+                 _detection_heads)
 
 
 def write_detections(records: Sequence[DetectionRecord], path) -> None:
@@ -728,7 +808,9 @@ class SynthParams:
         check_number(self.seed, "seed", integer=True, lo=0)
         check_number(self.n_images, "n_images", integer=True, lo=0)
         check_number(self.faces_min, "faces_min", integer=True, lo=0)
-        check_number(self.faces_max, "faces_max", integer=True, lo=self.faces_min)
+        # synth_scene draws below faces_max + 1, which numpy's int64 draw must hold
+        check_number(self.faces_max, "faces_max", integer=True, lo=self.faces_min,
+                     hi=2**63 - 1, hi_open=True)
         # as in the loaders, which read what synth writes, and at least 8 px
         check_frame_sides(self.image_width, self.image_height, ("image_width", "image_height"), 8)
         for name in ("masked_probability", "unknown_probability", "drop_rate", "flip_rate", "density_noise"):

@@ -434,6 +434,16 @@ def test_a_false_positive_rate_beyond_the_poisson_sampler_exits_two_naming_it(tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("low, high, lo", [(2**63, 2**63, "2**63"), (0, 2**63 - 1, "0")],
+                         ids=["both-2**63", "max-int64"])
+def test_a_face_count_draw_beyond_int64_exits_two_naming_faces_max(tmp_path, low, high, lo):
+    # numpy's "high is out of bounds for int64" named no flag
+    out = tmp_path / "out"
+    assert run(_SYNTH + ["--faces-min", str(low), "--faces-max", str(high), "--out", str(out)]) == (
+        2, f"error: faces_max must be an integer in [{lo}, {2**63 - 1}), got {high}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, what", [(["--fp-rate", str(2**53)], "false positives"),
                                          (["--fp-rate", "1e15"], "false positives"),
                                          (["--faces-max", str(2**53)], "faces")],

@@ -6,15 +6,22 @@ whose value-object tuples compare equal; the SmallFaceWarnings emitted on the
 way, with the frame they name, are the same too. The inputs are the valid
 documents of test_exit_codes with one field set to a hostile value or dropped,
 and documents longer than one block with the mutation past the first block.
+The loaders' block fast path, which decodes with orjson, is also held to their
+per-line path, on inputs that orjson and json read differently.
 """
 
 import contextlib
 import copy
+import decimal
 import io
 import json
+import math
+import re
 import reprlib
 import warnings
 
+import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -577,3 +584,163 @@ def test_the_key_count_keeps_the_plain_decoders_object_only_when_it_proves_no_re
     for text in ('{"image_id": "a:b"}', '{"a": 1, "a": 1}', '{"a": {"b": 1}}', '[{"a": 1}]',
                  '{"a": [{"b": 1}, "c:"]}', '{"a": 1} x', '{"a": 1'):
         assert dataset._decode_counted(text) is None, text
+
+
+# ---------------------------------------------------------------------------
+# the block fast path (orjson, headers checked at once) against the per-line path
+
+DEEP = "[" * 1000 + "]" * 1000
+FACES_KEY = {"annotations": "faces", "detections": "detections"}
+THIRD_COORD = r'("box": \[[^,\]]+, [^,\]]+, )[^,\]]+'
+CONF = r'"conf": [^,}]+'
+# inputs on which orjson and json differ: (kind or None for both, pattern, replacement);
+# "{faces}" stands for the format's face-list key
+DIFFERING = {
+    "width-2**64": ("annotations", r'"width": \d+', '"width": 18446744073709551616'),
+    "box-1e30": (None, THIRD_COORD, r"\g<1>1000000000000000000000000000000"),
+    "box-2**64": (None, THIRD_COORD, r"\g<1>18446744073709551616"),
+    "box-below-int64": (None, THIRD_COORD, r"\g<1>-9223372036854775809"),
+    "box-nan": (None, THIRD_COORD, r"\g<1>NaN"),
+    "box-1e400": (None, THIRD_COORD, r"\g<1>1e400"),
+    "conf-1e20": ("detections", CONF, '"conf": 100000000000000000000'),
+    "conf-nan": ("detections", CONF, '"conf": NaN'),
+    "conf-1e400": ("detections", CONF, '"conf": 1e400'),
+    "surrogate-label": (None, r'"label": "[a-z]+"', r'"label": "\\ud800"'),
+    "surrogate-image-id": (None, r'"image_id": "[^"]*"', r'"image_id": "\\udc00x"'),
+    "bom": (None, r"^", "\ufeff"),
+    "deep-faces": (None, r'"{faces}": .*}$', f'"{{faces}}": {DEEP}}}'),
+    "deep-extra-key": (None, r'"condition": ', f'"x": {DEEP}, "condition": '),
+    "extra-key": (None, r'"condition": ', '"x": 1, "condition": '),
+    "repeated-key": (None, r'"video_id": ', '"video_id": "v", "video_id": '),
+    "colon-in-string": (None, r'"image_id": "', '"image_id": "cam:'),
+    "repeated-face-key": (None, r'"label": ', '"label": "masked", "label": '),
+    # and each header check that the fast path makes for a whole block
+    "width-float": ("annotations", r'"width": \d+', '"width": 64.0'),
+    "height-true": ("annotations", r'"height": \d+', '"height": true'),
+    "width-2**53": ("annotations", r'"width": \d+', '"width": 9007199254740992'),
+    "period-unknown": ("annotations", r'"period": "[a-z]+"', '"period": "after"'),
+    "period-list": ("annotations", r'"period": "[a-z]+"', '"period": ["during"]'),
+    "condition-unknown": (None, r'"condition": "[A-Z]+"', '"condition": "XT"'),
+    "empty-video-id": (None, r'"video_id": "[^"]*"', '"video_id": ""'),
+    "empty-image-id": (None, r'"image_id": "[^"]*"', '"image_id": ""'),
+    "int-image-id": (None, r'"image_id": "[^"]*"', '"image_id": 7'),
+    "faces-object": (None, r'"{faces}": .*}$', '"{faces}": {}}'),
+}
+
+
+def records_bytes(kind, result):
+    """Each record's fields, its arrays as bytes (so that -0.0 is not 0.0)."""
+    records = result.images if kind == "annotations" else result
+    return [(r, *(getattr(r, f).dtype.str + getattr(r, f).tobytes().hex() for f in r._ARRAYS))
+            for r in records]
+
+
+def both_paths(monkeypatch, kind, path):
+    """The outcome of each path: with the fast path, and with it declining every block."""
+    load = LOADERS[kind][0]
+    fast = outcome(load, path)
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "_fast_lines", lambda *args: None)
+        per_line = outcome(load, path)
+    return [((r[0], records_bytes(kind, r[1]) if r[0] == "ok" else r[1]), w) for r, w in (fast, per_line)]
+
+
+def write_differing(path, kind, case, doc, lineno):
+    """doc with the case's change made to line lineno (1-based) or, if that line has no
+    match, to the first later line that has one; returns the changed line's number."""
+    _, pattern, new = DIFFERING[case]
+    lines = [dumps(line) for line in doc]
+    pattern, new = (s.replace("{faces}", FACES_KEY[kind]) for s in (pattern, new))
+    n = next(n for n in range(lineno - 1, len(lines)) if re.search(pattern, lines[n]))
+    lines[n] = re.sub(pattern, lambda m: m.expand(new), lines[n], count=1)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return n + 1
+
+
+CASES = [(kind, case) for case, (only, _, _) in DIFFERING.items() for kind in sorted(LOADERS)
+         if only in (None, kind)]
+
+
+@pytest.mark.parametrize("kind, case", CASES, ids=[f"{k}-{c}" for k, c in CASES])
+@pytest.mark.parametrize("where", ["short", "first-block", "second-block"])
+def test_the_fast_path_reads_what_the_per_line_path_reads(tmp_path, monkeypatch, kind, case, where):
+    doc = SHORT[kind] if where == "short" else long_doc(kind, 2.5)
+    lineno = {"short": 2, "first-block": 4, "second-block": first_block_lines(doc) + 4}[where]
+    path = tmp_path / "in.jsonl"
+    write_differing(path, kind, case, doc, lineno)
+    fast, per_line = both_paths(monkeypatch, kind, path)
+    assert fast == per_line
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_the_fast_path_reads_every_block_of_a_plain_file(tmp_path, monkeypatch, kind):
+    # a block with an extra key is read line by line; the blocks around it are not
+    doc = long_doc(kind, 3.5)
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, doc)
+    decode, decoded = dataset._decode, []
+
+    def counted(path, lineno, line):
+        decoded.append(lineno)
+        return decode(path, lineno, line)
+
+    monkeypatch.setattr(dataset, "_decode", counted)
+    fast, per_line = both_paths(monkeypatch, kind, path)
+    assert fast == per_line and fast[0][0] == "ok"
+    assert len(decoded) == len(doc)  # each line once, by the per-line path only
+    decoded.clear()
+    lineno = write_differing(path, kind, "extra-key", doc, first_block_lines(doc) + 4)
+    fast, per_line = both_paths(monkeypatch, kind, path)
+    assert fast == per_line and fast[0][0] == "ok"
+    second = list(dataset._blocks(path))[1]
+    assert decoded[: len(second)] == [n for n, _ in second] and lineno in decoded
+    assert len(decoded) == len(second) + len(doc)  # then every line by the per-line path
+
+
+def halfway(x: float) -> str:
+    """The exact decimal midway between x and the next float up, where rounding must tie."""
+    with decimal.localcontext() as context:
+        context.prec = 1200
+        return format((decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2, "e")
+
+
+NUMBER_LITERALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, max_value=1.7e308).map(halfway),
+    st.integers().map(str),
+    st.integers(-2**1100, 2**1100).map(str),
+    st.builds(lambda sign, whole, digits, exp: f"{sign}{whole}{digits}{exp}",
+              st.sampled_from(["", "-"]), st.integers(0, 10**25).map(str),
+              st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=40).map(".".__add__)),
+              st.one_of(st.just(""), st.integers(-400, 400).map("e{}".format))),
+)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(NUMBER_LITERALS)
+def test_orjson_and_json_give_one_float64(text):
+    # the fast path keeps a box or conf that orjson read only if the per-line path, which
+    # reads it with json, would give the same float64; orjson refuses what overflows it
+    want = json.loads(text)
+    try:
+        want = np.fromiter([want], np.float64, 1)
+    except OverflowError:
+        want = None
+    try:
+        got = np.fromiter([orjson.loads(text)], np.float64, 1)
+    except orjson.JSONDecodeError:
+        assert want is None or not np.isfinite(want).all(), text
+        return
+    assert want is not None and got.tobytes() == want.tobytes(), text
+
+
+@settings(SETTINGS, max_examples=60)
+@given(NUMBER_LITERALS, NUMBER_LITERALS)
+def test_a_box_and_conf_literal_load_alike_on_both_paths(tmp_path_factory, box, conf):
+    path = tmp_path_factory.mktemp("literal") / "in.jsonl"
+    line = dumps({"image_id": "a", "video_id": "v", "condition": "DT", "detections": [
+        {"box": [-1.5, 0, "BOX", 7], "label": "masked", "conf": "CONF"}]})
+    path.write_text(line.replace('"BOX"', box).replace('"CONF"', conf) + "\n")
+    with pytest.MonkeyPatch.context() as m:
+        fast, per_line = both_paths(m, "detections", path)
+    assert fast == per_line

@@ -134,7 +134,8 @@ def hostile_scenes() -> dict[str, dict[str, bytes]]:
     error on an earlier line, alone on its line, and in a loss fixture), ids that UTF-8
     cannot encode (JSON's "\\ud800"), an image_id holding NUL, a bad face or detection
     after good ones on its line, and after small faces, an image_id holding a line feed
-    on a frame with a small face, and one holding a path separator before a good frame."""
+    on a frame with a small face, and one holding a path separator before a good frame;
+    then decoder_scenes."""
     frame = {"image_id": "f0", "video_id": "v", "condition": "DT"}
     ann = {**frame, "period": "during", "width": 64, "height": 48,
            "faces": [{"box": [4, 4, 20, 22], "label": "masked"}]}
@@ -166,7 +167,46 @@ def hostile_scenes() -> dict[str, dict[str, bytes]]:
         "line-feed-image-id": {"annotations.jsonl": lines({**ann, "image_id": "a\nb",
                                                            "faces": [small]})},
         "separator-image-id": {"annotations.jsonl": lines({**ann, "image_id": "a/b"}, ann)},
+        **decoder_scenes(ann, det),
     }
+
+
+# a list nested 1,000 deep, which orjson decodes and json refuses
+DEEP = "[" * 1000 + "]" * 1000
+
+
+def decoder_scenes(ann: dict, det: dict) -> dict[str, dict[str, bytes]]:
+    """One-line files on which orjson and json differ, made from the valid lines ann and det
+    by replacing text, by scene: numbers beyond 64 bits, NaN, 1e400, "\\ud800", a BOM, deep
+    lists, an extra or a repeated key and a ':' in a string."""
+    kinds = {"annotations": (json.dumps(ann), ", 20, 22]", json.dumps(ann["faces"])),
+             "detections": (json.dumps(det), ", 21, 22]", json.dumps(det["detections"]))}
+
+    def both(old, new):
+        return {k: (old, new) for k in kinds}
+
+    def right(new):  # a box's right side
+        return {k: (box, new) for k, (_, box, _) in kinds.items()}
+
+    cases = {
+        "width-2pow64": {"annotations": ('"width": 64', '"width": 18446744073709551616')},
+        "box-1e30": right(", 1000000000000000000000000000000, 22]"),
+        "conf-1e20": {"detections": ('"conf": 0.9', '"conf": 100000000000000000000')},
+        "nan": {"annotations": (", 20, 22]", ", NaN, 22]"), "detections": ('"conf": 0.9', '"conf": NaN')},
+        "1e400": right(", 1e400, 22]"),
+        "surrogate-label": both('"label": "masked"', '"label": "\\ud800"'),
+        "bom": both("{", "\ufeff{"),
+        "deep-faces": {k: (faces, DEEP) for k, (_, _, faces) in kinds.items()},
+        "deep-extra-key": both('"condition": ', f'"x": {DEEP}, "condition": '),
+        "extra-key": both('"condition": ', '"x": 1, "condition": '),
+        "repeated-key": both('"video_id": ', '"video_id": "v", "video_id": '),
+        "colon-in-string": both('"video_id": "v"', '"video_id": "v:1"'),
+    }
+    scenes = {}
+    for case, changes in cases.items():
+        scenes[f"decoder-{case}"] = {f"{k}.jsonl": (kinds[k][0].replace(old, new, 1) + "\n").encode()
+                                     for k, (old, new) in changes.items()}
+    return scenes
 
 
 def runs() -> list[tuple[str, list[str]]]:
@@ -311,6 +351,16 @@ def runs() -> list[tuple[str, list[str]]]:
         ("eval-ratio-empty-detections-path", ["eval-ratio", "--annotations", ann("huge-boxes"),
                                               "--detections", "", *report]),
     ]
+    # each loader on inputs that orjson and json read differently
+    for scene, files in hostile_scenes().items():
+        if not scene.startswith("decoder-"):
+            continue
+        if "annotations.jsonl" in files:
+            out.append((f"stats-{scene}", ["stats", "--train", ann(scene), "--test", ann(scene),
+                                           *report]))
+        if "detections.jsonl" in files:
+            out.append((f"eval-det-{scene}", ["eval-det", "--annotations", ann("huge-boxes"),
+                                              "--detections", det(scene), *report]))
     return out
 
 
