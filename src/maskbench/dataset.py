@@ -300,29 +300,7 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 # one decoder for every line: json.loads with a hook would build one per call
 _KEY_CHECK = json.JSONDecoder(object_pairs_hook=unique_keys)
-_PLAIN = json.JSONDecoder()
 _SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode
-
-
-def _decode_counted(text: str):
-    """text's JSON object, decoded without the key hook, or None where the hook must decide.
-
-    Every ':' of JSON text separates a name from its value or lies in a string, so
-    text.count(":") is at least the number of keys of the object plus those of the
-    objects in its lists of objects, and equals it only if no key of these repeats,
-    no other object has a pair and no string holds a ':'.
-    """
-    try:
-        obj = _PLAIN.decode(text)
-    except (ValueError, RecursionError):
-        return None
-    if type(obj) is not dict:
-        return None
-    keys = len(obj)
-    for value in obj.values():
-        if type(value) is list and set(map(type, value)) == {dict}:
-            keys += sum(map(len, value))
-    return obj if text.count(":") == keys else None
 
 
 def _decode(path, lineno: int | None, text: str):
@@ -340,8 +318,7 @@ def _decode(path, lineno: int | None, text: str):
     try:
         if text.startswith("\ufeff"):  # json.loads refuses it; JSONDecoder.decode does not
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        obj = _decode_counted(text)
-        return _KEY_CHECK.decode(text) if obj is None else obj
+        return _KEY_CHECK.decode(text)
     except json.JSONDecodeError as exc:  # the column is in the prefix: drop a dangling "at"
         # an error past a final line feed, which json puts on one more line, stays on the last
         line = (lineno or 1) + min(exc.lineno, text.rstrip("\n").count("\n") + 1) - 1
@@ -386,11 +363,12 @@ def _fast_lines(block: list[tuple[int, str]], read_heads, seen: set[str], metas:
 
     read_heads(objs, seen, metas) gives the block's headers and the keys that its line and
     face objects must hold, or None or an exception where a header would fail its check.
-    A ':' count equal to those keys rules out an extra or a repeated key and any other
-    object (see _decode_counted). So every value read is a string, an int below 2**53, or
-    a box or conf number, which both decoders round to one float64: orjson refuses a
-    surrogate, a BOM, NaN and numbers beyond float range, and reads an int past 64 bits
-    as a float.
+    Every ':' of JSON text separates a name from its value or lies in a string, so the
+    block's ':' count equals those keys only if no key is extra or repeated, no other
+    object has a pair and no string holds a ':'. So every value read is a string, an int
+    below 2**53, or a box or conf number, which both decoders round to one float64:
+    orjson refuses a surrogate, a BOM, NaN and numbers beyond float range, and reads an
+    int past 64 bits as a float.
     """
     linenos, texts = zip(*block)
     got = read_heads(list(map(orjson.loads, texts)), seen, metas)

@@ -585,16 +585,23 @@ def _json_lines(path):
             yield lineno, obj
 
 
+def _line_id(obj: dict, key: str, where: str) -> str:
+    value = _field(obj, key, where)
+    if not isinstance(value, str) or not value:
+        raise DataFormatError(f"{where}: {key} must be a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataFormatError(f"{where}: {key} {value!r} cannot be written as UTF-8") from None
+    return value
+
+
 def _line_header(obj: dict, where: str, seen: set[str]):
-    image_id = _field(obj, "image_id", where)
-    if not isinstance(image_id, str) or not image_id:
-        raise DataFormatError(f"{where}: image_id must be a non-empty string")
+    image_id = _line_id(obj, "image_id", where)
     if image_id in seen:
         raise DataFormatError(f"{where}: duplicate image_id {image_id!r}")
     seen.add(image_id)
-    video_id = _field(obj, "video_id", where)
-    if not isinstance(video_id, str) or not video_id:
-        raise DataFormatError(f"{where}: video_id must be a non-empty string")
+    video_id = _line_id(obj, "video_id", where)
     condition = _field(obj, "condition", where)
     if not isinstance(condition, str) or condition not in _CONDITIONS:
         raise DataFormatError(f"{where}: condition must be 'DT' or 'NT'")

@@ -7,6 +7,9 @@ other version the test skips.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,18 @@ def test_fast_runs_match_the_committed_digest(tmp_path, monkeypatch):
     assert names <= {line.split("  ", 1)[1] for line in got}
     # every unit written, the runs and the inputs they share, is as committed
     assert sorted(set(got) - set(want[1:])) == []
+
+
+def test_a_build_that_cannot_import_maskbench_exits_2_and_makes_nothing(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    installed = subprocess.run([sys.executable, "-c", "import maskbench"], cwd=tmp_path,
+                               env=env, capture_output=True)
+    if installed.returncode == 0:
+        pytest.skip("maskbench imports without PYTHONPATH: an installed copy would run")
+    (tmp_path / "empty").mkdir()
+    done = subprocess.run([sys.executable, str(_TOOLS / "byte_corpus.py"), "out"], cwd=tmp_path,
+                          env={**env, "PYTHONPATH": "empty"}, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == (f"maskbench does not import with PYTHONPATH="
+                           f"{str(tmp_path.resolve() / 'empty')!r}; nothing run\n")
+    assert not (tmp_path / "out").exists()

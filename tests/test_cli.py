@@ -504,6 +504,27 @@ class TestLossEvalCli:
             row["objectness"] + row["classification"] + row["box"], abs=1e-12
         )
 
+    def test_the_fixture_is_decoded_once(self, tmp_path, monkeypatch):
+        # README's fixture, whose one prediction is too few for its 48 anchors
+        path = tmp_path / "fixture.json"
+        path.write_text(
+            '{"image": {"width": 32, "height": 32},\n'
+            ' "anchors": {"levels": [3], "scales": {"3": [16]}, "ratios": [0.5, 1.0, 2.0]},\n'
+            ' "matching": {"pos_iou": 0.5, "neg_iou": 0.3},\n'
+            ' "loss": {"alpha": 0.25, "gamma": 2.0, "normalize": false},\n'
+            ' "ground_truth": [{"box": [8, 8, 24, 24], "label": "masked"}],\n'
+            ' "predictions": {"objectness": [0.5], "class": [0.5], "box": [[0, 0, 0, 0]]}}\n'
+        )
+        raw_decode, calls = json.JSONDecoder.raw_decode, []
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return raw_decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+        assert cli.main(["loss-eval", "--fixture", str(path)]) == 2
+        assert len(calls) == 1
+
     def test_wrong_prediction_length_is_data_error(self, tmp_path, capsys):
         path = self.fixture(tmp_path)
         payload = json.loads(path.read_text())

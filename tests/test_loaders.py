@@ -225,6 +225,19 @@ def test_duplicate_image_id_within_and_across_blocks(tmp_path, kind, case):
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("key, value", [("image_id", "\udc00x"), ("video_id", "\ud800")])
+def test_an_id_that_utf8_cannot_encode_is_refused_as_by_the_oracle(tmp_path, kind, key, value):
+    doc = copy.deepcopy(SHORT[kind])
+    doc[1][key] = value
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, doc)
+    assert_equivalent(kind, path)
+    with pytest.raises(DataFormatError) as exc:
+        LOADERS[kind][0](path)
+    assert str(exc.value) == f"{path}:2: {key} {value!r} cannot be written as UTF-8"
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
 @pytest.mark.parametrize("old, new, key", [
     ('"video_id": ', '"video_id": "v", "video_id": ', "video_id"),
     ('"box": ', '"label": "masked", "box": ', "label"),
@@ -563,8 +576,9 @@ def test_parse_detection_builds_the_detection():
         "unknown-object", "unknown-list", "unknown-list-deep", "face", "object-in-face",
         "escaped-colon-repeat"])
 def test_the_key_count_gives_the_hooks_record_or_error(tmp_path, kind, old, new, key):
-    # a line's keys are counted against its ':'s; any line the count cannot clear takes the
-    # repeated-key hook, so every line loads or fails as with the hook alone
+    # the fast path counts a block's keys against its ':'s; any block the count cannot clear
+    # is read line by line with the repeated-key hook, so every line loads or fails as with
+    # the hook alone
     lines = [dumps(line) for line in SHORT[kind]]
     assert old in lines[1]
     lines[1] = lines[1].replace(old, new, 1)
@@ -576,14 +590,6 @@ def test_the_key_count_gives_the_hooks_record_or_error(tmp_path, kind, old, new,
     else:
         with pytest.raises(DataFormatError, match=f"^{path}:2: repeated key {key!r}$"):
             LOADERS[kind][0](path)
-
-
-def test_the_key_count_keeps_the_plain_decoders_object_only_when_it_proves_no_repeat():
-    plain = '{"image_id": "a", "faces": [{"box": [1, 2, 3, 4], "label": "masked"}]}'
-    assert dataset._decode_counted(plain) == json.loads(plain)
-    for text in ('{"image_id": "a:b"}', '{"a": 1, "a": 1}', '{"a": {"b": 1}}', '[{"a": 1}]',
-                 '{"a": [{"b": 1}, "c:"]}', '{"a": 1} x', '{"a": 1'):
-        assert dataset._decode_counted(text) is None, text
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ each scene and map tree that runs share, with a SHA-256 over the unit's sorted
 relative file paths and bytes. ``--digest FILE`` writes it. ``--check FILE``
 compares with it: exit 0 when every unit matches, 1 naming each unit that
 differs, is missing or is new, and 2 without comparing when the versions differ,
-since another numpy may print other float bytes.
+since another numpy may print other float bytes. A build exits 2 without making OUT
+when the runs could not import maskbench under the PYTHONPATH they are given.
 """
 
 from __future__ import annotations
@@ -366,7 +367,17 @@ def runs() -> list[tuple[str, list[str]]]:
 
 def build(root: Path, only: set[str] | None = None) -> None:
     """Write the inputs into root, which must not exist, and run every command there, or
-    only the runs whose directory name (<k>-<name>) is in only."""
+    only the runs whose directory name (<k>-<name>) is in only. If the runs could not
+    import maskbench, exit 2 before root is made."""
+    # the runs start in root, so a relative PYTHONPATH entry is made absolute first
+    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    # and help text is wrapped at 80 columns whatever the terminal
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in paths if p)}
+    if subprocess.run([sys.executable, "-c", "import maskbench"], env=env,
+                      capture_output=True).returncode:
+        print(f"maskbench does not import with PYTHONPATH={env['PYTHONPATH']!r}; nothing run")
+        raise SystemExit(2)
     root.mkdir(parents=True)
     (root / "fixtures").mkdir()
     for name, fixture in fixtures().items():
@@ -379,11 +390,6 @@ def build(root: Path, only: set[str] | None = None) -> None:
         (root / "scenes" / name).mkdir(parents=True)
         for file, data in files.items():
             (root / "scenes" / name / file).write_bytes(data)
-    # the runs start in root, so a relative PYTHONPATH entry is made absolute first
-    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    # and help text is wrapped at 80 columns whatever the terminal
-    env = {**os.environ, "COLUMNS": "80",
-           "PYTHONPATH": os.pathsep.join(str(Path(p).resolve()) for p in paths if p)}
     for k, (name, args) in enumerate(runs()):
         run = f"{k:03d}-{name}"
         if only is not None and run not in only:
