@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import allocating_grid, check_grid, check_number
 from .fusion import level_shape, level_stride
-from .geometry import LABEL_CODES, Annotation, FaceLabel, face_arrays, iou_matrix
+from .geometry import LABEL_CODES, Annotation, FaceLabel, face_arrays, iou_pairs
 
 DEFAULT_LEVELS: tuple[int, ...] = (3, 4, 5, 6, 7)
 DEFAULT_RATIOS: tuple[float, ...] = (0.5, 1.0, 2.0)  # width:height
@@ -175,30 +175,27 @@ def match_anchors(
         gt_boxes, gt_labels, _ = face_arrays(gts)
         unknown = gt_labels == LABEL_CODES[FaceLabel.UNKNOWN]
         masked = gt_labels == LABEL_CODES[FaceLabel.MASKED]
-        ious = iou_matrix(boxes, gt_boxes)
+        # every anchor-face pair whose IoU is above 0 (the least positive float)
+        a, g, ious = iou_pairs(boxes, np.zeros(n), 5e-324, gt_boxes, np.zeros(len(gts)))
 
-        best_gt = ious.argmax(axis=1)  # ties resolve to the lowest index
-        best_iou = ious[np.arange(n), best_gt]
-        best_is_unknown = unknown[best_gt]
+        # each anchor's best face: its highest IoU, ties to the lowest face; on no face, face 0 at IoU 0
+        best_iou, best_gt = np.zeros(n), np.full(n, len(gts))
+        np.maximum.at(best_iou, a, ious)
+        top = ious == best_iou[a]
+        np.minimum.at(best_gt, a[top], g[top])
+        best_gt[best_iou == 0] = 0
 
-        assignment[(best_iou >= neg_iou) & best_is_unknown] = IGNORE
-        band = (best_iou >= neg_iou) & (best_iou < pos_iou) & ~best_is_unknown
-        assignment[band] = IGNORE
-        positive = (best_iou >= pos_iou) & ~best_is_unknown
+        assignment[best_iou >= neg_iou] = IGNORE
+        positive = (best_iou >= pos_iou) & ~unknown[best_gt]
         assignment[positive] = best_gt[positive]
 
-        # forced matches: the best unclaimed anchor of every known, overlapped gt
-        claimed: set[int] = set()
-        for j in range(len(gts)):
-            if unknown[j]:
-                continue
-            for a in np.argsort(-ious[:, j], kind="stable"):
-                if ious[a, j] <= 0.0:
-                    break
-                if int(a) not in claimed:
-                    claimed.add(int(a))
-                    assignment[a] = j
-                    break
+        # forced matches: in face order, each known face takes its highest-IoU unclaimed anchor
+        by_face, claimed = np.argsort(g, kind="stable"), np.zeros(n, bool)
+        for j, k in enumerate(np.split(by_face, np.searchsorted(g[by_face], np.arange(1, len(gts))))):
+            k = k[~claimed[a[k]]]
+            if len(k) and not unknown[j]:
+                i = a[k][ious[k] == ious[k].max()].min()  # ties to the lowest anchor
+                claimed[i], assignment[i] = True, j
 
         pos = assignment >= 0
         if np.any(pos):

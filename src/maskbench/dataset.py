@@ -491,16 +491,6 @@ def _split(counts: list[int], *arrays: np.ndarray) -> list[tuple[np.ndarray, ...
     return list(zip(*([a[start:end] for start, end in zip([0, *ends], ends)] for a in arrays)))
 
 
-def _warn_small(fwhere: str, image_id: str, width: float, height: float) -> None:
-    # stacklevel 5 names load_annotations' caller: this, _annotation_block, _load, load_annotations
-    warnings.warn(
-        f"{fwhere} ({image_id!r}): face {width:g}x{height:g} px is "
-        "below the 10x10 annotation protocol minimum",
-        SmallFaceWarning,
-        stacklevel=5,
-    )
-
-
 def _annotation_header(obj, where: str, seen: set[str]):
     """(image_id, meta, width, height, faces) of an annotations line, checked."""
     image_id, video_id, condition = _parse_header(obj, where, seen)
@@ -545,14 +535,14 @@ def _annotation_block(path, lines: list[tuple[int, tuple]]) -> list[ImageRecord]
     _check_boxes(boxes)
 
     sizes = boxes[:, 2:] - boxes[:, :2]
-    small = np.flatnonzero((sizes < 10.0).any(axis=1)).tolist()
-    if small:
-        line_of = np.repeat(np.arange(len(heads)), counts).tolist()
-        starts = [end - n for end, n in zip(accumulate(counts), counts)]
-        for i in small:
-            k = line_of[i]
-            fwhere = f"{path}:{lines[k][0]}: face {i - starts[k]}"
-            _warn_small(fwhere, heads[k][0], *sizes[i].tolist())
+    small = np.flatnonzero((sizes < 10.0).any(axis=1))
+    ends = np.cumsum(counts)
+    for i, k, (w, h) in zip(small.tolist(), ends.searchsorted(small, "right").tolist(),
+                            sizes[small].tolist()):
+        # stacklevel 4 names load_annotations' caller: _annotation_block, _load, load_annotations
+        warnings.warn(f"{path}:{lines[k][0]}: face {i - ends[k] + counts[k]} ({heads[k][0]!r}): "
+                      f"face {w:g}x{h:g} px is below the 10x10 annotation protocol minimum",
+                      SmallFaceWarning, stacklevel=4)
     return [
         ImageRecord(image_id, meta, width, height, boxes=b, labels=lab)
         for (image_id, meta, width, height, _), (b, lab) in zip(

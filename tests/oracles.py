@@ -2,8 +2,9 @@
 
 Everything here is deliberately written as plain scalar loops, separate from
 the vectorized implementations under test: IoU is recomputed inline, matching
-decisions are enumerated one detection at a time, NMS and AP also keep their
-earlier dense forms (an IoU matrix per block and per image), the precision
+decisions are enumerated one detection at a time, NMS, AP and anchor matching
+also keep their earlier dense forms (an IoU matrix per block, per image and of
+all anchors against all faces), the precision
 envelope is an explicit suffix scan, gradients come from bump-and-reevaluate
 central differences over the public forward pass, the JSONL loaders check one
 line and one face at a time into value objects, the synthetic scene generator
@@ -24,6 +25,7 @@ import warnings
 import numpy as np
 from scipy.spatial import cKDTree
 
+from maskbench.anchors import IGNORE, NEGATIVE, AnchorSet, MatchResult, encode_boxes
 from maskbench.density import (
     _DELTA_SIGMA,
     DensityMap,
@@ -298,6 +300,48 @@ def nms_dense_blocks(dets, iou_thr: float):
         return type(dets)(dets.image_id, dets.meta,
                           boxes=boxes[rows], labels=labels[rows], conf=conf[rows])
     return [dets[i] for i in rows]
+
+
+def match_anchors_dense(anchors, gts, pos_iou: float = 0.5, neg_iou: float = 0.3) -> MatchResult:
+    """anchors.match_anchors from the dense anchors x faces IoU matrix.
+
+    Each anchor's best face is the argmax of its row (ties to the lowest face; a row
+    of zeros gives face 0); each known face in turn forces its best unclaimed anchor
+    from a stable sort of its whole column, stopping at IoU 0.
+    """
+    boxes = anchors.boxes if isinstance(anchors, AnchorSet) else np.asarray(anchors)
+    n = boxes.shape[0]
+    assignment = np.full(n, NEGATIVE, dtype=np.int64)
+    box_target = np.zeros((n, 4), dtype=np.float64)
+    class_target = np.zeros(n, dtype=np.float64)
+    if gts:
+        gt_boxes, gt_labels, _ = face_arrays(gts)
+        unknown = gt_labels == LABEL_CODES[FaceLabel.UNKNOWN]
+        masked = gt_labels == LABEL_CODES[FaceLabel.MASKED]
+        ious = iou_matrix(boxes, gt_boxes)
+        best_gt = ious.argmax(axis=1)
+        best_iou = ious[np.arange(n), best_gt]
+        best_is_unknown = unknown[best_gt]
+        assignment[(best_iou >= neg_iou) & best_is_unknown] = IGNORE
+        assignment[(best_iou >= neg_iou) & (best_iou < pos_iou) & ~best_is_unknown] = IGNORE
+        positive = (best_iou >= pos_iou) & ~best_is_unknown
+        assignment[positive] = best_gt[positive]
+        claimed: set[int] = set()
+        for j in range(len(gts)):
+            if unknown[j]:
+                continue
+            for a in np.argsort(-ious[:, j], kind="stable"):
+                if ious[a, j] <= 0.0:
+                    break
+                if int(a) not in claimed:
+                    claimed.add(int(a))
+                    assignment[a] = j
+                    break
+        pos = assignment >= 0
+        if np.any(pos):
+            box_target[pos] = encode_boxes(boxes[pos], gt_boxes[assignment[pos]])
+            class_target[pos] = masked[assignment[pos]].astype(np.float64)
+    return MatchResult(assignment, (assignment >= 0).astype(np.float64), class_target, box_target)
 
 
 def average_precision_per_image(detections, annotations, label, bucket=None,

@@ -22,6 +22,8 @@ from maskbench.anchors import (
 )
 from maskbench.geometry import Annotation, BBox, FaceLabel
 
+from oracles import match_anchors_dense
+
 
 class TestGenerateAnchors:
     def test_grid_count(self):
@@ -225,6 +227,71 @@ class TestMatchAnchors:
     def test_pos_below_neg_rejected(self):
         with pytest.raises(ValueError):
             match_anchors(np.array([[0.0, 0.0, 1.0, 1.0]]), [], pos_iou=0.2, neg_iou=0.3)
+
+
+# ---------------------------------------------------------------------------
+# match_anchors reads only the pairs of positive IoU; the dense oracle reads every cell
+
+
+def assert_matches_the_dense_oracle(anchors, gts, pos_iou, neg_iou):
+    with np.errstate(all="ignore"):  # an anchor of no width or height encodes to inf or NaN
+        got = match_anchors(anchors, gts, pos_iou=pos_iou, neg_iou=neg_iou)
+        want = match_anchors_dense(anchors, gts, pos_iou=pos_iou, neg_iou=neg_iou)
+    for field in ("assignment", "objectness_target", "class_target", "box_target"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
+
+_GRID = generate_anchors(64, 48, levels=[3, 4], scales={3: [12.0, 16.0], 4: [24.0]}).boxes
+# anchors with no width, a negative width, or neither width nor height
+_DEGENERATE = np.array([[8.0, 8.0, 8.0, 24.0], [20.0, 4.0, 12.0, 20.0], [10.0, 10.0, 10.0, 10.0],
+                        [0.0, 0.0, 16.0, 16.0], [4.0, 12.0, 20.0, 12.0], [16.0, 16.0, 0.0, 0.0]])
+M, U, K = FaceLabel.MASKED, FaceLabel.UNMASKED, FaceLabel.UNKNOWN
+
+
+@pytest.mark.parametrize("anchors, faces, pos_iou, neg_iou", [
+    (_GRID, [(0, 0, 16, 16, M), (0, 0, 16, 16, U), (4, 4, 20, 20, M)], 0.5, 0.3),
+    (np.concatenate([_GRID, _GRID[::2]]), [(8, 8, 24, 24, M), (30, 6, 42, 30, U)], 0.5, 0.3),
+    (_GRID, [(5, 5, 15, 15, M), (6, 5, 16, 15, U), (5, 6, 15, 16, M)], 0.7, 0.3),
+    (_GRID, [(0, 0, 16, 16, K), (2, 2, 18, 18, M), (40, 20, 52, 36, K)], 0.5, 0.3),
+    (_GRID, [(500, 500, 520, 520, M), (0, 0, 12, 12, U)], 0.5, 0.0),
+    (_GRID, [(500, 500, 520, 520, K), (0, 0, 12, 12, U)], 0.5, 0.0),
+    (_GRID, [(3, 3, 17, 15, M), (30, 20, 44, 34, U), (31, 21, 45, 35, K)], 0.4, 0.4),
+    (_GRID, [(100, 100, 120, 120, M), (-40, -40, -20, -20, U)], 0.5, 0.3),
+    (_DEGENERATE, [(8, 8, 24, 24, M), (0, 0, 16, 16, U), (4, 4, 12, 12, K)], 0.5, 0.3),
+    (_DEGENERATE, [(100, 100, 120, 120, K)], 0.5, 0.0),
+    (np.round(_GRID).astype(np.int64), [(5, 5, 15, 15, M), (20, 8, 36, 30, U)], 0.5, 0.3),
+], ids=["tied-ious", "duplicate-anchors", "shared-best-anchor", "unknown-faces",
+        "neg-iou-0-known-face-0", "neg-iou-0-unknown-face-0", "pos-equals-neg",
+        "off-every-anchor", "degenerate-anchors", "degenerate-neg-iou-0", "integer-anchors"])
+def test_match_anchors_equals_the_dense_oracle(anchors, faces, pos_iou, neg_iou):
+    gts = [_anno(l, t, r, b, label) for l, t, r, b, label in faces]
+    assert_matches_the_dense_oracle(anchors, gts, pos_iou, neg_iou)
+
+
+@st.composite
+def _match_scenes(draw):
+    """Anchors on a grid snapped to 4 px (so IoUs tie), repeated, or degenerate; faces
+    that repeat, overlap no anchor or are unknown; thresholds from 0 to 1, pos >= neg."""
+    kind = draw(st.sampled_from(["grid", "snapped", "degenerate"]))
+    if kind == "degenerate":
+        corners = st.tuples(*[st.integers(-4, 60)] * 2, *[st.integers(-12, 24)] * 2)
+        anchors = np.array([(l, t, l + w, t + h) for l, t, w, h in
+                            draw(st.lists(corners, min_size=1, max_size=30))], np.float64)
+    else:
+        anchors = _GRID if kind == "grid" else np.round(np.concatenate([_GRID, _GRID[::3]]) / 4) * 4
+    box = st.tuples(st.integers(-16, 120), st.integers(-16, 90), st.integers(1, 40),
+                    st.integers(1, 40), st.sampled_from([M, U, K]))
+    faces = draw(st.lists(box, max_size=10))
+    faces += draw(st.lists(st.sampled_from(faces), max_size=4)) if faces else []
+    neg_iou = draw(st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0]))
+    pos_iou = draw(st.sampled_from([neg_iou, max(neg_iou, 0.5), 1.0]))
+    return anchors, [_anno(l, t, l + w, t + h, lab) for l, t, w, h, lab in faces], pos_iou, neg_iou
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_match_scenes())
+def test_match_anchors_equals_the_dense_oracle_on_drawn_scenes(scene):
+    assert_matches_the_dense_oracle(*scene)
 
 
 class TestPointwiseLosses:

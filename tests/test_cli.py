@@ -22,6 +22,7 @@ from maskbench.metrics import EvalConfig, ratio_correlation, ratio_pairs
 from maskbench.ratio import Condition, annotation_ratio, detection_ratio
 
 from oracles import brute_force_matches, envelope_ap, nms_scalar
+from test_byte_corpus import _tool as _corpus_tool
 
 
 def run(args, capsys=None):
@@ -887,6 +888,23 @@ def test_a_frame_whose_anchor_grid_would_not_fit_is_refused_before_it_is_allocat
                           preexec_fn=limit)
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", f"error: {path}: predictions must cover all 3221225472 anchors, got 48/48/48\n")
+
+
+def test_matching_at_the_papers_frame_size_fits_in_a_bounded_address_space(tmp_path):
+    # 129,735 anchors against 200 faces: a dense IoU matrix of them took 198 MiB, and under
+    # a 1-GiB address space numpy's "Unable to allocate" ended the run with exit 2
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_corpus_tool().street_fixture()))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "maskbench.cli", "loss-eval", "--fixture", str(path),
+                           "--format", "json"], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, preexec_fn=limit)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["report"]["rows"][0][0] == 129735
 
 
 @pytest.mark.parametrize("limit, argv, want", [

@@ -11,7 +11,8 @@ its working directory and relative paths, against whichever maskbench is
 importable, so the messages hold no machine path. Run k writes
 OUT/<k>-<name>/{stdout,stderr,exit_code} plus any file or directory it was told
 to write (``--out``, ``--scatter``); the synth runs write the scenes that the
-later runs read, and OUT/scenes also holds the scenes written here. The runs of
+later runs read, and OUT/scenes also holds the scenes written here, among them
+the 1920 x 1080 loss fixture of the last run. The runs of
 BEYOND_MEMORY run under its limit of their address space (RLIMIT_AS). Build one
 tree from each of two source trees and compare them with ``diff -r``: an empty
 diff means every file, stdout, stderr and exit code is the same.
@@ -103,6 +104,24 @@ def fixtures() -> dict[str, dict]:
     rows_of_3["predictions"]["box"] = [[0.0] * 3] * 64
     out["box-rows-of-3"] = rows_of_3
     return out
+
+
+def street_fixture() -> dict:
+    """A loss fixture at the paper's 1920 x 1080 frame size: the default anchors (129,735)
+    with a prediction for each, and 200 faces of 8 to 60 px, every fourth unknown, some
+    partly outside the frame. It pins anchor matching where a dense anchors x faces IoU
+    matrix would take 198 MiB."""
+    faces = []
+    for k in range(200):
+        x, y = k * 397 % 1900 - 10.5, k * 193 % 1060 - 4.0
+        faces.append({"box": [x, y, x + 8 + k * 7 % 53, y + 8 + k * 11 % 53],
+                      "label": ("masked", "unmasked", "masked", "unknown")[k % 4]})
+    n = 129735
+    return {"image": {"width": 1920, "height": 1080},
+            "anchors": {"levels": [3, 4, 5, 6, 7]}, "ground_truth": faces,
+            "predictions": {"objectness": [round(0.01 + i * 37 % 101 / 103, 4) for i in range(n)],
+                            "class": [round(0.01 + i * 53 % 97 / 99, 4) for i in range(n)],
+                            "box": [[0.1 * (i % 5), -0.2, 0.05 * (i % 3), 0.3] for i in range(n)]}}
 
 
 def hand_scenes() -> dict[str, tuple[dict, dict]]:
@@ -362,6 +381,8 @@ def runs() -> list[tuple[str, list[str]]]:
         if "detections.jsonl" in files:
             out.append((f"eval-det-{scene}", ["eval-det", "--annotations", ann("huge-boxes"),
                                               "--detections", det(scene), *report]))
+    out.append(("loss-eval-street-1080p", ["loss-eval", "--fixture",
+                                           "scenes/street-1080p/fixture.json", "--format", "json"]))
     return out
 
 
@@ -390,6 +411,8 @@ def build(root: Path, only: set[str] | None = None) -> None:
         (root / "scenes" / name).mkdir(parents=True)
         for file, data in files.items():
             (root / "scenes" / name / file).write_bytes(data)
+    (root / "scenes" / "street-1080p").mkdir()
+    (root / "scenes" / "street-1080p" / "fixture.json").write_text(json.dumps(street_fixture()))
     for k, (name, args) in enumerate(runs()):
         run = f"{k:03d}-{name}"
         if only is not None and run not in only:
