@@ -40,6 +40,7 @@ from .ratio import (
     detection_ratio,
     group_by_condition,
     nms,
+    ratio_reports,
 )
 from .metrics import (
     EvalConfig,
@@ -82,6 +83,7 @@ __all__ = [
     "nms",
     "pearson",
     "ratio_correlation",
+    "ratio_reports",
     "read_density",
     "render_density",
     "size_bucket",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import itertools
 import reprlib
 import sys
 import warnings
@@ -58,13 +59,13 @@ from .metrics import ratio_correlation  # noqa: F401  (unused; perfbench's trace
 from .ratio import (
     RatioReport,
     aggregate_by_video,
-    annotation_ratio,
     check_thresholds,
     density_ratio,
-    detection_ratio,
     group_by_condition,
     nms,
+    ratio_reports,
 )
+from .ratio import annotation_ratio, detection_ratio  # noqa: F401  (unused; perfbench's tracer wraps it)
 
 
 class _UsageError(Exception):
@@ -156,7 +157,7 @@ def _estimated_reports(args, config=lambda: None):
     manifest = load_annotations(args.annotations)
     if args.detections is not None:
         dets = _dets_by_image(manifest, args.detections, args.nms_iou)
-        est = {i: detection_ratio(d, args.conf_thr) for i, d in dets.items()}
+        est = dict(zip(dets, ratio_reports(dets.values(), args.conf_thr)))
     else:
         def count(rec, subset):
             path = _map_path(args.annotations, args.density_dir, rec.image_id, subset)
@@ -164,7 +165,8 @@ def _estimated_reports(args, config=lambda: None):
 
         est = {rec.image_id: density_ratio(count(rec, "total"), count(rec, "unmasked"))
                for rec in manifest.images}
-    return cfg, manifest, est, {rec.image_id: annotation_ratio(rec) for rec in manifest.images}
+    truth = ratio_reports(manifest.images)
+    return cfg, manifest, est, {rec.image_id: r for rec, r in zip(manifest.images, truth)}
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +250,12 @@ def _stats_row(quantity: str, est: Sequence[float], gt: Sequence[float],
 
 
 def _count_rows(est: Mapping[str, RatioReport], gt: Mapping[str, RatioReport]) -> list[tuple]:
-    attrs = {"masked": "masked_count", "unmasked": "unmasked_count", "total": "total"}
-    return [_stats_row(q, [getattr(est[i], a) for i in gt], [getattr(gt[i], a) for i in gt])
-            for q, a in attrs.items()]
+    """The masked, unmasked and total rows over the images of gt."""
+    (em, eu), (gm, gu) = ((np.array([r.masked_count for r in reports], np.float64),
+                           np.array([r.unmasked_count for r in reports], np.float64))
+                          for reports in ([est[i] for i in gt], list(gt.values())))
+    return [_stats_row("masked", em, gm), _stats_row("unmasked", eu, gu),
+            _stats_row("total", em + eu, gm + gu)]
 
 
 def _cmd_eval_count(args) -> int:
@@ -338,6 +343,50 @@ def _cmd_loss_eval(args) -> int:
     return 0
 
 
+def _checked(value, name: str, kind, what: str):
+    """value if it is a kind, else a ValueError: "{name} must be {what}, got {value}"."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+    return value
+
+
+def _plain_numbers(values: list, integer: bool = False) -> bool:
+    """Whether check_number takes each of values as it is, checked as one array.
+
+    Each must be an int, or a float unless integer, and below the largest float in size:
+    an int just above it rounds down to it, so one that reaches it is left to check_number.
+    """
+    try:
+        return ({*map(type, values)} <= ({int} if integer else {int, float})
+                and bool((np.abs(np.array(values, dtype=np.float64)) < sys.float_info.max).all()))
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _numbers(value, name: str, what: str = "numbers", integer: bool = False,
+             length: int | None = None) -> list:
+    """value, a list of numbers (of integers if integer, and length of them if given).
+
+    Else a ValueError naming the first value at fault, in check_number's words.
+    """
+    if length not in (None, len(_checked(value, name, list, f"a list of {what}"))):
+        raise ValueError(f"{name} must be a list of {length} {what}, got {reprlib.repr(value)}")
+    if not _plain_numbers(value, integer):
+        for i, v in enumerate(value):
+            check_number(v, f"{name}[{i}]", integer=integer)
+    return value
+
+
+def _number_rows(value, name: str, length: int) -> list:
+    """value, a list of lists of length numbers; else a ValueError as _numbers gives for the first."""
+    rows = _checked(value, name, list, "a list of number lists")
+    if not ({*map(type, rows)} <= {list} and {*map(len, rows)} <= {length}
+            and _plain_numbers(list(itertools.chain.from_iterable(rows)))):
+        for i, row in enumerate(rows):
+            _numbers(row, f"{name}[{i}]", length=length)
+    return rows
+
+
 def _loss_row(fixture) -> tuple:
     """loss-eval's report row for a decoded fixture; a ValueError names the field at fault."""
     from . import anchors as anchors_mod  # imported here: no other command needs it
@@ -349,19 +398,9 @@ def _loss_row(fixture) -> tuple:
             raise ValueError(f"missing field {key!r}")
         return obj.get(key, default)
 
-    def check(value, name, kind, what):
-        if not isinstance(value, kind):
-            raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
-        return value
-
     def number(obj, key, default, name):
         # its domain is checked where it is used, as are those of list values
         return float(check_number(get(obj, key, default), name))
-
-    def numbers(value, name, what="numbers", integer=False, length=None):
-        if length not in (None, len(check(value, name, list, f"a list of {what}"))):
-            raise ValueError(f"{name} must be a list of {length} {what}, got {reprlib.repr(value)}")
-        return [check_number(v, f"{name}[{i}]", integer=integer) for i, v in enumerate(value)]
 
     def scales_level(key):
         try:
@@ -370,13 +409,13 @@ def _loss_row(fixture) -> tuple:
             raise ValueError(f"anchors.scales keys must be integers, got {reprlib.repr(key)}") from None
 
     image, spec = get(fixture, "image"), get(fixture, "anchors")
-    levels = numbers(get(spec, "levels"), "anchors.levels", "integers", integer=True)
+    levels = _numbers(get(spec, "levels"), "anchors.levels", "integers", integer=True)
     scales = spec.get("scales")
     if isinstance(scales, dict):
-        scales = {scales_level(k): numbers(v, f"anchors.scales[{k!r}]") for k, v in scales.items()}
+        scales = {scales_level(k): _numbers(v, f"anchors.scales[{k!r}]") for k, v in scales.items()}
     elif scales is not None:
-        scales = numbers(scales, "anchors.scales")
-    ratios = numbers(spec.get("ratios", list(anchors_mod.DEFAULT_RATIOS)), "anchors.ratios")
+        scales = _numbers(scales, "anchors.scales")
+    ratios = _numbers(spec.get("ratios", list(anchors_mod.DEFAULT_RATIOS)), "anchors.ratios")
     frame = (check_number(get(image, "width"), "image.width", integer=True),
              check_number(get(image, "height"), "image.height", integer=True))
     n_anchors = anchors_mod.anchor_count(*frame, levels, scales, ratios)
@@ -385,19 +424,17 @@ def _loss_row(fixture) -> tuple:
     pos_iou = number(matching, "pos_iou", thresholds["pos_iou"].default, "matching.pos_iou")
     neg_iou = number(matching, "neg_iou", thresholds["neg_iou"].default, "matching.neg_iou")
     preds = get(fixture, "predictions")
-    p_obj = np.array(numbers(get(preds, "objectness"), "predictions.objectness"), dtype=np.float64)
-    p_cls = np.array(numbers(get(preds, "class"), "predictions.class"), dtype=np.float64)
-    boxes = check(get(preds, "box"), "predictions.box", list, "a list of number lists")
-    t = np.array([numbers(b, f"predictions.box[{i}]", length=4) for i, b in enumerate(boxes)],
-                 dtype=np.float64)
+    p_obj = np.array(_numbers(get(preds, "objectness"), "predictions.objectness"), dtype=np.float64)
+    p_cls = np.array(_numbers(get(preds, "class"), "predictions.class"), dtype=np.float64)
+    t = np.array(_number_rows(get(preds, "box"), "predictions.box", 4), dtype=np.float64)
     loss, default = get(fixture, "loss", {}), anchors_mod.LossConfig()
     config = anchors_mod.LossConfig(
         alpha=number(loss, "alpha", default.alpha, "loss.alpha"),
         gamma=number(loss, "gamma", default.gamma, "loss.gamma"),
-        normalize_by_positives=check(get(loss, "normalize", default.normalize_by_positives),
-                                     "loss.normalize", bool, "true or false"),
+        normalize_by_positives=_checked(get(loss, "normalize", default.normalize_by_positives),
+                                        "loss.normalize", bool, "true or false"),
     )
-    gt_raw = check(get(fixture, "ground_truth"), "ground_truth", list, "a list")
+    gt_raw = _checked(get(fixture, "ground_truth"), "ground_truth", list, "a list")
     # not clamped to the image: a fixture's ground truth is taken as given
     gts = [parse_annotation(g, f"ground_truth[{i}]") for i, g in enumerate(gt_raw)]
     # before the anchors are built: the fixture's predictions bound what is allocated

@@ -16,7 +16,7 @@ Detections JSONL::
 
 Boxes are clamped to the image bounds on load; boxes that are degenerate after
 clamping are rejected with their line number. Faces smaller than the 10 x 10 px
-annotation protocol minimum load fine but emit a SmallFaceWarning.
+annotation protocol minimum load fine; a file that holds any gives one SmallFaceWarning.
 
 All randomness in the synthetic generator flows through numpy's seeded PCG64
 generator, so equal parameters and seed reproduce outputs byte for byte.
@@ -24,6 +24,8 @@ generator, so equal parameters and seed reproduce outputs byte for byte.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
 import re
@@ -51,11 +53,19 @@ from .geometry import (
     build_detections,
     face_arrays,
 )
-from .ratio import Condition, CovidPeriod, ImageMeta, annotation_ratio
+from .ratio import Condition, CovidPeriod, ImageMeta, ratio_reports
 
 
 class SmallFaceWarning(UserWarning):
-    """An annotation is smaller than the 10 x 10 px protocol minimum."""
+    """Faces of an annotations file are smaller than the 10 x 10 px protocol minimum.
+
+    One per file: the message locates the first and counts them all, and faces holds
+    (line, face index, image_id, width, height) for each, in file order.
+    """
+
+    def __init__(self, message: str, faces: Iterable[tuple] = ()):
+        super().__init__(message)
+        self.faces = tuple(faces)
 
 
 class _FaceRecord:
@@ -102,6 +112,22 @@ class _FaceRecord:
 
 def _rebuild(cls, head: tuple, arrays: dict) -> _FaceRecord:
     return cls(*head, **arrays)
+
+
+def _records(cls, rows: Iterable[tuple]) -> list:
+    """cls records of rows that give every slot in order, with read-only arrays: a loader's.
+
+    They skip the dataclass __init__ and __post_init__, which would find nothing to
+    build or copy (0.9 against 1.5 us a record).
+    """
+    new, setters = object.__new__, [getattr(cls, name).__set__ for name in cls.__slots__]
+    out = []
+    for row in rows:
+        rec = new(cls)
+        for put, value in zip(setters, row):
+            put(rec, value)
+        out.append(rec)
+    return out
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -272,20 +298,16 @@ _LOAD_BLOCK_CHARS = 65536
 def _blocks(path) -> Iterator[list[tuple[int, str]]]:
     """The file's non-blank (line number, text) lines, in blocks; only a line feed ends a line.
 
-    A block ends with the line that brings its text to _LOAD_BLOCK_CHARS. A byte that is
-    not UTF-8 reads as a surrogate, for _decode to refuse at its line, in file order.
+    A block ends with the line that brings the text read to _LOAD_BLOCK_CHARS, blank lines
+    included. A byte that is not UTF-8 reads as a surrogate, for _decode to refuse at its
+    line, in file order.
     """
-    block, size = [], 0
+    start = 1
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as f:
-        for lineno, line in enumerate(f, start=1):
-            if line.strip():
-                block.append((lineno, line))
-                size += len(line)
-                if size >= _LOAD_BLOCK_CHARS:
-                    yield block
-                    block, size = [], 0
-    if block:
-        yield block
+        while lines := f.readlines(_LOAD_BLOCK_CHARS - 1):  # it stops once past its hint
+            if block := [(n, line) for n, line in enumerate(lines, start) if not line.isspace()]:
+                yield block
+            start += len(lines)
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -377,6 +399,23 @@ def _fast_lines(block: list[tuple[int, str]], read_heads, seen: set[str], metas:
     return list(zip(linenos, got[0]))
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """The cyclic garbage collector off, unless it was off already.
+
+    A loader makes tens of thousands of acyclic objects a block, which each collection
+    would scan again: about 8% of the det_ratio loads' time.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def _load(path, read_header, read_block, check_face, read_heads) -> list:
     """Every record of a JSONL file; a block that _fast_lines declines is read line by line.
 
@@ -384,12 +423,12 @@ def _load(path, read_header, read_block, check_face, read_heads) -> list:
     where, seen) checks a line's header, whose image_id must not be in seen, and
     returns it with the line's raw faces last. A rejected header ends its block,
     whose lines before it are read first. read_block(path, lines) checks the faces of
-    (line number, header) lines as arrays and returns their records, warning about
-    small faces last. If it raises, check_face(where, head, i, face) parses each face
-    in turn to find the first bad one; read_block then reads the faces before it, so
-    that its error comes after their warnings. Should none fail, read_block's error is
-    raised. A block that the fast path reads whole has every record and warning that
-    the per-line path would give it.
+    (line number, header) lines as arrays and returns their records; the annotations
+    reader also notes their small faces, last. If it raises, check_face(where, head, i,
+    face) parses each face in turn to find the first bad one; read_block then reads the
+    faces before it, so that the small faces noted are those read before the error.
+    Should none fail, read_block's error is raised. A block that the fast path reads
+    whole has every record and small face that the per-line path would give it.
     """
     records, seen, metas = [], set(), {}  # metas: one ImageMeta per distinct key
     for block in _blocks(path):
@@ -524,7 +563,9 @@ def _annotation_heads(objs: list, seen: set[str], metas: dict):
             7 * len(objs) + 2 * sum(map(len, faces)))
 
 
-def _annotation_block(path, lines: list[tuple[int, tuple]]) -> list[ImageRecord]:
+def _annotation_block(path, lines: list[tuple[int, tuple]], small: list) -> list[ImageRecord]:
+    """The records of (line number, header) lines; small gets (line, face index, image_id,
+    width, height) of each of their small faces, once all are checked."""
     heads = [h for _, h in lines]
     faces = [h[4] for h in heads]
     counts = list(map(len, faces))
@@ -533,22 +574,16 @@ def _annotation_block(path, lines: list[tuple[int, tuple]]) -> list[ImageRecord]
     # each coordinate clamped into its frame, as _parse_box does
     boxes = _clamp(boxes, 0.0, np.repeat(dims[:, [0, 1, 0, 1]], counts, axis=0))
     _check_boxes(boxes)
-
+    records = _records(ImageRecord, [(*head[:4], *arrays)
+                                     for head, arrays in zip(heads, _split(counts, boxes, labels))])
     sizes = boxes[:, 2:] - boxes[:, :2]
-    small = np.flatnonzero((sizes < 10.0).any(axis=1))
-    ends = np.cumsum(counts)
-    for i, k, (w, h) in zip(small.tolist(), ends.searchsorted(small, "right").tolist(),
-                            sizes[small].tolist()):
-        # stacklevel 4 names load_annotations' caller: _annotation_block, _load, load_annotations
-        warnings.warn(f"{path}:{lines[k][0]}: face {i - ends[k] + counts[k]} ({heads[k][0]!r}): "
-                      f"face {w:g}x{h:g} px is below the 10x10 annotation protocol minimum",
-                      SmallFaceWarning, stacklevel=4)
-    return [
-        ImageRecord(image_id, meta, width, height, boxes=b, labels=lab)
-        for (image_id, meta, width, height, _), (b, lab) in zip(
-            heads, _split(counts, boxes, labels)
-        )
-    ]
+    rows = np.flatnonzero((sizes < 10.0).any(axis=1))
+    if rows.size:
+        ends = np.cumsum(counts)
+        at = ends.searchsorted(rows, "right").tolist()  # the line of each small face
+        small.extend(zip([lines[k][0] for k in at], (rows - (ends - counts)[at]).tolist(),
+                         [heads[k][0] for k in at], *sizes[rows].T.tolist()))
+    return records
 
 
 def load_annotations(path) -> DatasetManifest:
@@ -556,12 +591,23 @@ def load_annotations(path) -> DatasetManifest:
 
     Malformed lines, invalid boxes, and duplicate image ids raise
     DataFormatError naming the offending line; sub-protocol face sizes only
-    warn.
+    warn, with one SmallFaceWarning for the file, issued before any such error
+    and covering the faces read before it.
     """
-    return DatasetManifest(
-        tuple(_load(path, _annotation_header, _annotation_block, lambda where, head, i, face:
-                    parse_annotation(face, f"{where}: face {i}", *head[2:4]), _annotation_heads))
-    )
+    small = []
+    try:
+        return DatasetManifest(tuple(_load(
+            path, _annotation_header, lambda path, lines: _annotation_block(path, lines, small),
+            lambda where, head, i, face: parse_annotation(face, f"{where}: face {i}", *head[2:4]),
+            _annotation_heads)))
+    finally:
+        if small:
+            line, i, image_id, w, h = small[0]
+            # stacklevel 2 names load_annotations' caller
+            warnings.warn(SmallFaceWarning(
+                f"{path}:{line}: face {i} ({image_id!r}): face {w:g}x{h:g} px is below the 10x10 "
+                f"annotation protocol minimum; small faces read from the file: {len(small)}",
+                small), SmallFaceWarning, stacklevel=2)
 
 
 def _write_jsonl(path, records, fields_of) -> None:
@@ -617,10 +663,8 @@ def _detection_block(path, lines: list[tuple[int, tuple]]) -> list[DetectionReco
     conf = np.fromiter(conf, np.float64, len(conf))
     if not ((conf >= 0.0) & (conf <= 1.0)).all():
         raise ValueError("a conf is outside [0, 1]")
-    return [
-        DetectionRecord(image_id, meta, boxes=b, labels=lab, conf=c)
-        for (image_id, meta, _), (b, lab, c) in zip(heads, _split(counts, boxes, labels, conf))
-    ]
+    return _records(DetectionRecord, [(*head[:2], *arrays)
+                                      for head, arrays in zip(heads, _split(counts, boxes, labels, conf))])
 
 
 def load_detections(path) -> list[DetectionRecord]:
@@ -707,7 +751,7 @@ def dataset_stats(train: DatasetManifest, test: DatasetManifest) -> dict[str, Ta
         return np.maximum(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
 
     def ratios(images):  # images with no known face have no ratio and are left out
-        return [r for r in (annotation_ratio(rec).ratio for rec in images) if r is not None]
+        return [r for r in (rep.ratio for rep in ratio_reports(images)) if r is not None]
 
     # i / _RATIO_BINS puts every ratio k/n equal to i/10 exactly on its edge;
     # ratios never exceed 1, so the open last bin of _histogram is [0.9-1]
@@ -958,28 +1002,25 @@ def write_synth_scene(scene: SynthScene, out_dir) -> None:
 # report writing
 
 
-def _format_cell(v) -> str:
+_QUOTED = re.compile('[,"\n\r]')  # a CSV cell holding one of these is quoted
+
+
+def _csv_cell(v) -> str:
+    """A value as one CSV cell: None empty, bools lower case, floats by their shortest repr."""
     if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _csv_escape(s: str) -> str:
-    if any(ch in s for ch in (",", '"', "\n", "\r")):
-        return '"' + s.replace('"', '""') + '"'
-    return s
+        s = ""
+    elif isinstance(v, bool):
+        s = "true" if v else "false"
+    elif isinstance(v, float):
+        s = repr(v)
+    else:
+        s = str(v)
+    return '"' + s.replace('"', '""') + '"' if _QUOTED.search(s) else s
 
 
 def table_to_csv(table: Table) -> str:
     """Render one table as CSV text (header plus rows, newline-terminated)."""
-    lines = [",".join(_csv_escape(c) for c in table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_csv_escape(_format_cell(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in (table.columns, *table.rows))
 
 
 def render_report(tables: Table | Mapping[str, Table], fmt: str = "csv") -> str:

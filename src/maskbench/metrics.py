@@ -214,12 +214,12 @@ def ratio_pairs(
     pairs = []
     for image_id in sorted(ground_truth):
         gt = ground_truth[image_id]
-        if gt.total < cfg.min_faces_per_image or gt.ratio is None:
+        if gt.total < cfg.min_faces_per_image or (gt_ratio := gt.ratio) is None:
             continue
         est = estimated.get(image_id)
-        if est is None or est.ratio is None:
+        if est is None or (est_ratio := est.ratio) is None:
             continue
-        pairs.append((image_id, gt.ratio, est.ratio))
+        pairs.append((image_id, gt_ratio, est_ratio))
     return pairs
 
 

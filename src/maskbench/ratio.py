@@ -61,11 +61,13 @@ class RatioReport:
 
     @property
     def ratio(self) -> float | None:
-        return self.masked_count / self.total if self.total > 0.0 else None
+        total = self.masked_count + self.unmasked_count
+        return self.masked_count / total if total > 0.0 else None
 
     @property
     def unmasked_ratio(self) -> float | None:
-        return self.unmasked_count / self.total if self.total > 0.0 else None
+        total = self.masked_count + self.unmasked_count
+        return self.unmasked_count / total if total > 0.0 else None
 
 
 _MASKED, _UNMASKED = LABEL_CODES[FaceLabel.MASKED], LABEL_CODES[FaceLabel.UNMASKED]
@@ -152,9 +154,25 @@ def _settle(boxes: np.ndarray, labels: np.ndarray, iou_thr: float) -> np.ndarray
     return alive
 
 
-def _label_counts(labels: np.ndarray) -> RatioReport:
-    counts = np.bincount(labels, minlength=len(LABEL_CODES))
-    return RatioReport(float(counts[_MASKED]), float(counts[_UNMASKED]))
+def ratio_reports(records, conf_thr: float | None = None) -> list[RatioReport]:
+    """The masked and unmasked counts of each record; UNKNOWN faces are not counted.
+
+    records is a sequence of records or of sequences of Annotation or Detection (see
+    face_arrays). Given conf_thr, only detections at or above it count. Every image is
+    counted at once, from one bincount over (image index, label code).
+    """
+    if conf_thr is not None:
+        check_thresholds(conf_thr=conf_thr)
+    arrays = list(map(face_arrays, records))
+    n, codes = len(arrays), len(LABEL_CODES)
+    image = np.repeat(np.arange(n), [len(a[1]) for a in arrays])
+    labels = np.concatenate([np.zeros(0, np.int8), *(a[1] for a in arrays)])
+    if conf_thr is not None:
+        keep = np.concatenate([np.zeros(0), *(a[2] for a in arrays)]) >= conf_thr
+        image, labels = image[keep], labels[keep]
+    counts = np.bincount(image * codes + labels, minlength=n * codes).reshape(n, codes)
+    counts = counts.astype(np.float64)
+    return list(map(RatioReport, counts[:, _MASKED].tolist(), counts[:, _UNMASKED].tolist()))
 
 
 def detection_ratio(dets, conf_thr: float = 0.5) -> RatioReport:
@@ -162,9 +180,7 @@ def detection_ratio(dets, conf_thr: float = 0.5) -> RatioReport:
 
     dets is a sequence of Detection or a detection record (see face_arrays).
     """
-    check_thresholds(conf_thr=conf_thr)
-    _, labels, conf = face_arrays(dets)
-    return _label_counts(labels[conf >= conf_thr])
+    return ratio_reports([dets], conf_thr)[0]
 
 
 def annotation_ratio(annotations) -> RatioReport:
@@ -172,7 +188,7 @@ def annotation_ratio(annotations) -> RatioReport:
 
     annotations is a sequence of Annotation or a record (see face_arrays).
     """
-    return _label_counts(face_arrays(annotations)[1])
+    return ratio_reports([annotations])[0]
 
 
 def density_ratio(count_total: float, count_unmasked: float) -> RatioReport:
@@ -213,7 +229,7 @@ def aggregate_by_video(
     out = []
     for video_id in sorted(groups):
         reports = groups[video_id]
-        ratios = [r.ratio for r in reports if r.ratio is not None]
+        ratios = [x for r in reports if (x := r.ratio) is not None]
         if not ratios:
             mean = None
         elif min(ratios) == max(ratios):

@@ -11,7 +11,8 @@ line and one face at a time into value objects, the synthetic scene generator
 builds one value object per face, the adaptive kernel sigmas come from
 scipy's k-d tree, and density maps are drawn one face at a time, either
 from two block-summed 1-D profiles or at full resolution and then
-block-summed.
+block-summed. Ratio counts are taken one image at a time, and a loss
+fixture's number lists are checked one value at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from maskbench.density import (
     map_shape,
     render_density,
 )
-from maskbench.errors import DataFormatError
+from maskbench.errors import DataFormatError, check_number
 from maskbench.fusion import FeatureLevel, FusionWeights, bifpn_fuse
 from maskbench.geometry import (
     LABEL_CODES,
@@ -51,7 +52,7 @@ from maskbench.geometry import (
     size_buckets,
 )
 from maskbench.metrics import _FP, _TP, BUCKETS, EvalConfig, _match_image
-from maskbench.ratio import Condition, CovidPeriod, ImageMeta
+from maskbench.ratio import Condition, CovidPeriod, ImageMeta, RatioReport, check_thresholds
 
 
 def iou_scalar(a, b) -> float:
@@ -653,10 +654,29 @@ def _line_header(obj: dict, where: str, seen: set[str]):
 
 
 def load_annotations_objects(path):
-    """load_annotations one face at a time into value objects: its reference."""
-    from maskbench.dataset import DatasetManifest, ImageRecord, SmallFaceWarning
+    """load_annotations one face at a time into value objects: its reference.
 
-    records = []
+    Its one SmallFaceWarning lists every small face read, and comes before any error.
+    """
+    from maskbench.dataset import DatasetManifest, SmallFaceWarning
+
+    small = []
+    try:
+        return DatasetManifest(tuple(_annotation_records(path, small)))
+    finally:
+        if small:
+            line, i, image_id, w, h = small[0]
+            warnings.warn(SmallFaceWarning(
+                f"{path}:{line}: face {i} ({image_id!r}): face {w:g}x{h:g} px is below the "
+                f"10x10 annotation protocol minimum; small faces read from the file: {len(small)}",
+                small), SmallFaceWarning, stacklevel=2)
+
+
+def _annotation_records(path, small: list):
+    """Each ImageRecord of an annotations file; small gets (line, face, image_id, w, h) of
+    each face under 10 px as it is read."""
+    from maskbench.dataset import ImageRecord
+
     seen: set[str] = set()
     for lineno, obj in _json_lines(path):
         where = f"{path}:{lineno}"
@@ -686,16 +706,10 @@ def load_annotations_objects(path):
                     f"{fwhere}: label must be masked/unmasked/unknown, got {reprlib.repr(label)}"
                 )
             if box.width < 10.0 or box.height < 10.0:
-                warnings.warn(
-                    f"{fwhere} ({image_id!r}): face {box.width:g}x{box.height:g} px is "
-                    "below the 10x10 annotation protocol minimum",
-                    SmallFaceWarning,
-                    stacklevel=2,
-                )
+                small.append((lineno, i, image_id, box.width, box.height))
             annotations.append(Annotation(box, _LABELS[label]))
         meta = ImageMeta(video_id, condition, _PERIODS[period])
-        records.append(ImageRecord(image_id, meta, width, height, tuple(annotations)))
-    return DatasetManifest(tuple(records))
+        yield ImageRecord(image_id, meta, width, height, tuple(annotations))
 
 
 def load_detections_objects(path):
@@ -853,3 +867,43 @@ def synth_scene_objects(params, include_density: bool = True):
     return SynthScene(
         DatasetManifest(tuple(images)), tuple(det_records), density
     )
+
+
+# ---------------------------------------------------------------------------
+# per-image counts
+
+
+def _label_counts(labels: np.ndarray) -> RatioReport:
+    counts = np.bincount(labels, minlength=len(LABEL_CODES))
+    return RatioReport(float(counts[LABEL_CODES[FaceLabel.MASKED]]),
+                       float(counts[LABEL_CODES[FaceLabel.UNMASKED]]))
+
+
+def detection_ratio_per_image(dets, conf_thr: float = 0.5) -> RatioReport:
+    """One image's detections at or above conf_thr, counted by label."""
+    check_thresholds(conf_thr=conf_thr)
+    _, labels, conf = face_arrays(dets)
+    return _label_counts(labels[conf >= conf_thr])
+
+
+def annotation_ratio_per_image(annotations) -> RatioReport:
+    """One image's masked and unmasked faces; UNKNOWN faces are not counted."""
+    return _label_counts(face_arrays(annotations)[1])
+
+
+# ---------------------------------------------------------------------------
+# loss-fixture number lists, one value at a time
+
+
+def loss_numbers(value, name, what="numbers", integer=False, length=None) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of {what}, got {reprlib.repr(value)}")
+    if length not in (None, len(value)):
+        raise ValueError(f"{name} must be a list of {length} {what}, got {reprlib.repr(value)}")
+    return [check_number(v, f"{name}[{i}]", integer=integer) for i, v in enumerate(value)]
+
+
+def loss_number_rows(value, name, length) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of number lists, got {reprlib.repr(value)}")
+    return [loss_numbers(row, f"{name}[{i}]", length=length) for i, row in enumerate(value)]

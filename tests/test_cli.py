@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import maskbench.cli as cli
 from maskbench.cli import main
@@ -21,7 +22,15 @@ from maskbench.geometry import BBox, Detection, FaceLabel
 from maskbench.metrics import EvalConfig, ratio_correlation, ratio_pairs
 from maskbench.ratio import Condition, annotation_ratio, detection_ratio
 
-from oracles import brute_force_matches, envelope_ap, nms_scalar
+from oracles import (
+    annotation_ratio_per_image,
+    brute_force_matches,
+    detection_ratio_per_image,
+    envelope_ap,
+    loss_number_rows,
+    loss_numbers,
+    nms_scalar,
+)
 from test_byte_corpus import _tool as _corpus_tool
 
 
@@ -781,9 +790,9 @@ def test_each_small_face_warning_is_one_stderr_line(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main(["stats", "--train", str(path), "--test", str(path)]) == 0
     err = capsys.readouterr().err
-    want = [f"warning: {path}:1: face {i} ('im'): face {side:g}x{side:g} px is below the "
-            "10x10 annotation protocol minimum"
-            for i, side in ((0, 9.0), (2, 8.5), (3, 9.5))]
+    # one line per file: the first small face, and the count of all three
+    want = [f"warning: {path}:1: face 0 ('im'): face 9x9 px is below the 10x10 annotation "
+            "protocol minimum; small faces read from the file: 3"]
     assert err.splitlines() == want + want  # --train and --test each load the file
     assert "cli.py" not in err and "SmallFaceWarning" not in err
 
@@ -797,7 +806,7 @@ def test_an_image_id_holding_a_line_feed_keeps_each_message_on_one_line(tmp_path
                      "--density-dir", str(tmp_path / "maps")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"warning: {path}:1: face 0 ('a\\nb'): face 4x4 px is below the 10x10 annotation "
-        "protocol minimum",
+        "protocol minimum; small faces read from the file: 1",
         f"error: missing density prediction {missing!r}"]
 
 
@@ -1121,3 +1130,105 @@ def test_an_echoed_input_value_is_bounded(tmp_path, line, target):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert len(done.stderr) < 200 and "..." in done.stderr, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# eval-count, eval-ratio and report-video count each file once
+
+
+_LABEL_NAMES = ("masked", "unmasked", "unknown")
+
+
+@st.composite
+def ratio_files(draw):
+    """(annotation lines, detection lines, conf_thr, nms_iou): empty images, unknown faces,
+    confidences at the threshold and images without a detection line among them."""
+    thr = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    box = st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(1, 12), st.integers(1, 12)).map(
+        lambda b: [b[0], b[1], b[0] + b[2], b[1] + b[3]])
+    annotations, detections = [], []
+    for k in range(draw(st.integers(0, 12))):
+        head = {"image_id": f"i{k}", "video_id": f"v{k % 3}", "condition": "DT" if k % 2 else "NT"}
+        faces = draw(st.lists(st.fixed_dictionaries({"box": box, "label": st.sampled_from(_LABEL_NAMES)}),
+                              max_size=6))
+        annotations.append({**head, "period": "during", "width": 32, "height": 32, "faces": faces})
+        if draw(st.booleans()):
+            conf = st.sampled_from([0.0, thr, math.nextafter(thr, 0.0), math.nextafter(thr, 1.0), 1.0, 0.6])
+            dets = draw(st.lists(st.fixed_dictionaries(
+                {"box": box, "label": st.sampled_from(_LABEL_NAMES[:2]), "conf": conf}), max_size=8))
+            detections.append({**head, "detections": dets})
+    return annotations, draw(st.permutations(detections)), thr, draw(st.sampled_from([None, 0.3, 1.0]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=ratio_files())
+def test_per_file_counts_equal_the_per_image_oracle(tmp_path, case):
+    annotations, detections, thr, nms_iou = case
+    paths = {}
+    for name, lines in (("annotations", annotations), ("detections", detections)):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("".join(json.dumps(line) + "\n" for line in lines))
+    argv = ["eval-ratio", "--annotations", str(paths["annotations"]),
+            "--detections", str(paths["detections"]), "--conf-thr", repr(thr)]
+    if nms_iou is not None:
+        argv += ["--nms-iou", repr(nms_iou)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, manifest, est, gt = cli._estimated_reports(cli.build_parser().parse_args(argv))
+        recs = {r.image_id: r for r in load_detections(paths["detections"])}
+    ids = [rec.image_id for rec in manifest.images]
+    assert list(gt) == list(est) == ids
+    assert [gt[i] for i in ids] == [annotation_ratio_per_image(rec) for rec in manifest.images]
+    want = []
+    for rec in manifest.images:
+        dets = recs.get(rec.image_id, DetectionRecord(rec.image_id, rec.meta))
+        if nms_iou is not None:
+            dets = nms_scalar(list(dets.detections), nms_iou)
+        want.append(detection_ratio_per_image(dets, thr))
+    assert [est[i] for i in ids] == want
+
+
+# ---------------------------------------------------------------------------
+# loss-eval checks each number list at once, with the per-value messages
+
+
+_FLOAT_MAX = sys.float_info.max
+HOSTILE_NUMBERS = [
+    [], [0, 1.5, -2], [True], [1, False], [0.5, "1"], [None], [1.0, float("nan")],
+    [float("inf")], [2.0, -float("inf")], [10**400], [1, -(10**400)], [int(_FLOAT_MAX) + 1],
+    [-int(_FLOAT_MAX) - 1], [int(_FLOAT_MAX)], [_FLOAT_MAX, -_FLOAT_MAX], [2**70, 5e-324],
+    [1, 2.5], [3, [1]], [{"a": 1}], "12", {"a": 1}, None, 7,
+]
+
+
+def _message(check, *args, **kwargs):
+    try:
+        check(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("value", HOSTILE_NUMBERS, ids=repr)
+@pytest.mark.parametrize("integer, length", [(False, None), (True, None), (False, 2)])
+def test_loss_number_lists_keep_the_per_value_messages(value, integer, length):
+    want = _message(loss_numbers, value, "x.y", "integers" if integer else "numbers",
+                    integer=integer, length=length)
+    got = _message(cli._numbers, value, "x.y", "integers" if integer else "numbers",
+                   integer=integer, length=length)
+    assert got == want
+    if want is None:
+        assert cli._numbers(value, "x.y", integer=integer, length=length) == value
+
+
+@pytest.mark.parametrize("row", HOSTILE_NUMBERS, ids=repr)
+@pytest.mark.parametrize("at", [0, 2])
+def test_loss_box_rows_keep_the_per_value_messages(row, at):
+    rows = [[0, 1, 2, 3.5]] * 3
+    rows[at] = row
+    for value in (rows, [row], row):
+        want = _message(loss_number_rows, value, "predictions.box", 4)
+        assert _message(cli._number_rows, value, "predictions.box", 4) == want
+        if want is None:
+            assert cli._number_rows(value, "predictions.box", 4) == value

@@ -1,10 +1,12 @@
 import copy
 import json
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
+from maskbench import dataset
 from maskbench.dataset import (
     DatasetManifest,
     DetectionRecord,
@@ -73,12 +75,17 @@ class TestLoadAnnotations:
     def test_small_face_warns_but_loads(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [image_record("a", faces=[{"box": [0, 0, 9, 9], "label": "masked"}])])
-        with pytest.warns(SmallFaceWarning):
+        with pytest.warns(SmallFaceWarning) as caught:
             manifest = load_annotations(path)
         assert len(manifest.images[0].annotations) == 1
+        assert [str(w.message) for w in caught] == [
+            f"{path}:1: face 0 ('a'): face 9x9 px is below the 10x10 annotation protocol "
+            "minimum; small faces read from the file: 1"]
+        assert caught[0].message.faces == ((1, 0, "a", 9.0, 9.0),)
+        assert caught[0].filename == __file__
 
     def test_small_faces_before_the_first_bad_face_warn_before_its_error(self, tmp_path):
-        # the faces before the bad one are read again as arrays, so only they warn, in order
+        # the faces before the bad one are read again as arrays, so only they are listed, in order
         path = tmp_path / "a.jsonl"
         small, bad = {"box": [0, 0, 9, 9], "label": "masked"}, {"box": [0, 0, 9, 9], "label": "hat"}
         write_jsonl(path, [image_record("a", faces=[small]),
@@ -87,9 +94,61 @@ class TestLoadAnnotations:
             load_annotations(path)
         assert str(exc.value) == (f"{path}:2: face 2: label must be masked/unmasked/unknown, "
                                   "got 'hat'")
-        assert [str(w.message).split(" (")[0] for w in caught] == [f"{path}:1: face 0",
-                                                                   f"{path}:2: face 1"]
+        assert [str(w.message) for w in caught] == [
+            f"{path}:1: face 0 ('a'): face 9x9 px is below the 10x10 annotation protocol "
+            "minimum; small faces read from the file: 2"]
+        assert caught[0].message.faces == ((1, 0, "a", 9.0, 9.0), (2, 1, "b", 9.0, 9.0))
         assert {w.filename for w in caught} == {__file__}
+
+    def test_small_faces_of_every_block_are_one_warning_before_a_later_error(self, tmp_path):
+        # three blocks: every line has nine small faces, and line 250 a bad face after two
+        small = {"box": [0, 0, 20, 4.5], "label": "unmasked"}
+        lines = [image_record(f"i{k}", faces=[image_record()["faces"][0], small] + [small] * 8)
+                 for k in range(250)]
+        lines[-1]["faces"][3] = {"box": [0, 0, 20, 20], "label": 7}
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, lines)
+        assert path.stat().st_size > 2 * dataset._LOAD_BLOCK_CHARS
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataFormatError, match=f"{path}:250: face 3: label must be"):
+                load_annotations(path)
+        assert len(caught) == 1 and caught[0].category is SmallFaceWarning
+        faces = [(k + 1, i, f"i{k}", 20.0, 4.5) for k in range(249) for i in range(1, 10)]
+        faces += [(250, 1, "i249", 20.0, 4.5), (250, 2, "i249", 20.0, 4.5)]
+        assert caught[0].message.faces == tuple(faces)
+        assert str(caught[0].message) == (
+            f"{path}:1: face 1 ('i0'): face 20x4.5 px is below the 10x10 annotation protocol "
+            f"minimum; small faces read from the file: {len(faces)}")
+
+    def test_a_file_without_small_faces_does_not_warn(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        # 10 x 10 is the minimum itself, and clamping makes no face small here
+        edge = {"box": [90, 70, 100, 80], "label": "unknown"}
+        write_jsonl(path, [image_record(f"i{k}", faces=[edge]) for k in range(3)] + [
+            image_record("empty", faces=[])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(load_annotations(path)) == 4
+
+    def test_a_declined_block_lists_the_same_small_faces(self, tmp_path, monkeypatch):
+        # an extra key makes the fast path decline the block; the per-line path gives the same
+        faces = [{"box": [1, 1, 5, 50], "label": "masked"}, {"box": [96, 0, 120, 30], "label": "unknown"}]
+        plain, extra = tmp_path / "plain.jsonl", tmp_path / "extra.jsonl"
+        write_jsonl(plain, [image_record(f"i{k}", faces=faces) for k in range(3)])
+        write_jsonl(extra, [image_record(f"i{k}", faces=faces, note=1) for k in range(3)])
+        declined = []
+        fast = dataset._fast_lines
+        monkeypatch.setattr(dataset, "_fast_lines", lambda *a: declined.append(r := fast(*a)) or r)
+        got = []
+        for path in (plain, extra):
+            with pytest.warns(SmallFaceWarning) as caught:
+                load_annotations(path)
+            got.append((str(caught[0].message).replace(str(path), "P"), caught[0].message.faces))
+        assert declined[0] is not None and declined[1] is None
+        assert len(caught) == 1 and got[0] == got[1]
+        assert got[0][1] == tuple((k + 1, i, f"i{k}", w, h) for k in range(3)
+                                  for i, (w, h) in enumerate([(4.0, 49.0), (4.0, 30.0)]))
 
     def test_invalid_json_names_position(self, tmp_path):
         path = tmp_path / "a.jsonl"

@@ -13,6 +13,7 @@ per-line path, on inputs that orjson and json read differently.
 import contextlib
 import copy
 import decimal
+import gc
 import io
 import json
 import math
@@ -55,7 +56,8 @@ LOADERS = {
 
 
 def outcome(load, path):
-    """("ok", records) or (error type, message), and the warnings as (text, category, file, line).
+    """("ok", records) or (error type, message), and the warnings as (text, category, file,
+    line, faces), faces being a SmallFaceWarning's per-face list.
 
     The errors caught are those that mrb reports with exit code 2.
     """
@@ -65,7 +67,8 @@ def outcome(load, path):
             result = ("ok", load(path))
         except (DataFormatError, OSError, ValueError) as exc:
             result = (type(exc).__name__, str(exc))
-    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    return result, [(str(w.message), w.category, w.filename, w.lineno, w.message.faces)
+                    for w in caught]
 
 
 def faces_of(kind, result):
@@ -395,6 +398,30 @@ def test_a_line_of_no_break_spaces_is_blank(tmp_path, kind):
     path.write_text("\n".join(["\u00a0\u00a0", *lines]) + "\n", encoding="utf-8")
     assert_equivalent(kind, path)
     assert_same_as(kind, path, plain)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_the_loaders_pause_the_garbage_collector_and_restore_it(tmp_path, monkeypatch, kind):
+    path, bad = tmp_path / "in.jsonl", tmp_path / "bad.jsonl"
+    doc = long_doc(kind, 0.05)
+    write_jsonl(path, doc)
+    bad.write_text(path.read_text() + '{"image_id": 1}\n')
+    during = []
+    fast = dataset._fast_lines
+    monkeypatch.setattr(dataset, "_fast_lines", lambda *a: during.append(gc.isenabled()) or fast(*a))
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                LOADERS[kind][0](path)
+                assert gc.isenabled() is enabled
+                with pytest.raises(DataFormatError, match=f":{len(doc) + 1}: image_id must be"):
+                    LOADERS[kind][0](bad)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during and not any(during)
 
 
 def test_records_are_read_only_and_compare_by_value(tmp_path):

@@ -17,9 +17,10 @@ from maskbench.ratio import (
     detection_ratio,
     group_by_condition,
     nms,
+    ratio_reports,
 )
 
-from oracles import iou_scalar, nms_scalar
+from oracles import annotation_ratio_per_image, detection_ratio_per_image, iou_scalar, nms_scalar
 
 
 def det(l, t, r, b, label=FaceLabel.MASKED, conf=0.9):
@@ -382,3 +383,27 @@ class TestGroupByCondition:
         rows = [(ImageMeta("v", Condition.DAYTIME), i) for i in range(5)]
         groups = group_by_condition(rows)
         assert [item for _, item in groups[Condition.DAYTIME]] == [0, 1, 2, 3, 4]
+
+
+class TestRatioReports:
+    def test_no_records_give_no_reports(self):
+        assert ratio_reports([]) == ratio_reports([], 0.5) == []
+
+    def test_each_record_of_value_objects_or_arrays_is_counted_as_alone(self):
+        rng = np.random.default_rng(5)
+        labels = list(FaceLabel)
+        annos = [[Annotation(BBox(0, 0, 10, 10), labels[rng.integers(3)])
+                  for _ in range(rng.integers(0, 6))] for _ in range(20)]
+        dets = [[det(0, 0, 10, 10, labels[rng.integers(2)], float(rng.choice([0.0, 0.3, 0.5, 1.0])))
+                 for _ in range(rng.integers(0, 6))] for _ in range(20)]
+        records = [DetectionRecord(f"i{k}", META, d) for k, d in enumerate(dets)]
+        assert ratio_reports(annos) == [annotation_ratio_per_image(a) for a in annos]
+        for thr in (0.0, 0.3, 0.5, 1.0):
+            want = [detection_ratio_per_image(d, thr) for d in dets]
+            assert ratio_reports(dets, thr) == ratio_reports(records, thr) == want
+            assert [detection_ratio(d, thr) for d in records] == want
+        assert ratio_reports(records) == [detection_ratio_per_image(d, 0.0) for d in dets]
+
+    def test_the_threshold_is_checked(self):
+        with pytest.raises(ValueError, match="conf_thr must be a finite number in"):
+            ratio_reports([[det(0, 0, 1, 1)]], 1.5)
