@@ -52,7 +52,7 @@ from .density import (
     write_density,
 )
 from .density import downsample_sum_preserving  # noqa: F401  (unused; perfbench's tracer wraps it)
-from .errors import DataFormatError, check_number
+from .errors import DataFormatError, check_number, plain_numbers, shown_path
 from .geometry import FaceLabel
 from .metrics import BUCKETS, EvalConfig, average_precision, mae, mean_ap, pearson, ratio_pairs
 from .metrics import ratio_correlation  # noqa: F401  (unused; perfbench's tracer wraps it)
@@ -128,7 +128,7 @@ def _read_map(path: Path, rec: ImageRecord) -> DensityMap:
     want = map_shape(rec.height, rec.width, dmap.downscale)
     if dmap.values.shape != want:
         raise DataFormatError(
-            f"{path}: {dmap.height}x{dmap.width} map does not fit the {rec.height}x"
+            f"{shown_path(path)}: {dmap.height}x{dmap.width} map does not fit the {rec.height}x"
             f"{rec.width} image at downscale {dmap.downscale} (want {want[0]}x{want[1]})"
         )
     return dmap
@@ -350,19 +350,6 @@ def _checked(value, name: str, kind, what: str):
     return value
 
 
-def _plain_numbers(values: list, integer: bool = False) -> bool:
-    """Whether check_number takes each of values as it is, checked as one array.
-
-    Each must be an int, or a float unless integer, and below the largest float in size:
-    an int just above it rounds down to it, so one that reaches it is left to check_number.
-    """
-    try:
-        return ({*map(type, values)} <= ({int} if integer else {int, float})
-                and bool((np.abs(np.array(values, dtype=np.float64)) < sys.float_info.max).all()))
-    except OverflowError:  # an int beyond float range
-        return False
-
-
 def _numbers(value, name: str, what: str = "numbers", integer: bool = False,
              length: int | None = None) -> list:
     """value, a list of numbers (of integers if integer, and length of them if given).
@@ -371,7 +358,9 @@ def _numbers(value, name: str, what: str = "numbers", integer: bool = False,
     """
     if length not in (None, len(_checked(value, name, list, f"a list of {what}"))):
         raise ValueError(f"{name} must be a list of {length} {what}, got {reprlib.repr(value)}")
-    if not _plain_numbers(value, integer):
+    try:
+        plain_numbers(value, integer)
+    except (ValueError, OverflowError):  # check_number decides, naming the first value at fault
         for i, v in enumerate(value):
             check_number(v, f"{name}[{i}]", integer=integer)
     return value
@@ -380,10 +369,14 @@ def _numbers(value, name: str, what: str = "numbers", integer: bool = False,
 def _number_rows(value, name: str, length: int) -> list:
     """value, a list of lists of length numbers; else a ValueError as _numbers gives for the first."""
     rows = _checked(value, name, list, "a list of number lists")
-    if not ({*map(type, rows)} <= {list} and {*map(len, rows)} <= {length}
-            and _plain_numbers(list(itertools.chain.from_iterable(rows)))):
-        for i, row in enumerate(rows):
-            _numbers(row, f"{name}[{i}]", length=length)
+    try:
+        if {*map(type, rows)} <= {list} and {*map(len, rows)} <= {length}:
+            plain_numbers(list(itertools.chain.from_iterable(rows)))
+            return rows
+    except (ValueError, OverflowError):
+        pass
+    for i, row in enumerate(rows):  # _numbers decides, row by row
+        _numbers(row, f"{name}[{i}]", length=length)
     return rows
 
 

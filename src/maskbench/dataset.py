@@ -25,6 +25,7 @@ generator, so equal parameters and seed reproduce outputs byte for byte.
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import json
 import math
@@ -42,7 +43,7 @@ import orjson
 
 from .density import (DensityMap, KernelSpec, PointSet, check_downscale, check_frame_sides,
                       map_shape, render_density, write_density)
-from .errors import DataFormatError, allocating_grid, check_number
+from .errors import DataFormatError, allocating_grid, check_number, plain_numbers
 from .geometry import (
     FACE_LABELS,
     Annotation,
@@ -390,7 +391,8 @@ def _fast_lines(block: list[tuple[int, str]], read_heads, seen: set[str], metas:
     object has a pair and no string holds a ':'. So every value read is a string, an int
     below 2**53, or a box or conf number, which both decoders round to one float64:
     orjson refuses a surrogate, a BOM, NaN and numbers beyond float range, and reads an
-    int past 64 bits as a float.
+    int past 64 bits as a float (one just above float range as the largest float, which
+    the block readers refuse, so the per-line path decides).
     """
     linenos, texts = zip(*block)
     got = read_heads(list(map(orjson.loads, texts)), seen, metas)
@@ -416,26 +418,23 @@ def _gc_paused():
 
 
 @_gc_paused()
-def _load(path, read_header, read_block, check_face, read_heads) -> list:
+def _load(path, read_header, read_block, read_line, read_heads) -> list:
     """Every record of a JSONL file; a block that _fast_lines declines is read line by line.
 
-    Line by line, each line is decoded and its header checked once. read_header(obj,
-    where, seen) checks a line's header, whose image_id must not be in seen, and
-    returns it with the line's raw faces last. A rejected header ends its block,
-    whose lines before it are read first. read_block(path, lines) checks the faces of
-    (line number, header) lines as arrays and returns their records; the annotations
-    reader also notes their small faces, last. If it raises, check_face(where, head, i,
-    face) parses each face in turn to find the first bad one; read_block then reads the
-    faces before it, so that the small faces noted are those read before the error.
-    Should none fail, read_block's error is raised. A block that the fast path reads
-    whole has every record and small face that the per-line path would give it.
+    Line by line, each line is decoded and its header checked once: read_header(obj, where,
+    seen) returns it with the line's raw faces last, and refuses an image_id in seen. A
+    rejected header ends its block, whose lines before it are read first. read_block(lines)
+    reads (line number, header) lines into records as arrays (small faces noted last). Its
+    checks may refuse more than the one-face parsers, never less; where they refuse,
+    read_line(lineno, where, head) parses each line's faces one at a time, and decides. The
+    fast path gives a block every record and small face that the per-line path would give it.
     """
     records, seen, metas = [], set(), {}  # metas: one ImageMeta per distinct key
     for block in _blocks(path):
         try:  # an error here only declines the block, which the per-line path then decides
             lines = _fast_lines(block, read_heads, seen, metas)
             if lines is not None:
-                records.extend(read_block(path, lines))
+                records.extend(read_block(lines))
                 seen.update([head[0] for _, head in lines])
                 continue
         except Exception:
@@ -450,16 +449,9 @@ def _load(path, read_header, read_block, check_face, read_heads) -> list:
             seen.add(head[0])
             lines.append((lineno, head))
         try:
-            records.extend(read_block(path, lines))
+            records.extend(read_block(lines))
         except Exception:
-            for k, (lineno, head) in enumerate(lines):
-                for i, face in enumerate(head[-1]):
-                    try:
-                        check_face(f"{path}:{lineno}", head, i, face)
-                    except Exception:
-                        read_block(path, [*lines[:k], (lineno, (*head[:-1], head[-1][:i]))])
-                        raise
-            raise
+            records.extend(read_line(lineno, f"{path}:{lineno}", head) for lineno, head in lines)
         if rejected is not None:
             raise rejected
     return records
@@ -489,21 +481,21 @@ def _metas(metas: dict, keys: Iterable[tuple]) -> Iterator[ImageMeta]:
 _BOX, _LABEL, _CONF = itemgetter("box"), itemgetter("label"), itemgetter("conf")
 
 
-def _block_faces(raw: list, codes: Mapping[str, int]):
-    """The (N, 4) boxes and (N,) label codes of a block's raw face objects.
+def _block_faces(raw: list, codes: Mapping[str, int], frames: np.ndarray | None = None):
+    """The (N, 4) boxes and (N,) label codes of a block's raw face objects; given frames,
+    rows of (width, height, width, height), each box is clamped into its frame as _parse_box is.
 
     Raises on any value that the one-face check might not accept as is.
     """
     boxes = list(map(_BOX, raw))
     if set(map(len, boxes)) - {4}:  # a string or an object of 4 puts strings in flat
         raise ValueError("a box is not a list of 4")
-    # type(), not isinstance: bool is an int, and np.array would take "1" as 1
-    flat = list(chain.from_iterable(boxes))
-    if set(map(type, flat)) - {int, float}:
-        raise ValueError("a box holds a non-number")
-    boxes = np.fromiter(flat, np.float64, len(flat)).reshape(-1, 4)
-    if not np.isfinite(boxes).all():  # checked before an annotation's clamp, which would hide inf
-        raise ValueError("a box is non-finite")
+    # checked before the clamp, which would hide inf
+    boxes = plain_numbers(list(chain.from_iterable(boxes))).reshape(-1, 4)
+    if frames is not None:
+        boxes = _clamp(boxes, 0.0, frames)
+    if not ((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])).all():
+        raise ValueError("a box is empty")
     # a label that names no code raises KeyError, or TypeError if it is unhashable
     return boxes, np.fromiter(map(codes.__getitem__, map(_LABEL, raw)), np.int8, len(raw))
 
@@ -512,14 +504,6 @@ def _clamp(a: np.ndarray, lo, hi) -> np.ndarray:
     """min(max(v, lo), hi) for each v of a, as Python's min and max give it (NaN and -0.0 kept)."""
     a = np.where(lo > a, lo, a)
     return np.where(hi < a, hi, a)
-
-
-def _check_boxes(boxes: np.ndarray) -> None:
-    """Raise unless every box has right > left and bottom > top, with BBox's message."""
-    empty = ~((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))
-    if empty.any():
-        coords = tuple(boxes[empty][0].tolist())
-        raise ValueError(f"box must have positive width and height, got {coords}")
 
 
 def _split(counts: list[int], *arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
@@ -563,27 +547,43 @@ def _annotation_heads(objs: list, seen: set[str], metas: dict):
             7 * len(objs) + 2 * sum(map(len, faces)))
 
 
-def _annotation_block(path, lines: list[tuple[int, tuple]], small: list) -> list[ImageRecord]:
-    """The records of (line number, header) lines; small gets (line, face index, image_id,
-    width, height) of each of their small faces, once all are checked."""
-    heads = [h for _, h in lines]
-    faces = [h[4] for h in heads]
-    counts = list(map(len, faces))
-    boxes, labels = _block_faces(list(chain.from_iterable(faces)), _CODES)
-    dims = np.array([h[2:4] for h in heads], dtype=np.float64).reshape(-1, 2)
-    # each coordinate clamped into its frame, as _parse_box does
-    boxes = _clamp(boxes, 0.0, np.repeat(dims[:, [0, 1, 0, 1]], counts, axis=0))
-    _check_boxes(boxes)
-    records = _records(ImageRecord, [(*head[:4], *arrays)
-                                     for head, arrays in zip(heads, _split(counts, boxes, labels))])
+def _note_small(small: list, lines: list, counts: list[int], boxes: np.ndarray) -> None:
+    """The 10-px rule: small gets (line, face index, image_id, width, height) of each face
+    under 10 px of boxes, whose rows are the counts faces of each (line number, header) line."""
     sizes = boxes[:, 2:] - boxes[:, :2]
     rows = np.flatnonzero((sizes < 10.0).any(axis=1))
     if rows.size:
         ends = np.cumsum(counts)
         at = ends.searchsorted(rows, "right").tolist()  # the line of each small face
         small.extend(zip([lines[k][0] for k in at], (rows - (ends - counts)[at]).tolist(),
-                         [heads[k][0] for k in at], *sizes[rows].T.tolist()))
+                         [lines[k][1][0] for k in at], *sizes[rows].T.tolist()))
+
+
+def _annotation_block(lines: list[tuple[int, tuple]], small: list) -> list[ImageRecord]:
+    """The records of (line number, header) lines; their small faces go to small once all
+    are checked."""
+    heads = [h for _, h in lines]
+    faces = [h[4] for h in heads]
+    counts = list(map(len, faces))
+    dims = np.array([h[2:4] for h in heads], dtype=np.float64).reshape(-1, 2)
+    boxes, labels = _block_faces(list(chain.from_iterable(faces)), _CODES,
+                                 np.repeat(dims[:, [0, 1, 0, 1]], counts, axis=0))
+    records = _records(ImageRecord, [(*head[:4], *arrays)
+                                     for head, arrays in zip(heads, _split(counts, boxes, labels))])
+    _note_small(small, lines, counts, boxes)
     return records
+
+
+def _annotation_faces(lineno: int, where: str, head: tuple, small: list) -> ImageRecord:
+    """A line's record, its faces parsed one at a time; small gets those read, before a bad one too."""
+    faces = []
+    try:
+        for i, face in enumerate(head[4]):
+            faces.append(parse_annotation(face, f"{where}: face {i}", *head[2:4]))
+    finally:
+        rec = ImageRecord(*head[:4], faces)
+        _note_small(small, [(lineno, head)], [len(rec)], rec.boxes)
+    return rec
 
 
 def load_annotations(path) -> DatasetManifest:
@@ -597,9 +597,8 @@ def load_annotations(path) -> DatasetManifest:
     small = []
     try:
         return DatasetManifest(tuple(_load(
-            path, _annotation_header, lambda path, lines: _annotation_block(path, lines, small),
-            lambda where, head, i, face: parse_annotation(face, f"{where}: face {i}", *head[2:4]),
-            _annotation_heads)))
+            path, _annotation_header, functools.partial(_annotation_block, small=small),
+            functools.partial(_annotation_faces, small=small), _annotation_heads)))
     finally:
         if small:
             line, i, image_id, w, h = small[0]
@@ -650,28 +649,28 @@ def _detection_heads(objs: list, seen: set[str], metas: dict):
             4 * len(objs) + 3 * sum(map(len, dets)))
 
 
-def _detection_block(path, lines: list[tuple[int, tuple]]) -> list[DetectionRecord]:
+def _detection_block(lines: list[tuple[int, tuple]]) -> list[DetectionRecord]:
     heads = [h for _, h in lines]
     dets = [h[2] for h in heads]
     counts = list(map(len, dets))
     raw = list(chain.from_iterable(dets))
     boxes, labels = _block_faces(raw, _DETECTION_CODES)
-    _check_boxes(boxes)
-    conf = list(map(_CONF, raw))
-    if set(map(type, conf)) - {int, float}:
-        raise ValueError("a conf is not a number")
-    conf = np.fromiter(conf, np.float64, len(conf))
+    conf = plain_numbers(list(map(_CONF, raw)))
     if not ((conf >= 0.0) & (conf <= 1.0)).all():
         raise ValueError("a conf is outside [0, 1]")
     return _records(DetectionRecord, [(*head[:2], *arrays)
                                       for head, arrays in zip(heads, _split(counts, boxes, labels, conf))])
 
 
+def _detection_faces(lineno: int, where: str, head: tuple) -> DetectionRecord:
+    """A line's record, its detections parsed one at a time."""
+    return DetectionRecord(*head[:2], [parse_detection(det, f"{where}: detection {i}")
+                                       for i, det in enumerate(head[2])])
+
+
 def load_detections(path) -> list[DetectionRecord]:
     """Load a detections JSONL file; same error policy as load_annotations."""
-    return _load(path, _detection_header, _detection_block,
-                 lambda where, _, i, det: parse_detection(det, f"{where}: detection {i}"),
-                 _detection_heads)
+    return _load(path, _detection_header, _detection_block, _detection_faces, _detection_heads)
 
 
 def write_detections(records: Sequence[DetectionRecord], path) -> None:

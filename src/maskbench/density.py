@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, allocating_grid, check_number
+from .errors import DataFormatError, allocating_grid, check_number, shown_path
 
 _NFMD_MAGIC = b"NFMD"
 _NFMD_HEADER = struct.Struct("<III")
@@ -430,18 +430,18 @@ def read_density(path) -> DensityMap:
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != _NFMD_MAGIC:
-        raise DataFormatError(f"{path}: not an NFMD file (bad magic {data[:4]!r})")
+        raise DataFormatError(f"{shown_path(path)}: not an NFMD file (bad magic {data[:4]!r})")
     if len(data) < 4 + _NFMD_HEADER.size:
-        raise DataFormatError(f"{path}: truncated NFMD header")
+        raise DataFormatError(f"{shown_path(path)}: truncated NFMD header")
     width, height, downscale = _NFMD_HEADER.unpack_from(data, 4)
     expected = 4 + _NFMD_HEADER.size + 4 * width * height
     if len(data) != expected:
         raise DataFormatError(
-            f"{path}: expected {expected} bytes for {width}x{height} map, got {len(data)}"
+            f"{shown_path(path)}: expected {expected} bytes for {width}x{height} map, got {len(data)}"
         )
     values = np.frombuffer(data, dtype="<f4", offset=4 + _NFMD_HEADER.size)
     values = values.reshape(height, width).astype(np.float64)
     try:
         return DensityMap(values, downscale)
     except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+        raise DataFormatError(f"{shown_path(path)}: {exc}") from exc

@@ -42,6 +42,26 @@ def check_number(value, name: str, *, integer: bool = False, lo=None, hi=None,
     raise ValueError(f"{name} must be {domain}, got {reprlib.repr(value)}")
 
 
+def plain_numbers(values: list, integer: bool = False) -> np.ndarray:
+    """check_number's array form: values as float64 if each type() is int (not bool), or
+    float unless integer, and each size strictly below the largest float, to which an int
+    just above it rounds. Else ValueError, or OverflowError for an int beyond float range.
+    So it takes no value that check_number refuses, and refuses a float of that size."""
+    if {*map(type, values)} - ({int} if integer else {int, float}):
+        raise ValueError("a value is not an int or a float")
+    a = np.fromiter(values, np.float64, len(values))
+    if not (np.abs(a) < _FLOAT_MAX).all():  # False for NaN
+        raise ValueError("a value is not below the largest float in size")
+    return a
+
+
+def shown_path(path) -> str:
+    """A path as a message shows it: as it is if printable, else through repr, so that no
+    character of it (a line feed, say) splits the message's line."""
+    text = str(path)
+    return text if text.isprintable() else repr(text)
+
+
 def _bound(b) -> str:
     """A bound as a domain shows it: a power of two from 2**16 up as 2**k."""
     return f"2**{b.bit_length() - 1}" if isinstance(b, int) and b >= 2**16 and not b & (b - 1) else str(b)

@@ -24,6 +24,8 @@ _RUNS = {
     "report-video-not-utf8-after-error",
     "loss-eval-not-utf8",
     "gen-density-nul-image-id",
+    "eval-ratio-above-range-box-annotations",
+    "eval-count-line-feed-map-shape",
 }
 
 

@@ -810,6 +810,23 @@ def test_an_image_id_holding_a_line_feed_keeps_each_message_on_one_line(tmp_path
         f"error: missing density prediction {missing!r}"]
 
 
+@pytest.mark.parametrize("case", ["shape", "magic"])
+def test_a_map_path_holding_a_line_feed_keeps_its_message_on_one_line(tmp_path, capsys, case):
+    # a 3x3 map does not fit the 64x64 frame; a map of bad magic is no NFMD file
+    path = _one_image(tmp_path / "nl.jsonl", "a\nb")
+    (tmp_path / "maps").mkdir()
+    map_path = tmp_path / "maps" / "a\nb.total.nfmd"
+    write_density(DensityMap(np.ones((3, 3)), 1), map_path)
+    if case == "magic":
+        map_path.write_bytes(b"NFMX" + map_path.read_bytes()[4:])
+    assert main(["eval-count", "--annotations", str(path),
+                 "--density-dir", str(tmp_path / "maps")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {str(map_path)!r}: " + {
+        "shape": "3x3 map does not fit the 64x64 image at downscale 1 (want 64x64)",
+        "magic": "not an NFMD file (bad magic b'NFMX')",
+    }[case]]
+
+
 @pytest.mark.parametrize("command", ["eval-ratio", "report-video"])
 def test_an_empty_detections_path_is_a_path(command, tmp_path, capsys):
     # an empty path is still the detection route, not a density route with no directory

@@ -1,4 +1,5 @@
-"""errors.check_number, the one rule for input numbers, and the grid bound (check_grid, allocating_grid)."""
+"""errors.check_number, the one rule for input numbers, its array form plain_numbers, and the
+grid bound (check_grid, allocating_grid)."""
 
 import math
 import os
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maskbench import errors
-from maskbench.errors import MAX_GRID_CELLS, allocating_grid, check_grid, check_number
+from maskbench.errors import MAX_GRID_CELLS, allocating_grid, check_grid, check_number, plain_numbers
 
 _FLOAT_MAX_INT = int(sys.float_info.max)
 
@@ -70,6 +72,48 @@ def test_anything_else_is_refused_naming_its_domain(value, kwargs, message):
     with pytest.raises(ValueError) as exc:
         check_number(value, "x", **kwargs)
     assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+# values at and around the edges of float range, and everything else JSON can hold
+_EDGES = [sys.float_info.max, -sys.float_info.max, _FLOAT_MAX_INT, -_FLOAT_MAX_INT,
+          _FLOAT_MAX_INT - 1, _FLOAT_MAX_INT + 1, _FLOAT_MAX_INT + 2**960, _FLOAT_MAX_INT + 2**971,
+          10**400, -(10**400), math.nextafter(sys.float_info.max, 0), 2**53 + 1, -0.0, 0]
+_VALUES = st.one_of(st.integers(), st.integers(-2**1100, 2**1100), st.floats(),
+                    st.sampled_from(_EDGES), st.sampled_from([True, False, None, "1", [1]]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(_VALUES, max_size=8), st.booleans())
+def test_plain_numbers_takes_only_what_check_number_takes(values, integer):
+    try:
+        got = plain_numbers(values, integer)
+    except (ValueError, OverflowError):
+        return
+    for v in values:
+        assert check_number(v, "x", integer=integer) is v
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array([float(v) for v in values], dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("values, integer, error", [
+    ([1, True], False, ValueError),
+    ([1.5, "2"], False, ValueError),
+    ([None], False, ValueError),
+    ([float("nan")], False, ValueError),
+    ([float("inf")], False, ValueError),
+    ([0.5, -float("inf")], False, ValueError),
+    ([_FLOAT_MAX_INT], False, ValueError),
+    ([-_FLOAT_MAX_INT], False, ValueError),
+    ([_FLOAT_MAX_INT + 1], False, ValueError),
+    ([10**400], False, OverflowError),
+    ([-(10**400)], True, OverflowError),
+    ([3, 2.0], True, ValueError),
+    ([sys.float_info.max], False, ValueError),
+], ids=["bool", "str", "none", "nan", "inf", "minus-inf", "int-max", "minus-int-max",
+        "int-max-plus-1", "10**400", "minus-10**400", "float-for-integer", "float-max"])
+def test_plain_numbers_refuses(values, integer, error):
+    with pytest.raises(error):
+        plain_numbers(values, integer)
 
 
 def test_the_echo_is_bounded():

@@ -19,6 +19,7 @@ import json
 import math
 import re
 import reprlib
+import sys
 import warnings
 
 import numpy as np
@@ -737,9 +738,13 @@ def halfway(x: float) -> str:
         return format((decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2, "e")
 
 
+# just above float range: orjson reads each as the largest float, json as the int
+ABOVE_RANGE = (int(sys.float_info.max) + 2**960, -(int(sys.float_info.max) + 2**960))
+
 NUMBER_LITERALS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(allow_nan=False, max_value=1.7e308).map(halfway),
+    st.sampled_from(ABOVE_RANGE).map(str),
     st.integers().map(str),
     st.integers(-2**1100, 2**1100).map(str),
     st.builds(lambda sign, whole, digits, exp: f"{sign}{whole}{digits}{exp}",
@@ -777,3 +782,64 @@ def test_a_box_and_conf_literal_load_alike_on_both_paths(tmp_path_factory, box, 
     with pytest.MonkeyPatch.context() as m:
         fast, per_line = both_paths(m, "detections", path)
     assert fast == per_line
+
+
+# ---------------------------------------------------------------------------
+# the array checks only speed loading up; the one-face parsers decide
+
+FLOAT_MAX = sys.float_info.max
+
+
+def write_edge(path, kind, position, value, extra_key):
+    """Three lines: a small face (or a detection), then one more before a face whose
+    box[position] is value, then none; extra_key adds a key to the second line, which
+    sends the block down the per-line path."""
+    small = {"box": [30, 30, 36, 38], "label": "unmasked"}
+    box = [1, 2, 30, 40]
+    box[position] = value
+    if kind == "annotations":
+        head = {"video_id": "v", "condition": "DT", "period": "during", "width": 64, "height": 48}
+        first = {"image_id": "f0", **head, "faces": [small]}
+        second = {"image_id": "f1", **head, "faces": [small, {"box": box, "label": "masked"}]}
+    else:
+        det = {**small, "conf": 0.5}
+        first = {"image_id": "f0", "video_id": "v", "condition": "DT", "detections": [det]}
+        second = {**first, "image_id": "f1",
+                  "detections": [det, {"box": box, "label": "masked", "conf": 0.25}]}
+    if extra_key:
+        second["x"] = 1
+    third = {**first, "image_id": "f2", FACES_KEY[kind]: []}
+    path.write_text("".join(json.dumps(line) + "\n" for line in (first, second, third)))
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("value", ABOVE_RANGE, ids=["plus", "minus"])
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("extra_key", [False, True], ids=["fast", "per-line"])
+def test_an_int_above_float_range_is_refused_at_its_face(tmp_path, kind, value, position,
+                                                        extra_key):
+    path = tmp_path / "in.jsonl"
+    write_edge(path, kind, position, value, extra_key)
+    assert_equivalent(kind, path)
+    got, caught = outcome(LOADERS[kind][0], path)
+    face = "face" if kind == "annotations" else "detection"
+    assert got == ("DataFormatError", f"{path}:2: {face} 1: box[{position}] must be a finite "
+                                      f"number, got {reprlib.repr(value)}")
+    if kind == "annotations":  # the one warning lists the small faces before the error
+        (*_, faces), = caught
+        assert faces == ((1, 0, "f0", 6.0, 8.0), (2, 0, "f1", 6.0, 8.0))
+    else:
+        assert caught == []
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("position, value", [(0, -FLOAT_MAX), (1, -FLOAT_MAX), (2, FLOAT_MAX),
+                                             (3, FLOAT_MAX)])
+@pytest.mark.parametrize("extra_key", [False, True], ids=["fast", "per-line"])
+def test_a_float_of_the_largest_size_loads_on_both_paths(tmp_path, monkeypatch, kind,
+                                                         position, value, extra_key):
+    path = tmp_path / "in.jsonl"
+    write_edge(path, kind, position, value, extra_key)
+    assert_equivalent(kind, path)
+    fast, per_line = both_paths(monkeypatch, kind, path)
+    assert fast == per_line and fast[0][0] == "ok"

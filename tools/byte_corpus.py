@@ -38,6 +38,7 @@ import json
 import os
 import platform
 import resource
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -155,7 +156,9 @@ def hostile_scenes() -> dict[str, dict[str, bytes]]:
     cannot encode (JSON's "\\ud800"), an image_id holding NUL, a bad face or detection
     after good ones on its line, and after small faces, an image_id holding a line feed
     on a frame with a small face, and one holding a path separator before a good frame;
-    then decoder_scenes."""
+    then decoder_scenes; then box coordinates at the edge of float range (an int just
+    above it after a small face, and the largest float), and an image_id holding a line
+    feed beside its map, of the wrong shape or of bad magic."""
     frame = {"image_id": "f0", "video_id": "v", "condition": "DT"}
     ann = {**frame, "period": "during", "width": 64, "height": 48,
            "faces": [{"box": [4, 4, 20, 22], "label": "masked"}]}
@@ -166,6 +169,10 @@ def hostile_scenes() -> dict[str, dict[str, bytes]]:
 
     small = {"box": [30, 30, 36, 38], "label": "unmasked"}
     not_utf8 = b'{"image_id": "\xff"}\n'
+    above = int(sys.float_info.max) + 2**960  # json gives the int, orjson the largest float
+    largest = [-sys.float_info.max, 4, sys.float_info.max, 22]
+    # a 3 x 3 map at downscale 1, which does not fit the 64 x 48 frame
+    nfmd = b"NFMD" + struct.pack("<III", 3, 3, 1) + bytes(4 * 9)
     fixture = json.dumps(README_FIXTURE).encode().replace(b'"masked"', b'"mask\xffed"')
     return {
         "not-utf8-after-error": {"annotations.jsonl": lines({"image_id": "", "video_id": "v"})
@@ -188,6 +195,21 @@ def hostile_scenes() -> dict[str, dict[str, bytes]]:
                                                            "faces": [small]})},
         "separator-image-id": {"annotations.jsonl": lines({**ann, "image_id": "a/b"}, ann)},
         **decoder_scenes(ann, det),
+        "above-range-box": {
+            "annotations.jsonl": lines({**ann, "faces": [small, {"box": [4, 4, above, 22],
+                                                                 "label": "masked"}]}),
+            "detections.jsonl": lines({**det, "detections": [
+                {"box": [5, -above, 21, 22], "label": "masked", "conf": 0.9}]}),
+        },
+        "largest-float-box": {
+            "annotations.jsonl": lines({**ann, "faces": [{"box": largest, "label": "masked"}]}),
+            "detections.jsonl": lines({**det, "detections": [
+                {"box": largest, "label": "masked", "conf": 0.9}]}),
+        },
+        "line-feed-map-shape": {"annotations.jsonl": lines({**ann, "image_id": "a\nb"}),
+                                "a\nb.total.nfmd": nfmd},
+        "line-feed-map-magic": {"annotations.jsonl": lines({**ann, "image_id": "a\nb"}),
+                                "a\nb.total.nfmd": b"NFMX" + nfmd[4:]},
     }
 
 
@@ -383,6 +405,17 @@ def runs() -> list[tuple[str, list[str]]]:
                                               "--detections", det(scene), *report]))
     out.append(("loss-eval-street-1080p", ["loss-eval", "--fixture",
                                            "scenes/street-1080p/fixture.json", "--format", "json"]))
+    # a box coordinate at the edge of float range, in each loader; a map path that holds
+    # a line feed, in the shape message and in a map reader's message
+    on_huge = ["--annotations", ann("huge-boxes"), "--detections", det("huge-boxes")]
+    for scene in ("above-range-box", "largest-float-box"):
+        out += [(f"eval-ratio-{scene}-annotations", ["eval-ratio", "--annotations", ann(scene),
+                                                     *on_huge[2:], *report]),
+                (f"eval-ratio-{scene}-detections", ["eval-ratio", *on_huge[:2], "--detections",
+                                                    det(scene), *report])]
+    out += [(f"eval-count-{scene}", ["eval-count", "--annotations", ann(scene), "--density-dir",
+                                     f"scenes/{scene}", *report])
+            for scene in ("line-feed-map-shape", "line-feed-map-magic")]
     return out
 
 
